@@ -55,6 +55,31 @@ CREATE TABLE IF NOT EXISTS evaluations (
 """
 
 
+#: Tries at switching a cache file to WAL before giving up; sleeps
+#: double from 10 ms between tries (~2.5 s in all).
+_WAL_ATTEMPTS = 8
+
+
+def _enable_wal(conn: sqlite3.Connection) -> None:
+    """Switch ``conn``'s database to WAL, retrying while it is busy.
+
+    Processes opening one fresh file at once race on the journal-mode
+    change, and SQLite fails the losers with SQLITE_BUSY immediately
+    instead of waiting out the connection's busy timeout.
+    """
+    delay = 0.01
+    for attempt in range(_WAL_ATTEMPTS):
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            busy = exc.sqlite_errorcode in (sqlite3.SQLITE_BUSY, sqlite3.SQLITE_LOCKED)
+            if not busy or attempt == _WAL_ATTEMPTS - 1:
+                raise
+        time.sleep(delay)
+        delay *= 2
+
+
 def score_to_dict(score: ProtectionScore) -> dict:
     """JSON-ready representation of a :class:`ProtectionScore`."""
     return {
@@ -120,7 +145,7 @@ class EvaluationCache:
         self._puts_since_count = 0
         self._conn = sqlite3.connect(self.path, check_same_thread=False)
         with self._lock:
-            self._conn.execute("PRAGMA journal_mode=WAL")
+            _enable_wal(self._conn)
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.execute(_SCHEMA)
             self._migrate_locked()

@@ -45,7 +45,9 @@ with the member's record via the suffix-stripping placement and carried
 by ``repro migrate``.  **The payload format and exchange cadence are a
 stability contract** (see ROADMAP): ``{"version", "group", "island",
 "topology", "rounds": {"<r>": {"generation", "migrants": [...]}}}``
-with individuals encoded exactly like engine checkpoints.
+with individuals encoded like format-v1 engine checkpoints (inline
+int64 codes, no shared table), so a worker of any version can join a
+live group.
 
 Islands are pure clients of :data:`~repro.service.store.STORE_PROTOCOL`
 — no store grew a new method for them.
@@ -58,6 +60,7 @@ import json
 import os
 import time
 import weakref
+from collections.abc import Callable
 from dataclasses import replace
 
 import numpy as np
@@ -75,11 +78,12 @@ from repro.obs import emit_event, get_registry, timeline_from_history, trace
 from repro.service.backends import create_backend
 from repro.service.cache import EvaluationCache
 from repro.service.checkpoint import (
-    FORMAT_VERSION,
     _individual_from_dict,
     _individual_to_dict,
     checkpoint_from_dict,
     checkpoint_to_dict,
+    is_resumable,
+    observe_save,
 )
 from repro.service.job import JobResult, ProtectionJob
 from repro.service.store import (
@@ -474,11 +478,25 @@ def _failed_senders(store, sender_ids: list[str]) -> list[str]:
 
 
 def _persist_island_checkpoint(
-    store, job: ProtectionJob, checkpoint: EngineCheckpoint, state: dict
+    store, job: ProtectionJob, checkpoint: EngineCheckpoint, state: dict,
+    memo: dict[bytes, dict],
 ) -> None:
-    payload = checkpoint_to_dict(checkpoint, fingerprint=job.fingerprint())
-    payload["island_state"] = _state_payload(state)
-    store.put_checkpoint(job.job_id, payload)
+    """Durably save a segment checkpoint (plus island state) to the store.
+
+    ``memo`` is the executor's encoding memo (see
+    :func:`~repro.service.checkpoint.checkpoint_to_dict`).
+    """
+    started = time.perf_counter()
+    with trace.span("repro.checkpoint.save", generation=checkpoint.generation,
+                    island=job.island_index):
+        payload = checkpoint_to_dict(checkpoint, fingerprint=job.fingerprint(),
+                                     memo=memo)
+        payload["island_state"] = _state_payload(state)
+        store.put_checkpoint(job.job_id, payload)
+    if get_registry().enabled:
+        # The store serializes internally; sizing the payload costs one
+        # more encode, paid only with telemetry on.
+        observe_save(time.perf_counter() - started, len(json.dumps(payload)))
 
 
 def _degrade(job: ProtectionJob, state: dict, reason: str,
@@ -574,6 +592,13 @@ def _execute_member_job(job: ProtectionJob, payload: dict) -> JobResult:
     state = _fresh_state()
     grace = _grace_seconds()
     timeout = _wait_timeout()
+    # One encoding memo for every save of this claim: each save only
+    # compresses the code matrices no earlier save (or the resumed
+    # checkpoint) already encoded.
+    memo: dict[bytes, dict] = {}
+
+    def persist(checkpoint: EngineCheckpoint) -> None:
+        _persist_island_checkpoint(store, job, checkpoint, state, memo)
 
     def exchange(population, generation, capture) -> None:
         # The engine fires on every migrate_every boundary; the final
@@ -586,7 +611,7 @@ def _execute_member_job(job: ProtectionJob, payload: dict) -> JobResult:
             members = list(population)
             publish_migrants(store, job, round_index, generation, members)
             if state["degraded"]:
-                _persist_island_checkpoint(store, job, capture(), state)
+                persist(capture())
                 return
             wait_started = time.monotonic()
             while True:
@@ -601,12 +626,12 @@ def _execute_member_job(job: ProtectionJob, payload: dict) -> JobResult:
                 failed = _failed_senders(store, missing)
                 if failed:
                     _degrade(job, state, "sender-failed", failed, round_index)
-                    _persist_island_checkpoint(store, job, capture(), state)
+                    persist(capture())
                     return
                 wait_since = float(state.get("wait_since") or 0.0)
                 if wait_since and time.time() - wait_since > timeout:
                     _degrade(job, state, "timeout", missing, round_index)
-                    _persist_island_checkpoint(store, job, capture(), state)
+                    persist(capture())
                     return
                 if not wait_since:
                     state["wait_since"] = time.time()
@@ -614,34 +639,30 @@ def _execute_member_job(job: ProtectionJob, payload: dict) -> JobResult:
                 # Pre-injection checkpoint: resume re-runs this very
                 # exchange against the same stamped buffers, so the
                 # parked path replays the live path bit for bit.
-                _persist_island_checkpoint(store, job, capture(), state)
+                persist(capture())
                 raise _ParkSignal(round_index, generation, tuple(missing))
             wait_since = float(state.get("wait_since") or 0.0)
             waited = (time.time() - wait_since) if wait_since else (
                 time.monotonic() - wait_started)
             _complete_exchange(job, state, round_index, received,
                                list(population), population.replace, waited)
-            _persist_island_checkpoint(store, job, capture(), state)
+            persist(capture())
 
     start = time.perf_counter()
     try:
         blob = store.get_checkpoint(job.job_id)
-        resumable = (
-            isinstance(blob, dict)
-            and blob.get("version") == FORMAT_VERSION
-            and blob.get("fingerprint") == fingerprint
-        )
+        resumable = is_resumable(blob, fingerprint)
         with trace.span("repro.run", dataset=job.dataset, seed=job.seed,
                         island=job.island_index, resume=resumable or None):
             if resumable:
                 checkpoint = checkpoint_from_dict(
-                    blob, original, expected_fingerprint=fingerprint)
+                    blob, original, expected_fingerprint=fingerprint, memo=memo)
                 state.update(_state_payload(blob.get("island_state") or {}))
                 pending = int(state.get("pending_round") or 0)
                 if pending and not state["degraded"]:
                     checkpoint = _settle_pending_round(
                         store, job, state, checkpoint, senders, group,
-                        original, grace, timeout)
+                        original, grace, timeout, persist)
                 outcome = engine.resume(
                     checkpoint,
                     stopping=job.generations,
@@ -720,6 +741,7 @@ def _settle_pending_round(
     original,
     grace: float,
     timeout: float,
+    persist: Callable[[EngineCheckpoint], None],
 ) -> EngineCheckpoint:
     """Finish the exchange a previous claim parked on, pre-resume.
 
@@ -745,16 +767,16 @@ def _settle_pending_round(
         failed = _failed_senders(store, missing)
         if failed:
             _degrade(job, state, "sender-failed", failed, round_index)
-            _persist_island_checkpoint(store, job, checkpoint, state)
+            persist(checkpoint)
             return checkpoint
         wait_since = float(state.get("wait_since") or 0.0)
         if wait_since and time.time() - wait_since > timeout:
             _degrade(job, state, "timeout", missing, round_index)
-            _persist_island_checkpoint(store, job, checkpoint, state)
+            persist(checkpoint)
             return checkpoint
         if not wait_since:
             state["wait_since"] = time.time()
-            _persist_island_checkpoint(store, job, checkpoint, state)
+            persist(checkpoint)
         raise _ParkSignal(round_index, generation, tuple(missing))
     individuals = list(checkpoint.individuals)
     wait_since = float(state.get("wait_since") or 0.0)
@@ -773,7 +795,7 @@ def _settle_pending_round(
         records=checkpoint.records,
         rng_state=checkpoint.rng_state,
     )
-    _persist_island_checkpoint(store, job, settled, state)
+    persist(settled)
     return settled
 
 

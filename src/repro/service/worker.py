@@ -44,7 +44,7 @@ import uuid
 from repro.exceptions import WorkerError
 from repro.obs import emit_event, get_registry, trace
 from repro.service.backends import create_backend
-from repro.service.checkpoint import FORMAT_VERSION
+from repro.service.checkpoint import is_resumable
 from repro.service.runner import JobOutcome, JobRunner
 from repro.service.store import QUEUED, JobRecord, JobStore
 
@@ -312,10 +312,7 @@ class Worker:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except (FileNotFoundError, json.JSONDecodeError):
             return False
-        return (
-            payload.get("version") == FORMAT_VERSION
-            and payload.get("fingerprint") == record.job.fingerprint()
-        )
+        return is_resumable(payload, record.job.fingerprint())
 
     def _claim_batch(
         self, limit: int, candidates: list[JobRecord] | None = None

@@ -9,6 +9,8 @@ migration hook contract.
 
 from __future__ import annotations
 
+import base64
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -296,6 +298,29 @@ class TestMigrantBlobs:
         publish_migrants(store, job, 1, 5, individuals)
         assert read_round_migrants(store, job.job_id, "ig-somebody-else",
                                    1, adult) is None
+
+    def test_published_round_keeps_the_v1_wire_format(self, tmp_path, scored_individuals):
+        # Checkpoints moved to format 2; migrant blobs must not follow,
+        # or a worker of an older version could not join a live group.
+        __, individuals = scored_individuals
+        store = JobStore(tmp_path / "store")
+        job = self._job()
+        publish_migrants(store, job, 1, 5, individuals)
+        blob = store.get_checkpoint(migrants_blob_id(job.job_id))
+        assert set(blob) == {"version", "group", "island", "topology", "rounds"}
+        assert blob["version"] == 1
+        entry = blob["rounds"]["1"]
+        assert set(entry) == {"generation", "migrants"}
+        elites = select_migrants(individuals, 2)
+        assert len(entry["migrants"]) == len(elites)
+        for item, elite in zip(entry["migrants"], elites):
+            assert set(item) == {"name", "origin", "birth_generation", "codes", "evaluation"}
+            assert set(item["codes"]) == {"shape", "data"}
+            assert item["codes"]["shape"] == list(elite.dataset.codes.shape)
+            # The v1 decoder, spelled out: zlib over a raw int64 buffer.
+            raw = zlib.decompress(base64.b64decode(item["codes"]["data"]))
+            codes = np.frombuffer(raw, dtype=np.int64).reshape(item["codes"]["shape"])
+            assert np.array_equal(codes, elite.dataset.codes)
 
     def test_blob_id_rides_the_checkpoint_channel(self):
         assert migrants_blob_id("flare-s7-abc") == "flare-s7-abc.migrants"

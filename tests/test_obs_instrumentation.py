@@ -340,3 +340,58 @@ class TestWorkerTelemetry:
         worker._maybe_push_telemetry()  # inside min_interval: skipped
         worker._maybe_push_telemetry(force=True)
         assert pushes == ["w-test", "w-test"]
+
+
+def histogram_count(name: str) -> int:
+    return sum(
+        entry["count"] for entry in obs.get_registry().snapshot()["histograms"]
+        if entry["name"] == name
+    )
+
+
+class TestCheckpointTelemetry:
+    @pytest.fixture()
+    def checkpoint(self, tiny_dataset):
+        from repro.core import EvolutionaryProtector
+        from repro.core.operators import mutate
+        from repro.metrics import ProtectionEvaluator
+
+        evaluator = ProtectionEvaluator(tiny_dataset, tiny_dataset.attribute_names)
+        protections = [
+            mutate(tiny_dataset, tiny_dataset.attribute_names, seed=i, name=f"p{i}")
+            for i in range(4)
+        ]
+        captured = []
+        EvolutionaryProtector(evaluator, seed=1).run(
+            protections, stopping=2, checkpoint_every=2, on_checkpoint=captured.append)
+        return captured[-1]
+
+    def test_manager_saves_counted_in_seconds_and_bytes(self, tmp_path, checkpoint):
+        from repro.service import CheckpointManager
+
+        manager = CheckpointManager(tmp_path / "ck.json")
+        manager.save(checkpoint)
+        manager.save(checkpoint)
+        assert histogram_count("repro_checkpoint_seconds") == 2
+        assert counter_value("repro_checkpoint_bytes_total") == (
+            2 * manager.path.stat().st_size
+        )
+
+    def test_island_saves_counted_in_seconds_and_bytes(self, tmp_path, checkpoint):
+        from repro.service.islands import _fresh_state, _persist_island_checkpoint
+
+        store = JobStore(tmp_path / "state")
+        job = ProtectionJob(dataset="flare", generations=2, seed=5)
+        _persist_island_checkpoint(store, job, checkpoint, _fresh_state(), {})
+        stored = store.get_checkpoint(job.job_id)
+        assert stored["island_state"] == _fresh_state()
+        assert histogram_count("repro_checkpoint_seconds") == 1
+        assert counter_value("repro_checkpoint_bytes_total") == len(json.dumps(stored))
+
+    def test_disabled_registry_records_nothing(self, tmp_path, checkpoint):
+        from repro.service import CheckpointManager
+
+        obs.disable()
+        CheckpointManager(tmp_path / "ck.json").save(checkpoint)
+        assert histogram_count("repro_checkpoint_seconds") == 0
+        assert counter_value("repro_checkpoint_bytes_total") == 0

@@ -417,26 +417,51 @@ class TestResumeLinksToOriginalTrace:
         assert roots[0]["attrs"]["status"] == "completed"
 
 
+class TestCheckpointSpan:
+    def test_each_save_is_a_span_under_run(self, tmp_path):
+        trace.enable_tracing(sample_rate=1.0)
+        store = JobStore(tmp_path)
+        record, _ = _submit_traced(store, _job(seed=11, generations=3),
+                                   checkpoint_every=1)
+        (outcome,) = Worker(store, stale_after=60.0).run_once()
+        assert outcome.ok
+        spans = trace.load_trace(store, record.job_id)["spans"]
+        (run,) = [s for s in spans if s["name"] == "repro.run"]
+        saves = [s for s in spans if s["name"] == "repro.checkpoint.save"]
+        assert [s["attrs"]["generation"] for s in saves] == [1, 2, 3]
+        assert {s["parent_id"] for s in saves} == {run["span_id"]}
+
+
 class TestObserverContract:
     """PR 6 rules: tracing may never change results."""
 
-    def test_results_bit_identical_with_tracing_on_and_off(self, tmp_path):
+    def _results_on_and_off(self, tmp_path, checkpoint_every: int = 0):
         results = {}
         for mode in ("off", "on"):
             store = JobStore(tmp_path / mode)
             if mode == "on":
                 trace.enable_tracing(sample_rate=1.0)
-                record, _ = _submit_traced(store, _job(seed=13))
+                record, _ = _submit_traced(store, _job(seed=13), checkpoint_every)
             else:
                 trace.disable_tracing()
-                record = store.submit(_job(seed=13))
+                record = store.submit(
+                    _job(seed=13), extras={"checkpoint_every": checkpoint_every})
             (outcome,) = Worker(store, stale_after=60.0).run_once()
             assert outcome.ok
             results[mode] = store.get(record.job_id).result
-        on, off = results["on"], results["off"]
+        return results["on"], results["off"]
+
+    def test_results_bit_identical_with_tracing_on_and_off(self, tmp_path):
+        on, off = self._results_on_and_off(tmp_path)
         assert on.final_scores == off.final_scores
         assert on.best_score == off.best_score
         assert on.best_information_loss == off.best_information_loss
+        assert on.fresh_evaluations == off.fresh_evaluations
+
+    def test_checkpointing_job_bit_identical_with_tracing_on_and_off(self, tmp_path):
+        on, off = self._results_on_and_off(tmp_path, checkpoint_every=1)
+        assert on.final_scores == off.final_scores
+        assert on.best_score == off.best_score
         assert on.fresh_evaluations == off.fresh_evaluations
 
     def test_new_trace_info_is_none_when_disabled(self):

@@ -93,6 +93,41 @@ class TestEvaluationCache:
         assert cache.writes == n_threads * n_ops
         assert cache.hits == n_threads * n_ops
 
+    def test_processes_opening_one_fresh_file_at_once(self, tmp_path):
+        # Regression: process-pool workers opening a fresh cache file
+        # together raced on the WAL switch, and the losers died with
+        # "database is locked" instead of waiting their turn.
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        n_processes, n_files = 4, 25
+        paths = [str(tmp_path / f"cache-{i}.sqlite") for i in range(n_files)]
+        barrier = context.Barrier(n_processes)
+        errors = context.Queue()
+        workers = [
+            context.Process(target=_open_each_in_lockstep, args=(paths, barrier, errors))
+            for _ in range(n_processes)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        failures = [errors.get() for _ in range(errors.qsize())]
+        assert failures == []
+        assert [worker.exitcode for worker in workers] == [0] * n_processes
+        for path in paths:
+            with EvaluationCache(path) as cache:
+                assert len(cache) == 0
+
+
+def _open_each_in_lockstep(paths, barrier, errors) -> None:
+    for path in paths:
+        barrier.wait()
+        try:
+            EvaluationCache(path).close()
+        except Exception as exc:  # noqa: BLE001 - reported to the parent
+            errors.put(f"{path}: {exc!r}")
+
 
 class TestEvaluatorIntegration:
     @pytest.fixture()

@@ -19,16 +19,24 @@ def _store(tmp_path) -> ShardedJobStore:
 
 class TestShardedFleetCli:
     def test_detached_submit_lands_on_rendezvous_homes(self, tmp_path, capsys):
+        # Named shards: default names are the children's specs, which
+        # embed the random tmp path, so placement would vary per run.
+        manifest = tmp_path / "fleet.json"
+        manifest.write_text(json.dumps({"shards": [
+            {"name": name, "spec": f"sqlite:{tmp_path / f'{name}.sqlite'}"}
+            for name in ("a", "b")
+        ]}), encoding="utf-8")
+        spec = f"shard:@{manifest}"
         assert main(["submit", "--dataset", "adult", "--generations", "1",
                      "--seeds", "1,2,3,4", "--detach",
-                     "--store", _spec(tmp_path),
+                     "--store", spec,
                      "--state-dir", str(tmp_path / "spool")]) == 0
         assert "queued 4 job(s)" in capsys.readouterr().out
-        store = _store(tmp_path)
+        store = store_from_spec(spec, state_dir=tmp_path / "spool")
         records = store.records()
         assert len(records) == 4
         homes = {store.shard_name_for(r.job_id) for r in records}
-        assert len(homes) == 2  # four seeds spread over both shards
+        assert homes == {"a", "b"}  # four seeds spread over both shards
 
     def test_worker_once_drains_both_shards(self, tmp_path, capsys):
         assert main(["submit", "--dataset", "adult", "--generations", "1",
