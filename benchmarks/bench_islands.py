@@ -9,7 +9,7 @@ stream, and every ``M`` generations the top-``k`` elites propagate
 around the ring — so the group's running best crosses the serial
 run's *final* score while the serial run is still mid-flight.
 
-Both legs run through the real service surface (a file store and
+Both legs run through the real service surface (a sqlite store and
 ``repro worker`` subprocesses), not an in-process shortcut:
 
 * ``serial``  — one ``islands=1`` job on one worker; its result wall
@@ -41,7 +41,7 @@ from pathlib import Path
 
 from conftest import emit, record_result
 
-from repro.service import JobStore, ProtectionJob, plan_island_jobs
+from repro.service import ProtectionJob, SqliteJobStore, plan_island_jobs
 from repro.service.islands import front_dominates_or_matches
 
 #: Islands (and the worker count that matches the headline claim).
@@ -88,9 +88,16 @@ def _reap(workers: list[subprocess.Popen]) -> None:
         proc.wait()
 
 
-def _checkpoint_best(store: JobStore, job_id: str) -> float:
-    """Best score in the job's durable checkpoint, ``inf`` when absent."""
-    payload = store.get_checkpoint(job_id)
+def _checkpoint_best(store: SqliteJobStore, job_id: str) -> float:
+    """Best score in the job's latest checkpoint, ``inf`` when absent.
+
+    Read from the runner's local checkpoint file: the database copy
+    trails it by up to one heartbeat.
+    """
+    try:
+        payload = json.loads(store.checkpoint_path(job_id).read_text())
+    except (FileNotFoundError, ValueError):
+        return float("inf")
     if not isinstance(payload, dict):
         return float("inf")
     scores = [
@@ -101,7 +108,7 @@ def _checkpoint_best(store: JobStore, job_id: str) -> float:
     return min(numeric) if numeric else float("inf")
 
 
-def _await_completion(store: JobStore, job_ids: list[str],
+def _await_completion(store: SqliteJobStore, job_ids: list[str],
                       target: float | None = None) -> float | None:
     """Poll until every job settles; return time-to-``target`` if hit.
 
@@ -143,7 +150,7 @@ def test_bench_islands_reach_serial_best_faster(tmp_path):
 
     # -- serial leg: one job, one worker --------------------------------
     serial_dir = tmp_path / "serial"
-    serial_store = JobStore(serial_dir)
+    serial_store = SqliteJobStore(serial_dir / "jobs.sqlite")
     serial_record = serial_store.submit(
         base, extras={"checkpoint_every": MIGRATE_EVERY}
     )
@@ -158,7 +165,7 @@ def test_bench_islands_reach_serial_best_faster(tmp_path):
 
     # -- island leg: the same search split P ways on W workers ----------
     island_dir = tmp_path / "islands"
-    island_store = JobStore(island_dir)
+    island_store = SqliteJobStore(island_dir / "jobs.sqlite")
     group = plan_island_jobs(base, ISLANDS, migrate_every=MIGRATE_EVERY,
                              migrants=MIGRANTS, topology="ring")
     for job in group:

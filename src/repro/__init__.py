@@ -151,7 +151,6 @@ __all__ = [
     "JobRunner",
     "EvaluationCache",
     "CheckpointManager",
-    "JobStore",
     "SqliteJobStore",
     "RemoteJobStore",
     "ShardedJobStore",
@@ -166,7 +165,6 @@ _SERVICE_NAMES = {
     "JobRunner",
     "EvaluationCache",
     "CheckpointManager",
-    "JobStore",
     "SqliteJobStore",
     "RemoteJobStore",
     "ShardedJobStore",

@@ -603,15 +603,9 @@ def cmd_submit(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _store_label(store) -> object:
-    """How to name a store to the operator: URL, spec, or root."""
-    base_url = getattr(store, "base_url", None)
-    if base_url:
-        return base_url
-    spec = getattr(store, "spec", "")
-    if spec.startswith(("sqlite:", "shard:")):
-        return spec
-    return store.root
+def _store_label(store) -> str:
+    """How to name a store to the operator: URL or spec."""
+    return getattr(store, "base_url", None) or store.spec
 
 
 def _shard_column(store, job_ids: list[str]) -> dict[str, str] | None:
@@ -909,10 +903,9 @@ def cmd_worker(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs import instrument_store
     from repro.service.netstore import JobStoreServer
-    from repro.service.store import JobStore
+    from repro.service.store import store_from_spec
 
     _enable_telemetry(args, "serve")
-    backend_label = args.backend
     if args.shard_of:
         # One serve process per shard: `--shard-of SPEC --shard-index I`
         # opens child I of the fleet spec and serves exactly it, so the
@@ -938,36 +931,24 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if child_spec.startswith(("http://", "https://")):
             raise ReproError(
                 f"shard {name!r} is already served at {child_spec}; "
-                "--shard-of serves local file:/sqlite: shards"
+                "--shard-of serves local sqlite: shards"
             )
-        from repro.service.store import store_from_spec
-
         store = store_from_spec(child_spec)
-        backend_label = ("sqlite" if child_spec.startswith("sqlite:")
-                         else "file")
         print(f"serving shard {args.shard_index} ({name}) of "
               f"shard:{body}")
-    elif args.backend == "sqlite":
-        from pathlib import Path
-
+    elif args.db:
         from repro.service.sqlstore import SqliteJobStore
 
-        # --db wins; otherwise the database lives in the state dir, as
-        # the --db help text promises (and only then in $REPRO_HOME).
-        db = args.db or (Path(args.state_dir) / "jobs.sqlite"
-                         if args.state_dir else None)
-        store = SqliteJobStore(db)
+        store = SqliteJobStore(args.db)
     else:
-        if args.db:
-            raise ReproError("--db only applies to --backend sqlite")
-        store = JobStore(args.state_dir) if args.state_dir else JobStore()
+        store = store_from_spec("", state_dir=args.state_dir or None)
     token = _store_token(args)
     if not token:
         print("warning: serving without a token; any client that can reach "
               "this port can submit and claim jobs", file=sys.stderr)
     # The served store goes through the timing proxy so every RPC's
     # backing store op lands in repro_store_op_seconds{backend=...}.
-    server = JobStoreServer(instrument_store(store, backend=backend_label),
+    server = JobStoreServer(instrument_store(store),
                             host=args.host, port=args.port, token=token)
     print(f"serving job store {_store_label(store)} at {server.url}")
     print(f"metrics: {server.url}/metrics (Prometheus text"
@@ -1025,8 +1006,8 @@ def _fleet_snapshot(store) -> dict:
     """Live fleet state from two store round trips (records + claims).
 
     Works against any backend, which is why it reads the store rather
-    than ``/metrics``: a file-store fleet has no metrics endpoint, but it
-    has the same records and claims.
+    than ``/metrics``: a fleet sharing one local database has no metrics
+    endpoint, but it has the same records and claims.
     """
     now = time.time()
     records = store.records()
@@ -1231,12 +1212,15 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_migrate(args: argparse.Namespace) -> int:
-    from repro.service.store import migrate_store, store_from_spec
+    from repro.service.store import LegacyFileStore, migrate_store, store_from_spec
 
     _enable_telemetry(args, "migrate")
     if args.source == args.dest:
         raise ReproError("migrate needs two different stores")
-    source = store_from_spec(args.source, token=_store_token(args))
+    if args.source.startswith("file:"):
+        source = LegacyFileStore(args.source[len("file:"):])
+    else:
+        source = store_from_spec(args.source, token=_store_token(args))
     dest = store_from_spec(args.dest, token=_store_token(args))
     counts = migrate_store(source, dest, chunk_size=args.chunk_size)
     print(f"migrated {counts['records']} job record(s), "
@@ -1315,7 +1299,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="service state directory (default: $REPRO_HOME or "
                              "~/.repro); with a remote store, the local spool")
         sp.add_argument("--store", default="",
-                        help="job store spec: file:DIR, sqlite:PATH, "
+                        help="job store spec: sqlite:PATH, a state directory, "
                              "http(s)://host:port, or shard:CHILD,... / "
                              "shard:@manifest.json (overrides --state-dir "
                              "and --store-url)")
@@ -1430,14 +1414,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8642)
     p.add_argument("--token", default="",
                    help="shared auth token clients must present (default: $REPRO_TOKEN)")
-    p.add_argument("--backend", default="file", choices=["file", "sqlite"],
-                   help="what backs the served store: a state directory, or "
-                        "one SQLite database")
     p.add_argument("--db", default="",
-                   help="with --backend sqlite: the database file "
+                   help="the database file to serve "
                         "(default: jobs.sqlite under the state dir)")
     p.add_argument("--state-dir", default="",
-                   help="state directory to serve (default: $REPRO_HOME or ~/.repro)")
+                   help="state directory whose jobs.sqlite to serve "
+                        "(default: $REPRO_HOME or ~/.repro)")
     p.add_argument("--shard-of", default="", metavar="SPEC",
                    help="serve one shard of a fleet: a shard: spec (or its "
                         "body, or @manifest.json); pick which child with "
@@ -1453,10 +1435,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("migrate",
                        help="copy job records and checkpoints between stores "
-                            "(file:DIR <-> sqlite:PATH <-> shard:...)")
+                            "(sqlite:PATH <-> URL <-> shard:...), or import "
+                            "a legacy file:DIR state directory")
     p.add_argument("--from", dest="source", required=True, metavar="SPEC",
                    help="source store spec (file:DIR, sqlite:PATH, URL, or "
-                        "shard:...)")
+                        "shard:...); file:DIR reads the retired directory "
+                        "layout read-only")
     p.add_argument("--to", dest="dest", required=True, metavar="SPEC",
                    help="target store spec (migrating into a shard: spec "
                         "rebalances records onto their rendezvous homes)")
@@ -1513,7 +1497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state-dir", default="")
     p.add_argument("--store", default="",
                    help="job store spec whose cache to operate on "
-                        "(file:DIR or sqlite:PATH)")
+                        "(sqlite:PATH or a state directory)")
     p.add_argument("--json", action="store_true",
                    help="print cache statistics as JSON")
     p.set_defaults(fn=cmd_cache)

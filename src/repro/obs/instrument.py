@@ -35,15 +35,10 @@ TIMED_STORE_OPS = frozenset({
 
 
 def store_backend_label(store: object) -> str:
-    """A stable backend label for ``store``: file, sqlite, remote, or shard."""
+    """A stable backend label for ``store``: sqlite, remote, or shard."""
     if getattr(store, "base_url", None):
         return "remote"
-    spec = str(getattr(store, "spec", ""))
-    if spec.startswith("shard:"):
-        return "shard"
-    if spec.startswith("sqlite:"):
-        return "sqlite"
-    return "file"
+    return str(getattr(store, "spec", "")).partition(":")[0] or "unknown"
 
 
 class InstrumentedStore:

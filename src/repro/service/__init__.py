@@ -6,19 +6,18 @@ operable system: :class:`ProtectionJob` is the durable unit of work,
 backends, :class:`EvaluationCache` persists fitness evaluations across
 runs and processes (optionally LRU-bounded via ``max_entries``),
 :class:`CheckpointManager` makes long GA runs interrupt-safe,
-:class:`JobStore` keeps job lifecycle state on disk for the ``repro
-submit`` / ``status`` / ``resume`` CLI, and :class:`Worker` claims
-queued jobs for detached execution (``repro submit --detach`` +
-``repro worker``) — safe with any number of workers per state
-directory.  :class:`JobStoreServer` serves a store over HTTP (``repro
-serve``) and :class:`RemoteJobStore` is the client with the identical
-:data:`STORE_PROTOCOL` surface (``--store-url``), extending the same
-claim/heartbeat contract across machines.  :class:`SqliteJobStore`
-keeps the whole store in one transactional SQLite database for heavy
-fleets; :class:`ShardedJobStore` composes N child stores behind the
-same contract (rendezvous placement + fleet work-stealing);
-:func:`store_from_spec` opens any backend from its spec string
-(``file:DIR`` / ``sqlite:PATH`` / ``http://...`` / ``shard:...``) and
+:class:`SqliteJobStore` keeps job lifecycle state in one transactional
+SQLite database for the ``repro submit`` / ``status`` / ``resume`` CLI,
+and :class:`Worker` claims queued jobs for detached execution (``repro
+submit --detach`` + ``repro worker``) — safe with any number of workers
+per database.  :class:`JobStoreServer` serves a store over HTTP
+(``repro serve``) and :class:`RemoteJobStore` is the client with the
+identical :data:`STORE_PROTOCOL` surface (``--store-url``), extending
+the same claim/heartbeat contract across machines.
+:class:`ShardedJobStore` composes N child stores behind the same
+contract (rendezvous placement + fleet work-stealing);
+:func:`store_from_spec` opens any backend from its spec string (a state
+directory / ``sqlite:PATH`` / ``http://...`` / ``shard:...``) and
 :func:`migrate_store` moves state between them.
 :func:`plan_island_jobs` splits one seeded search into an island-model
 group — member jobs exchanging elite migrants through the store on a
@@ -61,7 +60,6 @@ from repro.service.sqlstore import SqliteJobStore
 from repro.service.store import (
     STORE_PROTOCOL,
     JobRecord,
-    JobStore,
     default_state_dir,
     migrate_store,
     store_from_spec,
@@ -79,7 +77,6 @@ __all__ = [
     "CheckpointManager",
     "checkpoint_to_dict",
     "checkpoint_from_dict",
-    "JobStore",
     "JobRecord",
     "SqliteJobStore",
     "ShardedJobStore",

@@ -1,10 +1,11 @@
-"""Network job store: one shared :class:`JobStore` behind JSON-over-HTTP.
+"""Network job store: one shared local store behind JSON-over-HTTP.
 
-The filesystem claim protocol distributes work across workers that share
-a directory; this module distributes it across machines that share only
-a network.  A :class:`JobStoreServer` fronts an ordinary on-disk
-:class:`~repro.service.store.JobStore` with a stdlib
-``ThreadingHTTPServer``, and a :class:`RemoteJobStore` client exposes the
+A local :class:`~repro.service.sqlstore.SqliteJobStore` distributes work
+across workers that share its disk; this module distributes it across
+machines that share only a network.  A :class:`JobStoreServer` fronts
+an ordinary local store with a stdlib ``ThreadingHTTPServer`` (also the
+deployment for NFS or shared-disk fleets, since SQLite's WAL mode needs
+a local disk), and a :class:`RemoteJobStore` client exposes the
 exact :data:`~repro.service.store.STORE_PROTOCOL` method surface, so
 :class:`~repro.service.worker.Worker` and the CLI run unchanged against
 either store.  The parametrized suite in ``tests/test_store_contract.py``
@@ -73,9 +74,9 @@ from repro.exceptions import (
 )
 from repro.obs import get_registry, trace
 from repro.service.job import JobResult, ProtectionJob
+from repro.service.sqlstore import SqliteJobStore
 from repro.service.store import (
     JobRecord,
-    JobStore,
     _atomic_write_json,
     default_state_dir,
 )
@@ -87,8 +88,12 @@ PROTOCOL_VERSION = 1
 # generous headroom; anything bigger is a client bug or abuse.
 _MAX_BODY_BYTES = 256 * 1024 * 1024
 
-#: Job ids become file names server-side (records, claims, checkpoints);
-#: anything that could escape the state directory is rejected before any
+# Seconds between the serve loop's shutdown checks.  ``stop()`` waits out
+# one of these, so the stdlib's 0.5 s default would make every stop slow.
+_POLL_INTERVAL = 0.05
+
+#: Job ids become file names server-side (the checkpoint spool); anything
+#: that could escape the state directory is rejected before any
 #: handler touches the disk — on raw ``job_id`` params and on the ids
 #: of records/jobs sent over the wire alike.
 _SAFE_JOB_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
@@ -113,7 +118,7 @@ def _checked_record(record: JobRecord) -> JobRecord:
 # object, exactly as the local store mutates it in place.
 
 
-def _m_submit(store: JobStore, p: dict) -> dict:
+def _m_submit(store: SqliteJobStore, p: dict) -> dict:
     job = ProtectionJob.from_dict(p["job"])
     _checked_job_id(job.job_id)
     extras = p.get("extras")
@@ -122,87 +127,87 @@ def _m_submit(store: JobStore, p: dict) -> dict:
     return store.submit(job, extras=extras).to_dict()
 
 
-def _m_save(store: JobStore, p: dict) -> None:
+def _m_save(store: SqliteJobStore, p: dict) -> None:
     store.save(_checked_record(JobRecord.from_dict(p["record"])))
 
 
-def _m_get(store: JobStore, p: dict) -> dict | None:
+def _m_get(store: SqliteJobStore, p: dict) -> dict | None:
     record = store.get(_checked_job_id(p["job_id"]),
                        missing_ok=bool(p.get("missing_ok")))
     return record.to_dict() if record is not None else None
 
 
-def _m_records(store: JobStore, p: dict) -> list[dict]:
+def _m_records(store: SqliteJobStore, p: dict) -> list[dict]:
     return [record.to_dict() for record in store.records()]
 
 
-def _m_queued(store: JobStore, p: dict) -> list[dict]:
+def _m_queued(store: SqliteJobStore, p: dict) -> list[dict]:
     return [record.to_dict() for record in store.queued()]
 
 
-def _m_mark_running(store: JobStore, p: dict) -> dict:
+def _m_mark_running(store: SqliteJobStore, p: dict) -> dict:
     record = _checked_record(JobRecord.from_dict(p["record"]))
     store.mark_running(record)
     return record.to_dict()
 
 
-def _m_mark_completed(store: JobStore, p: dict) -> dict:
+def _m_mark_completed(store: SqliteJobStore, p: dict) -> dict:
     record = _checked_record(JobRecord.from_dict(p["record"]))
     store.mark_completed(record, JobResult.from_dict(p["result"]))
     return record.to_dict()
 
 
-def _m_mark_failed(store: JobStore, p: dict) -> dict:
+def _m_mark_failed(store: SqliteJobStore, p: dict) -> dict:
     record = _checked_record(JobRecord.from_dict(p["record"]))
     store.mark_failed(record, str(p.get("error", "")))
     return record.to_dict()
 
 
-def _m_requeue(store: JobStore, p: dict) -> dict:
+def _m_requeue(store: SqliteJobStore, p: dict) -> dict:
     return store.requeue(_checked_record(JobRecord.from_dict(p["record"]))).to_dict()
 
 
-def _m_claim(store: JobStore, p: dict) -> bool:
+def _m_claim(store: SqliteJobStore, p: dict) -> bool:
     return store.claim(_checked_job_id(p["job_id"]), owner=str(p.get("owner", "")))
 
 
-def _m_claim_batch(store: JobStore, p: dict) -> list[dict]:
+def _m_claim_batch(store: SqliteJobStore, p: dict) -> list[dict]:
     won = store.claim_batch(owner=str(p.get("owner", "")),
                             limit=int(p.get("limit", 0)))
     return [record.to_dict() for record in won]
 
 
-def _m_release(store: JobStore, p: dict) -> bool:
+def _m_release(store: SqliteJobStore, p: dict) -> bool:
     owner = p.get("owner")
     return store.release(_checked_job_id(p["job_id"]),
                          owner=None if owner is None else str(owner))
 
 
-def _m_heartbeat(store: JobStore, p: dict) -> bool:
+def _m_heartbeat(store: SqliteJobStore, p: dict) -> bool:
     return store.heartbeat(_checked_job_id(p["job_id"]), owner=str(p.get("owner", "")))
 
 
-def _m_claim_info(store: JobStore, p: dict) -> dict | None:
+def _m_claim_info(store: SqliteJobStore, p: dict) -> dict | None:
     return store.claim_info(_checked_job_id(p["job_id"]))
 
 
-def _m_claimed_job_ids(store: JobStore, p: dict) -> list[str]:
+def _m_claimed_job_ids(store: SqliteJobStore, p: dict) -> list[str]:
     return store.claimed_job_ids()
 
 
-def _m_claims(store: JobStore, p: dict) -> dict:
+def _m_claims(store: SqliteJobStore, p: dict) -> dict:
     return store.claims()
 
 
-def _m_recover_stale_claims(store: JobStore, p: dict) -> list[str]:
+def _m_recover_stale_claims(store: SqliteJobStore, p: dict) -> list[str]:
     return store.recover_stale_claims(float(p.get("max_age_seconds", 3600.0)))
 
 
-def _m_get_checkpoint(store: JobStore, p: dict) -> dict | None:
+def _m_get_checkpoint(store: SqliteJobStore, p: dict) -> dict | None:
     return store.get_checkpoint(_checked_job_id(p["job_id"]))
 
 
-def _m_put_checkpoint(store: JobStore, p: dict) -> None:
+def _m_put_checkpoint(store: SqliteJobStore, p: dict) -> None:
     payload = p.get("payload")
     if not isinstance(payload, dict):
         raise ServiceError("put_checkpoint needs a JSON object payload")
@@ -214,7 +219,7 @@ def _m_put_checkpoint(store: JobStore, p: dict) -> None:
                          owner=None if owner is None else str(owner))
 
 
-def _m_ping(store: JobStore, p: dict) -> dict:
+def _m_ping(store: SqliteJobStore, p: dict) -> dict:
     return {"protocol": PROTOCOL_VERSION, "root": str(store.root)}
 
 
@@ -486,15 +491,14 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
 
 
 class JobStoreServer:
-    """Serves one on-disk :class:`JobStore` to remote workers over HTTP.
+    """Serves one local store to remote workers over HTTP.
 
     The server adds no state of its own — every operation lands in the
-    backing store's directory, so an operator can still inspect and
-    repair jobs with standard tools, point local workers at the same
-    directory, or restart the server without losing anything.  Claim
-    atomicity likewise stays where it always was (``O_CREAT | O_EXCL``
-    in the backing store), which is what makes remote and local claims
-    mutually exclusive even when both kinds of worker run at once.
+    backing store, so an operator can point local workers at the same
+    database or restart the server without losing anything.  Claim
+    atomicity likewise stays where it always was (the backing store's
+    transactions), which is what makes remote and local claims mutually
+    exclusive even when both kinds of worker run at once.
 
     Use :meth:`start` for a background thread (tests, embedding) or
     :meth:`serve_forever` to block (the ``repro serve`` command); both
@@ -502,7 +506,7 @@ class JobStoreServer:
     port, readable back via :attr:`port` / :attr:`url`.
     """
 
-    def __init__(self, store: JobStore, host: str = "127.0.0.1", port: int = 0,
+    def __init__(self, store: SqliteJobStore, host: str = "127.0.0.1", port: int = 0,
                  token: str = "") -> None:
         self.store = store
         self._httpd = ThreadingHTTPServer((host, port), _StoreRequestHandler)
@@ -536,7 +540,8 @@ class JobStoreServer:
         """Serve on a daemon thread and return immediately."""
         self._serving = True
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="jobstore-server", daemon=True
+            target=self._httpd.serve_forever, args=(_POLL_INTERVAL,),
+            name="jobstore-server", daemon=True,
         )
         self._thread.start()
         return self
@@ -544,7 +549,7 @@ class JobStoreServer:
     def serve_forever(self) -> None:
         """Serve on the calling thread until :meth:`stop` or interrupt."""
         self._serving = True
-        self._httpd.serve_forever()
+        self._httpd.serve_forever(_POLL_INTERVAL)
 
     def stop(self) -> None:
         """Stop serving and release the socket (idempotent).
@@ -594,8 +599,8 @@ def _mapped_error(exc: urllib.error.HTTPError) -> ReproError:
 class RemoteJobStore:
     """Client-side :data:`~repro.service.store.STORE_PROTOCOL` over HTTP.
 
-    Presents the same method surface and semantics as the on-disk
-    :class:`~repro.service.store.JobStore` — records in, records out,
+    Presents the same method surface and semantics as the local
+    :class:`~repro.service.sqlstore.SqliteJobStore` — records in, records out,
     claim booleans, the same exception types — so workers, the runner
     and the CLI take either store interchangeably.  What it adds is
     transport care: every call retries transient connection failures
@@ -715,7 +720,7 @@ class RemoteJobStore:
     # -- record lifecycle ----------------------------------------------------
 
     def submit(self, job: ProtectionJob, extras: dict | None = None) -> JobRecord:
-        """Register a job as queued (idempotent); see :meth:`JobStore.submit`."""
+        """Register a job as queued (idempotent); see :meth:`SqliteJobStore.submit`."""
         return JobRecord.from_dict(
             self._call("submit", job=job.to_dict(), extras=extras)
         )

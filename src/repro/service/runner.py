@@ -5,14 +5,12 @@
 pluggable :mod:`execution backend <repro.service.backends>` — serially,
 on a thread pool, or on a process pool — while threading the shared
 persistent evaluation cache and per-job checkpoint files through every
-worker.  Three fan-out shapes cover the workloads the experiments need:
+worker.  Two fan-out shapes cover the workloads the experiments need:
 
 * :meth:`JobRunner.run` / :meth:`JobRunner.run_replicates` — multi-seed
   experiment replicates;
 * :meth:`JobRunner.run_grid` — method-comparison grids over datasets,
-  score functions and seeds;
-* :meth:`JobRunner.score_population` — scoring an initial population of
-  protected files in parallel batches.
+  score functions and seeds.
 
 Because the GA is deterministic per seed and cache hits return exactly
 the stored computation, every backend produces byte-identical scores for
@@ -25,14 +23,11 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
-from repro.data.dataset import CategoricalDataset
 from repro.datasets.registry import load_dataset
 from repro.exceptions import ServiceError
 from repro.experiments.runner import ExperimentResult, run_experiment
-from repro.metrics.evaluation import ProtectionEvaluator, ProtectionScore
-from repro.metrics.score import score_function_by_name
 from repro.obs import timeline_from_history, trace
-from repro.service.backends import ExecutionBackend, SerialBackend, create_backend
+from repro.service.backends import ExecutionBackend, create_backend
 from repro.service.cache import EvaluationCache
 from repro.service.checkpoint import CheckpointManager
 from repro.service.islands import IslandParked, register_store, store_spec_of
@@ -183,28 +178,6 @@ def _execute_job_settled(payload: dict) -> dict:
             "error": f"{type(exc).__name__}: {exc}",
             "trace_spans": trace.take_stray_spans(),
         }
-
-
-def _score_batch(payload: tuple) -> list[ProtectionScore]:
-    """Score one batch of protected files against a rebuilt evaluator.
-
-    Goes through :meth:`ProtectionEvaluator.evaluate_many`, so each
-    batch dedupes its candidates, consults the persistent cache in one
-    bulk round, and vectorizes the fresh remainder.
-    """
-    original, protections, attributes, score_name, cache_path = payload
-    cache = EvaluationCache(cache_path) if cache_path else None
-    evaluator = ProtectionEvaluator(
-        original,
-        attributes,
-        score_function=score_function_by_name(score_name),
-        persistent_cache=cache,
-    )
-    try:
-        return evaluator.evaluate_many(protections)
-    finally:
-        if cache is not None:
-            cache.close()
 
 
 @dataclass(frozen=True)
@@ -430,43 +403,6 @@ class JobRunner:
     ) -> list[JobResult]:
         """Build and execute a comparison grid in one call."""
         return self.run(self.grid(datasets, scores, seeds, **params))
-
-    def score_population(
-        self,
-        original: CategoricalDataset,
-        protections: Sequence[CategoricalDataset],
-        attributes: Sequence[str] | None = None,
-        score: str = "max",
-        batch_size: int | None = None,
-    ) -> list[ProtectionScore]:
-        """Score an initial population in parallel batches.
-
-        The population is split into backend-sized batches, each scored
-        by a worker-local evaluator that shares this runner's persistent
-        cache; scores return in population order.
-        """
-        if not protections:
-            return []
-        attrs = tuple(attributes) if attributes is not None else original.attribute_names
-        if batch_size is None:
-            import os
-
-            if isinstance(self.backend, SerialBackend):
-                # One batch: no parallelism to feed, so no reason to pay
-                # per-batch evaluator and cache-connection setup.
-                workers = 1
-            else:
-                workers = getattr(self.backend, "max_workers", None) or os.cpu_count() or 1
-            batch_size = max(1, -(-len(protections) // workers))
-        batches = [
-            tuple(protections[i : i + batch_size])
-            for i in range(0, len(protections), batch_size)
-        ]
-        payloads = [
-            (original, batch, attrs, score, self.cache_path) for batch in batches
-        ]
-        scored = self.backend.map(_score_batch, payloads)
-        return [result for batch in scored for result in batch]
 
     def __repr__(self) -> str:
         return (

@@ -2,8 +2,8 @@
 
 One ``repro serve`` process over one database is a fleet's ceiling.
 :class:`ShardedJobStore` removes it without teaching a single caller
-about sharding: it composes any mix of child backends (``file:`` /
-``sqlite:`` / ``http(s)://``) behind the exact
+about sharding: it composes any mix of child backends (``sqlite:``
+or state directories / ``http(s)://``) behind the exact
 :data:`~repro.service.store.STORE_PROTOCOL` surface, and the store
 conformance suite (``tests/test_store_contract.py``) runs over it
 verbatim.  Callers — workers, the CLI, ``migrate_store`` — cannot tell
@@ -537,8 +537,7 @@ class ShardedJobStore:
                          owner: str) -> JobRecord | None:
         """One claim-and-re-read on ``shard``; ``None`` when not won.
 
-        The same validate step the file store's batch claim does:
-        skip jobs someone (including this owner) already holds, claim,
+        Skip jobs someone (including this owner) already holds, claim,
         then re-read inside the claim — a record that left the queue
         meanwhile is released, not returned.
         """

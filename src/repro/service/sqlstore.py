@@ -1,17 +1,13 @@
 """Transactional SQLite-backed job store: one database, indexed queues.
 
-The file-backed :class:`~repro.service.store.JobStore` scales with the
-filesystem: every queue poll reads record files and every claim is its
-own ``O_CREAT | O_EXCL`` marker.  That is perfect for a handful of
-workers on one directory, but a heavy fleet turns both into hot spots —
-the ROADMAP's "horizontal store scale-out" item.  This module keeps the
-*contract* (the :data:`~repro.service.store.STORE_PROTOCOL` surface,
-enforced by ``tests/test_store_contract.py``) and swaps the substrate:
+This is the one local store: the default ``repro`` state directory, a
+bare directory spec and ``sqlite:PATH`` all open it.  It implements the
+:data:`~repro.service.store.STORE_PROTOCOL` contract (enforced by
+``tests/test_store_contract.py``) on one database:
 
 - jobs, claims and checkpoint blobs live in indexed tables of a single
   SQLite database in WAL mode, so ``queued()``, ``claim_batch()``,
-  ``recover_stale_claims()`` and ``repro status`` are indexed queries
-  instead of full directory scans;
+  ``recover_stale_claims()`` and ``repro status`` are indexed queries;
 - :meth:`SqliteJobStore.claim` is one ``BEGIN IMMEDIATE`` transaction
   that checks and inserts the claim row atomically — safe under N
   concurrent workers in any number of processes, and a claimer killed
@@ -31,9 +27,8 @@ database file is the one artifact an operator backs up or migrates.
 
 WAL caveat: SQLite's WAL mode requires shared memory between writers,
 which network filesystems (NFS, SMB) do not reliably provide.  Put the
-database on a local disk and front it with ``repro serve --backend
-sqlite`` when workers live on other machines; use the file store when
-you genuinely want shared-filesystem coordination.
+database on a local disk and front it with ``repro serve`` when workers
+live on other machines, including fleets that share an NFS mount.
 """
 
 from __future__ import annotations
@@ -198,7 +193,15 @@ class SqliteJobStore:
     # -- record lifecycle ----------------------------------------------------
 
     def submit(self, job: ProtectionJob, extras: dict | None = None) -> JobRecord:
-        """Register a job as queued (idempotent); see :meth:`JobStore.submit`.
+        """Register a job as queued (idempotent).
+
+        Resubmission never clobbers live state: a ``completed``,
+        ``queued`` or ``running`` record is returned untouched —
+        resetting a running job to queued would orphan the worker that
+        owns it.  Only a ``failed`` record is replaced by a fresh queued
+        submission.  ``extras`` (e.g. the checkpoint cadence) ride in
+        the queued write itself, so no polling worker can claim the
+        record without them; resubmission keeps the existing extras.
 
         One transaction covers the existence check and the write, so
         two workers submitting the same job concurrently cannot both
@@ -291,9 +294,12 @@ class SqliteJobStore:
     def mark_failed(self, record: JobRecord, error: str) -> None:
         """Transition to ``failed`` — unless the job completed meanwhile.
 
-        Same stale-failure protection as the file store, but the check
-        and the write share one transaction, so a completion landing
-        between them is impossible rather than merely unlikely.
+        A worker whose claim was stale-recovered mid-run may report its
+        failure after the takeover worker already completed the job; a
+        finished result is never clobbered, and the caller's record is
+        refreshed to the completed truth instead.  The check and the
+        write share one transaction, so a completion cannot land
+        between them.
         """
         with self._lock, self._tx():
             current = self._get_locked(record.job_id)
@@ -311,8 +317,10 @@ class SqliteJobStore:
     def requeue(self, record: JobRecord) -> JobRecord:
         """Put a ``running`` or ``failed`` record back on the queue.
 
-        Transactional version of :meth:`JobStore.requeue`: the
-        completed-record guard, the queued rewrite and the claim drop
+        Clears the previous attempt's timestamps, result and error and
+        drops any claim.  Requeueing a ``completed`` record (checked
+        against the stored one, not just the caller's snapshot) raises
+        :class:`WorkerError`.  The guard, the rewrite and the claim drop
         commit together or not at all.
         """
         with self._lock, self._tx():
@@ -335,8 +343,8 @@ class SqliteJobStore:
         exactly one of N concurrent claimers — threads or processes —
         inserts the row, and a claimer that dies mid-transaction rolls
         back to "unclaimed", never to a half-claim.  Same-owner
-        re-claims are idempotent for named owners, exactly like the
-        file store (retried network claims); anonymous claims stay
+        re-claims are idempotent for named owners (a retried network
+        claim whose first response was lost); anonymous claims stay
         strictly exclusive.  Winning pulls the fleet's checkpoint blob
         into the local file spool so a resumed job continues from the
         latest saved state.
@@ -396,7 +404,7 @@ class SqliteJobStore:
         An owner releasing its own claim first syncs its final
         checkpoint file into the table — the last chance before another
         worker may take the job over.  A torn claim (owner unreadable)
-        never matches an owner check, mirroring the file store.
+        never matches an owner check.
         """
         if owner is not None:
             self._push_checkpoint_if_changed(job_id, owner=owner)
@@ -445,7 +453,7 @@ class SqliteJobStore:
         if row is None:
             return None
         if row[0] is None:
-            # Torn claim: held, metadata unreadable — like the file store.
+            # Torn claim: held, metadata unreadable.
             return {}
         return {"owner": row[0], "pid": row[1], "claimed_at": row[2],
                 "last_seen": row[3]}
@@ -461,8 +469,9 @@ class SqliteJobStore:
     def claims(self) -> dict[str, dict]:
         """Every live claim's payload keyed by job id, in one query.
 
-        Payloads gain ``age_seconds`` against this store's clock,
-        exactly like the file store's bulk view.
+        Payloads gain ``age_seconds`` — seconds since the last
+        heartbeat against this store's clock, which remote monitors
+        must prefer over their own arithmetic on ``last_seen``.
         """
         now = time.time()
         with self._lock:

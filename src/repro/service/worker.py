@@ -2,8 +2,8 @@
 
 This is the execution half of the detached submission flow.  ``repro
 submit --detach`` only *writes* ``queued`` records; a :class:`Worker`
-(the ``repro worker`` command — any number of them, on a shared state
-directory or against a :class:`~repro.service.netstore.RemoteJobStore`
+(the ``repro worker`` command — any number of them, on one local
+database or against a :class:`~repro.service.netstore.RemoteJobStore`
 over HTTP) later claims each record via the store's atomic claim
 protocol, runs it through the existing
 :class:`~repro.service.runner.JobRunner`, and marks it ``completed`` or
@@ -26,7 +26,7 @@ The claim protocol, spelled out:
 
 A worker that dies between claiming and releasing leaves a claim whose
 heartbeats have stopped;
-:meth:`~repro.service.store.JobStore.recover_stale_claims` (run at every
+:meth:`~repro.service.sqlstore.SqliteJobStore.recover_stale_claims` (run at every
 worker start and poll) requeues such jobs once the claim's ``last_seen``
 outlives ``stale_after`` seconds.  An *actively heartbeating* claim is
 never recovered, no matter how long its job runs.
@@ -46,7 +46,8 @@ from repro.obs import emit_event, get_registry, trace
 from repro.service.backends import create_backend
 from repro.service.checkpoint import is_resumable
 from repro.service.runner import JobOutcome, JobRunner
-from repro.service.store import QUEUED, JobRecord, JobStore
+from repro.service.sqlstore import SqliteJobStore
+from repro.service.store import QUEUED, JobRecord
 
 
 def unique_owner(prefix: str = "") -> str:
@@ -75,7 +76,7 @@ class ClaimHeartbeat:
     ``repro_heartbeat_total{result="error"}``.
     """
 
-    def __init__(self, store: JobStore, job_ids: list[str], owner: str,
+    def __init__(self, store: SqliteJobStore, job_ids: list[str], owner: str,
                  interval: float) -> None:
         self.store = store
         self.job_ids = list(job_ids)
@@ -117,7 +118,7 @@ class ClaimHeartbeat:
 
 
 def claim_queued(
-    store: JobStore,
+    store: SqliteJobStore,
     candidates: list[JobRecord],
     owner: str,
     limit: int = 0,
@@ -166,7 +167,7 @@ def claim_queued(
     return mine
 
 
-def release_quietly(store: JobStore, job_ids: list[str], owner: str) -> None:
+def release_quietly(store: SqliteJobStore, job_ids: list[str], owner: str) -> None:
     """Release each claim, best-effort.
 
     Cleanup paths must release *every* claim they can: one failed
@@ -192,7 +193,7 @@ class Worker:
     ----------
     store:
         Any :data:`~repro.service.store.STORE_PROTOCOL` implementation —
-        a shared-directory :class:`~repro.service.store.JobStore` or a
+        a local :class:`~repro.service.sqlstore.SqliteJobStore` or a
         :class:`~repro.service.netstore.RemoteJobStore`; multiple
         workers may point at one.
     backend / max_workers:
@@ -206,7 +207,7 @@ class Worker:
     cache_max_entries:
         LRU bound for worker-opened cache handles (``None`` = unbounded).
     worker_id:
-        Identity recorded in claim files; defaults to
+        Identity recorded in its claims; defaults to
         :func:`unique_owner` (host-pid plus a random suffix, so two
         workers never share one identity).  If you set it yourself,
         keep it unique per live worker — claims are idempotent per
@@ -230,7 +231,7 @@ class Worker:
 
     def __init__(
         self,
-        store: JobStore,
+        store: SqliteJobStore,
         backend: str = "serial",
         max_workers: int | None = None,
         use_cache: bool = True,

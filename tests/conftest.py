@@ -1,8 +1,7 @@
-"""Shared fixtures: datasets, plus the two-backend job-store harness."""
+"""Shared fixtures: datasets, plus the job-store contract harness."""
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 
@@ -11,17 +10,16 @@ import pytest
 
 from repro.data import CategoricalDataset, CategoricalDomain, DatasetSchema
 from repro.datasets import load_adult, load_flare
-from repro.service import JobStore
 
 
 @dataclass
 class StoreHarness:
     """One store under test plus the backing store its state lands in.
 
-    ``store`` is what the test exercises (a file or sqlite store
-    directly, or a ``RemoteJobStore`` speaking to a live in-process
-    server over HTTP); ``backing`` is the underlying local store —
-    file-backed :class:`JobStore` or ``SqliteJobStore`` — so tests can
+    ``store`` is what the test exercises (a sqlite store directly, a
+    ``RemoteJobStore`` speaking to a live in-process server over HTTP,
+    or a ``ShardedJobStore``); ``backing`` is what holds the state —
+    the ``SqliteJobStore`` itself, or the sharded store — so tests can
     simulate conditions no healthy client would produce, like a claim
     whose worker died ``seconds`` ago or one torn mid-heartbeat.
     """
@@ -30,33 +28,24 @@ class StoreHarness:
     backing: object
 
     def _backing_for(self, job_id: str) -> object:
-        """The concrete local store holding ``job_id``'s claim state.
+        """The ``SqliteJobStore`` holding ``job_id``'s claim state.
 
         For single stores that is ``backing`` itself; for a
         ``ShardedJobStore`` it is the one child shard the job lives on
-        (claims co-live with records, so the shard answers for both).
+        (claims co-live with records, so the shard answers for both),
+        reached through the server when that child is an HTTP client.
         """
         from repro.service import ShardedJobStore
 
-        if isinstance(self.backing, ShardedJobStore):
-            return self.backing.shard_for(job_id)
-        return self.backing
-
-    @staticmethod
-    def _is_file_store(store: object) -> bool:
-        return isinstance(store, JobStore)
+        backing = self.backing
+        if isinstance(backing, ShardedJobStore):
+            backing = backing.shard_for(job_id)
+        return getattr(backing, "served_by", backing)
 
     def age_claim(self, job_id: str, seconds: float) -> None:
         """Backdate a claim as if its worker went silent ``seconds`` ago."""
         then = time.time() - seconds
         backing = self._backing_for(job_id)
-        if self._is_file_store(backing):
-            path = backing.claim_path(job_id)
-            info = json.loads(path.read_text(encoding="utf-8"))
-            info["claimed_at"] = then
-            info["last_seen"] = then
-            path.write_text(json.dumps(info), encoding="utf-8")
-            return
         with backing._lock:
             backing._conn.execute(
                 "UPDATE claims SET claimed_at = ?, last_seen = ? WHERE job_id = ?",
@@ -64,17 +53,11 @@ class StoreHarness:
             )
 
     def tear_claim(self, job_id: str) -> None:
-        """Install a held claim whose metadata cannot be read.
-
-        The file store's torn shape is an empty claim file (its true
-        holder is between truncate and write); the sqlite store's is a
-        claim row with a NULL owner.  Both mean "held, by whom
-        unknown", and the owner-gated operations must refuse to guess.
+        """Install a held claim whose metadata cannot be read: a claim
+        row with a NULL owner.  It means "held, by whom unknown", and
+        the owner-gated operations must refuse to guess.
         """
         backing = self._backing_for(job_id)
-        if self._is_file_store(backing):
-            backing.claim_path(job_id).write_text("", encoding="utf-8")
-            return
         with backing._lock:
             backing._conn.execute(
                 "INSERT OR REPLACE INTO claims "
@@ -84,54 +67,64 @@ class StoreHarness:
             )
 
 
-@pytest.fixture(params=["file", "remote", "sqlite", "sqlite-remote",
-                        "shard-sqlite", "shard-mixed"])
+@pytest.fixture(params=["sqlite", "remote", "sqlite-remote", "shard-sqlite",
+                        "shard-mixed"])
 def store_harness(request, tmp_path) -> StoreHarness:
     """The store contract fixture: every test using it runs once per
-    backend — the file-backed ``JobStore``, the ``SqliteJobStore``, a
-    ``RemoteJobStore`` over a live ``JobStoreServer`` fronting each of
-    the two, and a ``ShardedJobStore`` over two shards (2x sqlite, and
-    a file+sqlite mix) — sharding must be invisible behind the
+    backend — the ``SqliteJobStore``, a ``RemoteJobStore`` over a live
+    ``JobStoreServer`` fronting one (``remote`` builds both ends
+    directly; ``sqlite-remote`` opens both through ``store_from_spec``
+    — a ``sqlite:`` server store and an ``http://`` client with its
+    default retry policy — as ``repro serve --db`` and
+    ``repro worker --store http://...`` do), and a ``ShardedJobStore``
+    over two shards (2x sqlite, and a sqlite + HTTP-served-sqlite mix)
+    — neither the network nor sharding may be visible behind the
     contract."""
-    if request.param.startswith("shard"):
-        from repro.service import ShardedJobStore, SqliteJobStore
+    from repro.service import (
+        JobStoreServer,
+        RemoteJobStore,
+        ShardedJobStore,
+        SqliteJobStore,
+        store_from_spec,
+    )
 
-        second = (
-            JobStore(tmp_path / "shard-b")
-            if request.param == "shard-mixed"
-            else SqliteJobStore(tmp_path / "shard-b.sqlite")
-        )
-        sharded = ShardedJobStore(
-            [SqliteJobStore(tmp_path / "shard-a.sqlite"), second],
-            names=["a", "b"],
-            root=tmp_path / "spool",
-        )
-        yield StoreHarness(store=sharded, backing=sharded)
-        return
-    if request.param.startswith("sqlite"):
-        from repro.service import SqliteJobStore
+    servers = []
 
-        backing = SqliteJobStore(tmp_path / "state" / "jobs.sqlite")
-    else:
-        backing = JobStore(tmp_path / "state")
-    if request.param in ("file", "sqlite"):
-        yield StoreHarness(store=backing, backing=backing)
-        return
-    from repro.service import JobStoreServer, RemoteJobStore
+    def served(backing, spool):
+        server = JobStoreServer(backing, token="contract-token").start()
+        servers.append(server)
+        client = RemoteJobStore(server.url, token="contract-token", spool=spool,
+                                retries=1, backoff=0.05)
+        client.served_by = backing
+        return client
 
-    server = JobStoreServer(backing, token="contract-token")
-    server.start()
     try:
-        client = RemoteJobStore(
-            server.url,
-            token="contract-token",
-            spool=tmp_path / "spool",
-            retries=1,
-            backoff=0.05,
-        )
-        yield StoreHarness(store=client, backing=backing)
+        if request.param.startswith("shard"):
+            second = SqliteJobStore(tmp_path / "shard-b.sqlite")
+            if request.param == "shard-mixed":
+                second = served(second, tmp_path / "shard-b-spool")
+            sharded = ShardedJobStore(
+                [SqliteJobStore(tmp_path / "shard-a.sqlite"), second],
+                names=["a", "b"],
+                root=tmp_path / "spool",
+            )
+            yield StoreHarness(store=sharded, backing=sharded)
+            return
+        if request.param == "sqlite-remote":
+            backing = store_from_spec(f"sqlite:{tmp_path / 'state' / 'jobs.sqlite'}")
+            server = JobStoreServer(backing, token="contract-token").start()
+            servers.append(server)
+            client = store_from_spec(server.url, token="contract-token",
+                                     state_dir=tmp_path / "spool")
+            assert isinstance(client, RemoteJobStore)
+            yield StoreHarness(store=client, backing=backing)
+            return
+        backing = SqliteJobStore(tmp_path / "state" / "jobs.sqlite")
+        store = backing if request.param == "sqlite" else served(backing, tmp_path / "spool")
+        yield StoreHarness(store=store, backing=backing)
     finally:
-        server.stop()
+        for server in servers:
+            server.stop()
 
 
 @pytest.fixture(scope="session")

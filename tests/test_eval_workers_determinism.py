@@ -113,10 +113,10 @@ class TestTelemetryDeterminism:
 
     def test_worker_run_bit_identical_with_telemetry(self, tmp_path):
         from repro.obs import instrument_store
-        from repro.service import JobStore, Worker
+        from repro.service import SqliteJobStore, Worker
 
         def run_job(state):
-            store = instrument_store(JobStore(tmp_path / state))
+            store = instrument_store(SqliteJobStore(tmp_path / state / "jobs.sqlite"))
             store.submit(ProtectionJob(dataset="flare", generations=4, seed=9))
             (outcome,) = Worker(store, worker_id=f"w-{state}").run_once()
             result = outcome.result

@@ -25,8 +25,8 @@ from repro.methods import Microaggregation, Pram, RankSwapping
 from repro.service import (
     TOPOLOGIES,
     IslandParked,
-    JobStore,
     ProtectionJob,
+    SqliteJobStore,
     front_dominates_or_matches,
     island_group_id,
     island_topology,
@@ -251,7 +251,7 @@ class TestMigrantBlobs:
 
     def test_round_trip(self, tmp_path, scored_individuals):
         adult, individuals = scored_individuals
-        store = JobStore(tmp_path / "store")
+        store = SqliteJobStore(tmp_path / "store" / "jobs.sqlite")
         job = self._job()
         assert publish_migrants(store, job, 1, 5, individuals)
         back = read_round_migrants(store, job.job_id, island_group_id(job),
@@ -265,7 +265,7 @@ class TestMigrantBlobs:
 
     def test_unpublished_round_reads_none(self, tmp_path, scored_individuals):
         adult, individuals = scored_individuals
-        store = JobStore(tmp_path / "store")
+        store = SqliteJobStore(tmp_path / "store" / "jobs.sqlite")
         job = self._job()
         publish_migrants(store, job, 1, 5, individuals)
         assert read_round_migrants(store, job.job_id, island_group_id(job),
@@ -274,13 +274,13 @@ class TestMigrantBlobs:
     def test_absent_blob_reads_none(self, tmp_path, scored_individuals):
         adult, __ = scored_individuals
         job = self._job()
-        store = JobStore(tmp_path / "store")
+        store = SqliteJobStore(tmp_path / "store" / "jobs.sqlite")
         assert read_round_migrants(store, job.job_id, island_group_id(job),
                                    1, adult) is None
 
     def test_first_write_wins(self, tmp_path, scored_individuals):
         adult, individuals = scored_individuals
-        store = JobStore(tmp_path / "store")
+        store = SqliteJobStore(tmp_path / "store" / "jobs.sqlite")
         job = self._job()
         assert publish_migrants(store, job, 1, 5, individuals[:3])
         # A re-published round (a worker re-running a recovered segment)
@@ -293,7 +293,7 @@ class TestMigrantBlobs:
 
     def test_foreign_group_reads_none(self, tmp_path, scored_individuals):
         adult, individuals = scored_individuals
-        store = JobStore(tmp_path / "store")
+        store = SqliteJobStore(tmp_path / "store" / "jobs.sqlite")
         job = self._job()
         publish_migrants(store, job, 1, 5, individuals)
         assert read_round_migrants(store, job.job_id, "ig-somebody-else",
@@ -303,7 +303,7 @@ class TestMigrantBlobs:
         # Checkpoints moved to format 2; migrant blobs must not follow,
         # or a worker of an older version could not join a live group.
         __, individuals = scored_individuals
-        store = JobStore(tmp_path / "store")
+        store = SqliteJobStore(tmp_path / "store" / "jobs.sqlite")
         job = self._job()
         publish_migrants(store, job, 1, 5, individuals)
         blob = store.get_checkpoint(migrants_blob_id(job.job_id))

@@ -4,20 +4,19 @@ The island driver's headline contract: for a fixed seed, the search
 result is bit-identical no matter how many workers drive the group,
 which store backend carries the migrant blobs, or which worker dies
 mid-exchange.  Every test here compares against one reference run
-(a single worker on a plain file store) — not against pinned numbers —
+(a single worker on a plain sqlite store) — not against pinned numbers —
 so the assertions survive engine retuning while still catching any
 scheduling- or backend-dependent drift.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 
 import pytest
 
-from repro.service import JobStore, ProtectionJob, Worker, plan_island_jobs
+from repro.service import ProtectionJob, SqliteJobStore, Worker, plan_island_jobs
 
 #: Tiny but real: full Flare through the actual engine, one exchange
 #: round (generation 1 of 2; the final generation never exchanges).
@@ -54,8 +53,8 @@ def _snapshot(store, jobs) -> dict:
 
 @pytest.fixture(scope="module")
 def reference(tmp_path_factory):
-    """The group's canonical outcome: one worker, one file store."""
-    store = JobStore(tmp_path_factory.mktemp("island-reference"))
+    """The group's canonical outcome: one worker, one sqlite store."""
+    store = SqliteJobStore(tmp_path_factory.mktemp("island-reference") / "jobs.sqlite")
     jobs = _submit_group(store)
     Worker(store, worker_id="reference-worker").run_once()
     return _snapshot(store, jobs)
@@ -79,7 +78,7 @@ def _drive_with_threads(store, n_workers: int) -> None:
 
 @pytest.mark.parametrize("n_workers", [1, 2, 4])
 def test_bit_identical_across_worker_counts(tmp_path, reference, n_workers):
-    store = JobStore(tmp_path / "store")
+    store = SqliteJobStore(tmp_path / "store" / "jobs.sqlite")
     jobs = _submit_group(store)
     _drive_with_threads(store, n_workers)
     assert _snapshot(store, jobs) == reference
@@ -92,7 +91,7 @@ def test_bit_identical_across_store_backends(store_harness, reference):
 
 
 def test_worker_death_mid_exchange_recovers(tmp_path, reference):
-    store = JobStore(tmp_path / "store")
+    store = SqliteJobStore(tmp_path / "store" / "jobs.sqlite")
     jobs = _submit_group(store)
 
     # Island 0 runs to its exchange, publishes round 1, finds island 1
@@ -108,11 +107,11 @@ def test_worker_death_mid_exchange_recovers(tmp_path, reference):
     assert store.claim(victim, owner="doomed-worker")
     store.mark_running(store.get(victim))
     then = time.time() - 7200
-    claim_path = store.claim_path(victim)
-    info = json.loads(claim_path.read_text(encoding="utf-8"))
-    info["claimed_at"] = then
-    info["last_seen"] = then
-    claim_path.write_text(json.dumps(info), encoding="utf-8")
+    with store._lock:
+        store._conn.execute(
+            "UPDATE claims SET claimed_at = ?, last_seen = ? WHERE job_id = ?",
+            (then, then, victim),
+        )
 
     # A healthy worker's normal poll requeues the stale claim and runs
     # the whole group to completion — same bits as the calm fleet.
@@ -123,7 +122,7 @@ def test_worker_death_mid_exchange_recovers(tmp_path, reference):
 
 def test_degraded_solo_when_peer_fails(tmp_path):
     """A failed sender flips its receivers to sticky solo continuation."""
-    store = JobStore(tmp_path / "store")
+    store = SqliteJobStore(tmp_path / "store" / "jobs.sqlite")
     jobs = _submit_group(store)
 
     # Island 1 dies outright before ever publishing.
@@ -155,7 +154,7 @@ def test_wait_timeout_degrades_but_merge_survives(tmp_path, monkeypatch):
     reports who ran solo."""
     monkeypatch.setenv("REPRO_ISLAND_WAIT_TIMEOUT", "0.01")
     monkeypatch.setenv("REPRO_ISLAND_GRACE", "0.0")
-    store = JobStore(tmp_path / "store")
+    store = SqliteJobStore(tmp_path / "store" / "jobs.sqlite")
     jobs = _submit_group(store)
 
     worker = Worker(store, worker_id="impatient-worker")
@@ -195,12 +194,12 @@ def test_island_churn_battery(tmp_path):
     """
     base = ProtectionJob(dataset="flare", generations=3, seed=23)
 
-    calm_store = JobStore(tmp_path / "calm")
+    calm_store = SqliteJobStore(tmp_path / "calm" / "jobs.sqlite")
     calm_jobs = _submit_group(calm_store, islands=4, base=base)
     Worker(calm_store, worker_id="calm-worker").run_once()
     expected = _snapshot(calm_store, calm_jobs)
 
-    store = JobStore(tmp_path / "churn")
+    store = SqliteJobStore(tmp_path / "churn" / "jobs.sqlite")
     jobs = _submit_group(store, islands=4, base=base)
     stop_churn = threading.Event()
 

@@ -14,7 +14,7 @@ import pytest
 
 from repro import obs
 from repro.cli import main
-from repro.service import JobStore, ProtectionJob
+from repro.service import ProtectionJob, SqliteJobStore
 
 
 @pytest.fixture(autouse=True)
@@ -103,7 +103,7 @@ class TestTop:
         assert payload["running"] == []
 
     def test_running_job_listed_with_owner(self, tmp_path, capsys):
-        store = JobStore(tmp_path / "state")
+        store = SqliteJobStore(tmp_path / "state" / "jobs.sqlite")
         record = store.submit(ProtectionJob(dataset="flare", generations=2))
         store.claim(record.job_id, owner="w-live")
         store.mark_running(record)

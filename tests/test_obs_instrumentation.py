@@ -31,10 +31,10 @@ from repro.obs import (
 from repro.obs.timeline import MAX_TIMELINE_POINTS
 from repro.service import (
     JobRunner,
-    JobStore,
     JobStoreServer,
     ProtectionJob,
     RemoteJobStore,
+    SqliteJobStore,
     Worker,
 )
 from repro.service.worker import ClaimHeartbeat, release_quietly
@@ -68,7 +68,7 @@ def counter_value(name: str, **labels: str) -> float:
 
 class TestInstrumentedStore:
     def test_timed_op_records_latency_with_backend_label(self, tmp_path):
-        store = instrument_store(JobStore(tmp_path / "state"))
+        store = instrument_store(SqliteJobStore(tmp_path / "state" / "jobs.sqlite"))
         store.submit(ProtectionJob(dataset="flare", generations=2))
         store.records()
         histograms = {
@@ -78,11 +78,11 @@ class TestInstrumentedStore:
         }
         for op in ("submit", "records"):
             hist = histograms[("repro_store_op_seconds", op)]
-            assert hist["labels"]["backend"] == "file"
+            assert hist["labels"]["backend"] == "sqlite"
             assert hist["count"] == 1
 
     def test_non_protocol_attributes_forward_untouched(self, tmp_path):
-        raw = JobStore(tmp_path / "state")
+        raw = SqliteJobStore(tmp_path / "state" / "jobs.sqlite")
         store = instrument_store(raw)
         assert store.cache_path == raw.cache_path
         assert store.checkpoints_dir == raw.checkpoints_dir
@@ -93,20 +93,20 @@ class TestInstrumentedStore:
             def records(self):
                 raise OSError("disk gone")
 
-        store = instrument_store(Exploding(), backend="file")
+        store = instrument_store(Exploding(), backend="sqlite")
         with pytest.raises(OSError, match="disk gone"):
             store.records()
         assert counter_value("repro_store_op_errors_total",
-                             op="records", backend="file") == 1
+                             op="records", backend="sqlite") == 1
 
     def test_instrument_is_idempotent(self, tmp_path):
-        store = instrument_store(JobStore(tmp_path / "state"))
+        store = instrument_store(SqliteJobStore(tmp_path / "state" / "jobs.sqlite"))
         assert instrument_store(store) is store
         assert isinstance(store, InstrumentedStore)
 
     def test_results_pass_through_unchanged(self, tmp_path):
-        raw = JobStore(tmp_path / "a")
-        wrapped = instrument_store(JobStore(tmp_path / "b"))
+        raw = SqliteJobStore(tmp_path / "a" / "jobs.sqlite")
+        wrapped = instrument_store(SqliteJobStore(tmp_path / "b" / "jobs.sqlite"))
         job = ProtectionJob(dataset="flare", generations=2)
         mine = wrapped.submit(job).to_dict()
         theirs = raw.submit(job).to_dict()
@@ -115,12 +115,13 @@ class TestInstrumentedStore:
 
     def test_disabled_registry_records_nothing(self, tmp_path):
         obs.disable()
-        store = instrument_store(JobStore(tmp_path / "state"))
+        store = instrument_store(SqliteJobStore(tmp_path / "state" / "jobs.sqlite"))
         store.records()
         assert obs.get_registry().snapshot()["histograms"] == []
 
     def test_backend_labels(self, tmp_path):
-        assert store_backend_label(JobStore(tmp_path / "state")) == "file"
+        assert store_backend_label(
+            SqliteJobStore(tmp_path / "state" / "jobs.sqlite")) == "sqlite"
         assert store_backend_label(
             SimpleNamespace(base_url="http://x:1", spec="")) == "remote"
         assert store_backend_label(
@@ -194,7 +195,7 @@ class TestTimeline:
 class TestMetricsEndpoint:
     @pytest.fixture
     def server(self, tmp_path):
-        store = instrument_store(JobStore(tmp_path / "state"), backend="file")
+        store = instrument_store(SqliteJobStore(tmp_path / "state" / "jobs.sqlite"))
         with JobStoreServer(store, token=TOKEN) as live:
             yield live
 
@@ -221,7 +222,7 @@ class TestMetricsEndpoint:
         assert headers["X-Repro-Cache-Status"] == "miss"
         assert "# TYPE repro_rpc_seconds histogram" in body
         assert 'repro_rpc_seconds_count{method="submit",status="200"}' in body
-        assert 'repro_store_op_seconds_count{backend="file",op="submit"}' in body
+        assert 'repro_store_op_seconds_count{backend="sqlite",op="submit"}' in body
 
     def test_metrics_render_cached_within_ttl(self, server):
         # An empty exposition is never cached; record one series first.
@@ -267,7 +268,7 @@ class TestMetricsEndpoint:
 
 class TestWorkerTelemetry:
     def test_claims_and_outcomes_counted(self, tmp_path, telemetry_on):
-        store = JobStore(tmp_path / "state")
+        store = SqliteJobStore(tmp_path / "state" / "jobs.sqlite")
         store.submit(ProtectionJob(dataset="flare", generations=2, seed=3))
         worker = Worker(store, worker_id="w-test")
         outcomes = worker.run_once()
@@ -298,7 +299,7 @@ class TestWorkerTelemetry:
         assert "store unreachable" in event["error"]
 
     def test_lost_heartbeat_emitted(self, tmp_path, telemetry_on):
-        store = JobStore(tmp_path / "state")
+        store = SqliteJobStore(tmp_path / "state" / "jobs.sqlite")
         store.submit(ProtectionJob(dataset="flare", generations=2))
         beat = ClaimHeartbeat(store, ["never-claimed"], "w-test", interval=30.0)
         beat.start()
@@ -322,7 +323,7 @@ class TestWorkerTelemetry:
         assert counter_value("repro_errors_total", event="release_error") == 2
 
     def test_telemetry_push_failure_counted_not_raised(self, tmp_path):
-        store = JobStore(tmp_path / "state")
+        store = SqliteJobStore(tmp_path / "state" / "jobs.sqlite")
         store.push_telemetry = lambda source, snapshot: (_ for _ in ()).throw(
             OSError("no server")
         )
@@ -333,7 +334,7 @@ class TestWorkerTelemetry:
 
     def test_push_throttled_between_forces(self, tmp_path):
         pushes = []
-        store = JobStore(tmp_path / "state")
+        store = SqliteJobStore(tmp_path / "state" / "jobs.sqlite")
         store.push_telemetry = lambda source, snapshot: pushes.append(source)
         worker = Worker(store, worker_id="w-test")
         worker._maybe_push_telemetry(force=True)
@@ -380,7 +381,7 @@ class TestCheckpointTelemetry:
     def test_island_saves_counted_in_seconds_and_bytes(self, tmp_path, checkpoint):
         from repro.service.islands import _fresh_state, _persist_island_checkpoint
 
-        store = JobStore(tmp_path / "state")
+        store = SqliteJobStore(tmp_path / "state" / "jobs.sqlite")
         job = ProtectionJob(dataset="flare", generations=2, seed=5)
         _persist_island_checkpoint(store, job, checkpoint, _fresh_state(), {})
         stored = store.get_checkpoint(job.job_id)

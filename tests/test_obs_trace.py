@@ -4,8 +4,8 @@ the fleet-crossing contract.
 The centerpiece is the ``store_harness``-parametrized battery asserting
 that one job run end-to-end — traced submit, worker claim, evaluation,
 release — leaves exactly one *connected* span tree in the durable trace
-blob, on every store backend (file, sqlite, remote-over-HTTP fronting
-each, and two sharded layouts).  The kill-the-worker test proves a
+blob, on every store backend (sqlite, remote-over-HTTP fronting it,
+and two sharded layouts).  The kill-the-worker test proves a
 resumed job links its new spans to the original trace instead of
 starting a fresh one.
 """
@@ -22,10 +22,10 @@ from repro import obs
 from repro.cli import main
 from repro.obs import trace
 from repro.service import (
-    JobStore,
     JobStoreServer,
     ProtectionJob,
     ShardedJobStore,
+    SqliteJobStore,
     Worker,
 )
 
@@ -191,7 +191,7 @@ class TestSpanPrimitives:
 
 class TestDurableBlobs:
     def test_flush_merges_and_dedupes_by_span_id(self, tmp_path):
-        store = JobStore(tmp_path)
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
         trace_id = trace.new_trace_id()
         first = trace.make_span(trace_id, "", "repro.submit", 1.0, 0.1)
         trace.flush_spans(store, "job-x", trace_id, [first])
@@ -206,7 +206,7 @@ class TestDurableBlobs:
         assert by_id[first["span_id"]]["duration"] == 9.0  # new wins
 
     def test_resubmitted_job_replaces_foreign_trace(self, tmp_path):
-        store = JobStore(tmp_path)
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
         old_id, new_id = trace.new_trace_id(), trace.new_trace_id()
         trace.flush_spans(
             store, "job-x", old_id,
@@ -221,7 +221,7 @@ class TestDurableBlobs:
         assert len(payload["spans"]) == 1
 
     def test_flush_empty_is_a_noop(self, tmp_path):
-        store = JobStore(tmp_path)
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
         assert not trace.flush_spans(store, "job-x", trace.new_trace_id(), [])
         assert trace.load_trace(store, "job-x") is None
 
@@ -249,7 +249,7 @@ class TestDurableBlobs:
         assert counters.get("trace_flush_error") == 1.0
 
     def test_flush_job_trace_honours_sampling_except_failures(self, tmp_path):
-        store = JobStore(tmp_path)
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
         record = store.submit(_job(seed=31))
         record.extras["trace"] = {
             "id": trace.new_trace_id(), "root": trace.new_span_id(),
@@ -265,12 +265,12 @@ class TestDurableBlobs:
         assert root["attrs"]["status"] == "failed"
 
     def test_flush_job_trace_noop_without_trace_extras(self, tmp_path):
-        store = JobStore(tmp_path)
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
         record = store.submit(_job(seed=32))
         assert not trace.flush_job_trace(store, record)
 
     def test_load_trace_rejects_malformed_blob(self, tmp_path):
-        store = JobStore(tmp_path)
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
         store.put_checkpoint(trace.trace_blob_id("job-x"), {"spans": "nope"})
         assert trace.load_trace(store, "job-x") is None
 
@@ -376,7 +376,7 @@ class TestResumeLinksToOriginalTrace:
         import repro.service.runner as runner_mod
 
         trace.enable_tracing(sample_rate=1.0)
-        store = JobStore(tmp_path)
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
         record, info = _submit_traced(store, _job(seed=9), checkpoint_every=1)
 
         real = runner_mod.run_experiment
@@ -420,7 +420,7 @@ class TestResumeLinksToOriginalTrace:
 class TestCheckpointSpan:
     def test_each_save_is_a_span_under_run(self, tmp_path):
         trace.enable_tracing(sample_rate=1.0)
-        store = JobStore(tmp_path)
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
         record, _ = _submit_traced(store, _job(seed=11, generations=3),
                                    checkpoint_every=1)
         (outcome,) = Worker(store, stale_after=60.0).run_once()
@@ -438,7 +438,7 @@ class TestObserverContract:
     def _results_on_and_off(self, tmp_path, checkpoint_every: int = 0):
         results = {}
         for mode in ("off", "on"):
-            store = JobStore(tmp_path / mode)
+            store = SqliteJobStore(tmp_path / mode / "jobs.sqlite")
             if mode == "on":
                 trace.enable_tracing(sample_rate=1.0)
                 record, _ = _submit_traced(store, _job(seed=13), checkpoint_every)
@@ -476,7 +476,7 @@ class TestServeTraceEndpoint:
     @pytest.fixture
     def served(self, tmp_path):
         trace.enable_tracing(sample_rate=1.0)
-        store = JobStore(tmp_path)
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
         record, info = _submit_traced(store, _job(seed=21))
         server = JobStoreServer(store, token="trace-token")
         server.start()
@@ -685,7 +685,7 @@ class TestCliSurfaces:
         assert "generation" in {e["event"] for e in events}
 
     def test_trace_without_blob_hints_and_fails(self, tmp_path, capsys):
-        store = JobStore(tmp_path)
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
         record = store.submit(_job(seed=23))
         assert main(["trace", record.job_id,
                      "--state-dir", str(tmp_path)]) == 1
@@ -702,9 +702,9 @@ class TestMigrateCarriesTraces:
         from repro.service.store import migrate_store
 
         trace.enable_tracing(sample_rate=1.0)
-        source = JobStore(tmp_path / "src")
+        source = SqliteJobStore(tmp_path / "src" / "jobs.sqlite")
         record, info = _submit_traced(source, _job(seed=27))
-        target = JobStore(tmp_path / "dst")
+        target = SqliteJobStore(tmp_path / "dst" / "jobs.sqlite")
         counts = migrate_store(source, target)
         assert counts["records"] == 1
         assert counts["traces"] == 1

@@ -18,8 +18,8 @@ from repro.experiments.runner import run_experiment
 from repro.metrics import ProtectionEvaluator, ProtectionScore
 from repro.service import (
     CheckpointManager,
-    JobStore,
     ProtectionJob,
+    SqliteJobStore,
     checkpoint_from_dict,
     checkpoint_to_dict,
 )
@@ -365,7 +365,7 @@ class TestResumability:
             job.to_config(), checkpoint_every=2, on_checkpoint=midway.append
         )
         assert midway[0].generation == 2
-        store = JobStore(tmp_path)
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
         store.submit(job)
         (store.checkpoints_dir / f"{job.job_id}.json").write_text(
             json.dumps(_v1_payload(midway[0], job.fingerprint()))

@@ -1,4 +1,4 @@
-"""Claim-file protocol: atomic exclusivity, races, and worker partitioning."""
+"""Claim protocol: atomic exclusivity, races, and worker partitioning."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.service import JobStore, ProtectionJob, Worker
+from repro.service import ProtectionJob, SqliteJobStore, Worker
 
 
 def _job(seed: int = 1) -> ProtectionJob:
@@ -17,14 +17,14 @@ def _job(seed: int = 1) -> ProtectionJob:
 
 class TestClaimProtocol:
     def test_claim_is_exclusive(self, tmp_path):
-        store = JobStore(tmp_path)
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
         assert store.claim("j1", owner="a") is True
         assert store.claim("j1", owner="b") is False
         store.release("j1")
         assert store.claim("j1", owner="b") is True
 
     def test_claim_info_records_owner(self, tmp_path):
-        store = JobStore(tmp_path)
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
         store.claim("j1", owner="worker-7")
         info = store.claim_info("j1")
         assert info["owner"] == "worker-7"
@@ -32,7 +32,7 @@ class TestClaimProtocol:
         assert store.claim_info("unclaimed") is None
 
     def test_release_is_idempotent(self, tmp_path):
-        store = JobStore(tmp_path)
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
         store.release("never-claimed")
         store.claim("j1")
         store.release("j1")
@@ -40,13 +40,13 @@ class TestClaimProtocol:
         assert store.claimed_job_ids() == []
 
     def test_claimed_job_ids_lists_holders(self, tmp_path):
-        store = JobStore(tmp_path)
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
         store.claim("b")
         store.claim("a")
         assert store.claimed_job_ids() == ["a", "b"]
 
     def test_racing_claims_have_one_winner(self, tmp_path):
-        store = JobStore(tmp_path)
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
         winners = []
         barrier = threading.Barrier(8)
 
@@ -191,7 +191,7 @@ class TestConcurrentWorkers:
         # The acceptance invariant: two workers draining a shared state
         # directory never execute the same job, and together they drain
         # the whole queue.
-        store = JobStore(tmp_path)
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
         jobs = [_job(seed) for seed in (1, 2, 3, 4)]
         for job in jobs:
             store.submit(job)
@@ -200,7 +200,7 @@ class TestConcurrentWorkers:
         barrier = threading.Barrier(2)
 
         def drain(name: str) -> None:
-            worker = Worker(JobStore(tmp_path), worker_id=name)
+            worker = Worker(SqliteJobStore(tmp_path / "jobs.sqlite"), worker_id=name)
             barrier.wait()
             executed[name] = [out.job_id for out in worker.run_once()]
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
-from repro.service import JobStore, ProtectionJob
+from repro.service import ProtectionJob, SqliteJobStore
 
 
 @pytest.fixture(scope="module")
@@ -29,17 +31,17 @@ def submitted(state_dir):
 
 class TestSubmit:
     def test_job_completed(self, state_dir, submitted):
-        record = JobStore(state_dir).get(submitted)
+        record = SqliteJobStore(Path(state_dir) / "jobs.sqlite").get(submitted)
         assert record.status == "completed"
         assert record.result is not None
         assert record.result.generations == 3
 
     def test_checkpoint_written(self, state_dir, submitted):
-        store = JobStore(state_dir)
+        store = SqliteJobStore(Path(state_dir) / "jobs.sqlite")
         assert (store.checkpoints_dir / f"{submitted}.json").exists()
 
     def test_cache_populated(self, state_dir, submitted):
-        assert JobStore(state_dir).cache_path.exists()
+        assert SqliteJobStore(Path(state_dir) / "jobs.sqlite").cache_path.exists()
 
     def test_resubmit_skips_completed(self, state_dir, submitted, capsys):
         code = main([
@@ -62,7 +64,7 @@ class TestSubmit:
             "--state-dir", state_dir,
         ])
         assert code == 0
-        store = JobStore(state_dir)
+        store = SqliteJobStore(Path(state_dir) / "jobs.sqlite")
         for seed in (31, 32):
             job_id = ProtectionJob(dataset="adult", generations=2, seed=seed).job_id
             assert store.get(job_id).status == "completed"
@@ -101,7 +103,7 @@ class TestResume:
         assert "already completed" in capsys.readouterr().out
 
     def test_interrupted_job_resumes(self, state_dir, submitted, capsys):
-        store = JobStore(state_dir)
+        store = SqliteJobStore(Path(state_dir) / "jobs.sqlite")
         record = store.get(submitted)
         completed_scores = record.result.final_scores
         # Simulate a crash after the last checkpoint: running, no result.
@@ -115,7 +117,7 @@ class TestResume:
         assert repaired.result.final_scores == completed_scores
 
     def test_resume_without_checkpoint_errors(self, state_dir, capsys):
-        store = JobStore(state_dir)
+        store = SqliteJobStore(Path(state_dir) / "jobs.sqlite")
         job = ProtectionJob(dataset="adult", generations=2, seed=31)
         record = store.get(job.job_id)
         record.status = "running"

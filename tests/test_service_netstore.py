@@ -1,6 +1,6 @@
 """Network job store: transport behaviour and cross-machine invariants.
 
-The store *semantics* shared with the file backend live in
+The store *semantics* shared with the local sqlite store live in
 ``tests/test_store_contract.py``; this module covers what only the
 network layer adds — token auth, retry/backoff into
 ``StoreUnavailableError``, the checkpoint spool, protocol hygiene — and
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -22,10 +23,10 @@ from repro.exceptions import ServiceError, StoreUnavailableError
 from repro.service import (
     JobRecord,
     JobRunner,
-    JobStore,
     JobStoreServer,
     ProtectionJob,
     RemoteJobStore,
+    SqliteJobStore,
     Worker,
 )
 
@@ -34,7 +35,7 @@ TOKEN = "s3cret"
 
 @pytest.fixture
 def backing(tmp_path):
-    return JobStore(tmp_path / "state")
+    return SqliteJobStore(tmp_path / "state" / "jobs.sqlite")
 
 
 @pytest.fixture
@@ -91,6 +92,14 @@ class TestTransport:
         with pytest.raises(StoreUnavailableError):
             client.records()
 
+    def test_stop_returns_promptly(self, backing):
+        # stop() waits out one poll of the serve loop, so the poll
+        # interval bounds every server teardown.
+        server = JobStoreServer(backing, token=TOKEN).start()
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 0.25
+
     def test_job_id_traversal_rejected_on_every_rpc(self, server, backing, tmp_path):
         # Job ids become file names in the served state directory; every
         # RPC that takes one — not just the checkpoint ops — must reject
@@ -111,7 +120,7 @@ class TestTransport:
             client.save(record)
         with pytest.raises(ServiceError, match="invalid job id"):
             client.submit(record.job)
-        assert not (backing.claims_dir.parent.parent / "etc").exists()
+        assert not (backing.root.parent / "etc").exists()
 
 
 class TestCheckpointSpool:

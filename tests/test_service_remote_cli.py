@@ -11,14 +11,14 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import main
-from repro.service import JobStore, JobStoreServer, ProtectionJob
+from repro.service import JobStoreServer, ProtectionJob, SqliteJobStore
 
 TOKEN = "cli-t0k3n"
 
 
 @pytest.fixture
 def backing(tmp_path):
-    return JobStore(tmp_path / "server-state")
+    return SqliteJobStore(tmp_path / "server-state" / "jobs.sqlite")
 
 
 @pytest.fixture

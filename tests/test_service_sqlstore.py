@@ -23,7 +23,6 @@ import pytest
 from repro.exceptions import ServiceError
 from repro.service import (
     JobRunner,
-    JobStore,
     ProtectionJob,
     RemoteJobStore,
     SqliteJobStore,
@@ -31,7 +30,7 @@ from repro.service import (
     migrate_store,
     store_from_spec,
 )
-from repro.service.store import STORE_PROTOCOL
+from repro.service.store import STORE_PROTOCOL, LegacyFileStore
 
 
 def _job(seed: int = 1) -> ProtectionJob:
@@ -240,23 +239,26 @@ class TestStoreFromSpec:
         assert opened.path == path
         assert opened.spec == f"sqlite:{path}"
 
-    def test_file_spec_and_bare_path_open_directories(self, tmp_path):
-        prefixed = store_from_spec(f"file:{tmp_path / 'a'}")
+    def test_bare_path_opens_its_jobs_sqlite(self, tmp_path):
         bare = store_from_spec(str(tmp_path / "b"))
-        assert isinstance(prefixed, JobStore) and prefixed.root == tmp_path / "a"
-        assert isinstance(bare, JobStore) and bare.root == tmp_path / "b"
+        assert isinstance(bare, SqliteJobStore)
+        assert bare.path == tmp_path / "b" / "jobs.sqlite"
 
     def test_empty_spec_uses_state_dir(self, tmp_path):
         opened = store_from_spec("", state_dir=tmp_path / "home")
-        assert isinstance(opened, JobStore)
-        assert opened.root == tmp_path / "home"
+        assert isinstance(opened, SqliteJobStore)
+        assert opened.path == tmp_path / "home" / "jobs.sqlite"
+
+    def test_empty_spec_defaults_to_repro_home(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_HOME", str(tmp_path / "home"))
+        assert store_from_spec("").path == tmp_path / "home" / "jobs.sqlite"
 
     def test_tilde_paths_expand_to_home(self, tmp_path, monkeypatch):
-        # Shells do not tilde-expand after the colon, so `file:~/x`
+        # Shells do not tilde-expand after the colon, so `sqlite:~/x`
         # arrives verbatim; opening a literal ./~ directory would make
         # a migration look successful while copying nothing.
         monkeypatch.setenv("HOME", str(tmp_path))
-        assert store_from_spec("file:~/state").root == tmp_path / "state"
+        assert store_from_spec("~/state").root == tmp_path / "state"
         assert store_from_spec(
             "sqlite:~/db/jobs.sqlite"
         ).path == tmp_path / "db" / "jobs.sqlite"
@@ -269,7 +271,7 @@ class TestStoreFromSpec:
         assert opened.root == tmp_path / "spool"
 
     def test_every_spec_satisfies_the_protocol(self, tmp_path):
-        for spec in (f"file:{tmp_path / 'f'}",
+        for spec in (str(tmp_path / "f"),
                      f"sqlite:{tmp_path / 'db' / 'jobs.sqlite'}",
                      "http://127.0.0.1:9"):
             opened = store_from_spec(spec, state_dir=tmp_path / "spool")
@@ -303,22 +305,21 @@ class TestMigration:
         assert target.get(ids["running"]).status == "queued"
 
     def test_file_to_sqlite_roundtrip(self, tmp_path):
-        source = JobStore(tmp_path / "dir")
-        ids = self._populate(source)
+        staged = SqliteJobStore(tmp_path / "staged" / "jobs.sqlite")
+        ids = self._populate(staged)
+        legacy = tmp_path / "dir"
+        (legacy / "jobs").mkdir(parents=True)
+        (legacy / "checkpoints").mkdir()
+        for record in staged.records():
+            (legacy / "jobs" / f"{record.job_id}.json").write_text(
+                json.dumps(record.to_dict()), encoding="utf-8")
+        (legacy / "checkpoints" / f"{ids['running']}.json").write_text(
+            json.dumps({"generation": 11}), encoding="utf-8")
         target = SqliteJobStore(tmp_path / "db" / "jobs.sqlite")
-        counts = migrate_store(source, target)
+        counts = migrate_store(LegacyFileStore(legacy), target)
         assert counts == {"records": 3, "checkpoints": 1, "traces": 0,
                           "migrants": 0}
-        self._assert_mirrored(source, target, ids)
-
-    def test_sqlite_to_file_roundtrip(self, tmp_path):
-        source = SqliteJobStore(tmp_path / "db" / "jobs.sqlite")
-        ids = self._populate(source)
-        target = JobStore(tmp_path / "dir")
-        counts = migrate_store(source, target)
-        assert counts == {"records": 3, "checkpoints": 1, "traces": 0,
-                          "migrants": 0}
-        self._assert_mirrored(source, target, ids)
+        self._assert_mirrored(staged, target, ids)
 
 
 class TestSqliteStoreBasics:

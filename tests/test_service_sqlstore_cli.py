@@ -2,17 +2,19 @@
 
 Drives ``repro`` exactly as an operator would run an sqlite-backed
 fleet: detached submission, workers, status, kill-and-resume (bit
-identical), ``repro serve --backend sqlite`` with remote clients, and
-``repro migrate`` between a file state directory and a database.
+identical), ``repro serve`` with remote clients, and ``repro migrate``
+from a legacy file state directory into a database.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
 from repro.cli import main
 from repro.service import (
-    JobStore,
+    JobRecord,
     JobStoreServer,
     ProtectionJob,
     SqliteJobStore,
@@ -131,25 +133,28 @@ class TestServeSqliteBackend:
             lambda self: (_ for _ in ()).throw(KeyboardInterrupt),
         )
         assert main(["serve", "--port", "0", "--token", "t",
-                     "--backend", "sqlite",
                      "--state-dir", str(tmp_path / "fleet")]) == 0
         out = capsys.readouterr().out
         assert f"sqlite:{tmp_path / 'fleet' / 'jobs.sqlite'}" in out
         assert (tmp_path / "fleet" / "jobs.sqlite").exists()
 
-    def test_serve_rejects_db_with_file_backend(self, tmp_path, capsys):
-        code = main(["serve", "--backend", "file",
-                     "--db", str(tmp_path / "jobs.sqlite")])
-        assert code == 2
-        assert "--backend sqlite" in capsys.readouterr().err
+    def test_serve_has_no_backend_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--backend", "file",
+                  "--db", str(tmp_path / "jobs.sqlite")])
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
 
 class TestMigrateCommand:
-    def test_migrate_file_store_to_database_and_back(self, tmp_path, capsys):
-        source = JobStore(tmp_path / "dir")
-        record = source.submit(ProtectionJob(dataset="adult", generations=1,
-                                             seed=3))
-        source.put_checkpoint(record.job_id, {"generation": 1})
+    def test_migrate_file_store_to_database_not_back(self, tmp_path, capsys):
+        record = JobRecord(job=ProtectionJob(dataset="adult", generations=1,
+                                             seed=3), submitted_at=1.0)
+        for name, payload in (("jobs", record.to_dict()),
+                              ("checkpoints", {"generation": 1})):
+            (tmp_path / "dir" / name).mkdir(parents=True)
+            (tmp_path / "dir" / name / f"{record.job_id}.json").write_text(
+                json.dumps(payload), encoding="utf-8")
         db_spec = f"sqlite:{tmp_path / 'db' / 'jobs.sqlite'}"
 
         assert main(["migrate", "--from", f"file:{tmp_path / 'dir'}",
@@ -160,11 +165,11 @@ class TestMigrateCommand:
         assert migrated.get(record.job_id).status == "queued"
         assert migrated.get_checkpoint(record.job_id) == {"generation": 1}
 
+        # The directory layout is an import source only.
         assert main(["migrate", "--from", db_spec,
-                     "--to", f"file:{tmp_path / 'back'}"]) == 0
-        returned = JobStore(tmp_path / "back")
-        assert returned.get(record.job_id).status == "queued"
-        assert returned.get_checkpoint(record.job_id) == {"generation": 1}
+                     "--to", f"file:{tmp_path / 'back'}"]) == 2
+        assert "repro migrate --from file:" in capsys.readouterr().err
+        assert not (tmp_path / "back").exists()
 
     def test_migrate_refuses_identical_specs(self, tmp_path, capsys):
         spec = _spec(tmp_path)

@@ -1,11 +1,12 @@
-"""Job store lifecycle: records, transitions, idempotent submission."""
+"""Job store lifecycle on the local sqlite store: records, transitions,
+idempotent submission."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.exceptions import ServiceError
-from repro.service import JobRecord, JobResult, JobStore, ProtectionJob
+from repro.service import JobRecord, JobResult, ProtectionJob, SqliteJobStore
 
 
 def _job(seed: int = 1) -> ProtectionJob:
@@ -32,13 +33,13 @@ def _result(job: ProtectionJob) -> JobResult:
 
 class TestJobStore:
     def test_layout_created(self, tmp_path):
-        store = JobStore(tmp_path / "state")
-        assert store.jobs_dir.is_dir()
+        store = SqliteJobStore(tmp_path / "state" / "jobs.sqlite")
+        assert store.path.is_file()
         assert store.checkpoints_dir.is_dir()
         assert store.cache_path.parent.is_dir()
 
     def test_submit_and_get(self, tmp_path):
-        store = JobStore(tmp_path)
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
         record = store.submit(_job())
         assert record.status == "queued"
         loaded = store.get(record.job_id)
@@ -46,7 +47,7 @@ class TestJobStore:
         assert loaded.submitted_at == pytest.approx(record.submitted_at)
 
     def test_lifecycle_transitions(self, tmp_path):
-        store = JobStore(tmp_path)
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
         record = store.submit(_job())
         store.mark_running(record)
         assert store.get(record.job_id).status == "running"
@@ -57,13 +58,13 @@ class TestJobStore:
         assert loaded.result.final_scores == (1.0, 2.0)
 
     def test_failed_records_error(self, tmp_path):
-        store = JobStore(tmp_path)
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
         record = store.submit(_job())
         store.mark_failed(record, "worker exploded")
         assert store.get(record.job_id).error == "worker exploded"
 
     def test_resubmit_completed_is_idempotent(self, tmp_path):
-        store = JobStore(tmp_path)
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
         record = store.submit(_job())
         store.mark_completed(record, _result(record.job))
         again = store.submit(_job())
@@ -73,7 +74,7 @@ class TestJobStore:
     def test_resubmit_running_returns_existing(self, tmp_path):
         # Regression: resubmitting a running job used to reset it to
         # queued, clobbering started_at and orphaning the live worker.
-        store = JobStore(tmp_path)
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
         record = store.submit(_job())
         store.mark_running(record)
         started_at = store.get(record.job_id).started_at
@@ -83,21 +84,21 @@ class TestJobStore:
         assert store.get(record.job_id).status == "running"
 
     def test_resubmit_queued_returns_existing(self, tmp_path):
-        store = JobStore(tmp_path)
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
         record = store.submit(_job())
         again = store.submit(_job())
         assert again.status == "queued"
         assert again.submitted_at == pytest.approx(record.submitted_at)
 
     def test_resubmit_failed_requeues(self, tmp_path):
-        store = JobStore(tmp_path)
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
         record = store.submit(_job())
         store.mark_failed(record, "boom")
         again = store.submit(_job())
         assert again.status == "queued" and again.error == ""
 
     def test_records_sorted_by_submission(self, tmp_path):
-        store = JobStore(tmp_path)
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
         first = store.submit(_job(1))
         second = store.submit(_job(2))
         # Force distinct, ordered timestamps regardless of clock resolution.
@@ -107,13 +108,13 @@ class TestJobStore:
         assert [r.job_id for r in store.records()] == [first.job_id, second.job_id]
 
     def test_get_unknown_raises(self, tmp_path):
-        store = JobStore(tmp_path)
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
         with pytest.raises(ServiceError, match="unknown job"):
             store.get("nope")
         assert store.get("nope", missing_ok=True) is None
 
     def test_bad_status_rejected(self, tmp_path):
-        store = JobStore(tmp_path)
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
         record = JobRecord(job=_job(), status="exploded")
         with pytest.raises(ServiceError):
             store.save(record)

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from repro.exceptions import WorkerError
-from repro.service import ClaimHeartbeat, JobStore, ProtectionJob, Worker
+from repro.service import ClaimHeartbeat, ProtectionJob, SqliteJobStore, Worker
 
 
 def _job(seed: int = 1, generations: int = 1) -> ProtectionJob:
@@ -17,7 +17,7 @@ def _job(seed: int = 1, generations: int = 1) -> ProtectionJob:
 
 @pytest.fixture
 def store(tmp_path):
-    return JobStore(tmp_path)
+    return SqliteJobStore(tmp_path / "jobs.sqlite")
 
 
 class TestRunOnce:
@@ -187,11 +187,12 @@ class TestRequeue:
 
 def _age_claim(store, job_id, seconds):
     # A worker dead for `seconds` left both timestamps behind.
-    path = store.claim_path(job_id)
-    info = json.loads(path.read_text(encoding="utf-8"))
-    info["claimed_at"] = time.time() - seconds
-    info["last_seen"] = time.time() - seconds
-    path.write_text(json.dumps(info), encoding="utf-8")
+    then = time.time() - seconds
+    with store._lock:
+        store._conn.execute(
+            "UPDATE claims SET claimed_at = ?, last_seen = ? WHERE job_id = ?",
+            (then, then, job_id),
+        )
 
 
 class TestHeartbeats:
@@ -254,12 +255,12 @@ class TestHeartbeats:
     def test_worker_heartbeats_its_claims_while_running(self, tmp_path):
         beats = []
 
-        class RecordingStore(JobStore):
+        class RecordingStore(SqliteJobStore):
             def heartbeat(self, job_id, owner=""):
                 beats.append((job_id, owner))
                 return super().heartbeat(job_id, owner)
 
-        store = RecordingStore(tmp_path)
+        store = RecordingStore(tmp_path / "jobs.sqlite")
         record = store.submit(_job(1))
         worker = Worker(store, worker_id="beater", use_cache=False)
         (outcome,) = worker.run_once()
@@ -275,7 +276,7 @@ class TestClaimBatchSafety:
         from repro.exceptions import ServiceError
         from repro.service.worker import claim_queued
 
-        class FlakyStore(JobStore):
+        class FlakyStore(SqliteJobStore):
             fail_after = None
 
             def get(self, job_id, missing_ok=False):
@@ -285,7 +286,7 @@ class TestClaimBatchSafety:
                     self.fail_after -= 1
                 return super().get(job_id, missing_ok)
 
-        store = FlakyStore(tmp_path)
+        store = FlakyStore(tmp_path / "jobs.sqlite")
         for seed in (1, 2):
             store.submit(_job(seed))
         store.fail_after = 1  # first post-claim re-read works, second fails

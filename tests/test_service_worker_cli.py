@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
-from repro.service import JobStore, ProtectionJob
+from repro.service import ProtectionJob, SqliteJobStore
 
 
 @pytest.fixture(scope="module")
@@ -33,12 +35,12 @@ def detached(state_dir):
 
 class TestDetach:
     def test_records_left_queued(self, state_dir, detached):
-        store = JobStore(state_dir)
+        store = SqliteJobStore(Path(state_dir) / "jobs.sqlite")
         for job_id in detached:
             assert store.get(job_id).status == "queued"
 
     def test_no_job_ran(self, state_dir, detached):
-        store = JobStore(state_dir)
+        store = SqliteJobStore(Path(state_dir) / "jobs.sqlite")
         for job_id in detached:
             record = store.get(job_id)
             assert record.result is None and record.started_at is None
@@ -47,7 +49,7 @@ class TestDetach:
         assert main(["worker", "--once", "--state-dir", state_dir]) == 0
         out = capsys.readouterr().out
         assert "ran 2 job(s)" in out
-        store = JobStore(state_dir)
+        store = SqliteJobStore(Path(state_dir) / "jobs.sqlite")
         for job_id in detached:
             assert store.get(job_id).status == "completed"
         assert store.claimed_job_ids() == []
@@ -72,7 +74,7 @@ class TestDuplicateSeeds:
         out = capsys.readouterr().out
         assert "dropped 2 duplicate seed(s)" in out
         assert "queued 2 job(s)" in out
-        assert len(JobStore(state).queued()) == 2
+        assert len(SqliteJobStore(Path(state) / "jobs.sqlite").queued()) == 2
 
 
 class TestCacheBound:
@@ -97,7 +99,7 @@ class TestClaimGuards:
         job_id = ProtectionJob(dataset="adult", generations=1, seed=61).job_id
         main(["submit", "--dataset", "adult", "--generations", "1",
               "--seed", "61", "--detach", "--state-dir", state])
-        store = JobStore(state)
+        store = SqliteJobStore(Path(state) / "jobs.sqlite")
         store.claim(job_id, owner="another-worker")
         capsys.readouterr()
         code = main(["submit", "--dataset", "adult", "--generations", "1",
@@ -112,7 +114,7 @@ class TestClaimGuards:
         # Run one checkpointed job to completion so a real checkpoint exists.
         main(["submit", "--dataset", "adult", "--generations", "2",
               "--seed", "63", "--checkpoint-every", "1", "--state-dir", state])
-        store = JobStore(state)
+        store = SqliteJobStore(Path(state) / "jobs.sqlite")
         job_id = ProtectionJob(dataset="adult", generations=2, seed=63).job_id
         # Simulate a crashed worker: running record + leftover claim.
         record = store.get(job_id)
@@ -130,7 +132,7 @@ class TestClaimGuards:
 
     def test_resume_refuses_claimed_job(self, tmp_path, capsys):
         state = str(tmp_path / "state")
-        store = JobStore(state)
+        store = SqliteJobStore(Path(state) / "jobs.sqlite")
         record = store.submit(ProtectionJob(dataset="adult", generations=1, seed=62))
         store.mark_running(record)
         store.claim(record.job_id, owner="another-worker")
@@ -145,7 +147,7 @@ class TestClaimGuards:
 class TestWorkerFailures:
     def test_failed_job_sets_exit_code(self, tmp_path, capsys):
         state = str(tmp_path / "state")
-        store = JobStore(state)
+        store = SqliteJobStore(Path(state) / "jobs.sqlite")
         store.submit(ProtectionJob(dataset="bogus", generations=1))
         code = main(["worker", "--once", "--state-dir", state])
         captured = capsys.readouterr()

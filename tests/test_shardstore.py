@@ -20,7 +20,6 @@ import pytest
 from repro import obs
 from repro.exceptions import ServiceError, StoreUnavailableError
 from repro.service import (
-    JobStore,
     ProtectionJob,
     ShardedJobStore,
     SqliteJobStore,
@@ -481,7 +480,7 @@ class TestSingleShardPassThrough:
 class TestShardSpec:
     def test_comma_list_spec(self, tmp_path):
         store = store_from_spec(
-            f"shard:sqlite:{tmp_path}/a.sqlite,file:{tmp_path}/b",
+            f"shard:sqlite:{tmp_path}/a.sqlite,{tmp_path}/b",
             state_dir=tmp_path / "spool")
         assert isinstance(store, ShardedJobStore)
         assert store.spec.startswith("shard:sqlite:")
@@ -505,11 +504,11 @@ class TestShardSpec:
     def test_manifest_bare_list(self, tmp_path):
         manifest = tmp_path / "fleet.json"
         manifest.write_text(json.dumps(
-            [f"sqlite:{tmp_path}/a.sqlite", f"file:{tmp_path}/b"]
+            [f"sqlite:{tmp_path}/a.sqlite", f"{tmp_path}/b"]
         ), encoding="utf-8")
         pairs = parse_shard_spec(f"@{manifest}")
         assert [spec for _, spec in pairs] == [
-            f"sqlite:{tmp_path}/a.sqlite", f"file:{tmp_path}/b"]
+            f"sqlite:{tmp_path}/a.sqlite", f"{tmp_path}/b"]
 
     @pytest.mark.parametrize("body, message", [
         ("", "at least one child"),
@@ -535,7 +534,7 @@ class TestShardSpec:
             store_from_spec("sqllite:jobs.db")
         message = str(excinfo.value)
         assert "sqllite:" in message
-        for grammar in ("file:DIR", "sqlite:PATH", "shard:"):
+        for grammar in ("directory path", "sqlite:PATH", "shard:"):
             assert grammar in message
 
     def test_existing_directory_with_colon_still_opens(self, tmp_path):
@@ -544,11 +543,13 @@ class TestShardSpec:
         weird = tmp_path / "odd:dir"
         weird.mkdir()
         store = store_from_spec(str(weird))
-        assert isinstance(store, JobStore)
+        assert isinstance(store, SqliteJobStore)
+        assert store.path == weird / "jobs.sqlite"
 
-    def test_bare_paths_and_file_prefix_still_work(self, tmp_path):
-        assert isinstance(store_from_spec(str(tmp_path / "plain")), JobStore)
-        assert isinstance(store_from_spec(f"file:{tmp_path}/pref"), JobStore)
+    def test_bare_paths_still_work(self, tmp_path):
+        store = store_from_spec(str(tmp_path / "plain"))
+        assert isinstance(store, SqliteJobStore)
+        assert store.path == tmp_path / "plain" / "jobs.sqlite"
 
 
 class TestStreamingMigrate:
@@ -560,7 +561,7 @@ class TestStreamingMigrate:
             source = SqliteJobStore(tmp_path / "src.sqlite")
             for job in jobs(7):
                 source.submit(job)
-            target = JobStore(tmp_path / "dst")
+            target = SqliteJobStore(tmp_path / "dst" / "jobs.sqlite")
             counts = migrate_store(source, target, chunk_size=3)
             assert counts == {"records": 7, "checkpoints": 0, "traces": 0,
                               "migrants": 0}
@@ -575,15 +576,14 @@ class TestStreamingMigrate:
             registry.reset()
 
     def test_iter_records_streams_everything(self, tmp_path):
-        for store in (SqliteJobStore(tmp_path / "db.sqlite"),
-                      JobStore(tmp_path / "dir")):
-            for job in jobs(5):
-                store.submit(job)
-            streamed = sorted(r.job_id for r in store.iter_records())
-            assert streamed == sorted(r.job_id for r in store.records())
+        store = SqliteJobStore(tmp_path / "db.sqlite")
+        for job in jobs(5):
+            store.submit(job)
+        streamed = sorted(r.job_id for r in store.iter_records())
+        assert streamed == sorted(r.job_id for r in store.records())
 
     def test_migrate_into_a_shard_rebalances_onto_homes(self, tmp_path):
-        source = JobStore(tmp_path / "src")
+        source = SqliteJobStore(tmp_path / "src" / "jobs.sqlite")
         submitted = jobs(10)
         for job in submitted:
             source.submit(job)
