@@ -30,9 +30,12 @@ natural sweeps below (documented in DESIGN.md):
 
 from __future__ import annotations
 
+import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import permutations
+
+import numpy as np
 
 from repro.data.dataset import CategoricalDataset
 from repro.datasets.registry import PAPER_SPECS, protected_attributes
@@ -43,6 +46,7 @@ from repro.methods.microaggregation import Microaggregation
 from repro.methods.pram import InvariantPram, Pram
 from repro.methods.rank_swapping import RankSwapping
 from repro.methods.top_bottom_coding import BottomCoding, TopCoding
+from repro.obs import get_registry, trace
 from repro.utils.rng import as_generator
 
 
@@ -145,19 +149,47 @@ def build_method_suite(attributes: Sequence[str], mix: PopulationMix) -> list[Pr
     return methods
 
 
+#: The last integer-seeded build, as ``(key, protections)``.  A worker
+#: running several jobs (or island members) on one dataset asks for the
+#: same population each time; the build is deterministic, so one entry
+#: serves them all.  It is replaced by a single assignment, so racing
+#: threads can at worst build twice, never read a mismatched entry.
+_MEMO: tuple[tuple, tuple[CategoricalDataset, ...]] | None = None
+
+
+def _memo_key(
+    original: CategoricalDataset,
+    attributes: tuple[str, ...],
+    mix: PopulationMix,
+    seed: object,
+) -> tuple | None:
+    """Everything the build's output depends on; ``None`` if not memoizable.
+
+    Only integer seeds qualify: ``None`` draws fresh OS entropy and a
+    ``Generator`` carries state the caller goes on to use.
+    """
+    if not isinstance(seed, (int, np.integer)):
+        return None
+    return (original.fingerprint(), original.schema, original.name, attributes, mix, int(seed))
+
+
 def build_initial_population(
     original: CategoricalDataset,
     dataset_name: str | None = None,
     attributes: Sequence[str] | None = None,
     mix: PopulationMix | None = None,
-    seed: int | None = 0,
+    seed: int | np.random.Generator | None = 0,
 ) -> list[CategoricalDataset]:
     """Generate the paper's initial protection population for ``original``.
 
     Either ``dataset_name`` (one of the paper's four, supplying both the
     protected attributes and the mix) or explicit ``attributes`` (+
     optional ``mix``, defaulting to the Flare/German mix) must be given.
+
+    Integer-seeded builds are memoized in-process (one entry): a repeat
+    call returns a new list of the same read-only datasets.
     """
+    global _MEMO
     if dataset_name is not None:
         if dataset_name not in PAPER_SPECS:
             raise ExperimentError(
@@ -167,17 +199,30 @@ def build_initial_population(
         mix = mix or PAPER_MIXES[dataset_name]
     if attributes is None:
         raise ExperimentError("need dataset_name or explicit attributes")
+    attributes = tuple(attributes)
     mix = mix or PAPER_MIXES["flare"]
 
-    rng = as_generator(seed)
-    methods = build_method_suite(attributes, mix)
-    protections = []
-    for index, method in enumerate(methods):
-        protected = method.protect(
-            original,
-            attributes,
-            seed=rng,
-            name=f"{original.name}#{index:03d}:{method.describe()}",
-        )
-        protections.append(protected)
-    return protections
+    started = time.perf_counter()
+    key = _memo_key(original, attributes, mix, seed)
+    entry = _MEMO
+    hit = key is not None and entry is not None and entry[0] == key
+    with trace.span("repro.population.build", dataset=original.name, memo_hit=hit):
+        if hit:
+            protections = entry[1]
+        else:
+            rng = as_generator(seed)
+            protections = tuple(
+                method.protect(
+                    original,
+                    attributes,
+                    seed=rng,
+                    name=f"{original.name}#{index:03d}:{method.describe()}",
+                )
+                for index, method in enumerate(build_method_suite(attributes, mix))
+            )
+            if key is not None:
+                _MEMO = (key, protections)
+    registry = get_registry()
+    if registry.enabled:
+        registry.observe("repro_population_build_seconds", time.perf_counter() - started)
+    return list(protections)

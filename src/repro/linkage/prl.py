@@ -32,9 +32,13 @@ from repro.data.dataset import CategoricalDataset
 from repro.data.validation import require_attributes, require_masked_pair
 from repro.exceptions import LinkageError
 from repro.linkage.dbrl import fractional_correct_links
-from repro.obs.registry import get_registry
+from repro.obs.registry import DEFAULT_SIZE_BUCKETS, get_registry
 
 _EPS = 1e-9
+
+# Iteration counts are size-shaped, not latency-shaped; pin the bucket
+# bounds before the first observation picks the seconds default.
+get_registry().declare_histogram("repro_em_iterations", DEFAULT_SIZE_BUCKETS)
 
 
 def agreement_pattern_matrix(
@@ -141,6 +145,10 @@ def fit_fellegi_sunter_many(
     are frozen by mask instead of dropping out of the loop, so each
     candidate's parameter trajectory is exactly what a one-candidate
     fit would produce: batching changes throughput, never results.
+
+    With telemetry on, every row observes its iteration count into
+    ``repro_em_iterations``, and rows still moving when
+    ``max_iterations`` runs out count into ``repro_em_unconverged_total``.
     """
     counts = np.asarray(pattern_counts, dtype=np.float64)
     if counts.ndim != 2 or counts.shape[1] != 2**n_attributes:
@@ -163,10 +171,15 @@ def fit_fellegi_sunter_many(
     u = np.full((batch, n_attributes), 0.1)
     match_proportion = np.full(batch, 0.01)
 
-    previous_loglik = np.full(batch, -np.inf)
+    # NaN, not -inf: "no previous value" must fail the first convergence
+    # test without ``tolerance * inf`` (NaN, and a warning, at tolerance 0).
+    previous_loglik = np.full(batch, np.nan)
     active = np.ones(batch, dtype=bool)
     all_active = True
+    iterations = np.zeros(batch, dtype=np.int64) if registry.enabled else None
     for _ in range(max_iterations):
+        if iterations is not None:
+            iterations += active
         # Compute every row, write back only active non-degenerate ones:
         # the per-iteration arrays are tiny (numpy call overhead, not
         # volume, is the cost), so recomputing frozen rows is cheaper
@@ -232,8 +245,13 @@ def fit_fellegi_sunter_many(
     weights = _bits_dot(bits, np.log(m + _EPS) - np.log(u + _EPS)) + _bits_dot(
         1 - bits, np.log(1 - m + _EPS) - np.log(1 - u + _EPS)
     )
-    if registry.enabled:
+    if iterations is not None:
         registry.observe("repro_em_fit_seconds", time.perf_counter() - em_start)
+        for count in iterations.tolist():
+            registry.observe("repro_em_iterations", count)
+        unconverged = int(np.count_nonzero(active))
+        if unconverged:
+            registry.inc("repro_em_unconverged_total", unconverged)
     return BatchFellegiSunterModel(
         m=m, u=u, match_proportion=match_proportion, pattern_weights=weights
     )

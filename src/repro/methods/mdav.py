@@ -29,7 +29,7 @@ from repro.data.dataset import CategoricalDataset
 from repro.data.validation import require_attributes
 from repro.exceptions import ProtectionError
 from repro.methods.base import ProtectionMethod, registry
-from repro.methods.microaggregation import _aggregate
+from repro.methods.microaggregation import _group_aggregates
 from repro.utils.rng import as_generator
 
 
@@ -135,10 +135,16 @@ class MdavMicroaggregation(ProtectionMethod):
         ordinal = np.array([original.schema.domain(c).ordinal for c in columns])
         sub_codes = original.codes[:, columns]
 
+        partition = self._partition(sub_codes, sizes, ordinal)
+        labels = np.empty(original.n_records, dtype=np.int64)
+        for index, group in enumerate(partition):
+            labels[group] = index
         masked = original.codes_copy()
-        for group in self._partition(sub_codes, sizes, ordinal):
-            for slot, column in enumerate(columns):
-                masked[group, column] = _aggregate(sub_codes[group, slot], bool(ordinal[slot]))
+        for slot, column in enumerate(columns):
+            aggregates = _group_aggregates(
+                sub_codes[:, slot], labels, len(partition), int(sizes[slot]), bool(ordinal[slot])
+            )
+            masked[:, column] = aggregates[labels]
         label = name if name is not None else f"{original.name}:{self.describe()}"
         return original.with_codes(masked, name=label)
 

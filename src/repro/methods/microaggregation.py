@@ -28,30 +28,40 @@ from repro.exceptions import ProtectionError
 from repro.methods.base import ProtectionMethod, registry
 
 
-def _group_boundaries(n_records: int, k: int) -> list[tuple[int, int]]:
-    """Contiguous groups of size >= k covering ``range(n_records)``.
+def _group_labels(n_records: int, k: int) -> np.ndarray:
+    """Group index of every sorted position ``0..n_records-1``.
 
     All groups have exactly ``k`` members except the last, which absorbs
     the remainder (the standard fixed-size microaggregation heuristic:
-    a remainder smaller than ``k`` may not form its own group).
+    a remainder smaller than ``k`` may not form its own group), so there
+    are ``max(1, n_records // k)`` groups.
     """
-    if n_records < k:
-        return [(0, n_records)]
-    boundaries = []
-    start = 0
-    while n_records - start >= 2 * k:
-        boundaries.append((start, start + k))
-        start += k
-    boundaries.append((start, n_records))
-    return boundaries
+    n_groups = max(1, n_records // k)
+    return np.minimum(np.arange(n_records) // k, n_groups - 1)
 
 
-def _aggregate(codes: np.ndarray, ordinal: bool) -> int:
-    """Group aggregate: median code if ordinal, modal code otherwise."""
-    if ordinal:
-        return int(np.median(codes))
-    counts = np.bincount(codes)
-    return int(np.argmax(counts))
+def _group_aggregates(
+    codes: np.ndarray, groups: np.ndarray, n_groups: int, size: int, ordinal: bool
+) -> np.ndarray:
+    """Aggregate code of every group in one pass over the column.
+
+    ``groups[i]`` is the group of ``codes[i]``; every group in
+    ``range(n_groups)`` must be non-empty.  The aggregate is the modal
+    code for nominal attributes (ties to the lowest code) and, for
+    ordinal ones, the median truncated to a code exactly as
+    ``int(np.median(group))`` would: the floor of the two middle codes'
+    mean.  Both read a ``(n_groups, size)`` count table.
+    """
+    counts = np.bincount(groups * size + codes, minlength=n_groups * size).reshape(n_groups, size)
+    if not ordinal:
+        return counts.argmax(axis=1)
+    # The code at 0-based rank r of a group is the number of codes whose
+    # cumulative count is still <= r.
+    cumulative = counts.cumsum(axis=1)
+    members = cumulative[:, -1:]
+    low = (cumulative <= (members - 1) // 2).sum(axis=1)
+    high = (cumulative <= members // 2).sum(axis=1)
+    return (low + high) // 2
 
 
 class Microaggregation(ProtectionMethod):
@@ -112,11 +122,12 @@ class Microaggregation(ProtectionMethod):
         domain = dataset.schema.domain(column)
         order = self._sort_order(dataset, column)
         values = dataset.column(column)
-        masked = values.copy()
-        sorted_values = values[order]
-        for start, stop in _group_boundaries(dataset.n_records, self.k):
-            aggregate = _aggregate(sorted_values[start:stop], domain.ordinal)
-            masked[order[start:stop]] = aggregate
+        groups = _group_labels(dataset.n_records, self.k)
+        aggregates = _group_aggregates(
+            values[order], groups, int(groups.max(initial=0)) + 1, domain.size, domain.ordinal
+        )
+        masked = np.empty_like(values)
+        masked[order] = aggregates[groups]
         return masked
 
 

@@ -53,20 +53,20 @@ class RankSwapping(ProtectionMethod):
         tiebreak = rng.permutation(n)
         order = np.lexsort((tiebreak, values))
 
+        # Each untaken rank i swaps with a uniformly drawn untaken rank in
+        # (i, i + window]; ranks already swapped are skipped, and a rank
+        # with no free partner stays put without drawing.
         swapped_sorted = values[order].copy()
-        taken = np.zeros(n, dtype=bool)
-        for i in range(n):
-            if taken[i]:
+        free = np.ones(n, dtype=bool)
+        for i in range(n - 1):
+            if not free[i]:
                 continue
-            high = min(n - 1, i + window)
-            candidates = [j for j in range(i + 1, high + 1) if not taken[j]]
-            if not candidates:
-                taken[i] = True
+            partners = free[i + 1 : i + 1 + window].nonzero()[0]
+            if partners.size == 0:
                 continue
-            j = candidates[int(rng.integers(len(candidates)))]
+            j = i + 1 + int(partners[rng.integers(partners.size)])
             swapped_sorted[i], swapped_sorted[j] = swapped_sorted[j], swapped_sorted[i]
-            taken[i] = True
-            taken[j] = True
+            free[j] = False
 
         masked = np.empty(n, dtype=np.int64)
         masked[order] = swapped_sorted

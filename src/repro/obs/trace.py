@@ -462,13 +462,16 @@ def flush_spans(
     trace_id: str,
     spans: list[dict],
     dropped: int = 0,
+    root_id: str = "",
 ) -> bool:
     """Merge ``spans`` into the job's durable trace blob; never raises.
 
     Read-modify-write deduplicated by span id (new wins), so the
     submitter, the worker, and a later resume can each flush their part
     and the blob converges to one connected trace.  A blob from a
-    different trace id (a resubmitted job) is replaced outright.
+    different trace id (a resubmitted job) is replaced outright.  The
+    span ``root_id`` names is stretched back to the earliest merged span,
+    so the root covers its whole trace.
     """
     if not spans:
         return False
@@ -483,6 +486,16 @@ def flush_spans(
             dropped += int(existing.get("dropped", 0) or 0)
         for item in spans:
             merged[item["span_id"]] = item
+        root = merged.get(root_id)
+        if root is not None:
+            earliest = min(item.get("start", 0.0) for item in merged.values())
+            start = root.get("start", 0.0)
+            if start > earliest:
+                merged[root_id] = {
+                    **root,
+                    "start": earliest,
+                    "duration": round(root.get("duration", 0.0) + start - earliest, 6),
+                }
         payload = {
             "version": TRACE_BLOB_VERSION,
             "trace_id": trace_id,
@@ -529,6 +542,7 @@ def flush_job_trace(
     if not info["sampled"] and getattr(record, "status", "") != "failed":
         return False
     all_spans = list(spans)
+    root_id = ""
     submitted = getattr(record, "submitted_at", None)
     if submitted:
         end_time = end if end is not None else time.time()
@@ -543,7 +557,11 @@ def flush_job_trace(
                 status=getattr(record, "status", None),
             )
         )
-    return flush_spans(store, getattr(record, "job_id", ""), info["id"], all_spans)
+        # The store stamps ``submitted_at`` inside the submitter's own
+        # ``repro.submit`` span, so the root starts a little late.
+        root_id = all_spans[-1]["span_id"]
+    return flush_spans(store, getattr(record, "job_id", ""), info["id"], all_spans,
+                       root_id=root_id)
 
 
 # -- rendering --------------------------------------------------------------

@@ -10,9 +10,12 @@ batched Fellegi–Sunter EM, and the bulk cache surface.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.data import CategoricalDataset
 from repro.linkage.prl import fit_fellegi_sunter, fit_fellegi_sunter_many
 from repro.metrics.evaluation import (
@@ -116,6 +119,106 @@ class TestBatchEM:
             fit_fellegi_sunter_many(np.ones((2, 7)), 3)
         with pytest.raises(LinkageError):
             fit_fellegi_sunter_many(np.zeros((2, 8)), 3)
+
+
+def _em_counts() -> np.ndarray:
+    rng = np.random.default_rng(11)
+    counts = rng.integers(0, 5000, size=(6, 8)).astype(np.float64)
+    counts[:, 0] += 1
+    return counts
+
+
+def _fit_key(model) -> tuple[bytes, ...]:
+    return tuple(np.ascontiguousarray(a).tobytes() for a in
+                 (model.m, model.u, model.match_proportion, model.pattern_weights))
+
+
+def _fit_row(row: np.ndarray, cap: int) -> tuple[bytes, ...]:
+    return _fit_key(fit_fellegi_sunter_many(row[None, :], 3, max_iterations=cap))
+
+
+def _iterations_to_settle(row: np.ndarray, cap: int) -> int:
+    """Reference count: the smallest cap whose fit equals the cap-``cap`` fit.
+
+    Every EM step moves the parameters, so a row stopped after t steps
+    fits differently under every cap below t: bisect for t.
+    """
+    final = _fit_row(row, cap)
+    low, high = 1, cap
+    while low < high:
+        middle = (low + high) // 2
+        if _fit_row(row, middle) == final:
+            high = middle
+        else:
+            low = middle + 1
+    return low
+
+
+def _still_moving(row: np.ndarray, cap: int) -> bool:
+    return _fit_row(row, cap) != _fit_row(row, cap + 1)
+
+
+class TestEMTelemetry:
+    @pytest.fixture
+    def registry(self):
+        registry = obs.enable()
+        registry.reset()
+        yield registry
+        obs.disable()
+        registry.reset()
+
+    @staticmethod
+    def _series(registry) -> tuple[dict, float]:
+        snapshot = registry.snapshot()
+        (histogram,) = [h for h in snapshot["histograms"] if h["name"] == "repro_em_iterations"]
+        unconverged = sum(c["value"] for c in snapshot["counters"]
+                          if c["name"] == "repro_em_unconverged_total")
+        return histogram, unconverged
+
+    @pytest.mark.parametrize("cap,tolerance", [(200, 1e-8), (7, 1e-8), (30, 0.0)])
+    def test_fits_bit_identical_with_telemetry_on_and_off(self, cap, tolerance):
+        counts = _em_counts()
+        obs.disable()
+        off = fit_fellegi_sunter_many(counts, 3, max_iterations=cap, tolerance=tolerance)
+        registry = obs.enable()
+        try:
+            on = fit_fellegi_sunter_many(counts, 3, max_iterations=cap, tolerance=tolerance)
+        finally:
+            obs.disable()
+            registry.reset()
+        assert _fit_key(on) == _fit_key(off)
+
+    def test_iteration_counts_per_row(self, registry):
+        counts = _em_counts()
+        cap = 200
+        expected = [_iterations_to_settle(row, cap) for row in counts]
+        moving = sum(_still_moving(row, cap) for row in counts)
+        assert 0 < moving < counts.shape[0]  # the fixture mixes both kinds
+        registry.reset()  # the reference fits above observed too
+        fit_fellegi_sunter_many(counts, 3, max_iterations=cap)
+        histogram, unconverged = self._series(registry)
+        assert histogram["bounds"] == [float(b) for b in obs.DEFAULT_SIZE_BUCKETS]
+        assert histogram["count"] == counts.shape[0]
+        assert histogram["sum"] == sum(expected)
+        assert unconverged == moving
+
+    def test_cap_counts_every_moving_row_unconverged(self, registry):
+        counts = _em_counts()
+        fit_fellegi_sunter_many(counts, 3, max_iterations=3)
+        histogram, unconverged = self._series(registry)
+        assert histogram["count"] == counts.shape[0]
+        assert histogram["sum"] == 3 * counts.shape[0]
+        assert unconverged == counts.shape[0]
+
+    def test_tolerance_zero_runs_clean_under_warnings_as_errors(self, registry):
+        counts = _em_counts()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_fellegi_sunter_many(counts, 3, max_iterations=12, tolerance=0.0)
+        assert np.isfinite(model.pattern_weights).all()
+        histogram, unconverged = self._series(registry)
+        assert histogram["sum"] == 12 * counts.shape[0]
+        assert unconverged == counts.shape[0]
 
 
 class TestEvaluatorBatch:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
@@ -204,6 +205,18 @@ class TestDurableBlobs:
         assert len(payload["spans"]) == 2
         by_id = {s["span_id"]: s for s in payload["spans"]}
         assert by_id[first["span_id"]]["duration"] == 9.0  # new wins
+
+    def test_job_root_is_stretched_over_an_earlier_submit_span(self, tmp_path):
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
+        info = {"id": trace.new_trace_id(), "root": trace.new_span_id(), "sampled": True}
+        submit = trace.make_span(info["id"], info["root"], "repro.submit", 10.0, 0.5)
+        trace.flush_spans(store, "job-x", info["id"], [submit])
+        record = SimpleNamespace(job_id="job-x", status="completed",
+                                 submitted_at=10.25, extras={"trace": info})
+        assert trace.flush_job_trace(store, record, end=12.0)
+        spans = trace.load_trace(store, "job-x")["spans"]
+        (root,) = [s for s in spans if s["name"] == "repro.job"]
+        assert (root["start"], root["duration"]) == (10.0, 2.0)
 
     def test_resubmitted_job_replaces_foreign_trace(self, tmp_path):
         store = SqliteJobStore(tmp_path / "jobs.sqlite")
@@ -430,6 +443,32 @@ class TestCheckpointSpan:
         saves = [s for s in spans if s["name"] == "repro.checkpoint.save"]
         assert [s["attrs"]["generation"] for s in saves] == [1, 2, 3]
         assert {s["parent_id"] for s in saves} == {run["span_id"]}
+
+
+class TestPopulationBuildSpan:
+    def test_build_is_a_span_under_run_with_memo_hit(self, tmp_path, monkeypatch):
+        from repro.experiments import population_builder
+
+        monkeypatch.setattr(population_builder, "_MEMO", None)
+        trace.enable_tracing(sample_rate=1.0)
+        registry = obs.enable()
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
+        records = [_submit_traced(store, _job(seed=seed, generations=1))[0]
+                   for seed in (21, 22)]
+        outcomes = Worker(store, stale_after=60.0, capacity=2).run_once()
+        assert all(o.ok for o in outcomes)
+        hits = []
+        for record in records:
+            spans = trace.load_trace(store, record.job_id)["spans"]
+            (run,) = [s for s in spans if s["name"] == "repro.run"]
+            (build,) = [s for s in spans if s["name"] == "repro.population.build"]
+            assert build["parent_id"] == run["span_id"]
+            hits.append(build["attrs"]["memo_hit"])
+        # Same dataset and population seed: one worker builds once.
+        assert sorted(hits) == [False, True]
+        (histogram,) = [h for h in registry.snapshot()["histograms"]
+                        if h["name"] == "repro_population_build_seconds"]
+        assert histogram["count"] == 2
 
 
 class TestObserverContract:

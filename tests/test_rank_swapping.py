@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.data.dataset import CategoricalDataset
+from repro.data.domain import CategoricalDomain
+from repro.data.schema import DatasetSchema
 from repro.exceptions import ProtectionError
 from repro.methods import RankSwapping
 
@@ -64,3 +69,77 @@ class TestWindow:
     def test_untouched_attributes_identical(self, adult):
         masked = RankSwapping(p=5).protect(adult, ("EDUCATION",), seed=1)
         assert np.array_equal(masked.column("SEX"), adult.column("SEX"))
+
+
+class _RecordingRng:
+    """Generator proxy that logs every draw the swapper asks for."""
+
+    def __init__(self, seed: int) -> None:
+        self._rng = np.random.default_rng(seed)
+        self.calls: list[tuple[str, int]] = []
+
+    def permutation(self, n):
+        self.calls.append(("permutation", int(n)))
+        return self._rng.permutation(n)
+
+    def integers(self, high):
+        self.calls.append(("integers", int(high)))
+        return self._rng.integers(high)
+
+    @property
+    def state(self) -> dict:
+        return self._rng.bit_generator.state
+
+
+def _reference_swap(values: np.ndarray, p: float, rng) -> np.ndarray:
+    """The per-record candidate-list loop the vectorized lookup replaced."""
+    n = values.shape[0]
+    window = max(1, int(round(n * p / 100.0)))
+    tiebreak = rng.permutation(n)
+    order = np.lexsort((tiebreak, values))
+    swapped_sorted = values[order].copy()
+    taken = np.zeros(n, dtype=bool)
+    for i in range(n):
+        if taken[i]:
+            continue
+        high = min(n - 1, i + window)
+        candidates = [j for j in range(i + 1, high + 1) if not taken[j]]
+        if not candidates:
+            taken[i] = True
+            continue
+        j = candidates[int(rng.integers(len(candidates)))]
+        swapped_sorted[i], swapped_sorted[j] = swapped_sorted[j], swapped_sorted[i]
+        taken[i] = True
+        taken[j] = True
+    masked = np.empty(n, dtype=np.int64)
+    masked[order] = swapped_sorted
+    return masked
+
+
+class TestMatchesReferenceLoop:
+    """Same draws (same ``k``, same order), same output, same RNG state."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        codes=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=120),
+        p=st.floats(min_value=0.5, max_value=100.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_draw_for_draw(self, codes, p, seed):
+        domain = CategoricalDomain("A", [f"c{c}" for c in range(6)], ordinal=True)
+        data = CategoricalDataset(np.array(codes)[:, None], DatasetSchema([domain]))
+        expected_rng, rng = _RecordingRng(seed), _RecordingRng(seed)
+        expected = _reference_swap(data.column(0), p, expected_rng)
+        masked = RankSwapping(p=p).protect_column(data, 0, rng)
+        assert np.array_equal(masked, expected)
+        assert rng.calls == expected_rng.calls
+        assert rng.state == expected_rng.state
+
+    @pytest.mark.parametrize("p", [1, 6, 11])
+    def test_paper_sweep_on_real_data(self, adult, p):
+        column = adult.schema.index_of("OCCUPATION")
+        expected_rng, rng = _RecordingRng(p), _RecordingRng(p)
+        expected = _reference_swap(adult.column(column), p, expected_rng)
+        masked = RankSwapping(p=p).protect_column(adult, column, rng)
+        assert np.array_equal(masked, expected)
+        assert rng.calls == expected_rng.calls
