@@ -91,14 +91,11 @@ def _reap(workers: list[subprocess.Popen]) -> None:
 def _checkpoint_best(store: SqliteJobStore, job_id: str) -> float:
     """Best score in the job's latest checkpoint, ``inf`` when absent.
 
-    Read from the runner's local checkpoint file: the database copy
-    trails it by up to one heartbeat.
+    Every save lands in the store before the run continues, so the
+    store's copy is the latest one.
     """
-    try:
-        payload = json.loads(store.checkpoint_path(job_id).read_text())
-    except (FileNotFoundError, ValueError):
-        return float("inf")
-    if not isinstance(payload, dict):
+    payload = store.get_checkpoint(job_id)
+    if payload is None:
         return float("inf")
     scores = [
         individual.get("evaluation", {}).get("score")

@@ -541,20 +541,21 @@ def cmd_submit(args: argparse.Namespace) -> int:
     )
 
     failures = 0
+    owner = unique_owner("submit")
     # Build the runner before claiming anything: a configuration error
     # must surface with zero claims held, not strand queued jobs.
     runner = JobRunner(
         backend=args.backend,
         max_workers=args.workers,
         cache_path=None if args.no_cache else str(store.cache_path),
-        checkpoint_dir=str(store.checkpoints_dir),
         checkpoint_every=args.checkpoint_every,
+        store=store,
+        owner=owner,
     )
     # Claim before running so a concurrently polling `repro worker`
     # cannot pick up the same jobs, then re-read inside the claim: a
     # job a worker finished between our submit and our claim must not
     # be re-run or have its result clobbered.
-    owner = unique_owner("submit")
 
     def report_skip(record, reason):
         if reason == "claimed":
@@ -703,8 +704,6 @@ def cmd_status(args: argparse.Namespace) -> int:
                             "batch_dedup")
                 if key in stats
             ))
-        if record.result and record.result.checkpoint_path:
-            print(f"checkpoint: {record.result.checkpoint_path}")
         _print_timeline(record)
         return 0
     records = store.records()
@@ -775,9 +774,6 @@ def cmd_resume(args: argparse.Namespace) -> int:
         print(f"{record.job_id} is already completed; use --force to re-resume")
         return 0
     owner = unique_owner("resume")
-    # Claim before looking for the checkpoint: winning the claim is what
-    # pulls the fleet's latest checkpoint into the local spool when the
-    # store is remote.
     if not store.claim(record.job_id, owner=owner):
         if not args.force:
             raise ReproError(
@@ -796,18 +792,18 @@ def cmd_resume(args: argparse.Namespace) -> int:
         if record.status == "completed" and not args.force:
             print(f"{record.job_id} was completed by another worker meanwhile")
             return 0
-        checkpoint = store.checkpoints_dir / f"{record.job_id}.json"
-        if not checkpoint.exists():
+        if store.get_checkpoint(record.job_id) is None:
             raise ReproError(
-                f"no checkpoint for {record.job_id} under {store.checkpoints_dir}; "
+                f"no checkpoint for {record.job_id} in {_store_label(store)}; "
                 "was the job submitted with --checkpoint-every?"
             )
         runner = JobRunner(
             backend=args.backend,
             max_workers=args.workers,
             cache_path=None if args.no_cache else str(store.cache_path),
-            checkpoint_dir=str(store.checkpoints_dir),
             checkpoint_every=int(record.extras.get("checkpoint_every", 0)),
+            store=store,
+            owner=owner,
         )
         beat = ClaimHeartbeat(store, [record.job_id], owner,
                               _INLINE_HEARTBEAT_SECONDS).start()
@@ -1297,7 +1293,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_store_options(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--state-dir", default="",
                         help="service state directory (default: $REPRO_HOME or "
-                             "~/.repro); with a remote store, the local spool")
+                             "~/.repro); with a remote store, the local cache")
         sp.add_argument("--store", default="",
                         help="job store spec: sqlite:PATH, a state directory, "
                              "http(s)://host:port, or shard:CHILD,... / "

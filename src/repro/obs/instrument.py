@@ -9,7 +9,7 @@ protocol methods into ``repro_store_op_seconds{op=...,backend=...}``,
 counting failures in ``repro_store_op_errors_total``.
 
 The proxy is semantically invisible: every attribute not on the timed
-list forwards untouched (``cache_path``, ``checkpoints_dir``, ``root``,
+list forwards untouched (``cache_path``, ``root``,
 backend-specific extras like ``push_telemetry``), timed methods return
 exactly what the wrapped method returns, and exceptions propagate
 unchanged after being counted.  Wrapped callables are cached on the

@@ -5,7 +5,8 @@ operable system: :class:`ProtectionJob` is the durable unit of work,
 :class:`JobRunner` fans jobs out over serial / thread / process
 backends, :class:`EvaluationCache` persists fitness evaluations across
 runs and processes (optionally LRU-bounded via ``max_entries``),
-:class:`CheckpointManager` makes long GA runs interrupt-safe,
+:class:`CheckpointManager` makes long GA runs interrupt-safe by saving
+them straight into the job store,
 :class:`SqliteJobStore` keeps job lifecycle state in one transactional
 SQLite database for the ``repro submit`` / ``status`` / ``resume`` CLI,
 and :class:`Worker` claims queued jobs for detached execution (``repro

@@ -1,9 +1,13 @@
 """Checkpoint persistence: engine state that survives a crash.
 
 The engine emits :class:`~repro.core.engine.EngineCheckpoint` values via
-its ``on_checkpoint`` callback; :class:`CheckpointManager` writes them to
-disk (atomically — temp file + rename) and reads them back so a killed
-job resumes exactly where it stopped.
+its ``on_checkpoint`` callback; :class:`CheckpointManager` encodes each
+one and writes it straight into the job store as the job's checkpoint
+blob (``store.put_checkpoint``), and reads it back from there
+(``store.get_checkpoint``) so a killed job resumes exactly where it
+stopped, on this machine or any other.  The store is a checkpoint's only
+home: a save that returns has landed, and there is no local copy to
+sync.
 
 **Format version 2** (what saves write) stores each distinct code
 matrix once, in a top-level ``"codes"`` table of ``{"shape", "dtype",
@@ -35,7 +39,6 @@ import hashlib
 import json
 import time
 import zlib
-from pathlib import Path
 
 import numpy as np
 
@@ -43,10 +46,9 @@ from repro.core.engine import EngineCheckpoint
 from repro.core.history import GenerationRecord
 from repro.core.individual import Individual
 from repro.data.dataset import CategoricalDataset
-from repro.exceptions import ServiceError
-from repro.obs import get_registry, trace
+from repro.exceptions import ServiceError, StoreUnavailableError, WorkerError
+from repro.obs import emit_event, get_registry, trace
 from repro.service.cache import score_from_dict, score_to_dict
-from repro.service.store import _atomic_write_json
 
 FORMAT_VERSION = 2
 
@@ -263,45 +265,72 @@ def observe_save(seconds: float, nbytes: int) -> None:
 
 
 class CheckpointManager:
-    """Owns one checkpoint file: atomic saves, verified loads.
+    """One job's checkpoint in a job store: encoded saves, verified loads.
 
     Install :meth:`save` as the engine's ``on_checkpoint`` callback (the
-    job runner does this automatically when given a checkpoint
-    directory).  One manager serves one run: its encoding memo carries
-    the already-compressed matrices from save to save.
+    job runner does this for every job it runs with a store).  One
+    manager serves one run: its encoding memo carries the
+    already-compressed matrices from save to save (and from a
+    :meth:`load` into the next save).
+
+    ``owner`` is the caller's claim owner: the store refuses a save once
+    the claim has moved to another worker, so a worker that lost its
+    job can never overwrite the new owner's progress.  A save the owner
+    gate refuses, or the store cannot reach, is dropped — emitted (and
+    counted) as a ``checkpoint_dropped`` event — and the run continues:
+    its result does not depend on the checkpoint, and a resume restarts
+    from the store's latest copy.
     """
 
-    def __init__(self, path: str | Path, fingerprint: str = "") -> None:
-        self.path = Path(path)
+    def __init__(self, store, job_id: str, fingerprint: str = "",
+                 owner: str | None = None, memo: dict[bytes, dict] | None = None) -> None:
+        self.store = store
+        self.job_id = job_id
         self.fingerprint = fingerprint
+        self.owner = owner
         self.saves = 0
-        self._memo: dict[bytes, dict] = {}
+        self._memo: dict[bytes, dict] = {} if memo is None else memo
 
-    def exists(self) -> bool:
-        """True when a checkpoint file is present on disk."""
-        return self.path.exists()
+    @property
+    def path(self) -> str:
+        """The blob this manager reads and writes, as ``<store>#<job_id>``."""
+        store = getattr(self.store, "base_url", None) or getattr(self.store, "spec", "")
+        return f"{store}#{self.job_id}"
 
-    def save(self, checkpoint: EngineCheckpoint) -> None:
-        """Atomically persist ``checkpoint`` (unique temp file + rename)."""
+    def save(self, checkpoint: EngineCheckpoint, **extra: object) -> bool:
+        """Encode ``checkpoint`` (plus ``extra`` top-level payload keys)
+        and write it to the store; True when it landed."""
         started = time.perf_counter()
         with trace.span("repro.checkpoint.save", generation=checkpoint.generation):
-            self.path.parent.mkdir(parents=True, exist_ok=True)
             payload = checkpoint_to_dict(checkpoint, self.fingerprint, memo=self._memo)
-            _atomic_write_json(self.path, payload)
+            payload.update(extra)
+            try:
+                self.store.put_checkpoint(self.job_id, payload, owner=self.owner)
+            except (WorkerError, StoreUnavailableError) as error:
+                emit_event("checkpoint_dropped", job_id=self.job_id, owner=self.owner,
+                           generation=checkpoint.generation, error=repr(error))
+                return False
         self.saves += 1
         if get_registry().enabled:
-            observe_save(time.perf_counter() - started, self.path.stat().st_size)
+            # The store serializes internally; sizing the payload costs
+            # one more encode, paid only with telemetry on.
+            observe_save(time.perf_counter() - started, len(json.dumps(payload)))
+        return True
 
-    def load(self, reference: CategoricalDataset) -> EngineCheckpoint:
-        """Read the checkpoint back, decoding against ``reference``'s schema."""
-        if not self.exists():
-            raise ServiceError(f"no checkpoint at {self.path}")
-        payload = json.loads(self.path.read_text(encoding="utf-8"))
+    def load(self, reference: CategoricalDataset,
+             required: bool = True) -> EngineCheckpoint | None:
+        """Read the checkpoint back, decoding against ``reference``'s schema.
+
+        With ``required=False`` a missing blob, or one this run cannot
+        resume (see :func:`is_resumable`), reads as ``None`` instead of
+        raising; either way the blob is fetched once.
+        """
+        payload = self.store.get_checkpoint(self.job_id)
+        if not required and not is_resumable(payload, self.fingerprint):
+            return None
+        if payload is None:
+            raise ServiceError(f"no checkpoint for {self.job_id} in {self.path}")
         return checkpoint_from_dict(payload, reference, self.fingerprint, memo=self._memo)
 
-    def delete(self) -> None:
-        """Remove the checkpoint file if present."""
-        self.path.unlink(missing_ok=True)
-
     def __repr__(self) -> str:
-        return f"CheckpointManager({str(self.path)!r}, saves={self.saves})"
+        return f"CheckpointManager({self.path!r}, saves={self.saves})"

@@ -78,12 +78,11 @@ from repro.obs import emit_event, get_registry, timeline_from_history, trace
 from repro.service.backends import create_backend
 from repro.service.cache import EvaluationCache
 from repro.service.checkpoint import (
+    CheckpointManager,
     _individual_from_dict,
     _individual_to_dict,
     checkpoint_from_dict,
-    checkpoint_to_dict,
     is_resumable,
-    observe_save,
 )
 from repro.service.job import JobResult, ProtectionJob
 from repro.service.store import (
@@ -479,24 +478,16 @@ def _failed_senders(store, sender_ids: list[str]) -> list[str]:
 
 def _persist_island_checkpoint(
     store, job: ProtectionJob, checkpoint: EngineCheckpoint, state: dict,
-    memo: dict[bytes, dict],
+    memo: dict[bytes, dict], owner: str | None = None,
 ) -> None:
     """Durably save a segment checkpoint (plus island state) to the store.
 
     ``memo`` is the executor's encoding memo (see
-    :func:`~repro.service.checkpoint.checkpoint_to_dict`).
+    :func:`~repro.service.checkpoint.checkpoint_to_dict`); ``owner`` the
+    claim owner the save is gated on.
     """
-    started = time.perf_counter()
-    with trace.span("repro.checkpoint.save", generation=checkpoint.generation,
-                    island=job.island_index):
-        payload = checkpoint_to_dict(checkpoint, fingerprint=job.fingerprint(),
-                                     memo=memo)
-        payload["island_state"] = _state_payload(state)
-        store.put_checkpoint(job.job_id, payload)
-    if get_registry().enabled:
-        # The store serializes internally; sizing the payload costs one
-        # more encode, paid only with telemetry on.
-        observe_save(time.perf_counter() - started, len(json.dumps(payload)))
+    CheckpointManager(store, job.job_id, job.fingerprint(), owner=owner,
+                      memo=memo).save(checkpoint, island_state=_state_payload(state))
 
 
 def _degrade(job: ProtectionJob, state: dict, reason: str,
@@ -594,11 +585,12 @@ def _execute_member_job(job: ProtectionJob, payload: dict) -> JobResult:
     timeout = _wait_timeout()
     # One encoding memo for every save of this claim: each save only
     # compresses the code matrices no earlier save (or the resumed
-    # checkpoint) already encoded.
+    # checkpoint) already encoded.  Saves are gated on our claim.
     memo: dict[bytes, dict] = {}
+    owner = payload.get("owner")
 
     def persist(checkpoint: EngineCheckpoint) -> None:
-        _persist_island_checkpoint(store, job, checkpoint, state, memo)
+        _persist_island_checkpoint(store, job, checkpoint, state, memo, owner)
 
     def exchange(population, generation, capture) -> None:
         # The engine fires on every migrate_every boundary; the final

@@ -156,7 +156,6 @@ class JobResult:
     memo_hits: int
     persistent_hits: int
     wall_seconds: float
-    checkpoint_path: str = ""
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -170,4 +169,7 @@ class JobResult:
         """Rebuild a result from :meth:`to_dict` output."""
         data = dict(payload)
         data["final_scores"] = tuple(data.get("final_scores", ()))
+        # Records written before checkpoints lived only in the store
+        # name a checkpoint file on the machine that ran the job.
+        data.pop("checkpoint_path", None)
         return cls(**data)

@@ -43,13 +43,14 @@ have raised, so calling code cannot tell the two stores apart; transport
 failures are retried with exponential backoff and surface as
 :class:`~repro.exceptions.StoreUnavailableError`.
 
-Checkpoints ride along: the server owns the durable copy, and the client
-mirrors it into a local spool directory — downloaded when a claim is
-won (so a resumed job continues from the fleet's latest state) and
-uploaded whenever a heartbeat or release finds the local file changed
-(so a checkpoint survives the worker that wrote it).  The evaluation
-cache, by contrast, stays worker-local: scores are deterministic, so a
-cold cache costs time, never correctness.
+Checkpoints live on the server only: every save is one owner-gated
+``put_checkpoint`` call and every resume one ``get_checkpoint``, so a
+checkpoint survives the worker that wrote it the moment the save
+returns.  A save gets a single attempt: while the server is down each
+save is dropped after at most one ``timeout`` and the run goes on.
+The evaluation cache, by contrast, stays worker-local (in the client's
+spool directory): scores are deterministic, so a cold cache costs
+time, never correctness.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ from repro.service.job import JobResult, ProtectionJob
 from repro.service.sqlstore import SqliteJobStore
 from repro.service.store import (
     JobRecord,
-    _atomic_write_json,
     default_state_dir,
 )
 
@@ -92,7 +92,7 @@ _MAX_BODY_BYTES = 256 * 1024 * 1024
 # one of these, so the stdlib's 0.5 s default would make every stop slow.
 _POLL_INTERVAL = 0.05
 
-#: Job ids become file names server-side (the checkpoint spool); anything
+#: Job ids name files server-side (the legacy checkpoint fallback); anything
 #: that could escape the state directory is rejected before any
 #: handler touches the disk — on raw ``job_id`` params and on the ids
 #: of records/jobs sent over the wire alike.
@@ -603,13 +603,14 @@ class RemoteJobStore:
     :class:`~repro.service.sqlstore.SqliteJobStore` — records in, records out,
     claim booleans, the same exception types — so workers, the runner
     and the CLI take either store interchangeably.  What it adds is
-    transport care: every call retries transient connection failures
+    transport care: every call (but an owner-gated checkpoint save,
+    see :meth:`put_checkpoint`) retries transient connection failures
     with exponential backoff (``retries`` / ``backoff``) before raising
     :class:`~repro.exceptions.StoreUnavailableError`, while HTTP-level
     errors (the server spoke, and said no) are never retried.
 
-    ``spool`` is the client's local state directory: checkpoint mirror
-    and worker-local evaluation cache.  It defaults to a per-server
+    ``spool`` is the client's local state directory, holding the
+    worker-local evaluation cache.  It defaults to a per-server
     directory under the regular state root, so two clients of different
     servers never mix state.
     """
@@ -634,13 +635,8 @@ class RemoteJobStore:
             digest = hashlib.sha256(self.base_url.encode("utf-8")).hexdigest()[:12]
             spool = default_state_dir() / "remote" / digest
         self.root = Path(spool)
-        self.checkpoints_dir = self.root / "checkpoints"
         self.cache_dir = self.root / "cache"
-        for directory in (self.checkpoints_dir, self.cache_dir):
-            directory.mkdir(parents=True, exist_ok=True)
-        # mtime of each checkpoint as last synced with the server, so
-        # heartbeats only pay an upload when the file actually changed.
-        self._synced_mtimes: dict[str, float] = {}
+        self.cache_dir.mkdir(parents=True, exist_ok=True)
 
     @property
     def cache_path(self) -> Path:
@@ -649,7 +645,7 @@ class RemoteJobStore:
 
     # -- transport ----------------------------------------------------------
 
-    def _call(self, method: str, **params: object) -> object:
+    def _call(self, method: str, *, attempts: int = 0, **params: object) -> object:
         envelope: dict[str, object] = {"method": method, "params": params}
         traceparent = trace.format_traceparent()
         if traceparent:
@@ -662,7 +658,8 @@ class RemoteJobStore:
             headers["Authorization"] = f"Bearer {self.token}"
         last_error: Exception | None = None
         with trace.span("repro.rpc", method=method):
-            for attempt in range(self.retries + 1):
+            attempts = attempts or self.retries + 1
+            for attempt in range(attempts):
                 if attempt:
                     time.sleep(self.backoff * (2 ** (attempt - 1)))
                 request = urllib.request.Request(
@@ -681,7 +678,7 @@ class RemoteJobStore:
                     last_error = exc
         raise StoreUnavailableError(
             f"job store at {self.base_url} unreachable after "
-            f"{self.retries + 1} attempt(s): {last_error}"
+            f"{attempts} attempt(s): {last_error}"
         )
 
     def ping(self) -> dict:
@@ -783,58 +780,28 @@ class RemoteJobStore:
     # -- worker claims -------------------------------------------------------
 
     def claim(self, job_id: str, owner: str = "") -> bool:
-        """Atomically claim ``job_id`` for ``owner`` on the server.
-
-        Winning the claim also pulls the server's checkpoint for the job
-        into the local spool, so a worker on a different machine resumes
-        from the fleet's latest saved state, not its own.
-        """
-        won = bool(self._call("claim", job_id=job_id, owner=owner))
-        if won:
-            self._download_checkpoint(job_id)
-        return won
+        """Atomically claim ``job_id`` for ``owner`` on the server."""
+        return bool(self._call("claim", job_id=job_id, owner=owner))
 
     def claim_batch(self, owner: str = "", limit: int = 0) -> list[JobRecord]:
         """Claim up to ``limit`` queued records in one round trip.
 
         The whole queue-walk-and-claim loop happens server-side (for a
         database-backed store, in one transaction), so a worker's
-        capacity pull costs one RPC however long the queue is.  Each
-        won job's checkpoint is pulled into the local spool, exactly as
-        a single-job claim does.
+        capacity pull costs one RPC however long the queue is.
         """
-        won = [
+        return [
             JobRecord.from_dict(item)
             for item in self._call("claim_batch", owner=owner, limit=limit)
         ]
-        for record in won:
-            self._download_checkpoint(record.job_id)
-        return won
 
     def release(self, job_id: str, owner: str | None = None) -> bool:
-        """Drop ``job_id``'s claim; owner-checked when ``owner`` is given.
-
-        An owner releasing its own claim first pushes its final
-        checkpoint to the server — the last chance before another
-        worker may take the job over.  The upload itself is owner-gated
-        server-side, so if this claim was recovered and re-granted in
-        the meantime, the new owner's fresher checkpoint survives.
-        """
-        if owner is not None:
-            self._upload_checkpoint_if_changed(job_id, owner=owner)
+        """Drop ``job_id``'s claim; owner-checked when ``owner`` is given."""
         return bool(self._call("release", job_id=job_id, owner=owner))
 
     def heartbeat(self, job_id: str, owner: str = "") -> bool:
-        """Refresh claim liveness; piggybacks checkpoint sync.
-
-        Each beat that lands also uploads the local checkpoint if it
-        changed since the last sync, so a worker killed mid-run loses at
-        most one heartbeat interval of checkpoint progress.
-        """
-        alive = bool(self._call("heartbeat", job_id=job_id, owner=owner))
-        if alive:
-            self._upload_checkpoint_if_changed(job_id, owner=owner or None)
-        return alive
+        """Refresh claim liveness on the server."""
+        return bool(self._call("heartbeat", job_id=job_id, owner=owner))
 
     def claim_info(self, job_id: str) -> dict | None:
         """The claim payload (owner, pid, claimed_at, last_seen), or ``None``."""
@@ -852,7 +819,7 @@ class RemoteJobStore:
         """Server-side stale-claim recovery; returns recovered job ids."""
         return list(self._call("recover_stale_claims", max_age_seconds=max_age_seconds))
 
-    # -- checkpoint spool ----------------------------------------------------
+    # -- checkpoints ---------------------------------------------------------
 
     def get_checkpoint(self, job_id: str) -> dict | None:
         """The server's durable checkpoint blob for ``job_id``, or ``None``."""
@@ -861,38 +828,17 @@ class RemoteJobStore:
 
     def put_checkpoint(self, job_id: str, payload: dict,
                        owner: str | None = None) -> None:
-        """Upload a checkpoint blob (claim-gated server-side with ``owner``)."""
-        self._call("put_checkpoint", job_id=job_id, payload=payload, owner=owner)
+        """Upload a checkpoint blob (claim-gated server-side with ``owner``).
 
-    def _local_checkpoint(self, job_id: str) -> Path:
-        return self.checkpoints_dir / f"{job_id}.json"
-
-    def _download_checkpoint(self, job_id: str) -> None:
-        payload = self.get_checkpoint(job_id)
-        if payload is None:
-            return
-        path = self._local_checkpoint(job_id)
-        _atomic_write_json(path, payload)
-        self._synced_mtimes[job_id] = path.stat().st_mtime
-
-    def _upload_checkpoint_if_changed(self, job_id: str,
-                                      owner: str | None = None) -> None:
-        path = self._local_checkpoint(job_id)
-        try:
-            mtime = path.stat().st_mtime
-        except FileNotFoundError:
-            return
-        if self._synced_mtimes.get(job_id) == mtime:
-            return
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, FileNotFoundError):
-            return  # mid-write or gone; the next beat will retry
-        try:
-            self.put_checkpoint(job_id, payload, owner=owner)
-        except WorkerError:
-            return  # we no longer own the claim; the new owner's state wins
-        self._synced_mtimes[job_id] = mtime
+        An owner-gated upload is a run's periodic save, made on the run's
+        own thread: it gets one attempt, no retries, so an unreachable
+        server costs a save at most one ``timeout`` (nothing when the
+        connection is refused) and the next save supersedes the dropped
+        one.  Ownerless blobs (migrant buffers, traces, migrate imports)
+        keep the retry policy.
+        """
+        self._call("put_checkpoint", attempts=1 if owner else 0,
+                   job_id=job_id, payload=payload, owner=owner)
 
     def __repr__(self) -> str:
         return f"RemoteJobStore({self.base_url!r}, spool={str(self.root)!r})"

@@ -4,8 +4,9 @@
 :class:`~repro.service.job.ProtectionJob` values and runs them through a
 pluggable :mod:`execution backend <repro.service.backends>` — serially,
 on a thread pool, or on a process pool — while threading the shared
-persistent evaluation cache and per-job checkpoint files through every
-worker.  Two fan-out shapes cover the workloads the experiments need:
+persistent evaluation cache and the job store (every job's checkpoints
+live there) through every worker.  Two fan-out shapes cover the
+workloads the experiments need:
 
 * :meth:`JobRunner.run` / :meth:`JobRunner.run_replicates` — multi-seed
   experiment replicates;
@@ -30,14 +31,19 @@ from repro.obs import timeline_from_history, trace
 from repro.service.backends import ExecutionBackend, create_backend
 from repro.service.cache import EvaluationCache
 from repro.service.checkpoint import CheckpointManager
-from repro.service.islands import IslandParked, register_store, store_spec_of
+from repro.service.islands import (
+    IslandParked,
+    register_store,
+    resolve_store,
+    store_spec_of,
+)
 from repro.service.job import JobResult, ProtectionJob
 
 # -- worker functions (module-level so the process backend can pickle them) --
 
 
 def _job_result(
-    job: ProtectionJob, outcome: ExperimentResult, wall_seconds: float, checkpoint_path: str
+    job: ProtectionJob, outcome: ExperimentResult, wall_seconds: float
 ) -> JobResult:
     best = outcome.result.best
     initial_mean, final_mean, percent = outcome.history.improvement("mean")
@@ -56,7 +62,6 @@ def _job_result(
         memo_hits=evaluator.cache_hits,
         persistent_hits=evaluator.persistent_hits,
         wall_seconds=wall_seconds,
-        checkpoint_path=checkpoint_path,
         extras={
             "evaluator_stats": evaluator.stats(),
             # The per-generation trace rides with the result through any
@@ -71,6 +76,8 @@ def _execute_job(payload: dict) -> JobResult:
 
     ``payload`` is a plain dict (picklable for the process backend):
     the job's own dict plus cache / checkpoint / resume directives.
+    Checkpoints go to the job store the payload names, gated on the
+    caller's claim ``owner``.
     A runner-level ``eval_workers`` is the worker's default for jobs
     that did not pin their own — evaluation is pure, so the override
     can never change the job's results (or its identity).
@@ -93,20 +100,25 @@ def _execute_job(payload: dict) -> JobResult:
         )
     cache_path = payload.get("cache_path") or ""
     cache_max_entries = payload.get("cache_max_entries") or None
-    checkpoint_path = payload.get("checkpoint_path") or ""
     checkpoint_every = int(payload.get("checkpoint_every") or 0)
-    resume = bool(payload.get("resume"))
+    # True: must resume; None: resume when the stored checkpoint is
+    # resumable (see JobRunner.run); False: start fresh.
+    resume = payload.get("resume")
 
+    has_store = bool(payload.get("store_ref") or payload.get("store_spec"))
+    if resume and not has_store:
+        raise ServiceError("cannot resume without a job store")
     manager = (
-        CheckpointManager(checkpoint_path, fingerprint=job.fingerprint())
-        if checkpoint_path
+        CheckpointManager(resolve_store(payload), job.job_id,
+                          fingerprint=job.fingerprint(), owner=payload.get("owner"))
+        if has_store and (checkpoint_every or resume is not False)
         else None
     )
-    resume_from = None
-    if resume:
-        if manager is None:
-            raise ServiceError("cannot resume without a checkpoint path")
-        resume_from = manager.load(load_dataset(job.dataset))
+    resume_from = (
+        manager.load(load_dataset(job.dataset), required=bool(resume))
+        if manager is not None and resume is not False
+        else None
+    )
 
     cache = (
         EvaluationCache(cache_path, max_entries=cache_max_entries)
@@ -123,7 +135,8 @@ def _execute_job(payload: dict) -> JobResult:
     start = time.perf_counter()
     try:
         with trace.span(
-            "repro.run", dataset=job.dataset, seed=job.seed, resume=resume or None
+            "repro.run", dataset=job.dataset, seed=job.seed,
+            resume=resume_from is not None or None,
         ):
             outcome = run_experiment(
                 config,
@@ -141,7 +154,7 @@ def _execute_job(payload: dict) -> JobResult:
     finally:
         if cache is not None:
             cache.close()
-    result = _job_result(job, outcome, time.perf_counter() - start, checkpoint_path)
+    result = _job_result(job, outcome, time.perf_counter() - start)
     if scope is not None:
         result.extras["trace_spans"] = trace.deactivate(scope)
     return result
@@ -226,12 +239,9 @@ class JobRunner:
         LRU bound applied by every worker-opened cache handle; ``None``
         keeps the cache unbounded.  Eviction never changes scores — an
         evicted entry is recomputed, raising only ``fresh_evaluations``.
-    checkpoint_dir:
-        When set (together with a positive ``checkpoint_every``), every
-        job writes periodic checkpoints to
-        ``<checkpoint_dir>/<job_id>.json`` and can be resumed.
     checkpoint_every:
-        Generations between checkpoint writes; 0 disables.
+        Generations between checkpoint saves into ``store``; 0 (or no
+        store) disables.
     eval_workers / eval_backend:
         Default in-run parallel-evaluation setting applied to jobs that
         did not pin their own ``eval_workers``: with ``eval_workers >=
@@ -239,11 +249,16 @@ class JobRunner:
         over that many ``thread`` or ``process`` workers.  Evaluation
         is pure — these change throughput, never results.
     store:
-        The job store island-group jobs exchange migrants and durable
-        segment checkpoints through.  In-process backends reach the
-        exact live object (weak registry); the process backend falls
-        back to reopening from the store's spec.  Plain jobs never
-        touch it; island jobs without it fail with a clear error.
+        The job store every checkpoint is saved to and resumed from, and
+        the one island-group jobs exchange migrants through.  In-process
+        backends reach the exact live object (weak registry); the
+        process backend falls back to reopening from the store's spec.
+        Without it jobs run uncheckpointed; island jobs fail with a
+        clear error.
+    owner:
+        The claim owner the caller holds the jobs under.  The store
+        refuses (and the runner drops) checkpoint saves once a job's
+        claim belongs to someone else; ``None`` saves unconditionally.
     """
 
     def __init__(
@@ -252,11 +267,11 @@ class JobRunner:
         max_workers: int | None = None,
         cache_path: str | None = None,
         cache_max_entries: int | None = None,
-        checkpoint_dir: str | None = None,
         checkpoint_every: int = 0,
         eval_workers: int = 0,
         eval_backend: str = "thread",
         store: object | None = None,
+        owner: str | None = None,
     ) -> None:
         if checkpoint_every < 0:
             raise ServiceError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
@@ -273,11 +288,11 @@ class JobRunner:
         self.backend = create_backend(backend, max_workers)
         self.cache_path = str(cache_path) if cache_path else ""
         self.cache_max_entries = cache_max_entries
-        self.checkpoint_dir = str(checkpoint_dir) if checkpoint_dir else ""
         self.checkpoint_every = checkpoint_every
         self.eval_workers = int(eval_workers)
         self.eval_backend = eval_backend
         self.store = store
+        self.owner = owner
         self._store_ref = register_store(store) if store is not None else ""
         self._store_spec, self._store_token = (
             store_spec_of(store) if store is not None else ("", "")
@@ -285,22 +300,13 @@ class JobRunner:
 
     # -- payload plumbing ---------------------------------------------------
 
-    def checkpoint_path(self, job: ProtectionJob) -> str:
-        """Where this runner checkpoints ``job`` ('' when disabled)."""
-        if not self.checkpoint_dir:
-            return ""
-        from pathlib import Path
-
-        return str(Path(self.checkpoint_dir) / f"{job.job_id}.json")
-
     def _payload(
-        self, job: ProtectionJob, resume: bool, trace_ctx: dict | None = None
+        self, job: ProtectionJob, resume: bool | None, trace_ctx: dict | None = None
     ) -> dict:
         return {
             "job": job.to_dict(),
             "cache_path": self.cache_path,
             "cache_max_entries": self.cache_max_entries,
-            "checkpoint_path": self.checkpoint_path(job),
             "checkpoint_every": self.checkpoint_every,
             "resume": resume,
             "eval_workers": self.eval_workers,
@@ -308,11 +314,14 @@ class JobRunner:
             # Trace context crosses the (possibly process) backend
             # boundary inside the payload; None for untraced jobs.
             "trace": trace_ctx,
-            # The job store, for island-group jobs: a live-object token
-            # for in-process backends plus a reopenable spec fallback.
+            # The job store checkpoints and island exchanges go to: a
+            # live-object token for in-process backends plus a
+            # reopenable spec fallback, and the claim owner saves are
+            # gated on.
             "store_ref": self._store_ref,
             "store_spec": self._store_spec,
             "store_token": self._store_token,
+            "owner": self.owner,
         }
 
     # -- fan-out entry points ----------------------------------------------
@@ -320,14 +329,18 @@ class JobRunner:
     def run(
         self,
         jobs: Sequence[ProtectionJob],
-        resume: bool = False,
+        resume: bool | None = False,
         traces: Sequence[dict | None] | None = None,
     ) -> list[JobResult]:
         """Execute ``jobs`` over the backend; results in submission order.
 
-        With ``resume=True`` every job must have an on-disk checkpoint
-        (see ``checkpoint_dir``), and execution continues from it instead
-        of re-scoring an initial population.  ``traces`` (one trace
+        With ``resume=True`` every job must have a checkpoint in the
+        runner's ``store``, and execution continues from it instead
+        of re-scoring an initial population.  ``resume=None`` (how a
+        worker runs its claims) continues each job whose stored
+        checkpoint is resumable (see
+        :func:`~repro.service.checkpoint.is_resumable`) and starts the
+        others fresh, fetching each blob once.  ``traces`` (one trace
         context or None per job, from the record's ``extras["trace"]``)
         makes the run record spans; they come back in each result's
         ``extras["trace_spans"]`` for the caller to pop and flush.
@@ -344,7 +357,7 @@ class JobRunner:
     def run_settled(
         self,
         jobs: Sequence[ProtectionJob],
-        resume: bool = False,
+        resume: bool | None = False,
         traces: Sequence[dict | None] | None = None,
     ) -> list[JobOutcome]:
         """Execute ``jobs``, settling each one's outcome individually.

@@ -63,13 +63,12 @@ import json
 import time
 from pathlib import Path
 
-from repro.exceptions import ServiceError, StoreUnavailableError, WorkerError
+from repro.exceptions import ServiceError, StoreUnavailableError
 from repro.obs import emit_event, get_registry, trace
 from repro.service.job import JobResult, ProtectionJob
 from repro.service.store import (
     QUEUED,
     JobRecord,
-    _atomic_write_json,
     default_state_dir,
     store_from_spec,
 )
@@ -168,9 +167,8 @@ class ShardedJobStore:
     ``shards`` are already-open child stores; ``names`` (parallel,
     optional) are the stable identities placement hashes against —
     defaulting to each child's ``spec``/URL.  ``root`` is this client's
-    local spool (checkpoint files the runner reads and writes, plus the
-    evaluation cache), defaulting to a per-fleet directory under the
-    state dir.  Open one from its spec with
+    local state directory (the evaluation cache), defaulting to a
+    per-fleet directory under the state dir.  Open one from its spec with
     ``store_from_spec("shard:...")``.
     """
 
@@ -201,18 +199,12 @@ class ShardedJobStore:
             ).hexdigest()[:12]
             root = default_state_dir() / f"shard-{fleet}"
         self.root = Path(root)
-        self.checkpoints_dir = self.root / "checkpoints"
         self.cache_dir = self.root / "cache"
-        for directory in (self.checkpoints_dir, self.cache_dir):
-            directory.mkdir(parents=True, exist_ok=True)
+        self.cache_dir.mkdir(parents=True, exist_ok=True)
         # job_id -> _Shard for jobs whose record we have seen.  Records
         # never move between shards (only migrate_store copies them), so
         # a hit is authoritative; misses fall back to rendezvous probing.
         self._locations: dict[str, _Shard] = {}
-        # Local checkpoint file mtimes as last synced with the owning
-        # shard, so heartbeats only pay an upload when the runner
-        # actually wrote a newer checkpoint.
-        self._synced_mtimes: dict[str, float] = {}
 
     @staticmethod
     def _default_name(store: object, index: int) -> str:
@@ -232,7 +224,7 @@ class ShardedJobStore:
         Child stores open through :func:`store_from_spec` (so every
         child grammar — and every future one — works unchanged);
         ``token`` is shared by any HTTP children.  ``state_dir``
-        becomes this client's spool root.
+        becomes this client's local state root.
         """
         pairs = parse_shard_spec(body)
         stores = [store_from_spec(spec, token=token) for _, spec in pairs]
@@ -485,13 +477,8 @@ class ShardedJobStore:
         claims on its rendezvous home.  Either way every contender
         routes to the same shard, so the child's atomic claim protocol
         keeps the one-winner invariant without any cross-shard locking.
-        Winning pulls the shard's checkpoint blob into the local spool.
         """
-        shard = self._shard_for(job_id)
-        won = shard.store.claim(job_id, owner=owner)
-        if won:
-            self._pull_checkpoint(job_id, shard)
-        return won
+        return self._shard_for(job_id).store.claim(job_id, owner=owner)
 
     def claim_batch(self, owner: str = "", limit: int = 0) -> list[JobRecord]:
         """Win up to ``limit`` claims fleet-wide, oldest submission first.
@@ -528,8 +515,10 @@ class ShardedJobStore:
             for shard, job_id in held:
                 try:
                     shard.store.release(job_id, owner=owner)
-                except Exception:  # noqa: BLE001 - stale recovery backstops
-                    pass
+                except Exception as error:  # noqa: BLE001 - stale recovery backstops
+                    # The claim now clears only via stale recovery; say so.
+                    emit_event("release_error", job_id=job_id, owner=owner,
+                               shard=shard.name, error=repr(error))
             raise
         return won
 
@@ -550,7 +539,6 @@ class ShardedJobStore:
             shard.store.release(job_id, owner=owner)
             return None
         self._locations[job_id] = shard
-        self._pull_checkpoint(job_id, shard)
         return current
 
     def steal_batch(self, owner: str = "", limit: int = 0) -> list[JobRecord]:
@@ -613,30 +601,15 @@ class ShardedJobStore:
         self._mark_success(shard)
         for record in batch:
             self._locations[record.job_id] = shard
-            self._pull_checkpoint(record.job_id, shard)
         return batch
 
     def release(self, job_id: str, owner: str | None = None) -> bool:
-        """Drop ``job_id``'s claim on its shard (owner-checked when given).
-
-        An owner release first pushes the final local checkpoint to the
-        shard — the last chance before another worker takes over.
-        """
-        shard = self._shard_for(job_id)
-        if owner is not None:
-            self._push_checkpoint_if_changed(job_id, shard, owner=owner)
-        return shard.store.release(job_id, owner=owner)
+        """Drop ``job_id``'s claim on its shard (owner-checked when given)."""
+        return self._shard_for(job_id).store.release(job_id, owner=owner)
 
     def heartbeat(self, job_id: str, owner: str = "") -> bool:
-        """Refresh claim liveness on the owning shard; a beat that lands
-        also syncs a changed local checkpoint up, exactly like the
-        sqlite and remote stores do."""
-        shard = self._shard_for(job_id)
-        alive = shard.store.heartbeat(job_id, owner=owner)
-        if alive:
-            self._push_checkpoint_if_changed(job_id, shard,
-                                             owner=owner or None)
-        return alive
+        """Refresh claim liveness on the owning shard."""
+        return self._shard_for(job_id).store.heartbeat(job_id, owner=owner)
 
     def claim_info(self, job_id: str) -> dict | None:
         """The claim payload from the owning shard, or ``None``."""
@@ -717,71 +690,15 @@ class ShardedJobStore:
         return blob_id
 
     def get_checkpoint(self, job_id: str) -> dict | None:
-        """The durable checkpoint blob — owning shard first, local spool
-        fallback for purely local runs that never claimed."""
+        """The durable checkpoint blob from the owning shard."""
         shard = self._shard_for(self._blob_placement_id(job_id))
-        payload = shard.store.get_checkpoint(job_id)
-        if payload is not None:
-            return payload
-        try:
-            payload = json.loads(
-                self._local_checkpoint(job_id).read_text(encoding="utf-8")
-            )
-        except (FileNotFoundError, json.JSONDecodeError):
-            return None
-        return payload if isinstance(payload, dict) else None
+        return shard.store.get_checkpoint(job_id)
 
     def put_checkpoint(self, job_id: str, payload: dict,
                        owner: str | None = None) -> None:
-        """Store the blob on the owning shard (claim-gated with
-        ``owner``) and mirror it to the local runner-facing file."""
+        """Store the blob on the owning shard (claim-gated with ``owner``)."""
         shard = self._shard_for(self._blob_placement_id(job_id))
         shard.store.put_checkpoint(job_id, payload, owner=owner)
-        path = self._local_checkpoint(job_id)
-        _atomic_write_json(path, payload)
-        self._synced_mtimes[job_id] = path.stat().st_mtime
-
-    def _local_checkpoint(self, job_id: str) -> Path:
-        return self.checkpoints_dir / f"{job_id}.json"
-
-    def _pull_checkpoint(self, job_id: str, shard: _Shard) -> None:
-        """Shard blob -> local spool, so the runner resumes fleet state."""
-        try:
-            payload = shard.store.get_checkpoint(job_id)
-        except StoreUnavailableError as error:
-            self._mark_failure(shard, error)
-            return
-        if not isinstance(payload, dict):
-            return
-        path = self._local_checkpoint(job_id)
-        _atomic_write_json(path, payload)
-        self._synced_mtimes[job_id] = path.stat().st_mtime
-
-    def _push_checkpoint_if_changed(self, job_id: str, shard: _Shard,
-                                    owner: str | None = None) -> None:
-        """Local spool -> shard, only when the runner wrote a newer file.
-
-        A lost claim (owner gate refuses) is silently accepted — the
-        new owner's fresher state wins, like every other backend.
-        """
-        path = self._local_checkpoint(job_id)
-        try:
-            mtime = path.stat().st_mtime
-        except FileNotFoundError:
-            return
-        if self._synced_mtimes.get(job_id) == mtime:
-            return
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return  # mid-write or gone; the next beat retries
-        if not isinstance(payload, dict):
-            return
-        try:
-            shard.store.put_checkpoint(job_id, payload, owner=owner)
-        except WorkerError:
-            return  # claim recovered from us; the new owner's state wins
-        self._synced_mtimes[job_id] = mtime
 
     # -- lifecycle -----------------------------------------------------------
 

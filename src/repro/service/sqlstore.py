@@ -17,13 +17,13 @@ bare directory spec and ``sqlite:PATH`` all open it.  It implements the
   one transaction, so a worker's queue pull is a single indexed query
   however long the job table grows.
 
-Checkpoint blobs get the same durability treatment the network store
-gives them: the ``checkpoints`` table owns the fleet's copy, while the
-runner keeps writing plain files under ``checkpoints_dir`` (no engine
-layer changes).  Winning a claim copies the table blob into the local
-file (resume from the fleet's latest state); every successful heartbeat
-or owner release syncs a changed file back into the table — so the
-database file is the one artifact an operator backs up or migrates.
+Checkpoint blobs live in the ``checkpoints`` table and nowhere else:
+the runner saves each one straight into it (owner-gated on the claim),
+so a save is durable when it returns and the database file is the one
+artifact an operator backs up or migrates.  The only file a checkpoint
+is ever read from is ``checkpoints/<job_id>.json`` next to the database,
+the runner-written copy of state directories from before the table held
+every save, so such a directory still resumes.
 
 WAL caveat: SQLite's WAL mode requires shared memory between writers,
 which network filesystems (NFS, SMB) do not reliably provide.  Put the
@@ -50,7 +50,6 @@ from repro.service.store import (
     RUNNING,
     STATUSES,
     JobRecord,
-    _atomic_write_json,
     default_state_dir,
 )
 
@@ -93,9 +92,9 @@ class SqliteJobStore:
     """The :data:`~repro.service.store.STORE_PROTOCOL` on one SQLite file.
 
     ``path`` is the database file; its parent directory becomes the
-    store root, holding the ``checkpoints/`` spool the runner writes to
-    and the ``cache/`` directory for the shared evaluation cache —
-    the same worker-facing locations every store exposes, so
+    store root, holding the ``cache/`` directory for the shared
+    evaluation cache — the same worker-facing location every store
+    exposes, so
     :class:`~repro.service.worker.Worker`, the runner and the CLI run
     unchanged.  A single connection serves all threads (handler threads
     of a fronting :class:`~repro.service.netstore.JobStoreServer`
@@ -108,13 +107,8 @@ class SqliteJobStore:
     def __init__(self, path: str | Path | None = None) -> None:
         self.path = Path(path) if path is not None else default_db_path()
         self.root = self.path.parent
-        self.checkpoints_dir = self.root / "checkpoints"
         self.cache_dir = self.root / "cache"
-        for directory in (self.checkpoints_dir, self.cache_dir):
-            directory.mkdir(parents=True, exist_ok=True)
-        # mtime of each checkpoint file as last synced with the table,
-        # so heartbeats only pay a write when the file actually changed.
-        self._synced_mtimes: dict[str, float] = {}
+        self.cache_dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         # isolation_level=None: autocommit, with explicit BEGIN
         # IMMEDIATE transactions where multi-statement atomicity (and
@@ -144,8 +138,8 @@ class SqliteJobStore:
         return self.cache_dir / "evaluations.sqlite"
 
     def checkpoint_path(self, job_id: str) -> Path:
-        """The runner-facing checkpoint file (local mirror of the table)."""
-        return self.checkpoints_dir / f"{job_id}.json"
+        """The legacy checkpoint file :meth:`get_checkpoint` falls back to."""
+        return self.root / "checkpoints" / f"{job_id}.json"
 
     # -- transactions --------------------------------------------------------
 
@@ -345,9 +339,7 @@ class SqliteJobStore:
         back to "unclaimed", never to a half-claim.  Same-owner
         re-claims are idempotent for named owners (a retried network
         claim whose first response was lost); anonymous claims stay
-        strictly exclusive.  Winning pulls the fleet's checkpoint blob
-        into the local file spool so a resumed job continues from the
-        latest saved state.
+        strictly exclusive.
         """
         now = time.time()
         with self._lock, self._tx():
@@ -363,8 +355,6 @@ class SqliteJobStore:
                     (job_id, owner, os.getpid(), now, now),
                 )
                 won = True
-        if won:
-            self._pull_checkpoint(job_id)
         return won
 
     def claim_batch(self, owner: str = "", limit: int = 0) -> list[JobRecord]:
@@ -393,21 +383,13 @@ class SqliteJobStore:
                     "VALUES (?, ?, ?, ?, ?)",
                     (job_id, owner, os.getpid(), now, now),
                 )
-        records = [JobRecord.from_dict(json.loads(payload)) for _, payload in rows]
-        for record in records:
-            self._pull_checkpoint(record.job_id)
-        return records
+        return [JobRecord.from_dict(json.loads(payload)) for _, payload in rows]
 
     def release(self, job_id: str, owner: str | None = None) -> bool:
         """Drop ``job_id``'s claim; owner-checked when ``owner`` is given.
 
-        An owner releasing its own claim first syncs its final
-        checkpoint file into the table — the last chance before another
-        worker may take the job over.  A torn claim (owner unreadable)
-        never matches an owner check.
+        A torn claim (owner unreadable) never matches an owner check.
         """
-        if owner is not None:
-            self._push_checkpoint_if_changed(job_id, owner=owner)
         with self._lock, self._tx():
             if owner is None:
                 cursor = self._conn.execute(
@@ -422,14 +404,12 @@ class SqliteJobStore:
             return cursor.rowcount > 0
 
     def heartbeat(self, job_id: str, owner: str = "") -> bool:
-        """Refresh claim liveness; piggybacks checkpoint table sync.
+        """Refresh claim liveness: one UPDATE.
 
-        One UPDATE carries the whole owner-check contract: a torn claim
+        The UPDATE carries the whole owner-check contract: a torn claim
         (NULL owner) refuses every beat, an anonymous claim accepts any
         beater, and a named claim accepts its owner (or an ownerless
-        beat).  A beat that lands also syncs a changed checkpoint file
-        into the table, so the database trails a live worker's progress
-        by at most one heartbeat interval.
+        beat).
         """
         with self._lock, self._tx():
             cursor = self._conn.execute(
@@ -437,10 +417,7 @@ class SqliteJobStore:
                 "AND owner IS NOT NULL AND (? = '' OR owner = '' OR owner = ?)",
                 (time.time(), job_id, owner, owner),
             )
-            alive = cursor.rowcount > 0
-        if alive:
-            self._push_checkpoint_if_changed(job_id, owner=owner or None)
-        return alive
+            return cursor.rowcount > 0
 
     def claim_info(self, job_id: str) -> dict | None:
         """The claim payload (owner, pid, claimed_at, last_seen), or ``None``."""
@@ -543,11 +520,11 @@ class SqliteJobStore:
     # -- checkpoints ---------------------------------------------------------
 
     def get_checkpoint(self, job_id: str) -> dict | None:
-        """The durable checkpoint blob — table first, file fallback.
+        """The durable checkpoint blob — table first, legacy file fallback.
 
-        The table is the fleet's copy; the file fallback covers jobs
-        checkpointed by a purely local runner before any claim/release
-        cycle synced them in.
+        The table holds every save; the :meth:`checkpoint_path` fallback
+        covers state directories whose runner wrote files the table
+        never received.
         """
         with self._lock:
             row = self._conn.execute(
@@ -570,8 +547,7 @@ class SqliteJobStore:
 
     def put_checkpoint(self, job_id: str, payload: dict,
                        owner: str | None = None) -> None:
-        """Store a checkpoint blob in the table (claim-gated with ``owner``)
-        and mirror it to the runner-facing file."""
+        """Store a checkpoint blob in the table (claim-gated with ``owner``)."""
         if not isinstance(payload, dict):
             raise ServiceError("checkpoint payload must be a JSON object")
         with self._lock, self._tx():
@@ -589,64 +565,6 @@ class SqliteJobStore:
                 "VALUES (?, ?, ?)",
                 (job_id, json.dumps(payload), time.time()),
             )
-        path = self.checkpoint_path(job_id)
-        _atomic_write_json(path, payload)
-        self._synced_mtimes[job_id] = path.stat().st_mtime
-
-    def _pull_checkpoint(self, job_id: str) -> None:
-        """Table blob -> local file, so the runner resumes fleet state."""
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT payload FROM checkpoints WHERE job_id = ?", (job_id,)
-            ).fetchone()
-        if row is None:
-            return
-        try:
-            payload = json.loads(row[0])
-        except json.JSONDecodeError:
-            return
-        if not isinstance(payload, dict):
-            return
-        path = self.checkpoint_path(job_id)
-        _atomic_write_json(path, payload)
-        self._synced_mtimes[job_id] = path.stat().st_mtime
-
-    def _push_checkpoint_if_changed(self, job_id: str,
-                                    owner: str | None = None) -> None:
-        """Local file -> table, only when the file changed since last sync.
-
-        Table-only on purpose: the file is the runner's working copy and
-        must not be rewritten here — an atomic-rename race could replace
-        a checkpoint the runner wrote *after* this read with the older
-        payload.  The owner gate refuses silently (the new owner's
-        state wins), like the remote client's upload does.
-        """
-        path = self.checkpoint_path(job_id)
-        try:
-            mtime = path.stat().st_mtime
-        except FileNotFoundError:
-            return
-        if self._synced_mtimes.get(job_id) == mtime:
-            return
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return  # mid-write or gone; the next beat will retry
-        if not isinstance(payload, dict):
-            return
-        with self._lock, self._tx():
-            if owner is not None:
-                row = self._conn.execute(
-                    "SELECT owner FROM claims WHERE job_id = ?", (job_id,)
-                ).fetchone()
-                if row is None or row[0] != owner:
-                    return
-            self._conn.execute(
-                "INSERT OR REPLACE INTO checkpoints (job_id, payload, updated_at) "
-                "VALUES (?, ?, ?)",
-                (job_id, json.dumps(payload), time.time()),
-            )
-        self._synced_mtimes[job_id] = mtime
 
     # -- lifecycle -----------------------------------------------------------
 

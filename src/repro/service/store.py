@@ -1,8 +1,8 @@
 """The job-store vocabulary every backend shares.
 
 Job state lives in a :class:`~repro.service.sqlstore.SqliteJobStore`
-(one database; its directory also holds the runners' ``checkpoints/``
-spool and the shared ``cache/evaluations.sqlite``), is served to other
+(one database, which also holds every checkpoint; its directory holds
+the shared ``cache/evaluations.sqlite``), is served to other
 machines by :class:`~repro.service.netstore.JobStoreServer` and
 :class:`~repro.service.netstore.RemoteJobStore`, and is split across
 children by :class:`~repro.service.shardstore.ShardedJobStore`.  This
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -75,29 +74,6 @@ def default_state_dir() -> Path:
     """The service state directory: ``$REPRO_HOME`` or ``~/.repro``."""
     env = os.environ.get("REPRO_HOME", "")
     return Path(env) if env else Path.home() / ".repro"
-
-
-def _atomic_write_json(path: Path, payload: dict, indent: int | None = None) -> None:
-    """Write JSON via a uniquely-named temp file + atomic rename.
-
-    The temp name must be unique per writer: the network server saves
-    records from concurrent handler threads, and a shared ``.tmp`` path
-    would let two writers interleave into one file before the rename
-    installs it.  (Readers glob ``*.json``, which never matches the
-    ``.tmp`` suffix.)
-    """
-    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp",
-                               dir=path.parent)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=indent)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except FileNotFoundError:
-            pass
-        raise
 
 
 @dataclass
@@ -163,12 +139,12 @@ def store_from_spec(spec: str = "", *, token: str = "",
       the default state directory);
     - ``http://...`` / ``https://...`` — a
       :class:`~repro.service.netstore.RemoteJobStore` client of a
-      ``repro serve`` endpoint, authenticated with ``token`` and
-      spooling under ``state_dir``;
+      ``repro serve`` endpoint, authenticated with ``token``, its
+      worker-local evaluation cache under ``state_dir``;
     - ``shard:CHILD[,CHILD...]`` or ``shard:@MANIFEST.json`` — a
       :class:`~repro.service.shardstore.ShardedJobStore` composing the
       child specs (any mix of the grammars above; ``token`` is shared
-      by HTTP children, ``state_dir`` is the local checkpoint spool).
+      by HTTP children, ``state_dir`` holds the local evaluation cache).
 
     ``file:DIR`` names the retired directory backend and raises with
     the ``repro migrate`` command that imports it (see

@@ -34,7 +34,6 @@ never recovered, no matter how long its job runs.
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 import threading
@@ -44,7 +43,6 @@ import uuid
 from repro.exceptions import WorkerError
 from repro.obs import emit_event, get_registry, trace
 from repro.service.backends import create_backend
-from repro.service.checkpoint import is_resumable
 from repro.service.runner import JobOutcome, JobRunner
 from repro.service.sqlstore import SqliteJobStore
 from repro.service.store import QUEUED, JobRecord
@@ -297,23 +295,14 @@ class Worker:
             max_workers=self.max_workers,
             cache_path=str(self.store.cache_path) if self.use_cache else None,
             cache_max_entries=self.cache_max_entries,
-            checkpoint_dir=str(self.store.checkpoints_dir),
             checkpoint_every=int(record.extras.get("checkpoint_every", 0)),
             eval_workers=self.eval_workers,
             eval_backend=self.eval_backend,
-            # Island-group jobs exchange migrants and durable segment
-            # checkpoints through this worker's store.
+            # Checkpoints (and island exchanges) go straight to this
+            # worker's store, gated on its claims.
             store=self.store,
+            owner=self.worker_id,
         )
-
-    def _resumable(self, record: JobRecord) -> bool:
-        """A valid checkpoint for exactly this job exists on disk."""
-        path = self.store.checkpoints_dir / f"{record.job_id}.json"
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (FileNotFoundError, json.JSONDecodeError):
-            return False
-        return is_resumable(payload, record.job.fingerprint())
 
     def _claim_batch(
         self, limit: int, candidates: list[JobRecord] | None = None
@@ -351,9 +340,9 @@ class Worker:
     def _run_claimed(self, records: list[JobRecord]) -> list[JobOutcome]:
         """Execute records this worker owns; marks, heartbeats, releases.
 
-        Records are grouped by checkpoint cadence and resumability so
-        each group shares one runner call over the configured backend;
-        a job left behind by an interrupted worker continues from its
+        Records are grouped by checkpoint cadence so each group shares
+        one runner call over the configured backend; a job left behind
+        by an interrupted worker continues from its
         (fingerprint-validated) checkpoint instead of restarting.  All
         claims beat from one background thread for the whole batch and
         are released in the ``finally``, whatever happens mid-run.
@@ -364,12 +353,11 @@ class Worker:
         ).start()
         outcomes: dict[str, JobOutcome] = {}
         try:
-            groups: dict[tuple[int, bool], list[JobRecord]] = {}
+            groups: dict[int, list[JobRecord]] = {}
             for record in records:
-                key = (int(record.extras.get("checkpoint_every", 0)),
-                       self._resumable(record))
-                groups.setdefault(key, []).append(record)
-            for (_, resume), group in groups.items():
+                every = int(record.extras.get("checkpoint_every", 0))
+                groups.setdefault(every, []).append(record)
+            for group in groups.values():
                 # Build the runner before mark_running: a construction
                 # error must leave these records queued, not stranded.
                 runner = self._runner_for(group[0])
@@ -377,7 +365,9 @@ class Worker:
                     self.store.mark_running(record)
                 settled = runner.run_settled(
                     [record.job for record in group],
-                    resume=resume,
+                    # Each job resumes iff the store holds a resumable
+                    # checkpoint for it, read once by the job itself.
+                    resume=None,
                     traces=[
                         trace.trace_context_from_extras(record.extras)
                         for record in group

@@ -85,7 +85,7 @@ class TestInstrumentedStore:
         raw = SqliteJobStore(tmp_path / "state" / "jobs.sqlite")
         store = instrument_store(raw)
         assert store.cache_path == raw.cache_path
-        assert store.checkpoints_dir == raw.checkpoints_dir
+        assert store.root == raw.root
         assert store.wrapped is raw
 
     def test_errors_counted_and_propagated(self, tmp_path):
@@ -370,12 +370,13 @@ class TestCheckpointTelemetry:
     def test_manager_saves_counted_in_seconds_and_bytes(self, tmp_path, checkpoint):
         from repro.service import CheckpointManager
 
-        manager = CheckpointManager(tmp_path / "ck.json")
+        store = SqliteJobStore(tmp_path / "state" / "jobs.sqlite")
+        manager = CheckpointManager(store, "job")
         manager.save(checkpoint)
         manager.save(checkpoint)
         assert histogram_count("repro_checkpoint_seconds") == 2
         assert counter_value("repro_checkpoint_bytes_total") == (
-            2 * manager.path.stat().st_size
+            2 * len(json.dumps(store.get_checkpoint("job")))
         )
 
     def test_island_saves_counted_in_seconds_and_bytes(self, tmp_path, checkpoint):
@@ -393,6 +394,7 @@ class TestCheckpointTelemetry:
         from repro.service import CheckpointManager
 
         obs.disable()
-        CheckpointManager(tmp_path / "ck.json").save(checkpoint)
+        store = SqliteJobStore(tmp_path / "state" / "jobs.sqlite")
+        CheckpointManager(store, "job").save(checkpoint)
         assert histogram_count("repro_checkpoint_seconds") == 0
         assert counter_value("repro_checkpoint_bytes_total") == 0

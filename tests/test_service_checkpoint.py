@@ -77,6 +77,12 @@ def _v1_payload(checkpoint: EngineCheckpoint, fingerprint: str = "") -> dict:
     }
 
 
+def _manager(tmp_path, fingerprint: str = "", job_id: str = "job") -> CheckpointManager:
+    """A manager over the checkpoint blob ``job_id`` of a fresh sqlite store."""
+    return CheckpointManager(SqliteJobStore(tmp_path / "jobs.sqlite"), job_id,
+                             fingerprint=fingerprint)
+
+
 def _capture(evaluator, protections, stopping=INTERRUPT_AT, every=CHECKPOINT_EVERY):
     checkpoints: list[EngineCheckpoint] = []
     EvolutionaryProtector(evaluator, seed=5).run(
@@ -113,10 +119,8 @@ class TestCheckpointResumeEquivalence:
         assert len(interrupted.history) == INTERRUPT_AT
         assert checkpoints[-1].generation == INTERRUPT_AT
 
-        # Round-trip the final checkpoint through disk, like a real crash.
-        manager = CheckpointManager(
-            tmp_path / "run.json", fingerprint=evaluator.config_fingerprint()
-        )
+        # Round-trip the final checkpoint through a job store, like a real crash.
+        manager = _manager(tmp_path, fingerprint=evaluator.config_fingerprint())
         manager.save(checkpoints[-1])
         restored = manager.load(tiny_dataset)
 
@@ -131,17 +135,21 @@ class TestCheckpointResumeEquivalence:
     def test_resume_after_warm_v2_saves(self, evaluator, protections, tiny_dataset, tmp_path):
         # Every checkpoint goes through one manager, so later saves are
         # served from its memo; the last one must still resume exactly.
-        manager = CheckpointManager(tmp_path / "run.json")
+        manager = _manager(tmp_path)
         for checkpoint in _capture(evaluator, protections, every=2):
-            manager.save(checkpoint)
-        payload = json.loads(manager.path.read_text(encoding="utf-8"))
+            assert manager.save(checkpoint)
+        payload = manager.store.get_checkpoint(manager.job_id)
         assert payload["version"] == FORMAT_VERSION == 2
         _resume_matches_straight(evaluator, protections, manager.load(tiny_dataset))
 
     def test_resume_from_v1_file(self, evaluator, protections, tiny_dataset, tmp_path):
-        path = tmp_path / "old.json"
+        # A state dir from before the store held every save: only the
+        # runner's file exists, and the store reads it as a fallback.
+        manager = _manager(tmp_path)
+        path = manager.store.checkpoint_path(manager.job_id)
+        path.parent.mkdir()
         path.write_text(json.dumps(_v1_payload(_capture(evaluator, protections)[-1])))
-        restored = CheckpointManager(path).load(tiny_dataset)
+        restored = manager.load(tiny_dataset)
         _resume_matches_straight(evaluator, protections, restored)
 
     def test_checkpoint_cadence(self, evaluator, protections):
@@ -196,26 +204,25 @@ class TestCheckpointSerde:
 
     def test_fingerprint_mismatch_refused(self, evaluator, protections, tiny_dataset, tmp_path):
         checkpoint = self._checkpoint(evaluator, protections)
-        CheckpointManager(tmp_path / "ck.json", fingerprint="config-a").save(checkpoint)
+        _manager(tmp_path, fingerprint="config-a").save(checkpoint)
         with pytest.raises(ServiceError, match="different evaluator configuration"):
-            CheckpointManager(tmp_path / "ck.json", fingerprint="config-b").load(tiny_dataset)
+            _manager(tmp_path, fingerprint="config-b").load(tiny_dataset)
 
     def test_unknown_version_refused(self, tiny_dataset):
         with pytest.raises(ServiceError, match="version"):
             checkpoint_from_dict({"version": 99}, tiny_dataset)
 
     def test_missing_file_refused(self, tiny_dataset, tmp_path):
-        manager = CheckpointManager(tmp_path / "absent.json")
-        assert not manager.exists()
+        manager = _manager(tmp_path, job_id="absent")
+        assert manager.store.get_checkpoint("absent") is None
         with pytest.raises(ServiceError, match="no checkpoint"):
             manager.load(tiny_dataset)
 
-    def test_delete(self, evaluator, protections, tmp_path):
-        manager = CheckpointManager(tmp_path / "ck.json")
-        manager.save(self._checkpoint(evaluator, protections))
-        assert manager.exists()
-        manager.delete()
-        assert not manager.exists()
+    def test_saves_write_no_file(self, evaluator, protections, tmp_path):
+        manager = _manager(tmp_path)
+        assert manager.save(self._checkpoint(evaluator, protections))
+        assert manager.store.get_checkpoint(manager.job_id) is not None
+        assert not (tmp_path / "checkpoints").exists()
 
 
 def _scored(dataset: CategoricalDataset, value: float) -> Individual:
@@ -289,7 +296,7 @@ class TestFormatV2:
     def test_unchanged_save_compresses_nothing(self, evaluator, protections,
                                                tmp_path, compressions):
         checkpoint = self._checkpoint(evaluator, protections)
-        manager = CheckpointManager(tmp_path / "ck.json")
+        manager = _manager(tmp_path)
         manager.save(checkpoint)
         assert len(compressions) == len(checkpoint_to_dict(checkpoint)["codes"])
         compressions.clear()
@@ -316,9 +323,9 @@ class TestFormatV2:
 
     def test_load_seeds_the_memo(self, evaluator, protections, tiny_dataset,
                                  tmp_path, compressions):
-        CheckpointManager(tmp_path / "ck.json").save(self._checkpoint(evaluator, protections))
+        _manager(tmp_path).save(self._checkpoint(evaluator, protections))
         compressions.clear()
-        resumed = CheckpointManager(tmp_path / "ck.json")
+        resumed = _manager(tmp_path)
         resumed.save(resumed.load(tiny_dataset))
         assert compressions == []
 
@@ -367,9 +374,9 @@ class TestResumability:
         assert midway[0].generation == 2
         store = SqliteJobStore(tmp_path / "jobs.sqlite")
         store.submit(job)
-        (store.checkpoints_dir / f"{job.job_id}.json").write_text(
-            json.dumps(_v1_payload(midway[0], job.fingerprint()))
-        )
+        legacy = store.checkpoint_path(job.job_id)
+        legacy.parent.mkdir()
+        legacy.write_text(json.dumps(_v1_payload(midway[0], job.fingerprint())))
         assert main(["worker", "--once", "--state-dir", str(tmp_path)]) == 0
         result = store.get(job.job_id).result
         assert result.final_scores == tuple(

@@ -38,7 +38,8 @@ class TestSubmit:
 
     def test_checkpoint_written(self, state_dir, submitted):
         store = SqliteJobStore(Path(state_dir) / "jobs.sqlite")
-        assert (store.checkpoints_dir / f"{submitted}.json").exists()
+        assert store.get_checkpoint(submitted)["generation"] == 3
+        assert not (Path(state_dir) / "checkpoints").exists()
 
     def test_cache_populated(self, state_dir, submitted):
         assert SqliteJobStore(Path(state_dir) / "jobs.sqlite").cache_path.exists()

@@ -6,7 +6,7 @@ import pytest
 
 from repro.exceptions import ServiceError
 from repro.experiments.runner import ExperimentConfig
-from repro.service import JobResult, ProtectionJob
+from repro.service import JobRecord, JobResult, ProtectionJob
 
 
 class TestProtectionJob:
@@ -79,3 +79,16 @@ class TestJobResult:
         back = JobResult.from_dict(json.loads(json.dumps(result.to_dict())))
         assert back.final_scores == result.final_scores
         assert back.best_score == result.best_score
+
+    def test_old_record_naming_a_checkpoint_file_still_loads(self):
+        # Records written before checkpoints lived only in the store
+        # carry the path of a file on the machine that ran the job.
+        result = self._result()
+        old = dict(result.to_dict(),
+                   checkpoint_path="/home/w/.repro/checkpoints/adult-s1-abc.json")
+        back = JobResult.from_dict(old)
+        assert back == result
+        assert "checkpoint_path" not in back.to_dict()
+        record = JobRecord.from_dict({"job": ProtectionJob(dataset="adult").to_dict(),
+                                      "status": "completed", "result": old})
+        assert record.result == result

@@ -3,15 +3,16 @@
 The store *semantics* shared with the local sqlite store live in
 ``tests/test_store_contract.py``; this module covers what only the
 network layer adds — token auth, retry/backoff into
-``StoreUnavailableError``, the checkpoint spool, protocol hygiene — and
-the acceptance end-to-end: two remote workers over real HTTP partition a
-queue with zero double-executions and results byte-identical to a serial
-run.
+``StoreUnavailableError``, checkpoints that bypass the client spool,
+protocol hygiene — and the acceptance end-to-end: two remote workers
+over real HTTP partition a queue with zero double-executions and results
+byte-identical to a serial run.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -19,7 +20,7 @@ import urllib.request
 
 import pytest
 
-from repro.exceptions import ServiceError, StoreUnavailableError
+from repro.exceptions import ServiceError, StoreUnavailableError, WorkerError
 from repro.service import (
     JobRecord,
     JobRunner,
@@ -124,76 +125,100 @@ class TestTransport:
 
 
 class TestCheckpointSpool:
+    """Checkpoints bypass the client's spool: each save and load is one
+    RPC against the server's copy, and nothing else moves them."""
+
     def _checkpoint(self, version=1, fingerprint="fp", generation=3):
         return {"version": version, "fingerprint": fingerprint,
                 "generation": generation}
-
-    def test_winning_a_claim_downloads_server_checkpoint(self, server, backing, tmp_path):
-        (backing.checkpoints_dir / "job-1.json").write_text(
-            json.dumps(self._checkpoint(generation=5)), encoding="utf-8"
-        )
-        client = _client(server, tmp_path)
-        assert client.claim("job-1", owner="w")
-        local = client.checkpoints_dir / "job-1.json"
-        assert json.loads(local.read_text(encoding="utf-8"))["generation"] == 5
-
-    def test_losing_a_claim_downloads_nothing(self, server, backing, tmp_path):
-        (backing.checkpoints_dir / "job-1.json").write_text(
-            json.dumps(self._checkpoint()), encoding="utf-8"
-        )
-        backing.claim("job-1", owner="other")
-        client = _client(server, tmp_path)
-        assert not client.claim("job-1", owner="w")
-        assert not (client.checkpoints_dir / "job-1.json").exists()
-
-    def test_heartbeat_uploads_changed_checkpoint(self, server, backing, tmp_path):
-        client = _client(server, tmp_path)
-        assert client.claim("job-1", owner="w")
-        (client.checkpoints_dir / "job-1.json").write_text(
-            json.dumps(self._checkpoint(generation=9)), encoding="utf-8"
-        )
-        assert client.heartbeat("job-1", owner="w")
-        remote = backing.checkpoints_dir / "job-1.json"
-        assert json.loads(remote.read_text(encoding="utf-8"))["generation"] == 9
-
-    def test_release_uploads_final_checkpoint(self, server, backing, tmp_path):
-        client = _client(server, tmp_path)
-        assert client.claim("job-1", owner="w")
-        (client.checkpoints_dir / "job-1.json").write_text(
-            json.dumps(self._checkpoint(generation=11)), encoding="utf-8"
-        )
-        assert client.release("job-1", owner="w")
-        remote = backing.checkpoints_dir / "job-1.json"
-        assert json.loads(remote.read_text(encoding="utf-8"))["generation"] == 11
 
     def test_lost_owner_cannot_clobber_new_owners_checkpoint(
         self, server, backing, tmp_path
     ):
         # Worker A's claim is recovered and re-granted to B; A's late
-        # release must not overwrite the checkpoint B has uploaded.
+        # save must not overwrite the checkpoint B has saved.
         client_a = _client(server, tmp_path, name="spool-a")
         assert client_a.claim("job-1", owner="worker-a")
-        (client_a.checkpoints_dir / "job-1.json").write_text(
-            json.dumps(self._checkpoint(generation=3)), encoding="utf-8"
-        )
+        client_a.put_checkpoint("job-1", self._checkpoint(generation=3),
+                                owner="worker-a")
         backing.release("job-1")  # stale recovery
         backing.claim("job-1", owner="worker-b")
-        (backing.checkpoints_dir / "job-1.json").write_text(
-            json.dumps(self._checkpoint(generation=8)), encoding="utf-8"
-        )
+        backing.put_checkpoint("job-1", self._checkpoint(generation=8),
+                               owner="worker-b")
+        with pytest.raises(WorkerError):
+            client_a.put_checkpoint("job-1", self._checkpoint(generation=5),
+                                    owner="worker-a")
         assert client_a.release("job-1", owner="worker-a") is False
-        remote = backing.checkpoints_dir / "job-1.json"
-        assert json.loads(remote.read_text(encoding="utf-8"))["generation"] == 8
+        assert backing.get_checkpoint("job-1")["generation"] == 8
 
     def test_unchanged_checkpoint_not_reuploaded(self, server, backing, tmp_path):
-        (backing.checkpoints_dir / "job-1.json").write_text(
-            json.dumps(self._checkpoint()), encoding="utf-8"
-        )
+        backing.put_checkpoint("job-1", self._checkpoint())
+
+        def updated_at():
+            with backing._lock:
+                return backing._conn.execute(
+                    "SELECT updated_at FROM checkpoints WHERE job_id = 'job-1'"
+                ).fetchone()[0]
+
         client = _client(server, tmp_path)
         assert client.claim("job-1", owner="w")
-        server_mtime = (backing.checkpoints_dir / "job-1.json").stat().st_mtime
+        before = updated_at()
         assert client.heartbeat("job-1", owner="w")
-        assert (backing.checkpoints_dir / "job-1.json").stat().st_mtime == server_mtime
+        assert client.release("job-1", owner="w")
+        assert updated_at() == before
+        assert client.get_checkpoint("job-1") == self._checkpoint()
+        assert not (client.root / "checkpoints").exists()
+
+
+class TestSavesWhileTheServerIsDown:
+    """A save runs on the GA's own thread, so an unreachable server must
+    cost it one attempt at most — never the retry policy's backoff."""
+
+    JOB = ProtectionJob(dataset="adult", generations=4, seed=3)
+
+    def test_refused_saves_are_dropped_without_stalling_the_run(
+        self, backing, tmp_path
+    ):
+        server = JobStoreServer(backing, token=TOKEN).start()
+        url = server.url
+        server.stop()
+        # The CLI's client defaults: 4 attempts, 0.2 + 0.4 + 0.8 s backoff.
+        client = RemoteJobStore(url, token=TOKEN, spool=tmp_path / "s")
+        calls = []
+        original = client._call
+
+        def timed(method, **params):
+            started = time.monotonic()
+            try:
+                return original(method, **params)
+            finally:
+                calls.append((method, time.monotonic() - started))
+
+        client._call = timed
+        (result,) = JobRunner(checkpoint_every=1, store=client,
+                              owner="w1").run([self.JOB])
+        (straight,) = JobRunner().run([self.JOB])
+        assert result.final_scores == straight.final_scores
+        assert [method for method, _ in calls] == (
+            ["put_checkpoint"] * self.JOB.generations)
+        assert max(seconds for _, seconds in calls) < 0.2
+
+    def test_a_hung_server_costs_a_save_one_timeout(self, tmp_path):
+        # Accepts connections (the kernel's backlog does) but never answers.
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(8)
+            host, port = listener.getsockname()
+            client = RemoteJobStore(f"http://{host}:{port}", spool=tmp_path / "s",
+                                    timeout=0.3, retries=3, backoff=0.2)
+            started = time.monotonic()
+            with pytest.raises(StoreUnavailableError, match="after 1 attempt"):
+                client.put_checkpoint("job-1", {"generation": 1}, owner="w1")
+            # With retries: 4 timeouts + 1.4 s of backoff, about 2.6 s.
+            assert time.monotonic() - started < 0.9
+            # Ownerless blobs (migrant buffers, traces) still retry.
+            with pytest.raises(StoreUnavailableError, match="after 4 attempt"):
+                client.put_checkpoint("job-1.migrants", {"rounds": {}})
 
 
 class TestRemoteWorkers:

@@ -12,7 +12,7 @@ import pytest
 
 from repro.exceptions import ServiceError
 from repro.experiments import ExperimentConfig, run_replicates
-from repro.service import JobRunner, ProtectionJob
+from repro.service import JobRunner, ProtectionJob, SqliteJobStore
 
 JOB = ProtectionJob(dataset="adult", score="max", generations=4, seed=11)
 SEEDS = (11, 12)
@@ -24,7 +24,7 @@ def service_dirs(tmp_path_factory):
     return {
         "serial_cache": str(root / "serial.sqlite"),
         "process_cache": str(root / "process.sqlite"),
-        "checkpoints": str(root / "checkpoints"),
+        "store": str(root / "jobs.sqlite"),
     }
 
 
@@ -33,8 +33,8 @@ def serial_results(service_dirs):
     runner = JobRunner(
         backend="serial",
         cache_path=service_dirs["serial_cache"],
-        checkpoint_dir=service_dirs["checkpoints"],
         checkpoint_every=2,
+        store=SqliteJobStore(service_dirs["store"]),
     )
     return runner.run_replicates(JOB, SEEDS)
 
@@ -80,8 +80,8 @@ class TestBackendEquivalence:
         runner = JobRunner(
             backend="serial",
             cache_path=service_dirs["serial_cache"],
-            checkpoint_dir=service_dirs["checkpoints"],
             checkpoint_every=2,
+            store=SqliteJobStore(service_dirs["store"]),
         )
         (resumed,) = runner.run([JOB], resume=True)
         assert resumed.final_scores == serial_results[0].final_scores

@@ -151,44 +151,39 @@ class TestTransactionalBatch:
 
 
 class TestCheckpointBlobsInDatabase:
-    def test_put_checkpoint_lands_in_table_and_file(self, store):
+    def test_put_checkpoint_writes_the_table_only(self, store):
         store.put_checkpoint("job-x", {"generation": 5})
         with store._lock:
             (payload,) = store._conn.execute(
                 "SELECT payload FROM checkpoints WHERE job_id = 'job-x'"
             ).fetchone()
         assert json.loads(payload) == {"generation": 5}
-        assert json.loads(
-            store.checkpoint_path("job-x").read_text(encoding="utf-8")
-        ) == {"generation": 5}
+        assert not store.checkpoint_path("job-x").parent.exists()
 
-    def test_winning_a_claim_restores_the_file_from_the_table(self, store):
-        store.put_checkpoint("job-y", {"generation": 9})
-        store.checkpoint_path("job-y").unlink()  # a fresh machine
-        assert store.claim("job-y", owner="w") is True
-        assert json.loads(
-            store.checkpoint_path("job-y").read_text(encoding="utf-8")
-        ) == {"generation": 9}
-
-    def test_heartbeat_syncs_a_changed_file_into_the_table(self, store):
-        store.claim("job-z", owner="w")
-        store.checkpoint_path("job-z").write_text(
-            json.dumps({"generation": 2}), encoding="utf-8"
-        )
-        assert store.heartbeat("job-z", owner="w") is True
+    def test_claim_heartbeat_and_release_leave_checkpoints_alone(self, store):
+        store.put_checkpoint("job-z", {"generation": 2})
         with store._lock:
-            (payload,) = store._conn.execute(
-                "SELECT payload FROM checkpoints WHERE job_id = 'job-z'"
+            (before,) = store._conn.execute(
+                "SELECT updated_at FROM checkpoints WHERE job_id = 'job-z'"
             ).fetchone()
-        assert json.loads(payload) == {"generation": 2}
+        assert store.claim("job-z", owner="w") is True
+        assert store.heartbeat("job-z", owner="w") is True
+        assert store.release("job-z", owner="w") is True
+        with store._lock:
+            (after,) = store._conn.execute(
+                "SELECT updated_at FROM checkpoints WHERE job_id = 'job-z'"
+            ).fetchone()
+        assert after == before
+        assert store.get_checkpoint("job-z") == {"generation": 2}
 
-    def test_release_syncs_the_final_checkpoint(self, store):
-        store.claim("job-r", owner="w")
-        store.checkpoint_path("job-r").write_text(
-            json.dumps({"generation": 7}), encoding="utf-8"
-        )
-        assert store.release("job-r", owner="w") is True
-        assert store.get_checkpoint("job-r") == {"generation": 7}
+    def test_legacy_file_is_read_when_the_table_has_no_row(self, store):
+        legacy = store.checkpoint_path("job-old")
+        legacy.parent.mkdir()
+        legacy.write_text(json.dumps({"generation": 7}), encoding="utf-8")
+        assert store.get_checkpoint("job-old") == {"generation": 7}
+        # The first save into the table supersedes the file.
+        store.put_checkpoint("job-old", {"generation": 9})
+        assert store.get_checkpoint("job-old") == {"generation": 9}
 
 
 class TestWorkerFleet:

@@ -91,9 +91,8 @@ class TestResumeAfterKill:
         crashed.status = "running"
         crashed.result = None
         store.save(crashed)
-        # A killed worker's local checkpoint file is gone too — resume
-        # must restore it from the database blob when it claims.
-        store.checkpoint_path(job_id).unlink()
+        # The database blob is the only copy: no file was ever written.
+        assert not store.checkpoint_path(job_id).parent.exists()
         capsys.readouterr()
 
         assert main(["resume", "--job", job_id, "--store", spec]) == 0

@@ -35,7 +35,7 @@ class TestJobStore:
     def test_layout_created(self, tmp_path):
         store = SqliteJobStore(tmp_path / "state" / "jobs.sqlite")
         assert store.path.is_file()
-        assert store.checkpoints_dir.is_dir()
+        assert not (store.root / "checkpoints").exists()
         assert store.cache_path.parent.is_dir()
 
     def test_submit_and_get(self, tmp_path):

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import time
 
 import pytest
 
 from repro.exceptions import WorkerError
-from repro.service import ClaimHeartbeat, ProtectionJob, SqliteJobStore, Worker
+from repro.service import ClaimHeartbeat, JobRunner, ProtectionJob, SqliteJobStore, Worker
 
 
 def _job(seed: int = 1, generations: int = 1) -> ProtectionJob:
@@ -53,7 +52,8 @@ class TestRunOnce:
         store.save(record)
         (outcome,) = Worker(store).run_once()
         assert outcome.ok
-        assert (store.checkpoints_dir / f"{record.job_id}.json").exists()
+        assert store.get_checkpoint(record.job_id)["generation"] == 2
+        assert not (store.root / "checkpoints").exists()
 
     def test_skips_jobs_claimed_elsewhere(self, store):
         record = store.submit(_job(1))
@@ -372,7 +372,7 @@ class TestStaleClaimRecovery:
         worker = Worker(store, use_cache=False)
         (full,) = worker.run_once()
         assert full.ok
-        assert (store.checkpoints_dir / f"{record.job_id}.json").exists()
+        assert store.get_checkpoint(record.job_id) is not None
 
         # Simulate a crash after the last checkpoint and its recovery.
         crashed = store.get(record.job_id)
@@ -380,19 +380,27 @@ class TestStaleClaimRecovery:
         crashed.result = None
         store.save(crashed)
         store.requeue(crashed)
+        fetches = []
+        fetch = store.get_checkpoint
+        store.get_checkpoint = lambda job_id: fetches.append(job_id) or fetch(job_id)
         (resumed,) = worker.run_once()
         assert resumed.ok
+        # The claim reads the blob once: the job both decides and resumes.
+        assert fetches == [record.job_id]
         assert resumed.result.final_scores == full.result.final_scores
         # Continuing from the checkpoint skips the work already done,
         # so the resumed attempt evaluates strictly less than a rerun.
         assert resumed.result.fresh_evaluations < full.result.fresh_evaluations
 
     def test_foreign_checkpoint_is_not_resumed(self, store):
-        record = store.submit(_job(8))
-        (store.checkpoints_dir / f"{record.job_id}.json").write_text(
-            '{"version": 1, "fingerprint": "someone-else"}'
-        )
-        assert Worker(store)._resumable(record) is False
+        record = store.submit(_job(8, generations=2))
+        store.put_checkpoint(record.job_id,
+                             {"version": 1, "fingerprint": "someone-else"})
+        (outcome,) = Worker(store, use_cache=False).run_once()
+        (straight,) = JobRunner().run([record.job])
+        assert outcome.ok
+        assert outcome.result.final_scores == straight.final_scores
+        assert outcome.result.fresh_evaluations == straight.fresh_evaluations
 
     def test_release_respects_ownership(self, store):
         # Regression: a worker's final release used to unlink claims it

@@ -136,9 +136,7 @@ class TestClaimGuards:
         record = store.submit(ProtectionJob(dataset="adult", generations=1, seed=62))
         store.mark_running(record)
         store.claim(record.job_id, owner="another-worker")
-        # The claim guard fires before the checkpoint is ever read, so a
-        # placeholder file is enough to get past the existence check.
-        (store.checkpoints_dir / f"{record.job_id}.json").write_text("{}")
+        # The claim guard fires before the checkpoint is ever read.
         code = main(["resume", "--job", record.job_id, "--state-dir", state])
         assert code == 2
         assert "claimed by another worker" in capsys.readouterr().err

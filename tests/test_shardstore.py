@@ -610,3 +610,54 @@ class TestStreamingMigrate:
         assert counts["records"] == 6
         assert ({r.job_id for r in dest.records()}
                 == {r.job_id for r in source.records()})
+
+
+class TestClaimBatchCleanup:
+    def test_failed_release_of_a_held_claim_is_counted_and_emitted(self, tmp_path):
+        # A claim_batch that dies mid-batch hands back the claims it
+        # already won; one the child cannot release must not vanish
+        # silently (it now clears only through stale recovery).
+        class DyingChild:
+            def __init__(self, store, poison):
+                self._store = store
+                self.poison = poison
+
+            def claim_info(self, job_id):
+                if job_id == self.poison:
+                    raise RuntimeError("child died mid-batch")
+                return self._store.claim_info(job_id)
+
+            def release(self, job_id, owner=None):
+                raise OSError("release lost")
+
+            def __getattr__(self, name):
+                return getattr(self._store, name)
+
+        child = DyingChild(SqliteJobStore(tmp_path / "a.sqlite"), poison="")
+        store = ShardedJobStore([child], names=["a"], root=tmp_path / "spool")
+        for job in jobs(2):
+            store.submit(job)
+        # claim_batch walks the queue in this order: win the first, die
+        # on the second.
+        first, child.poison = [r.job_id for r in store.queued()]
+        registry = obs.enable()
+        registry.reset()
+        stream = io.StringIO()
+        obs.configure_events(stream)
+        try:
+            with pytest.raises(RuntimeError, match="mid-batch"):
+                store.claim_batch(owner="w")
+            errors = [c["value"] for c in registry.snapshot()["counters"]
+                      if c["name"] == "repro_errors_total"
+                      and c["labels"] == {"event": "release_error"}]
+        finally:
+            obs.disable()
+            registry.reset()
+            obs.configure_events(None)
+        assert errors == [1]
+        (event,) = [json.loads(line) for line in stream.getvalue().splitlines()]
+        assert event["event"] == "release_error"
+        assert (event["job_id"], event["owner"], event["shard"]) == (first, "w", "a")
+        assert "release lost" in event["error"]
+        # The claim it could not hand back is still held.
+        assert store.claimed_job_ids() == [first]
