@@ -1,15 +1,16 @@
-"""Job-store microbenchmark — one sqlite database vs two sqlite shards.
+"""Job-store microbenchmark — the claim rate one store sustains.
 
-A fleet worker's hot path is the batch claim: ``claim_batch`` on a
-single database, or the sharded store's ``steal_batch`` (drain the home
-shard in one transaction, then steal backlog from the others).  This
-bench drains the same 1000-job queue both ways in batches of 25 and
-records both times and their ratio.
+A fleet worker's hot path is the batch claim: one ``claim_batch`` per
+drain round, a single transaction on the sqlite store and one RPC
+through ``repro serve``.  This bench drains the same N-job queue with
+``claim_batch`` at batch 1 and batch 25, once directly on a
+``SqliteJobStore`` and once through a localhost ``JobStoreServer`` +
+``RemoteJobStore``, and records claims/s for each leg.
 
 The assertion is exactly-once: each drain claims every job once and
-none twice.  There is no speed floor — whether two shards on one box
-beat one database file is what the recorded ratio shows, not an
-assumption this bench makes.
+none twice.  There is no speed floor — the recorded rates are the
+evidence for how many claims a fleet can make against one store, set
+against the seconds each GA job runs.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ import time
 
 from conftest import emit, record_result
 
-from repro.service import ProtectionJob, ShardedJobStore, SqliteJobStore
+from repro.service import JobStoreServer, ProtectionJob, RemoteJobStore, SqliteJobStore
 
 #: Override with REPRO_BENCH_STORE_JOBS (CI smoke runs use a toy size).
 N_JOBS = int(os.environ.get("REPRO_BENCH_STORE_JOBS", "1000"))
-BATCH = 25
+BATCHES = (1, 25)
 
 
 def _jobs(n: int = N_JOBS) -> list[ProtectionJob]:
@@ -31,13 +32,12 @@ def _jobs(n: int = N_JOBS) -> list[ProtectionJob]:
             for seed in range(n)]
 
 
-def _drain(store, jobs, *, steal: bool) -> float:
-    """Seconds to claim the whole queue in batches of ``BATCH``."""
-    claim = store.steal_batch if steal else store.claim_batch
+def _drain(store, jobs, batch: int) -> float:
+    """Seconds to claim the whole queue, ``batch`` claims per call."""
     start = time.perf_counter()
     claimed: list[str] = []
     while True:
-        won = claim(owner="bench-worker", limit=BATCH)
+        won = store.claim_batch(owner="bench-worker", limit=batch)
         if not won:
             break
         claimed.extend(record.job_id for record in won)
@@ -46,35 +46,29 @@ def _drain(store, jobs, *, steal: bool) -> float:
     return elapsed
 
 
-def test_bench_sharded_claim_drain_vs_single_sqlite_store(tmp_path):
-    """The sharding leg: a 2-shard sqlite fleet drained through the
-    worker fast path (``steal_batch``) next to a single sqlite store's
-    ``claim_batch`` drain over the same jobs."""
+def test_bench_claim_rate_of_one_store(tmp_path):
+    """Claims/s of ``claim_batch`` drains at batch 1 and 25, direct on
+    sqlite and through a localhost ``repro serve`` endpoint."""
     jobs = _jobs()
-
-    single = SqliteJobStore(tmp_path / "single" / "jobs.sqlite")
-    for job in jobs:
-        single.submit(job)
-    single_drain = _drain(single, jobs, steal=False)
-
-    sharded = ShardedJobStore(
-        [SqliteJobStore(tmp_path / "shard-a.sqlite"),
-         SqliteJobStore(tmp_path / "shard-b.sqlite")],
-        names=["a", "b"],
-        root=tmp_path / "spool",
-    )
-    for job in jobs:
-        sharded.submit(job)
-    shard_drain = _drain(sharded, jobs, steal=True)
-
-    ratio = single_drain / shard_drain if shard_drain else float("inf")
-    record_result("store-sharded", "sqlite-claim-drain", single_drain)
-    record_result("store-sharded", "shard-steal-drain", shard_drain,
-                  ratio=min(ratio, 1e9))
-    emit(
-        f"sharded claim+drain — {len(jobs)} jobs, batches of {BATCH}, "
-        "2 sqlite shards vs one sqlite store",
-        f"{'sqlite claim_batch':<22} {single_drain:>9.3f}s\n"
-        f"{'2-shard steal_batch':<22} {shard_drain:>9.3f}s\n"
-        f"{'speedup':<22} {ratio:>9.1f}x",
-    )
+    rows = []
+    for batch in BATCHES:
+        for via in ("sqlite", "remote"):
+            backing = SqliteJobStore(tmp_path / f"{via}-b{batch}" / "jobs.sqlite")
+            for job in jobs:
+                backing.submit(job)
+            server = None
+            store = backing
+            if via == "remote":
+                server = JobStoreServer(backing).start()
+                store = RemoteJobStore(server.url, spool=tmp_path / "spool")
+            try:
+                seconds = _drain(store, jobs, batch)
+            finally:
+                if server is not None:
+                    server.stop()
+            rate = len(jobs) / seconds if seconds else float("inf")
+            record_result("store", f"{via}-claim-batch{batch}", seconds,
+                          rate=min(rate, 1e12))
+            rows.append(f"{via + ' claim_batch(' + str(batch) + ')':<24} "
+                        f"{seconds:>8.3f}s {rate:>10.0f} claims/s")
+    emit(f"claim drain — {len(jobs)} jobs through one store", "\n".join(rows))

@@ -22,13 +22,15 @@ _RESULTS: list[dict] = []
 
 
 def record_result(bench: str, leg: str, median_seconds: float,
-                  ratio: float | None = None) -> None:
+                  ratio: float | None = None,
+                  rate: float | None = None) -> None:
     """Record one bench leg for the ``--json`` artifact.
 
     Schema (one object per leg): ``{"bench": ..., "leg": ...,
-    "median_seconds": ..., "ratio": ...}`` — ``ratio`` is the leg's
-    headline comparison (speedup or overhead multiple) and is omitted
-    for purely informational legs.  CI uploads the array so perf runs
+    "median_seconds": ..., "ratio": ..., "rate": ...}`` — ``ratio`` is
+    the leg's headline comparison (speedup or overhead multiple),
+    ``rate`` its throughput in operations per second, and each is
+    omitted for legs without one.  CI uploads the array so perf runs
     are diffable across commits without scraping the bench log.
     """
     entry: dict[str, object] = {
@@ -38,6 +40,8 @@ def record_result(bench: str, leg: str, median_seconds: float,
     }
     if ratio is not None:
         entry["ratio"] = float(ratio)
+    if rate is not None:
+        entry["rate"] = float(rate)
     _RESULTS.append(entry)
 
 

@@ -153,7 +153,6 @@ __all__ = [
     "CheckpointManager",
     "SqliteJobStore",
     "RemoteJobStore",
-    "ShardedJobStore",
     "JobStoreServer",
     "Worker",
     "store_from_spec",
@@ -167,7 +166,6 @@ _SERVICE_NAMES = {
     "CheckpointManager",
     "SqliteJobStore",
     "RemoteJobStore",
-    "ShardedJobStore",
     "JobStoreServer",
     "Worker",
     "store_from_spec",

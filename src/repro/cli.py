@@ -609,19 +609,6 @@ def _store_label(store) -> str:
     return getattr(store, "base_url", None) or store.spec
 
 
-def _shard_column(store, job_ids: list[str]) -> dict[str, str] | None:
-    """``job_id -> shard name`` when the store is sharded, else ``None``.
-
-    Cache-backed only: callers list records first (filling the sharded
-    store's location cache as a side effect), so naming each job's
-    shard costs zero extra round trips.
-    """
-    name_for = getattr(store, "shard_name_for", None)
-    if not callable(name_for):
-        return None
-    return {job_id: name_for(job_id) for job_id in job_ids}
-
-
 def _claim_cells(claims: dict[str, dict], job_id: str) -> list[object]:
     """Owner and heartbeat-age columns for the status table.
 
@@ -668,11 +655,8 @@ def cmd_status(args: argparse.Namespace) -> int:
         return 0
     if args.job:
         record = store.get(args.job)
-        shards = _shard_column(store, [record.job_id])
         if args.json:
             payload = _record_payload(record, claims)
-            if shards is not None:
-                payload["shard"] = shards[record.job_id]
             if record.result is not None:
                 timeline = record.result.extras.get("timeline")
                 if isinstance(timeline, dict):
@@ -682,9 +666,6 @@ def cmd_status(args: argparse.Namespace) -> int:
             print(json.dumps(payload, indent=2, sort_keys=True))
             return 0
         row = _result_row(record) + _claim_cells(claims, record.job_id)
-        if shards is not None:
-            header = header + ["shard"]
-            row = row + [shards[record.job_id]]
         print(format_table(header, [row], title=record.job_id))
         if record.job.islands >= 2:
             from repro.service.islands import island_group_id
@@ -707,14 +688,8 @@ def cmd_status(args: argparse.Namespace) -> int:
         _print_timeline(record)
         return 0
     records = store.records()
-    # listing records first matters for a sharded store: the fan-out
-    # fills its location cache, so the shard column costs nothing extra.
-    shards = _shard_column(store, [r.job_id for r in records])
     if args.json:
         payloads = [_record_payload(r, claims) for r in records]
-        if shards is not None:
-            for payload in payloads:
-                payload["shard"] = shards[payload["job_id"]]
         print(json.dumps(payloads, indent=2, sort_keys=True))
         return 0
     if not records:
@@ -727,9 +702,6 @@ def cmd_status(args: argparse.Namespace) -> int:
                 + _claim_cells(claims, r.job_id) for r in records]
     else:
         rows = [_result_row(r) + _claim_cells(claims, r.job_id) for r in records]
-    if shards is not None:
-        header = header + ["shard"]
-        rows = [row + [shards[r.job_id]] for row, r in zip(rows, records)]
     print(format_table(header, rows, title=f"jobs in {label}"))
     return 0
 
@@ -902,37 +874,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.store import store_from_spec
 
     _enable_telemetry(args, "serve")
-    if args.shard_of:
-        # One serve process per shard: `--shard-of SPEC --shard-index I`
-        # opens child I of the fleet spec and serves exactly it, so the
-        # process fronting each shard is deployed from the same manifest
-        # workers and monitors read — no second source of truth.
-        from repro.service.shardstore import parse_shard_spec
-
-        if args.db or args.state_dir:
-            raise ReproError(
-                "--shard-of takes the store from the fleet spec; "
-                "--db/--state-dir do not apply"
-            )
-        body = args.shard_of
-        if body.startswith("shard:"):
-            body = body[len("shard:"):]
-        pairs = parse_shard_spec(body)
-        if not 0 <= args.shard_index < len(pairs):
-            raise ReproError(
-                f"--shard-index {args.shard_index} out of range: the fleet "
-                f"spec names {len(pairs)} shard(s)"
-            )
-        name, child_spec = pairs[args.shard_index]
-        if child_spec.startswith(("http://", "https://")):
-            raise ReproError(
-                f"shard {name!r} is already served at {child_spec}; "
-                "--shard-of serves local sqlite: shards"
-            )
-        store = store_from_spec(child_spec)
-        print(f"serving shard {args.shard_index} ({name}) of "
-              f"shard:{body}")
-    elif args.db:
+    if args.db:
         from repro.service.sqlstore import SqliteJobStore
 
         store = SqliteJobStore(args.db)
@@ -1072,38 +1014,6 @@ def _fleet_snapshot(store) -> dict:
         "workers": workers,
         "slowest": slowest,
     }
-    shards = _shard_column(store, [r.job_id for r in records])
-    if shards is not None:
-        # Per-shard rows: group the same records/claims by the shard
-        # `source` label so a sharded fleet reads as one table.  Claims
-        # carry their shard straight from the store's bulk read; records
-        # group via the location cache the records() fan-out just filled.
-        per_shard: dict[str, dict] = {
-            name: {"queued": 0, "running": 0, "completed": 0, "failed": 0,
-                   "claims": 0, "completed_1h": 0}
-            for name in getattr(store, "shard_names", [])
-        }
-        for record in records:
-            bucket = per_shard.setdefault(
-                shards[record.job_id],
-                {"queued": 0, "running": 0, "completed": 0, "failed": 0,
-                 "claims": 0, "completed_1h": 0})
-            bucket[record.status] = bucket.get(record.status, 0) + 1
-            if (record.status == "completed" and record.finished_at is not None
-                    and now - record.finished_at <= 3600.0):
-                bucket["completed_1h"] += 1
-        for info in claims.values():
-            name = info.get("shard")
-            if name in per_shard:
-                per_shard[name]["claims"] += 1
-        health = getattr(store, "shard_health", None)
-        if callable(health):
-            for name, state in health().items():
-                if name in per_shard:
-                    per_shard[name]["available"] = state["available"]
-        snap["shards"] = per_shard
-        for job in running:
-            job["shard"] = shards.get(job["job_id"], "?")
     return snap
 
 
@@ -1126,27 +1036,7 @@ def _render_fleet(snap: dict) -> str:
             f"{job['job_id']} {job['seconds']}s [{job['trace_id'][:8]}]"
             for job in snap["slowest"]
         ))
-    shards = snap.get("shards")
-    if shards:
-        rows = [
-            [
-                name,
-                "up" if stats.get("available", True) else "DOWN",
-                stats.get("queued", 0),
-                stats.get("running", 0),
-                stats.get("claims", 0),
-                stats.get("completed", 0),
-                f"{stats.get('completed_1h', 0) / 60.0:.2f}/min",
-            ]
-            for name, stats in sorted(shards.items())
-        ]
-        lines.append(format_table(
-            ["shard", "health", "queued", "running", "claims", "completed",
-             "1h rate"],
-            rows, title="shards",
-        ))
     if snap["running"]:
-        sharded = any("shard" in job for job in snap["running"])
         rows = [
             [
                 job["job_id"],
@@ -1157,12 +1047,10 @@ def _render_fleet(snap: dict) -> str:
                 (f"{job['running_seconds']:.0f}s"
                  if job["running_seconds"] is not None else "?"),
             ]
-            + ([job.get("shard", "?")] if sharded else [])
             for job in snap["running"]
         ]
         lines.append(format_table(
-            ["job", "dataset", "owner", "heartbeat", "elapsed"]
-            + (["shard"] if sharded else []),
+            ["job", "dataset", "owner", "heartbeat", "elapsed"],
             rows, title="running",
         ))
     return "\n".join(lines)
@@ -1296,8 +1184,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "~/.repro); with a remote store, the local cache")
         sp.add_argument("--store", default="",
                         help="job store spec: sqlite:PATH, a state directory, "
-                             "http(s)://host:port, or shard:CHILD,... / "
-                             "shard:@manifest.json (overrides --state-dir "
+                             "or http(s)://host:port (overrides --state-dir "
                              "and --store-url)")
         sp.add_argument("--store-url", default="",
                         help="use a network job store served by 'repro serve' "
@@ -1416,13 +1303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state-dir", default="",
                    help="state directory whose jobs.sqlite to serve "
                         "(default: $REPRO_HOME or ~/.repro)")
-    p.add_argument("--shard-of", default="", metavar="SPEC",
-                   help="serve one shard of a fleet: a shard: spec (or its "
-                        "body, or @manifest.json); pick which child with "
-                        "--shard-index")
-    p.add_argument("--shard-index", type=int, default=0,
-                   help="with --shard-of: which child of the fleet spec this "
-                        "process serves (0-based)")
     p.add_argument("--log-json", action="store_true",
                    help="stream structured telemetry events to stderr, "
                         "one JSON object per line")
@@ -1431,15 +1311,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("migrate",
                        help="copy job records and checkpoints between stores "
-                            "(sqlite:PATH <-> URL <-> shard:...), or import "
+                            "(sqlite:PATH <-> URL), or import "
                             "a legacy file:DIR state directory")
     p.add_argument("--from", dest="source", required=True, metavar="SPEC",
-                   help="source store spec (file:DIR, sqlite:PATH, URL, or "
-                        "shard:...); file:DIR reads the retired directory "
-                        "layout read-only")
+                   help="source store spec (file:DIR, sqlite:PATH or URL); "
+                        "file:DIR reads the retired directory layout read-only")
     p.add_argument("--to", dest="dest", required=True, metavar="SPEC",
-                   help="target store spec (migrating into a shard: spec "
-                        "rebalances records onto their rendezvous homes)")
+                   help="target store spec (sqlite:PATH or URL)")
     p.add_argument("--token", default="",
                    help="shared token if either end is a remote store")
     p.add_argument("--chunk-size", type=int, default=100,

@@ -55,7 +55,6 @@ from repro.obs.trace import (
     TraceScope,
     activate,
     activated,
-    annotate_span,
     build_tree,
     deactivate,
     disable_tracing,
@@ -94,7 +93,6 @@ __all__ = [
     "TraceScope",
     "activate",
     "activated",
-    "annotate_span",
     "build_tree",
     "configure_events",
     "deactivate",

@@ -28,14 +28,14 @@ from repro.obs.registry import get_registry
 TIMED_STORE_OPS = frozenset({
     "submit", "save", "get", "records", "queued",
     "mark_running", "mark_completed", "mark_failed", "requeue",
-    "claim", "claim_batch", "steal_batch", "release", "heartbeat",
+    "claim", "claim_batch", "release", "heartbeat",
     "claim_info", "claims", "claimed_job_ids", "recover_stale_claims",
     "get_checkpoint", "put_checkpoint",
 })
 
 
 def store_backend_label(store: object) -> str:
-    """A stable backend label for ``store``: sqlite, remote, or shard."""
+    """A stable backend label for ``store``: sqlite or remote."""
     if getattr(store, "base_url", None):
         return "remote"
     return str(getattr(store, "spec", "")).partition(":")[0] or "unknown"

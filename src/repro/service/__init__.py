@@ -15,10 +15,8 @@ per database.  :class:`JobStoreServer` serves a store over HTTP
 (``repro serve``) and :class:`RemoteJobStore` is the client with the
 identical :data:`STORE_PROTOCOL` surface (``--store-url``), extending
 the same claim/heartbeat contract across machines.
-:class:`ShardedJobStore` composes N child stores behind the same
-contract (rendezvous placement + fleet work-stealing);
 :func:`store_from_spec` opens any backend from its spec string (a state
-directory / ``sqlite:PATH`` / ``http://...`` / ``shard:...``) and
+directory / ``sqlite:PATH`` / ``http://...``) and
 :func:`migrate_store` moves state between them.
 :func:`plan_island_jobs` splits one seeded search into an island-model
 group — member jobs exchanging elite migrants through the store on a
@@ -56,7 +54,6 @@ from repro.service.islands import (
 from repro.service.job import JobResult, ProtectionJob
 from repro.service.netstore import PROTOCOL_VERSION, JobStoreServer, RemoteJobStore
 from repro.service.runner import JobOutcome, JobRunner
-from repro.service.shardstore import ShardedJobStore, parse_shard_spec
 from repro.service.sqlstore import SqliteJobStore
 from repro.service.store import (
     STORE_PROTOCOL,
@@ -80,8 +77,6 @@ __all__ = [
     "checkpoint_from_dict",
     "JobRecord",
     "SqliteJobStore",
-    "ShardedJobStore",
-    "parse_shard_spec",
     "JobStoreServer",
     "RemoteJobStore",
     "store_from_spec",

@@ -40,14 +40,14 @@ event — rather than blocking the fleet forever.  It keeps *publishing*
 so downstream islands are unaffected.
 
 Migrant payloads ride the checkpoint-blob path as
-``<job_id>.migrants`` (:data:`MIGRANTS_BLOB_SUFFIX`), shard-co-located
-with the member's record via the suffix-stripping placement and carried
-by ``repro migrate``.  **The payload format and exchange cadence are a
-stability contract** (see ROADMAP): ``{"version", "group", "island",
-"topology", "rounds": {"<r>": {"generation", "migrants": [...]}}}``
-with individuals encoded like format-v1 engine checkpoints (inline
-int64 codes, no shared table), so a worker of any version can join a
-live group.
+``<job_id>.migrants`` (:data:`MIGRANTS_BLOB_SUFFIX`), stored beside
+the member's record and carried by ``repro migrate``.  **The payload
+format and exchange cadence are a stability contract** (see ROADMAP):
+``{"version", "group", "island", "topology",
+"rounds": {"<r>": {"generation", "migrants": [...]}}}`` with
+individuals encoded like format-v1 engine checkpoints (inline int64
+codes, no shared table), so a worker of any version can join a live
+group.
 
 Islands are pure clients of :data:`~repro.service.store.STORE_PROTOCOL`
 — no store grew a new method for them.
@@ -94,8 +94,7 @@ from repro.service.store import (
 )
 
 #: Blob-id suffix of an island's durable migrant buffer on the
-#: checkpoint path.  Like ``.trace`` blobs, the sharded store strips it
-#: for placement so the buffer lives on the shard that owns the record.
+#: checkpoint path, beside ``.trace`` blobs.
 MIGRANTS_BLOB_SUFFIX = ".migrants"
 
 #: Wire version of the migrant payload (a stability contract — bump it
@@ -267,9 +266,9 @@ def member_job_ids(job: ProtectionJob) -> list[str]:
 # Island executors need the *job store* (records + checkpoint blobs),
 # which plain run payloads never carried.  In-process backends resolve
 # the exact live store object through this weak registry — critical for
-# programmatically-built stores (a test's sharded store over tmp dirs)
-# whose spec may not be independently reopenable.  Process backends and
-# any registry miss fall back to reopening from the spec.
+# programmatically-built stores whose spec may not be independently
+# reopenable.  Process backends and any registry miss fall back to
+# reopening from the spec.
 _LIVE_STORES: "weakref.WeakValueDictionary[str, object]" = (
     weakref.WeakValueDictionary()
 )

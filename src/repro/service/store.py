@@ -2,13 +2,11 @@
 
 Job state lives in a :class:`~repro.service.sqlstore.SqliteJobStore`
 (one database, which also holds every checkpoint; its directory holds
-the shared ``cache/evaluations.sqlite``), is served to other
+the shared ``cache/evaluations.sqlite``) and is served to other
 machines by :class:`~repro.service.netstore.JobStoreServer` and
-:class:`~repro.service.netstore.RemoteJobStore`, and is split across
-children by :class:`~repro.service.shardstore.ShardedJobStore`.  This
-module holds what they have in common: :class:`JobRecord` and its
-statuses, the :func:`store_from_spec` selection grammar, and
-:func:`migrate_store`.
+:class:`~repro.service.netstore.RemoteJobStore`.  This module holds
+what they have in common: :class:`JobRecord` and its statuses, the
+:func:`store_from_spec` selection grammar, and :func:`migrate_store`.
 
 Records move through ``queued -> running -> completed | failed``; a
 record stuck in ``running`` with a checkpoint is exactly the
@@ -44,8 +42,8 @@ COMPLETED = "completed"
 FAILED = "failed"
 STATUSES = (QUEUED, RUNNING, COMPLETED, FAILED)
 
-#: The job-store contract: every store implementation (local, networked
-#: or sharded) exposes exactly these operations, and the conformance
+#: The job-store contract: every store implementation (local or
+#: networked) exposes exactly these operations, and the conformance
 #: suite asserts their shared semantics against each implementation.
 STORE_PROTOCOL = (
     "submit",
@@ -140,17 +138,16 @@ def store_from_spec(spec: str = "", *, token: str = "",
     - ``http://...`` / ``https://...`` — a
       :class:`~repro.service.netstore.RemoteJobStore` client of a
       ``repro serve`` endpoint, authenticated with ``token``, its
-      worker-local evaluation cache under ``state_dir``;
-    - ``shard:CHILD[,CHILD...]`` or ``shard:@MANIFEST.json`` — a
-      :class:`~repro.service.shardstore.ShardedJobStore` composing the
-      child specs (any mix of the grammars above; ``token`` is shared
-      by HTTP children, ``state_dir`` holds the local evaluation cache).
+      worker-local evaluation cache under ``state_dir``.
 
     ``file:DIR`` names the retired directory backend and raises with
     the ``repro migrate`` command that imports it (see
     :class:`LegacyFileStore`); so does a state directory that still
     holds such records and no database, rather than opening an empty
-    queue beside them.
+    queue beside them.  ``shard:CHILD[,CHILD...]`` and
+    ``shard:@MANIFEST`` name the retired sharded store and raise with
+    one ``repro migrate`` command per child, each importing into the
+    one database of ``state_dir`` (or the default state directory).
 
     Local paths are ``~``-expanded here: a spec like ``sqlite:~/db``
     reaches this factory verbatim (shells do not tilde-expand after the
@@ -178,10 +175,9 @@ def store_from_spec(spec: str = "", *, token: str = "",
         path = spec[len("sqlite:"):]
         return SqliteJobStore(Path(path).expanduser() if path else None)
     if spec.startswith("shard:"):
-        from repro.service.shardstore import ShardedJobStore
-
-        return ShardedJobStore.from_spec(spec[len("shard:"):], token=token,
-                                         state_dir=state_dir)
+        raise ServiceError(_shard_retired(
+            spec[len("shard:"):],
+            Path(state_dir).expanduser() if state_dir else default_state_dir()))
     if spec.startswith("file:"):
         directory = spec[len("file:"):]
         raise ServiceError(
@@ -194,8 +190,7 @@ def store_from_spec(spec: str = "", *, token: str = "",
         raise ServiceError(
             f"unrecognized store scheme {scheme + ':'!r} in spec {spec!r} "
             "— valid specs: \"\" (the default state directory), a bare "
-            "directory path, sqlite:PATH, http(s)://HOST:PORT, and "
-            "shard:CHILD[,CHILD...] / shard:@MANIFEST.json"
+            "directory path, sqlite:PATH, and http(s)://HOST:PORT"
         )
     if spec:
         root = Path(spec).expanduser()
@@ -207,6 +202,22 @@ def store_from_spec(spec: str = "", *, token: str = "",
 def _migrate_hint(directory: Path) -> str:
     """The command that imports a legacy ``file:`` directory."""
     return f"repro migrate --from file:{directory} --to sqlite:{directory}/jobs.sqlite"
+
+
+def _shard_retired(body: str, directory: Path) -> str:
+    """Why a ``shard:`` spec fails: one import command per child store."""
+    target = f"sqlite:{directory}/jobs.sqlite"
+    body = body.strip()
+    if body.startswith("@"):
+        return ("the shard: store backend was removed; import each child "
+                f"store listed in {body[1:]} into one store with "
+                f"repro migrate --from CHILD_SPEC --to {target}")
+    commands = [f"  repro migrate --from {child.strip()} --to {target}"
+                for child in body.split(",") if child.strip()]
+    if not commands:
+        return f"the shard: store backend was removed; use {target}"
+    return ("the shard: store backend was removed; import its children "
+            "into one store with:\n" + "\n".join(commands))
 
 
 def _open_state_dir(root: Path):
@@ -289,9 +300,8 @@ def migrate_store(source, target, *, chunk_size: int = 100) -> dict[str, int]:
     """Copy every job record and checkpoint from ``source`` to ``target``.
 
     Works across any two :data:`STORE_PROTOCOL` stores (this is the
-    ``repro migrate`` export/import pair: sqlite database -> shard and
-    back, or shard -> shard for rebalancing; a :class:`LegacyFileStore`
-    is a source too).  Records
+    ``repro migrate`` export/import pair: sqlite database -> server and
+    back; a :class:`LegacyFileStore` is a source too).  Records
     keep their status, timestamps and results byte-for-byte;
     checkpoints ride along keyed by job id.  Live claims are
     deliberately *not* carried: migrate a quiesced fleet — a record

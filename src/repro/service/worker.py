@@ -311,21 +311,13 @@ class Worker:
 
         Without explicit candidates the store's own ``claim_batch``
         does the whole queue-walk-and-claim — one transaction on a
-        database store, one round trip on a remote one.  A sharded
-        store exposes ``steal_batch`` and gets it instead: drain this
-        worker's home shard first (its own rendezvous placement, so a
-        balanced fleet self-partitions with no contention), then steal
-        from the most-backlogged healthy shard.  With candidates (the
-        single-record :meth:`process` path) the claim loop runs here
-        over exactly those records.
+        database store, one round trip on a remote one.  With
+        candidates (the single-record :meth:`process` path) the claim
+        loop runs here over exactly those records.
         """
         claim_started = time.time()
         if candidates is None:
-            steal = getattr(self.store, "steal_batch", None)
-            if callable(steal):
-                batch = steal(owner=self.worker_id, limit=limit)
-            else:
-                batch = self.store.claim_batch(owner=self.worker_id, limit=limit)
+            batch = self.store.claim_batch(owner=self.worker_id, limit=limit)
             if batch:
                 # claim_batch reports only wins; losses stay inside the
                 # store transaction (claim_queued counts both sides).
@@ -438,18 +430,11 @@ class Worker:
         """
         claim_started, claim_seconds = self._last_claim
         release_started, release_seconds = release
-        shard_name_for = getattr(self.store, "shard_name_for", None)
         for record in records:
             info = trace.trace_context_from_extras(record.extras)
             if info is None:
                 continue
             trace_id, root = info["id"], info["root"]
-            shard = None
-            if callable(shard_name_for):
-                try:
-                    shard = shard_name_for(record.job_id)
-                except Exception:  # noqa: BLE001 - attribute only
-                    shard = None
             spans = []
             if record.submitted_at and claim_started > record.submitted_at:
                 spans.append(trace.make_span(
@@ -461,7 +446,7 @@ class Worker:
                 spans.append(trace.make_span(
                     trace_id, root, "repro.claim",
                     start=claim_started, duration=claim_seconds,
-                    worker=self.worker_id, shard=shard,
+                    worker=self.worker_id,
                 ))
             outcome = outcomes.get(record.job_id)
             if outcome is not None:
@@ -473,10 +458,12 @@ class Worker:
             ))
             # Re-read so the root span carries the post-run status (the
             # sampling override keys off "failed"); fall back to the
-            # claimed-time record if the store read fails.
+            # claimed-time record, counted, if the store read fails.
             try:
                 current = self.store.get(record.job_id)
             except Exception:  # noqa: BLE001 - telemetry only
+                get_registry().inc("repro_errors_total",
+                                   event="trace_reread_error")
                 current = record
             trace.flush_job_trace(
                 self.store, current, spans,
@@ -512,10 +499,9 @@ class Worker:
         boundary since the last real progress, the missing migrants
         must come from outside this worker, so spinning here cannot
         help — the drain returns and the poll loop (or a peer worker)
-        takes over.  The every-queued-job bar matters on a sharded
-        store, where claim order favours the worker's home shard: one
-        stalled home-shard island must not mask runnable peers on
-        other shards.
+        takes over.  The every-queued-job bar matters because the
+        store's claim order is oldest first: one stalled island must
+        not mask runnable peers queued behind it.
         """
         self.store.recover_stale_claims(self.stale_after)
         outcomes: list[JobOutcome] = []
@@ -530,9 +516,9 @@ class Worker:
                 if limit <= 0:
                     return outcomes
             if bypass_stalled:
-                # The store's own claim order (home shard first on a
-                # sharded fleet) would hand the stalled job straight
-                # back; claim around it from the explicit queue walk.
+                # The store's oldest-first claim_batch would hand the
+                # stalled job straight back; claim around it from the
+                # explicit queue walk.
                 pool = [record for record in self.store.queued()
                         if record.job_id not in stalled]
                 if not pool:

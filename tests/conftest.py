@@ -16,36 +16,20 @@ from repro.datasets import load_adult, load_flare
 class StoreHarness:
     """One store under test plus the backing store its state lands in.
 
-    ``store`` is what the test exercises (a sqlite store directly, a
-    ``RemoteJobStore`` speaking to a live in-process server over HTTP,
-    or a ``ShardedJobStore``); ``backing`` is what holds the state —
-    the ``SqliteJobStore`` itself, or the sharded store — so tests can
-    simulate conditions no healthy client would produce, like a claim
-    whose worker died ``seconds`` ago or one torn mid-heartbeat.
+    ``store`` is what the test exercises (a sqlite store directly, or a
+    ``RemoteJobStore`` speaking to a live in-process server over HTTP);
+    ``backing`` is the ``SqliteJobStore`` that holds the state, so tests
+    can simulate conditions no healthy client would produce, like a
+    claim whose worker died ``seconds`` ago or one torn mid-heartbeat.
     """
 
     store: object
     backing: object
 
-    def _backing_for(self, job_id: str) -> object:
-        """The ``SqliteJobStore`` holding ``job_id``'s claim state.
-
-        For single stores that is ``backing`` itself; for a
-        ``ShardedJobStore`` it is the one child shard the job lives on
-        (claims co-live with records, so the shard answers for both),
-        reached through the server when that child is an HTTP client.
-        """
-        from repro.service import ShardedJobStore
-
-        backing = self.backing
-        if isinstance(backing, ShardedJobStore):
-            backing = backing.shard_for(job_id)
-        return getattr(backing, "served_by", backing)
-
     def age_claim(self, job_id: str, seconds: float) -> None:
         """Backdate a claim as if its worker went silent ``seconds`` ago."""
         then = time.time() - seconds
-        backing = self._backing_for(job_id)
+        backing = self.backing
         with backing._lock:
             backing._conn.execute(
                 "UPDATE claims SET claimed_at = ?, last_seen = ? WHERE job_id = ?",
@@ -57,7 +41,7 @@ class StoreHarness:
         row with a NULL owner.  It means "held, by whom unknown", and
         the owner-gated operations must refuse to guess.
         """
-        backing = self._backing_for(job_id)
+        backing = self.backing
         with backing._lock:
             backing._conn.execute(
                 "INSERT OR REPLACE INTO claims "
@@ -67,8 +51,7 @@ class StoreHarness:
             )
 
 
-@pytest.fixture(params=["sqlite", "remote", "sqlite-remote", "shard-sqlite",
-                        "shard-mixed"])
+@pytest.fixture(params=["sqlite", "remote", "sqlite-remote"])
 def store_harness(request, tmp_path) -> StoreHarness:
     """The store contract fixture: every test using it runs once per
     backend — the ``SqliteJobStore``, a ``RemoteJobStore`` over a live
@@ -76,14 +59,11 @@ def store_harness(request, tmp_path) -> StoreHarness:
     directly; ``sqlite-remote`` opens both through ``store_from_spec``
     — a ``sqlite:`` server store and an ``http://`` client with its
     default retry policy — as ``repro serve --db`` and
-    ``repro worker --store http://...`` do), and a ``ShardedJobStore``
-    over two shards (2x sqlite, and a sqlite + HTTP-served-sqlite mix)
-    — neither the network nor sharding may be visible behind the
-    contract."""
+    ``repro worker --store http://...`` do) — the network may not be
+    visible behind the contract."""
     from repro.service import (
         JobStoreServer,
         RemoteJobStore,
-        ShardedJobStore,
         SqliteJobStore,
         store_from_spec,
     )
@@ -93,23 +73,10 @@ def store_harness(request, tmp_path) -> StoreHarness:
     def served(backing, spool):
         server = JobStoreServer(backing, token="contract-token").start()
         servers.append(server)
-        client = RemoteJobStore(server.url, token="contract-token", spool=spool,
-                                retries=1, backoff=0.05)
-        client.served_by = backing
-        return client
+        return RemoteJobStore(server.url, token="contract-token", spool=spool,
+                              retries=1, backoff=0.05)
 
     try:
-        if request.param.startswith("shard"):
-            second = SqliteJobStore(tmp_path / "shard-b.sqlite")
-            if request.param == "shard-mixed":
-                second = served(second, tmp_path / "shard-b-spool")
-            sharded = ShardedJobStore(
-                [SqliteJobStore(tmp_path / "shard-a.sqlite"), second],
-                names=["a", "b"],
-                root=tmp_path / "spool",
-            )
-            yield StoreHarness(store=sharded, backing=sharded)
-            return
         if request.param == "sqlite-remote":
             backing = store_from_spec(f"sqlite:{tmp_path / 'state' / 'jobs.sqlite'}")
             server = JobStoreServer(backing, token="contract-token").start()

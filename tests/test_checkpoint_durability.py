@@ -48,7 +48,7 @@ class TestSavesAreDurableOnReturn:
         assert store.heartbeat(record.job_id, owner="w1")  # the first and only beat
         result = _run_as(store, "w1", record)
         assert result.generations == JOB.generations
-        backing = store_harness._backing_for(record.job_id)
+        backing = store_harness.backing
         payload = backing.get_checkpoint(record.job_id)
         assert payload is not None
         assert payload["generation"] == JOB.generations
@@ -72,7 +72,7 @@ class TestSavesAreDurableOnReturn:
             obs.disable()
             registry.reset()
         assert result.generations == JOB.generations  # the run carried on
-        backing = store_harness._backing_for(record.job_id)
+        backing = store_harness.backing
         assert backing.get_checkpoint(record.job_id) == {"saved_by": "w2"}
         assert dropped == [JOB.generations // EVERY]
 

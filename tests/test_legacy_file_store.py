@@ -1,10 +1,12 @@
-"""The retired ``file:`` store: refused as a live backend, imported by
-``repro migrate --from file:DIR``.
+"""The retired ``file:`` and ``shard:`` stores: refused as live
+backends, imported by ``repro migrate``.
 
 Every legacy state directory here is written by hand — one
 ``jobs/<job_id>.json`` per record and one ``checkpoints/<blob_id>.json``
 per blob, exactly the layout the directory backend left on disk — so
-the importer is pinned to the on-disk format itself.
+the importer is pinned to the on-disk format itself.  A retired
+``shard:`` fleet is a set of ordinary child stores, imported one
+``repro migrate`` per child into one database.
 """
 
 from __future__ import annotations
@@ -183,11 +185,6 @@ class TestFileSpecsRefused:
                 in str(excinfo.value))
         assert not old.exists()
 
-    def test_file_child_of_a_shard_spec_is_refused(self, tmp_path):
-        with pytest.raises(ServiceError, match="repro migrate --from file:"):
-            store_from_spec(f"shard:sqlite:{tmp_path}/a.sqlite,file:{tmp_path}/b",
-                            state_dir=tmp_path / "spool")
-
     def test_migrate_to_file_is_refused(self, tmp_path, capsys):
         source = f"sqlite:{tmp_path / 'db.sqlite'}"
         assert main(["migrate", "--from", source,
@@ -234,3 +231,77 @@ class TestLegacyStateDirRefused:
         # The migrate target itself must stay openable.
         store = store_from_spec(f"sqlite:{legacy}/jobs.sqlite")
         assert store.records() == []
+
+
+class TestShardSpecsRefused:
+    """A ``shard:`` spec names one ``repro migrate`` per child store."""
+
+    def _fleet(self, tmp_path: Path) -> tuple[list[str], dict[str, dict]]:
+        """Two sqlite children, each holding records, a checkpoint and a
+        trace blob; returns the child specs and ``{blob_id: payload}``."""
+        specs, blobs = [], {}
+        for name, seeds in (("a", (21, 22)), ("b", (23, 24))):
+            child = SqliteJobStore(tmp_path / f"{name}.sqlite")
+            running, _ = (child.submit(JOB.with_seed(seed)) for seed in seeds)
+            child.mark_running(running)
+            for blob_id, payload in ((running.job_id, {"generation": 2}),
+                                     (trace_blob_id(running.job_id),
+                                      {"trace_id": name})):
+                child.put_checkpoint(blob_id, payload)
+                blobs[blob_id] = payload
+            child.close()
+            specs.append(f"sqlite:{tmp_path / f'{name}.sqlite'}")
+        return specs, blobs
+
+    def test_shard_spec_names_each_childs_migrate_command(self, tmp_path, capsys):
+        spec = f"shard:sqlite:{tmp_path}/a.sqlite,sqlite:{tmp_path}/b.sqlite"
+        commands = [f"repro migrate --from sqlite:{tmp_path}/{name}.sqlite "
+                    f"--to sqlite:{tmp_path}/one/jobs.sqlite"
+                    for name in ("a", "b")]
+        with pytest.raises(ServiceError) as excinfo:
+            store_from_spec(spec, state_dir=tmp_path / "one")
+        for command in commands:
+            assert command in str(excinfo.value)
+        assert main(["status", "--store", spec,
+                     "--state-dir", str(tmp_path / "one")]) == 2
+        err = capsys.readouterr().err
+        for command in commands:
+            assert command in err
+        assert not (tmp_path / "a.sqlite").exists()
+        assert not (tmp_path / "one" / "jobs.sqlite").exists()
+
+    def test_manifest_spec_names_the_manifest(self, tmp_path):
+        with pytest.raises(ServiceError) as excinfo:
+            store_from_spec(f"shard:@{tmp_path}/fleet.json",
+                            state_dir=tmp_path / "one")
+        message = str(excinfo.value)
+        assert f"{tmp_path}/fleet.json" in message
+        assert (f"repro migrate --from CHILD_SPEC --to "
+                f"sqlite:{tmp_path}/one/jobs.sqlite") in message
+
+    def test_following_the_commands_imports_the_whole_fleet(
+        self, tmp_path, capsys
+    ):
+        specs, blobs = self._fleet(tmp_path)
+        before = {}
+        for child in specs:
+            store = store_from_spec(child)
+            before.update({r.job_id: _canonical(r.to_dict())
+                           for r in store.records()})
+        with pytest.raises(ServiceError) as excinfo:
+            store_from_spec("shard:" + ",".join(specs),
+                            state_dir=tmp_path / "one")
+        commands = [line.split() for line in str(excinfo.value).splitlines()
+                    if line.strip().startswith("repro migrate")]
+        assert len(commands) == 2
+        for command in commands:
+            assert main(command[1:]) == 0
+        capsys.readouterr()
+
+        merged = SqliteJobStore(tmp_path / "one" / "jobs.sqlite")
+        assert {r.job_id: _canonical(r.to_dict())
+                for r in merged.records()} == before
+        assert len(before) == 4
+        for blob_id, payload in blobs.items():
+            assert merged.get_checkpoint(blob_id) == payload
+        assert main(["status", "--state-dir", str(tmp_path / "one")]) == 0

@@ -4,8 +4,8 @@ the fleet-crossing contract.
 The centerpiece is the ``store_harness``-parametrized battery asserting
 that one job run end-to-end — traced submit, worker claim, evaluation,
 release — leaves exactly one *connected* span tree in the durable trace
-blob, on every store backend (sqlite, remote-over-HTTP fronting it,
-and two sharded layouts).  The kill-the-worker test proves a
+blob, on every store backend (sqlite, and remote-over-HTTP fronting
+it).  The kill-the-worker test proves a
 resumed job links its new spans to the original trace instead of
 starting a fresh one.
 """
@@ -25,7 +25,6 @@ from repro.obs import trace
 from repro.service import (
     JobStoreServer,
     ProtectionJob,
-    ShardedJobStore,
     SqliteJobStore,
     Worker,
 )
@@ -111,14 +110,6 @@ class TestSpanPrimitives:
         (span,) = scope.collected
         assert span["parent_id"] == "rootrootrootroot"
         assert span["duration"] == 1.5
-
-    def test_annotate_span_reaches_innermost_open_span(self):
-        trace.enable_tracing()
-        with trace.activated(trace.new_trace_id()) as scope:
-            with trace.span("repro.submit"):
-                trace.annotate_span(shard="b")
-        (span,) = scope.collected
-        assert span["attrs"]["shard"] == "b"
 
     def test_scope_caps_spans_and_counts_dropped(self):
         trace.enable_tracing()
@@ -367,12 +358,35 @@ class TestFleetContract:
         assert root["attrs"]["status"] == "completed"
         claim = next(s for s in payload["spans"] if s["name"] == "repro.claim")
         assert claim["attrs"]["worker"]
-        if isinstance(store_harness.backing, ShardedJobStore):
-            # The blob must co-locate with the record's shard even though
-            # rendezvous hashing of "<job>.trace" would pick another.
-            shard = store_harness.backing.shard_for(record.job_id)
-            assert shard.get_checkpoint(trace.trace_blob_id(record.job_id))
-            assert claim["attrs"]["shard"] in ("a", "b")
+
+    def test_failed_reread_still_flushes_and_is_counted(self, tmp_path):
+        trace.enable_tracing(sample_rate=1.0)
+        registry = obs.enable()
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
+        record, info = _submit_traced(store, _job(seed=7))
+        worker = Worker(store, stale_after=60.0)
+        flush = worker._flush_traces
+
+        def flush_with_a_failing_get(*args, **kwargs):
+            def broken_get(*_, **__):
+                raise OSError("store read failed")
+
+            store.get = broken_get
+            try:
+                return flush(*args, **kwargs)
+            finally:
+                del store.get
+
+        worker._flush_traces = flush_with_a_failing_get
+        (outcome,) = worker.run_once()
+        assert outcome.ok
+        payload = trace.load_trace(store, record.job_id)
+        assert payload is not None and payload["trace_id"] == info["id"]
+        _assert_connected(payload)
+        errors = [c["value"] for c in registry.snapshot()["counters"]
+                  if c["name"] == "repro_errors_total"
+                  and c["labels"] == {"event": "trace_reread_error"}]
+        assert errors == [1.0]
 
     def test_untraced_job_leaves_no_blob(self, store_harness):
         store = store_harness.store

@@ -12,6 +12,7 @@ and the ``store_from_spec`` / ``migrate_store`` plumbing around it all.
 
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.exceptions import ServiceError
 from repro.service import (
     JobRunner,
@@ -273,6 +275,29 @@ class TestStoreFromSpec:
             for name in STORE_PROTOCOL:
                 assert callable(getattr(opened, name)), (spec, name)
 
+    def test_unknown_scheme_rejected_with_grammar(self, tmp_path):
+        with pytest.raises(ServiceError) as excinfo:
+            store_from_spec("sqllite:jobs.db")
+        message = str(excinfo.value)
+        assert "sqllite:" in message
+        for grammar in ("directory path", "sqlite:PATH", "http(s)://"):
+            assert grammar in message
+        assert "shard:" not in message
+
+    def test_existing_directory_with_colon_still_opens(self, tmp_path):
+        # A user who really has a directory named like a scheme typo can
+        # still open it: existence wins over the typo heuristic.
+        weird = tmp_path / "odd:dir"
+        weird.mkdir()
+        store = store_from_spec(str(weird))
+        assert isinstance(store, SqliteJobStore)
+        assert store.path == weird / "jobs.sqlite"
+
+    def test_bare_paths_still_work(self, tmp_path):
+        store = store_from_spec(str(tmp_path / "plain"))
+        assert isinstance(store, SqliteJobStore)
+        assert store.path == tmp_path / "plain" / "jobs.sqlite"
+
 
 class TestMigration:
     def _populate(self, source) -> dict[str, str]:
@@ -315,6 +340,37 @@ class TestMigration:
         assert counts == {"records": 3, "checkpoints": 1, "traces": 0,
                           "migrants": 0}
         self._assert_mirrored(staged, target, ids)
+
+
+class TestStreamingMigrate:
+    def test_migrate_emits_progress_chunks(self, tmp_path):
+        registry = obs.enable()
+        stream = io.StringIO()
+        obs.configure_events(stream)
+        try:
+            source = SqliteJobStore(tmp_path / "src.sqlite")
+            for seed in range(7):
+                source.submit(_job(seed))
+            target = SqliteJobStore(tmp_path / "dst" / "jobs.sqlite")
+            counts = migrate_store(source, target, chunk_size=3)
+            assert counts == {"records": 7, "checkpoints": 0, "traces": 0,
+                              "migrants": 0}
+            progress = [json.loads(line) for line in
+                        stream.getvalue().splitlines()
+                        if json.loads(line)["event"] == "migrate_progress"]
+            assert [p["records"] for p in progress] == [3, 6, 7]
+            assert progress[-1].get("done") is True
+        finally:
+            obs.disable()
+            obs.configure_events(None)
+            registry.reset()
+
+    def test_iter_records_streams_everything(self, tmp_path):
+        store = SqliteJobStore(tmp_path / "db.sqlite")
+        for seed in range(5):
+            store.submit(_job(seed))
+        streamed = sorted(r.job_id for r in store.iter_records())
+        assert streamed == sorted(r.job_id for r in store.records())
 
 
 class TestSqliteStoreBasics:

@@ -5,8 +5,7 @@ Every test in this module runs once per backend via the
 :class:`SqliteJobStore`, against a :class:`RemoteJobStore` talking to a
 live in-process :class:`JobStoreServer` over real HTTP fronting one
 (both ends built directly, and both opened through ``store_from_spec``
-as the CLI opens them), and against two sharded layouts (2x sqlite, and sqlite + an HTTP
-child).  The suite *is* the claim protocol's contract — submit
+as the CLI opens them).  The suite *is* the claim protocol's contract — submit
 idempotency, claim exclusivity, batch claims, owner-checked release,
 heartbeat refresh, stale recovery, checkpoint blobs, and identical
 exception types — so a change that breaks any implementation fails
