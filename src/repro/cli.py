@@ -407,45 +407,8 @@ def _print_merge_front(record) -> None:
         print(f"degraded (solo) islands: {', '.join(str(i) for i in degraded)}")
 
 
-def _run_island_group(args: argparse.Namespace, store, jobs, group: str) -> int:
-    """Inline execution for ``repro submit --islands`` (non-detached).
-
-    Island jobs park at exchange boundaries, so the inline path runs an
-    in-process :class:`Worker` through :func:`drive_group` — cooperative
-    round-robin over the members plus the final merge — instead of the
-    claim-then-run-to-completion block serial jobs use.
-    """
-    from repro.service.islands import drive_group
-    from repro.service.worker import Worker
-
-    worker = Worker(
-        store,
-        backend=args.backend,
-        max_workers=args.workers,
-        use_cache=not args.no_cache,
-        eval_workers=args.eval_workers,
-        eval_backend=args.eval_backend,
-    )
-    finals = drive_group(store, worker, [job.job_id for job in jobs])
-    failures = 0
-    for record in finals:
-        if record.status == "failed":
-            failures += 1
-            print(f"{record.job_id} failed: {record.error}", file=sys.stderr)
-    header = _STATUS_HEADER + ["island"]
-    rows = [_result_row(record) + [_island_cell(record.job)]
-            for record in finals]
-    print(format_table(header, rows,
-                       title=f"island group {group} via {args.backend} backend"))
-    _print_merge_front(finals[-1])
-    print(f"store: {_store_label(store)}" if _store_spec(args)
-          else f"state dir: {store.root}")
-    return 1 if failures else 0
-
-
 def cmd_submit(args: argparse.Namespace) -> int:
     from repro.service.job import ProtectionJob
-    from repro.service.runner import JobRunner
 
     _enable_telemetry(args, "submit")
     store = _job_store(args)
@@ -531,74 +494,51 @@ def cmd_submit(args: argparse.Namespace) -> int:
             print(f"island jobs park at exchange rounds; any number of "
                   f"workers may drive the group (repro status --group {group})")
         return 0
-    if group:
-        return _run_island_group(args, store, jobs, group)
-    from repro.service.worker import (
-        ClaimHeartbeat,
-        claim_queued,
-        release_quietly,
-        unique_owner,
-    )
+    from repro.service.worker import Worker, unique_owner
 
-    failures = 0
-    owner = unique_owner("submit")
-    # Build the runner before claiming anything: a configuration error
-    # must surface with zero claims held, not strand queued jobs.
-    runner = JobRunner(
+    # Inline execution is an in-process worker: the same claim, heartbeat,
+    # mark, release and trace flush as `repro worker`.  Building it
+    # validates the backend before any claim is held.
+    worker = Worker(
+        store,
         backend=args.backend,
         max_workers=args.workers,
-        cache_path=None if args.no_cache else str(store.cache_path),
-        checkpoint_every=args.checkpoint_every,
-        store=store,
-        owner=owner,
+        use_cache=not args.no_cache,
+        worker_id=unique_owner("submit"),
+        heartbeat_every=_INLINE_HEARTBEAT_SECONDS,
+        eval_workers=args.eval_workers,
+        eval_backend=args.eval_backend,
     )
-    # Claim before running so a concurrently polling `repro worker`
-    # cannot pick up the same jobs, then re-read inside the claim: a
-    # job a worker finished between our submit and our claim must not
-    # be re-run or have its result clobbered.
+    if group:
+        # Island jobs park at exchange boundaries: drive_group round-robins
+        # the members plus the final merge, awaiting external workers.
+        from repro.service.islands import drive_group
 
-    def report_skip(record, reason):
-        if reason == "claimed":
-            print(f"{record.job_id}: claimed by another worker, skipping")
-        else:
-            print(f"{record.job_id}: no longer queued, skipping")
+        finals = drive_group(store, worker, [job.job_id for job in jobs])
+        failures = [r for r in finals if r.status == "failed"]
+        for record in failures:
+            print(f"{record.job_id} failed: {record.error}", file=sys.stderr)
+        rows = [_result_row(record) + [_island_cell(record.job)]
+                for record in finals]
+        print(format_table(_STATUS_HEADER + ["island"], rows,
+                           title=f"island group {group} via {args.backend} backend"))
+        _print_merge_front(finals[-1])
+    else:
+        def report_skip(record, reason):
+            if reason == "claimed":
+                print(f"{record.job_id}: claimed by another worker, skipping")
+            else:
+                print(f"{record.job_id}: no longer queued, skipping")
 
-    mine = claim_queued(store, pending, owner, on_skipped=report_skip)
-    if mine:
-        beat = ClaimHeartbeat(store, [r.job_id for r in mine], owner,
-                              _INLINE_HEARTBEAT_SECONDS).start()
-        settled: list = []
-        try:
-            for record in mine:
-                store.mark_running(record)
-            settled = runner.run_settled(
-                [r.job for r in mine],
-                traces=[trace.trace_context_from_extras(r.extras)
-                        for r in mine],
-            )
-            for record, outcome in zip(mine, settled):
-                if outcome.ok:
-                    store.mark_completed(record, outcome.result)
-                else:
-                    failures += 1
-                    store.mark_failed(record, outcome.error)
-                    print(f"{record.job_id} failed: {outcome.error}", file=sys.stderr)
-        finally:
-            beat.stop()
-            release_quietly(store, [r.job_id for r in mine], owner)
-            outcomes = {o.job_id: o for o in settled}
-            for record in mine:
-                outcome = outcomes.get(record.job_id)
-                try:
-                    current = store.get(record.job_id)
-                except ReproError:
-                    current = record  # telemetry only, never mask the run
-                trace.flush_job_trace(
-                    store, current,
-                    list(outcome.trace_spans) if outcome else [],
-                )
-    rows = [_result_row(store.get(record.job_id)) for record in records]
-    print(format_table(_STATUS_HEADER, rows, title=f"submitted via {args.backend} backend"))
+        # The claim re-reads each record: a job a worker finished between
+        # our submit and our claim is not re-run or clobbered.
+        failures = [o for o in worker.process(pending, on_skipped=report_skip)
+                    if not o.ok]
+        for outcome in failures:
+            print(f"{outcome.job_id} failed: {outcome.error}", file=sys.stderr)
+        rows = [_result_row(store.get(record.job_id)) for record in records]
+        print(format_table(_STATUS_HEADER, rows,
+                           title=f"submitted via {args.backend} backend"))
     print(f"store: {_store_label(store)}" if _store_spec(args)
           else f"state dir: {store.root}")
     return 1 if failures else 0
@@ -729,8 +669,7 @@ def _print_timeline(record) -> None:
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
-    from repro.service.runner import JobRunner
-    from repro.service.worker import ClaimHeartbeat, release_quietly, unique_owner
+    from repro.service.worker import Worker, release_quietly, unique_owner
 
     _enable_telemetry(args, "resume")
     store = _job_store(args)
@@ -745,7 +684,15 @@ def cmd_resume(args: argparse.Namespace) -> int:
     if record.status == "completed" and not args.force:
         print(f"{record.job_id} is already completed; use --force to re-resume")
         return 0
-    owner = unique_owner("resume")
+    worker = Worker(
+        store,
+        backend=args.backend,
+        max_workers=args.workers,
+        use_cache=not args.no_cache,
+        worker_id=unique_owner("resume"),
+        heartbeat_every=_INLINE_HEARTBEAT_SECONDS,
+    )
+    owner = worker.worker_id
     if not store.claim(record.job_id, owner=owner):
         if not args.force:
             raise ReproError(
@@ -756,7 +703,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
         store.release(record.job_id)
         if not store.claim(record.job_id, owner=owner):
             raise ReproError(f"{record.job_id}: lost a claim race; retry")
-    beat = None
+    held = [record.job_id]
     try:
         # Re-read inside the claim: a worker may have finished the job
         # between our first read and the claim landing.
@@ -769,42 +716,15 @@ def cmd_resume(args: argparse.Namespace) -> int:
                 f"no checkpoint for {record.job_id} in {_store_label(store)}; "
                 "was the job submitted with --checkpoint-every?"
             )
-        runner = JobRunner(
-            backend=args.backend,
-            max_workers=args.workers,
-            cache_path=None if args.no_cache else str(store.cache_path),
-            checkpoint_every=int(record.extras.get("checkpoint_every", 0)),
-            store=store,
-            owner=owner,
-        )
-        beat = ClaimHeartbeat(store, [record.job_id], owner,
-                              _INLINE_HEARTBEAT_SECONDS).start()
-        # The resumed run links its new spans to the submit-time trace:
-        # same trace id from extras, so the durable blob merges both
-        # attempts into one waterfall.
-        from repro.obs import trace
-
-        trace_ctx = trace.trace_context_from_extras(record.extras)
-        store.mark_running(record)
-        try:
-            (result,) = runner.run(
-                [record.job], resume=True,
-                traces=[trace_ctx] if trace_ctx else None,
-            )
-        except Exception as exc:  # noqa: BLE001 - job failure is service state
-            store.mark_failed(record, str(exc))
-            if trace_ctx is not None:
-                trace.flush_job_trace(store, store.get(record.job_id),
-                                      trace.take_stray_spans())
-            raise
-        spans = result.extras.pop("trace_spans", [])
-        store.mark_completed(record, result)
-        if trace_ctx is not None:
-            trace.flush_job_trace(store, store.get(record.job_id), spans)
+        # From here the worker owns the claim: it heartbeats, marks,
+        # releases and flushes the trace, whatever the run does.
+        held = []
+        (outcome,) = worker.run_claimed([record], resume=True)
     finally:
-        if beat is not None:
-            beat.stop()
-        release_quietly(store, [record.job_id], owner)
+        release_quietly(store, held, owner)
+    if not outcome.ok:
+        print(f"{record.job_id} failed: {outcome.error}", file=sys.stderr)
+        return 1
     print(format_table(_STATUS_HEADER, [_result_row(record)],
                        title=f"resumed {record.job_id}"))
     return 0

@@ -586,13 +586,21 @@ _ERROR_TYPES = {
 
 
 def _mapped_error(exc: urllib.error.HTTPError) -> ReproError:
-    """Rebuild the server-side exception type from an error response."""
+    """Rebuild the server-side exception type from an error response.
+
+    A body that is unreadable, not JSON, or not this server's
+    ``{"error": {"type", "message"}}`` shape (a proxy's 502 page, say)
+    carries no detail: it maps to a :class:`ServiceError` naming the
+    HTTP code.
+    """
     try:
         payload = json.loads(exc.read().decode("utf-8"))
-    except Exception:  # noqa: BLE001 - any unreadable body means no detail
-        payload = {}
-    error = payload.get("error") or {}
-    cls = _ERROR_TYPES.get(error.get("type", ""), ServiceError)
+    except (OSError, http.client.HTTPException, ValueError):
+        payload = None
+    error = payload.get("error") if isinstance(payload, dict) else None
+    if not isinstance(error, dict):
+        error = {}
+    cls = _ERROR_TYPES.get(str(error.get("type", "")), ServiceError)
     return cls(error.get("message") or f"job store returned HTTP {exc.code}")
 
 

@@ -1,16 +1,19 @@
 """Queue worker: claims queued jobs from a shared store and executes them.
 
-This is the execution half of the detached submission flow.  ``repro
-submit --detach`` only *writes* ``queued`` records; a :class:`Worker`
-(the ``repro worker`` command — any number of them, on one local
-database or against a :class:`~repro.service.netstore.RemoteJobStore`
-over HTTP) later claims each record via the store's atomic claim
-protocol, runs it through the existing
-:class:`~repro.service.runner.JobRunner`, and marks it ``completed`` or
-``failed``.  Because a claim either exists or does not — there is no
-in-between state the store can expose — two workers draining one queue
-never execute the same job, which is the invariant cross-machine
-distribution builds on.
+:class:`Worker` is the one executor of claimed jobs.  ``repro submit
+--detach`` only *writes* ``queued`` records; a ``repro worker`` process
+(any number of them, on one local database or against a
+:class:`~repro.service.netstore.RemoteJobStore` over HTTP) later claims
+each record via the store's atomic claim protocol, runs it through the
+existing :class:`~repro.service.runner.JobRunner`, and marks it
+``completed`` or ``failed``.  Inline ``repro submit`` and ``repro
+resume`` are an in-process worker over the same code
+(:meth:`Worker.process` and :meth:`Worker.run_claimed`), so every job
+gets the same heartbeats, marks, events, counters and trace spans
+however it is driven.  Because a claim either exists or does not —
+there is no in-between state the store can expose — two workers
+draining one queue never execute the same job, which is the invariant
+cross-machine distribution builds on.
 
 The claim protocol, spelled out:
 
@@ -43,6 +46,7 @@ import uuid
 from repro.exceptions import WorkerError
 from repro.obs import emit_event, get_registry, trace
 from repro.service.backends import create_backend
+from repro.service.islands import park_record, parked_signature
 from repro.service.runner import JobOutcome, JobRunner
 from repro.service.sqlstore import SqliteJobStore
 from repro.service.store import QUEUED, JobRecord
@@ -124,9 +128,9 @@ def claim_queued(
 ) -> list[JobRecord]:
     """Win claims over still-queued ``candidates`` for ``owner``.
 
-    The one implementation of the claim-validate step every executor
-    shares (workers, inline ``repro submit``/``resume``): try to claim
-    each record (losing just means someone else owns it), then *re-read*
+    The claim-validate step behind :meth:`Worker.process` (and a
+    stalled drain's explicit queue walk): try to claim each record
+    (losing just means someone else owns it), then *re-read*
     inside the claim — a record that stopped being queued in the
     meantime is released again, not run.  Stops after ``limit`` wins
     when positive.  On any error, every claim already held is released
@@ -305,15 +309,17 @@ class Worker:
         )
 
     def _claim_batch(
-        self, limit: int, candidates: list[JobRecord] | None = None
+        self, limit: int, candidates: list[JobRecord] | None = None,
+        on_skipped=None,
     ) -> list[JobRecord]:
-        """Win up to ``limit`` claims over still-queued records.
+        """Win up to ``limit`` claims (0 = no limit) over still-queued records.
 
         Without explicit candidates the store's own ``claim_batch``
         does the whole queue-walk-and-claim — one transaction on a
         database store, one round trip on a remote one.  With
-        candidates (the single-record :meth:`process` path) the claim
-        loop runs here over exactly those records.
+        candidates (the :meth:`process` path) the claim loop runs here
+        over exactly those records, reporting passed-over ones to
+        ``on_skipped`` (see :func:`claim_queued`).
         """
         claim_started = time.time()
         if candidates is None:
@@ -325,19 +331,23 @@ class Worker:
                                    len(batch), result="won")
         else:
             batch = claim_queued(self.store, candidates, self.worker_id,
-                                 limit=limit)
+                                 limit=limit, on_skipped=on_skipped)
         self._last_claim = (claim_started, max(0.0, time.time() - claim_started))
         return batch
 
-    def _run_claimed(self, records: list[JobRecord]) -> list[JobOutcome]:
+    def run_claimed(
+        self, records: list[JobRecord], resume: bool | None = None
+    ) -> list[JobOutcome]:
         """Execute records this worker owns; marks, heartbeats, releases.
 
         Records are grouped by checkpoint cadence so each group shares
-        one runner call over the configured backend; a job left behind
-        by an interrupted worker continues from its
-        (fingerprint-validated) checkpoint instead of restarting.  All
-        claims beat from one background thread for the whole batch and
-        are released in the ``finally``, whatever happens mid-run.
+        one runner call over the configured backend.  With the default
+        ``resume=None`` a job left behind by an interrupted worker
+        continues from its (fingerprint-validated) checkpoint instead of
+        restarting; ``resume=True`` (``repro resume``) requires one.
+        All claims beat from one background thread for the whole batch
+        and are released in the ``finally``, whatever happens mid-run;
+        each traced record's spans are flushed after the release.
         """
         beat = ClaimHeartbeat(
             self.store, [r.job_id for r in records], self.worker_id,
@@ -357,9 +367,9 @@ class Worker:
                     self.store.mark_running(record)
                 settled = runner.run_settled(
                     [record.job for record in group],
-                    # Each job resumes iff the store holds a resumable
-                    # checkpoint for it, read once by the job itself.
-                    resume=None,
+                    # None: each job resumes iff the store holds a
+                    # resumable checkpoint for it, read once by the job.
+                    resume=resume,
                     traces=[
                         trace.trace_context_from_extras(record.extras)
                         for record in group
@@ -379,8 +389,6 @@ class Worker:
                         # An island job yielded at an exchange boundary:
                         # its state is durably checkpointed — requeue it
                         # (behind the queue) rather than mark it failed.
-                        from repro.service.islands import park_record
-
                         park_record(self.store, record, outcome.parked)
                         registry.inc("repro_worker_jobs_total",
                                      outcome="parked")
@@ -470,19 +478,27 @@ class Worker:
                 end=release_started + release_seconds,
             )
 
-    def process(self, record: JobRecord) -> JobOutcome | None:
-        """Claim and execute one record; ``None`` when it isn't ours to run.
+    def process(
+        self, records: JobRecord | list[JobRecord], on_skipped=None
+    ) -> list[JobOutcome] | JobOutcome | None:
+        """Claim exactly ``records`` and execute the wins as one batch.
 
-        Returns the settled :class:`JobOutcome` (the record is marked
-        ``completed`` or ``failed`` accordingly) when this worker won the
-        claim, ``None`` when another worker holds the job or the record
-        stopped being queued before the claim landed.
+        One claim pass over the given records (see :func:`claim_queued`;
+        ``on_skipped(record, reason)`` hears about each one passed over),
+        then one :meth:`run_claimed` call, so a ``thread``/``process``
+        backend fans the batch out.  Returns the settled outcomes of the
+        records this worker won, in order.  Given a single
+        :class:`JobRecord` instead of a list, returns its outcome, or
+        ``None`` when another worker holds the job or it stopped being
+        queued before the claim landed.
         """
-        mine = self._claim_batch(1, candidates=[record])
-        if not mine:
-            return None
-        (outcome,) = self._run_claimed(mine)
-        return outcome
+        single = isinstance(records, JobRecord)
+        mine = self._claim_batch(0, candidates=[records] if single else records,
+                                 on_skipped=on_skipped)
+        outcomes = self.run_claimed(mine) if mine else []
+        if single:
+            return outcomes[0] if outcomes else None
+        return outcomes
 
     def run_once(self, max_jobs: int = 0) -> list[JobOutcome]:
         """Drain the queue: claim and run batches until none are claimable.
@@ -506,7 +522,7 @@ class Worker:
         self.store.recover_stale_claims(self.stale_after)
         outcomes: list[JobOutcome] = []
         finished = 0
-        parked_sigs: dict[str, tuple] = {}
+        parked_sigs: dict[str, tuple[int, int]] = {}
         stalled: set[str] = set()
         bypass_stalled = False
         while True:
@@ -534,9 +550,8 @@ class Worker:
                 # re-park read as "no progress" on the first pass.
                 prior = record.extras.get("island_parked")
                 if isinstance(prior, dict) and record.job_id not in parked_sigs:
-                    parked_sigs[record.job_id] = (prior.get("round"),
-                                                  prior.get("generation"))
-            settled = self._run_claimed(batch)
+                    parked_sigs[record.job_id] = parked_signature(prior)
+            settled = self.run_claimed(batch)
             outcomes.extend(settled)
             progressed = False
             for outcome in settled:
@@ -544,8 +559,7 @@ class Worker:
                     finished += 1
                     progressed = True
                     continue
-                signature = (outcome.parked.get("round"),
-                             outcome.parked.get("generation"))
+                signature = parked_signature(outcome.parked)
                 if parked_sigs.get(outcome.job_id) != signature:
                     progressed = True
                 else:

@@ -124,6 +124,21 @@ class TestTransport:
         assert not (backing.root.parent / "etc").exists()
 
 
+    @pytest.mark.parametrize("body", [b"[]", b'"Bad Gateway"', b'{"error": "boom"}'])
+    def test_error_body_without_detail_maps_to_http_code(self, body):
+        # A proxy in front of the server answers with its own body; any
+        # JSON that is not {"error": {...}} means "no detail", not a crash.
+        import io
+
+        from repro.service.netstore import _mapped_error
+
+        exc = urllib.error.HTTPError("http://store/rpc", 502, "Bad Gateway",
+                                     {}, io.BytesIO(body))
+        mapped = _mapped_error(exc)
+        assert type(mapped) is ServiceError
+        assert "HTTP 502" in str(mapped)
+
+
 class TestCheckpointSpool:
     """Checkpoints bypass the client's spool: each save and load is one
     RPC against the server's copy, and nothing else moves them."""
