@@ -320,6 +320,29 @@ _STATUS_HEADER = ["job", "dataset", "score", "gens", "status", "best", "fresh",
                   "cached", "dedup", "wall"]
 
 
+def _job_table(records, title: str, island: bool = False,
+               claims: dict[str, dict] | None = None) -> str:
+    """The one job table every command prints.
+
+    The status columns, then the island column when ``island`` is set
+    and the owner and heartbeat columns when ``claims`` is given.
+    """
+    header = list(_STATUS_HEADER)
+    if island:
+        header.append("island")
+    if claims is not None:
+        header += ["owner", "heartbeat"]
+    rows = []
+    for record in records:
+        row = _result_row(record)
+        if island:
+            row.append(_island_cell(record.job))
+        if claims is not None:
+            row += _claim_cells(claims, record.job_id)
+        rows.append(row)
+    return format_table(header, rows, title=title)
+
+
 def _record_payload(record, claims: dict[str, dict]) -> dict:
     """One job's machine-readable status (the ``--json`` row).
 
@@ -476,19 +499,20 @@ def cmd_submit(args: argparse.Namespace) -> int:
             print(f"{record.job_id}: already running, skipping (a worker owns it)")
     pending = [r for r in records if r.status == "queued"]
     if args.detach:
-        rows = [_result_row(store.get(record.job_id)) for record in records]
         title = (f"queued island group {group}: {islands} member(s) + merge "
                  "(detached)" if group
                  else f"queued {len(pending)} job(s) (detached)")
-        print(format_table(_STATUS_HEADER, rows, title=title))
+        print(_job_table([store.get(record.job_id) for record in records], title))
         print(f"store: {_store_label(store)}" if _store_spec(args)
               else f"state dir: {store.root}")
         if args.store:
             hint = f" --store {args.store}"
         elif args.store_url:
-            hint = f" --store-url {args.store_url}" + (" --token <token>" if _store_token(args) else "")
+            hint = f" --store-url {args.store_url}"
         else:
             hint = f" --state-dir {store.root}" if args.state_dir else ""
+        if _store_spec(args).startswith(("http://", "https://")) and _store_token(args):
+            hint += " --token <token>"
         print(f"run them with: repro worker --once{hint}")
         if group:
             print(f"island jobs park at exchange rounds; any number of "
@@ -518,10 +542,8 @@ def cmd_submit(args: argparse.Namespace) -> int:
         failures = [r for r in finals if r.status == "failed"]
         for record in failures:
             print(f"{record.job_id} failed: {record.error}", file=sys.stderr)
-        rows = [_result_row(record) + [_island_cell(record.job)]
-                for record in finals]
-        print(format_table(_STATUS_HEADER + ["island"], rows,
-                           title=f"island group {group} via {args.backend} backend"))
+        print(_job_table(finals, f"island group {group} via {args.backend} backend",
+                         island=True))
         _print_merge_front(finals[-1])
     else:
         def report_skip(record, reason):
@@ -536,9 +558,8 @@ def cmd_submit(args: argparse.Namespace) -> int:
                     if not o.ok]
         for outcome in failures:
             print(f"{outcome.job_id} failed: {outcome.error}", file=sys.stderr)
-        rows = [_result_row(store.get(record.job_id)) for record in records]
-        print(format_table(_STATUS_HEADER, rows,
-                           title=f"submitted via {args.backend} backend"))
+        print(_job_table([store.get(record.job_id) for record in records],
+                         f"submitted via {args.backend} backend"))
     print(f"store: {_store_label(store)}" if _store_spec(args)
           else f"state dir: {store.root}")
     return 1 if failures else 0
@@ -567,7 +588,6 @@ def _claim_cells(claims: dict[str, dict], job_id: str) -> list[object]:
 def cmd_status(args: argparse.Namespace) -> int:
     store = _job_store(args)
     label = _store_label(store)
-    header = _STATUS_HEADER + ["owner", "heartbeat"]
     claims = store.claims()
     if args.group:
         from repro.service.islands import island_group_id
@@ -581,13 +601,10 @@ def cmd_status(args: argparse.Namespace) -> int:
             payloads = [_record_payload(r, claims) for r in records]
             print(json.dumps(payloads, indent=2, sort_keys=True))
             return 0
-        rows = [_result_row(r) + [_island_cell(r.job)]
-                + _claim_cells(claims, r.job_id) for r in records]
-        group_header = (_STATUS_HEADER + ["island", "owner", "heartbeat"])
         done = sum(1 for r in records if r.status == "completed")
-        print(format_table(
-            group_header, rows,
-            title=f"island group {args.group}: {done}/{len(records)} finished",
+        print(_job_table(
+            records, f"island group {args.group}: {done}/{len(records)} finished",
+            island=True, claims=claims,
         ))
         merge = [r for r in records if r.job.island_index >= r.job.islands]
         if merge:
@@ -605,8 +622,7 @@ def cmd_status(args: argparse.Namespace) -> int:
                     payload["timeline_trace"] = timeline
             print(json.dumps(payload, indent=2, sort_keys=True))
             return 0
-        row = _result_row(record) + _claim_cells(claims, record.job_id)
-        print(format_table(header, [row], title=record.job_id))
+        print(_job_table([record], record.job_id, claims=claims))
         if record.job.islands >= 2:
             from repro.service.islands import island_group_id
 
@@ -635,14 +651,9 @@ def cmd_status(args: argparse.Namespace) -> int:
     if not records:
         print(f"no jobs in {label}")
         return 0
-    island_col = any(r.job.islands >= 2 for r in records)
-    if island_col:
-        header = _STATUS_HEADER + ["island", "owner", "heartbeat"]
-        rows = [_result_row(r) + [_island_cell(r.job)]
-                + _claim_cells(claims, r.job_id) for r in records]
-    else:
-        rows = [_result_row(r) + _claim_cells(claims, r.job_id) for r in records]
-    print(format_table(header, rows, title=f"jobs in {label}"))
+    print(_job_table(records, f"jobs in {label}",
+                     island=any(r.job.islands >= 2 for r in records),
+                     claims=claims))
     return 0
 
 
@@ -725,8 +736,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
     if not outcome.ok:
         print(f"{record.job_id} failed: {outcome.error}", file=sys.stderr)
         return 1
-    print(format_table(_STATUS_HEADER, [_result_row(record)],
-                       title=f"resumed {record.job_id}"))
+    print(_job_table([record], f"resumed {record.job_id}"))
     return 0
 
 
@@ -780,11 +790,10 @@ def cmd_worker(args: argparse.Namespace) -> int:
     if not outcomes:
         print(f"no claimable queued jobs in {_store_label(store)}")
         return 0
-    rows = [_result_row(store.get(job_id)) for job_id in last]
     title = f"worker {worker.worker_id}: ran {len(last)} job(s)"
     if parked:
         title += f" ({parked} parked awaiting island peers)"
-    print(format_table(_STATUS_HEADER, rows, title=title))
+    print(_job_table([store.get(job_id) for job_id in last], title))
     return 1 if failures else 0
 
 

@@ -267,9 +267,7 @@ class EvolutionaryProtector:
             with trace_span("repro.engine.generation",
                             generation=generation) as span:
                 record = self._step(population, generation)
-                span.set(operator=record.operator,
-                         evaluations=record.evaluations,
-                         accepted=record.accepted)
+                _publish(record, span)
             history.append(record)
             stepped = True
             if on_generation is not None:
@@ -379,26 +377,6 @@ class EvolutionaryProtector:
 
         max_score, mean_score, min_score = population.score_summary()
         total_seconds = time.perf_counter() - start
-        registry = get_registry()
-        if registry.enabled:
-            # Pure observation of already-computed values: no clock reads
-            # beyond the ones the record itself needs, and no RNG access,
-            # so seeded runs stay bit-identical with telemetry on or off.
-            registry.observe("repro_engine_generation_seconds", total_seconds,
-                             operator=operator)
-            registry.inc("repro_engine_evaluations_total", evaluations,
-                         operator=operator)
-            emit_event(
-                "generation",
-                generation=generation,
-                operator=operator,
-                best=min_score,
-                mean=mean_score,
-                evaluations=evaluations,
-                fitness_seconds=round(fitness_seconds, 6),
-                total_seconds=round(total_seconds, 6),
-                accepted=accepted,
-            )
         return GenerationRecord(
             generation=generation,
             operator=operator,
@@ -410,3 +388,34 @@ class EvolutionaryProtector:
             other_seconds=max(0.0, total_seconds - fitness_seconds),
             accepted=accepted,
         )
+
+
+def _publish(record: GenerationRecord, span) -> None:
+    """The one telemetry point of a generation, derived from its record.
+
+    Fills the ``repro.engine.generation`` span and, when the registry is
+    on, the two engine series and the ``generation`` event.  Pure
+    observation of already-computed values: no clock reads and no RNG
+    access, so seeded runs stay bit-identical with telemetry on or off.
+    """
+    span.set(operator=record.operator, evaluations=record.evaluations,
+             accepted=record.accepted)
+    registry = get_registry()
+    if not registry.enabled:
+        return
+    total_seconds = record.fitness_seconds + record.other_seconds
+    registry.observe("repro_engine_generation_seconds", total_seconds,
+                     operator=record.operator)
+    registry.inc("repro_engine_evaluations_total", record.evaluations,
+                 operator=record.operator)
+    emit_event(
+        "generation",
+        generation=record.generation,
+        operator=record.operator,
+        best=record.min_score,
+        mean=record.mean_score,
+        evaluations=record.evaluations,
+        fitness_seconds=round(record.fitness_seconds, 6),
+        total_seconds=round(total_seconds, 6),
+        accepted=record.accepted,
+    )

@@ -18,8 +18,11 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.core.engine import EngineCheckpoint, EvolutionaryProtector, EvolutionResult
 from repro.core.individual import Individual
+from repro.core.population import Population
 from repro.datasets.registry import load_dataset, protected_attributes
 from repro.exceptions import ExperimentError
 from repro.experiments.population_builder import build_initial_population
@@ -122,6 +125,9 @@ def run_experiment(
     checkpoint_every: int = 0,
     on_checkpoint: Callable[[EngineCheckpoint], None] | None = None,
     resume_from: EngineCheckpoint | None = None,
+    seed: int | np.random.Generator | None = None,
+    migration_every: int = 0,
+    on_migration: Callable[[Population, int, Callable[[], EngineCheckpoint]], None] | None = None,
 ) -> ExperimentResult:
     """Execute one configured paper run end to end.
 
@@ -131,7 +137,10 @@ def run_experiment(
     checkpoint hook, and ``resume_from`` continues a checkpointed run
     instead of building and scoring a fresh initial population (the
     individuals dropped by ``drop_best_fraction`` are not part of a
-    checkpoint, so a resumed result reports none).
+    checkpoint, so a resumed result reports none).  ``seed`` overrides
+    ``config.seed`` as the engine's run seed, and ``migration_every`` /
+    ``on_migration`` forward to the engine's exchange hook — together
+    they run one island of :mod:`repro.service.islands`.
     """
     original = load_dataset(config.dataset)
     attributes = protected_attributes(config.dataset)
@@ -153,27 +162,24 @@ def run_experiment(
         mutation_probability=config.mutation_probability,
         leader_fraction=config.leader_fraction,
         selection_strategy=config.selection_strategy,
-        seed=config.seed,
+        seed=config.seed if seed is None else seed,
+    )
+    hooks = dict(
+        stopping=config.generations,
+        checkpoint_every=checkpoint_every,
+        on_checkpoint=on_checkpoint,
+        migration_every=migration_every,
+        on_migration=on_migration,
     )
     if resume_from is not None:
-        result = engine.resume(
-            resume_from,
-            stopping=config.generations,
-            checkpoint_every=checkpoint_every,
-            on_checkpoint=on_checkpoint,
-        )
+        result = engine.resume(resume_from, **hooks)
         return ExperimentResult(config=config, result=result, evaluator=evaluator)
     protections = build_initial_population(
         original, dataset_name=config.dataset, seed=config.population_seed
     )
     individuals = engine.evaluate_initial(protections)
     kept, dropped = drop_best(individuals, config.drop_best_fraction)
-    result = engine.run(
-        kept,
-        stopping=config.generations,
-        checkpoint_every=checkpoint_every,
-        on_checkpoint=on_checkpoint,
-    )
+    result = engine.run(kept, **hooks)
     return ExperimentResult(config=config, result=result, evaluator=evaluator, dropped=dropped)
 
 

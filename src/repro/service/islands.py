@@ -49,8 +49,12 @@ individuals encoded like format-v1 engine checkpoints (inline int64
 codes, no shared table), so a worker of any version can join a live
 group.
 
-Islands are pure clients of :data:`~repro.service.store.STORE_PROTOCOL`
-— no store grew a new method for them.
+A member runs through the same path as a plain job:
+:func:`~repro.experiments.runner.run_experiment` on its spawned stream,
+with the exchange as the engine's migration hook, reported through the
+runner's ``_job_result`` plus ``extras["island"]``.  Islands are pure
+clients of :data:`~repro.service.store.STORE_PROTOCOL` — no store grew
+a new method for them.
 """
 
 from __future__ import annotations
@@ -65,18 +69,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.core.engine import EngineCheckpoint, EvolutionaryProtector
+from repro.core.engine import EngineCheckpoint
 from repro.core.individual import Individual
 from repro.core.pareto import non_dominated_sort
-from repro.datasets.registry import load_dataset, protected_attributes
+from repro.datasets.registry import load_dataset
 from repro.exceptions import ServiceError
-from repro.experiments.population_builder import build_initial_population
-from repro.experiments.runner import drop_best
-from repro.metrics.evaluation import ProtectionEvaluator
-from repro.metrics.score import score_function_by_name
-from repro.obs import emit_event, get_registry, timeline_from_history, trace
-from repro.service.backends import create_backend
-from repro.service.cache import EvaluationCache
+from repro.experiments.runner import run_experiment
+from repro.obs import emit_event, get_registry, trace
 from repro.service.checkpoint import (
     CheckpointManager,
     _individual_from_dict,
@@ -114,20 +113,12 @@ DEFAULT_WAIT_TIMEOUT = 600.0
 DEFAULT_GRACE = 0.25
 
 
-def _wait_timeout() -> float:
-    raw = os.environ.get("REPRO_ISLAND_WAIT_TIMEOUT", "")
+def _env_seconds(name: str, default: float) -> float:
+    raw = os.environ.get(name, "")
     try:
-        return float(raw) if raw else DEFAULT_WAIT_TIMEOUT
+        return float(raw) if raw else default
     except ValueError:
-        return DEFAULT_WAIT_TIMEOUT
-
-
-def _grace_seconds() -> float:
-    raw = os.environ.get("REPRO_ISLAND_GRACE", "")
-    try:
-        return float(raw) if raw else DEFAULT_GRACE
-    except ValueError:
-        return DEFAULT_GRACE
+        return default
 
 
 class IslandParked(ServiceError):
@@ -420,18 +411,7 @@ def plan_injection(
     return plan
 
 
-# -- the member executor ------------------------------------------------------
-
-
-class _ParkSignal(Exception):
-    """Internal: unwinds the engine loop out to the executor for a park."""
-
-    def __init__(self, round_index: int, generation: int,
-                 waiting_on: tuple[str, ...]) -> None:
-        self.round_index = round_index
-        self.generation = generation
-        self.waiting_on = waiting_on
-        super().__init__(f"park at round {round_index}")
+# -- the member executor: run_experiment plus the exchange hook ---------------
 
 
 def _state_payload(state: dict) -> dict:
@@ -447,23 +427,6 @@ def _state_payload(state: dict) -> dict:
 def _fresh_state() -> dict:
     return {"pending_round": 0, "wait_since": 0.0, "degraded": False,
             "rounds": 0, "injected": 0}
-
-
-def _gather_inbound(
-    store, job: ProtectionJob, senders: list[tuple[int, str]],
-    group: str, round_index: int, reference,
-) -> tuple[list[Individual], list[str]]:
-    """(migrants in sender order, sender job ids still unpublished)."""
-    inbound: list[Individual] = []
-    missing: list[str] = []
-    for _, sender_id in senders:
-        migrants = read_round_migrants(store, sender_id, group, round_index,
-                                       reference)
-        if migrants is None:
-            missing.append(sender_id)
-        else:
-            inbound.extend(migrants)
-    return inbound, missing
 
 
 def _failed_senders(store, sender_ids: list[str]) -> list[str]:
@@ -504,16 +467,58 @@ def _degrade(job: ProtectionJob, state: dict, reason: str,
                    reason=reason, waiting_on=list(waiting_on))
 
 
-def _complete_exchange(
+def _await_round(
+    store,
     job: ProtectionJob,
     state: dict,
     round_index: int,
-    received: list[Individual],
+    senders: list[str],
+    reference,
     individuals: list[Individual],
-    apply_replacement,
-    waited_seconds: float,
-) -> int:
-    """Inject ``received`` via ``apply_replacement(slot, individual)``."""
+    apply_replacement: Callable[[int, Individual], None],
+) -> tuple[str, ...]:
+    """Await exchange round ``round_index``; the sender ids still owed.
+
+    The one gather → grace → degrade → park sequence, shared by the live
+    exchange and a claim settling the round an earlier claim parked on.
+    Once every sender has published, injects the migrants into
+    ``individuals`` via ``apply_replacement(slot, individual)``.  A
+    failed sender, or silence past the wait timeout, degrades to solo
+    continuation.  Both return ``()``; otherwise the round stays pending
+    (the wait clock starts if idle) and the caller parks.
+    """
+    group = island_group_id(job)
+    grace = _env_seconds("REPRO_ISLAND_GRACE", DEFAULT_GRACE)
+    wait_started = time.monotonic()
+    while True:
+        received: list[Individual] = []
+        missing: list[str] = []
+        for sender_id in senders:
+            migrants = read_round_migrants(store, sender_id, group,
+                                           round_index, reference)
+            if migrants is None:
+                missing.append(sender_id)
+            else:
+                received.extend(migrants)
+        if not missing or time.monotonic() - wait_started >= grace:
+            break
+        time.sleep(min(0.05, grace))
+    wait_since = float(state.get("wait_since") or 0.0)
+    if missing:
+        failed = _failed_senders(store, missing)
+        if failed:
+            _degrade(job, state, "sender-failed", failed, round_index)
+            return ()
+        timeout = _env_seconds("REPRO_ISLAND_WAIT_TIMEOUT", DEFAULT_WAIT_TIMEOUT)
+        if wait_since and time.time() - wait_since > timeout:
+            _degrade(job, state, "timeout", missing, round_index)
+            return ()
+        if not wait_since:
+            state["wait_since"] = time.time()
+        state["pending_round"] = round_index
+        return tuple(missing)
+    waited = max(0.0, (time.time() - wait_since) if wait_since else (
+        time.monotonic() - wait_started))
     plan = plan_injection(individuals, received)
     for slot, individual in plan:
         apply_replacement(slot, individual)
@@ -525,63 +530,33 @@ def _complete_exchange(
     if registry.enabled:
         registry.inc("repro_island_migrations_total", len(plan),
                      island=str(job.island_index))
-        registry.observe("repro_island_migrant_wait_seconds",
-                         max(0.0, waited_seconds))
+        registry.observe("repro_island_migrant_wait_seconds", waited)
         emit_event("island_exchange", job_id=job.job_id,
                    island=job.island_index, round=round_index,
                    received=len(received), injected=len(plan),
-                   wait_seconds=round(max(0.0, waited_seconds), 3))
-    return len(plan)
+                   wait_seconds=round(waited, 3))
+    return ()
 
 
 def _execute_member_job(job: ProtectionJob, payload: dict) -> JobResult:
+    """Run one island member through the plain job path.
+
+    A member is :func:`~repro.experiments.runner.run_experiment` on its
+    own spawned RNG stream with the exchange as the engine's migration
+    hook, and its result is the runner's ``_job_result`` plus
+    ``extras["island"]``.  Only the exchange — publish, await, inject,
+    persist, park — is island-specific.
+    """
+    from repro.service.runner import _evaluation_cache, _job_result, _run_config
+
     store = resolve_store(payload)
     original = load_dataset(job.dataset)
-    attributes = protected_attributes(job.dataset)
-    group = island_group_id(job)
     fingerprint = job.fingerprint()
-    inbound_map = island_topology(job.topology, job.islands)
     senders = [
-        (s, replace(job, island_index=s).job_id)
-        for s in sorted(inbound_map[job.island_index])
+        replace(job, island_index=s).job_id
+        for s in sorted(island_topology(job.topology, job.islands)[job.island_index])
     ]
-    sender_ids = [sender_id for _, sender_id in senders]
-
-    cache_path = payload.get("cache_path") or ""
-    cache = (
-        EvaluationCache(cache_path,
-                        max_entries=payload.get("cache_max_entries") or None)
-        if cache_path
-        else None
-    )
-    eval_workers = job.eval_workers or int(payload.get("eval_workers") or 0)
-    executor = None
-    if eval_workers >= 2:
-        backend_name = (
-            job.eval_backend if job.eval_workers
-            else str(payload.get("eval_backend") or "thread")
-        )
-        executor = create_backend(backend_name, max_workers=eval_workers)
-    evaluator = ProtectionEvaluator(
-        original,
-        attributes,
-        score_function=score_function_by_name(job.score),
-        persistent_cache=cache,
-        executor=executor,
-    )
-    # Rule 1: disjoint, reproducible per-island streams off the run seed.
-    stream = np.random.SeedSequence(job.seed).spawn(job.islands)[job.island_index]
-    engine = EvolutionaryProtector(
-        evaluator,
-        mutation_probability=job.mutation_probability,
-        leader_fraction=job.leader_fraction,
-        selection_strategy=job.selection_strategy,
-        seed=np.random.default_rng(stream),
-    )
-
     state = _fresh_state()
-    grace = _grace_seconds()
-    timeout = _wait_timeout()
     # One encoding memo for every save of this claim: each save only
     # compresses the code matrices no earlier save (or the resumed
     # checkpoint) already encoded.  Saves are gated on our claim.
@@ -599,195 +574,78 @@ def _execute_member_job(job: ProtectionJob, payload: dict) -> JobResult:
         round_index = generation // job.migrate_every
         with trace.span("repro.island.exchange", island=job.island_index,
                         round=round_index, generation=generation):
-            members = list(population)
-            publish_migrants(store, job, round_index, generation, members)
-            if state["degraded"]:
-                persist(capture())
-                return
-            wait_started = time.monotonic()
-            while True:
-                received, missing = _gather_inbound(
-                    store, job, senders, group, round_index, original)
-                if not missing:
-                    break
-                if time.monotonic() - wait_started >= grace:
-                    break
-                time.sleep(min(0.05, grace))
-            if missing:
-                failed = _failed_senders(store, missing)
-                if failed:
-                    _degrade(job, state, "sender-failed", failed, round_index)
-                    persist(capture())
-                    return
-                wait_since = float(state.get("wait_since") or 0.0)
-                if wait_since and time.time() - wait_since > timeout:
-                    _degrade(job, state, "timeout", missing, round_index)
-                    persist(capture())
-                    return
-                if not wait_since:
-                    state["wait_since"] = time.time()
-                state["pending_round"] = round_index
-                # Pre-injection checkpoint: resume re-runs this very
-                # exchange against the same stamped buffers, so the
-                # parked path replays the live path bit for bit.
-                persist(capture())
-                raise _ParkSignal(round_index, generation, tuple(missing))
-            wait_since = float(state.get("wait_since") or 0.0)
-            waited = (time.time() - wait_since) if wait_since else (
-                time.monotonic() - wait_started)
-            _complete_exchange(job, state, round_index, received,
-                               list(population), population.replace, waited)
+            publish_migrants(store, job, round_index, generation, list(population))
+            waiting_on = () if state["degraded"] else _await_round(
+                store, job, state, round_index, senders, original,
+                list(population), population.replace)
+            # A park saves the pre-injection checkpoint: resume re-runs
+            # this very exchange against the same stamped buffers, so
+            # the parked path replays the live path bit for bit.
             persist(capture())
+            if waiting_on:
+                raise IslandParked(job.job_id, round_index, generation, waiting_on)
 
     start = time.perf_counter()
-    try:
-        blob = store.get_checkpoint(job.job_id)
-        resumable = is_resumable(blob, fingerprint)
-        with trace.span("repro.run", dataset=job.dataset, seed=job.seed,
-                        island=job.island_index, resume=resumable or None):
-            if resumable:
-                checkpoint = checkpoint_from_dict(
-                    blob, original, expected_fingerprint=fingerprint, memo=memo)
-                state.update(_state_payload(blob.get("island_state") or {}))
-                pending = int(state.get("pending_round") or 0)
-                if pending and not state["degraded"]:
-                    checkpoint = _settle_pending_round(
-                        store, job, state, checkpoint, senders, group,
-                        original, grace, timeout, persist)
-                outcome = engine.resume(
-                    checkpoint,
-                    stopping=job.generations,
-                    migration_every=job.migrate_every,
-                    on_migration=exchange,
-                )
-            else:
-                protections = build_initial_population(
-                    original, dataset_name=job.dataset,
-                    seed=job.population_seed)
-                individuals = engine.evaluate_initial(protections)
-                kept, _ = drop_best(individuals, job.drop_best_fraction)
-                outcome = engine.run(
-                    kept,
-                    stopping=job.generations,
-                    migration_every=job.migrate_every,
-                    on_migration=exchange,
-                )
-    except _ParkSignal as signal:
-        raise IslandParked(job.job_id, signal.round_index, signal.generation,
-                           signal.waiting_on) from None
-    finally:
-        if cache is not None:
-            cache.close()
+    blob = store.get_checkpoint(job.job_id)
+    resumable = is_resumable(blob, fingerprint)
+    with _evaluation_cache(payload) as cache, trace.span(
+        "repro.run", dataset=job.dataset, seed=job.seed,
+        island=job.island_index, resume=resumable or None,
+    ):
+        checkpoint = None
+        if resumable:
+            checkpoint = checkpoint_from_dict(
+                blob, original, expected_fingerprint=fingerprint, memo=memo)
+            state.update(_state_payload(blob.get("island_state") or {}))
+            round_index = state["pending_round"]
+            if round_index and not state["degraded"]:
+                # Settle the exchange a previous claim parked on, against
+                # its pre-injection checkpoint: the run resumes as if it
+                # never parked.  That checkpoint is already durable, so a
+                # re-park saves only to start the wait clock.
+                individuals = list(checkpoint.individuals)
+                clock_idle = not state["wait_since"]
+                waiting_on = _await_round(
+                    store, job, state, round_index, senders, original,
+                    list(individuals), individuals.__setitem__)
+                checkpoint = replace(checkpoint, individuals=individuals)
+                if not waiting_on or clock_idle:
+                    persist(checkpoint)
+                if waiting_on:
+                    raise IslandParked(job.job_id, round_index,
+                                       checkpoint.generation, waiting_on)
+        # Rule 1: disjoint, reproducible per-island streams off the run seed.
+        stream = np.random.SeedSequence(job.seed).spawn(job.islands)[job.island_index]
+        outcome = run_experiment(
+            _run_config(job, payload),
+            evaluation_cache=cache,
+            resume_from=checkpoint,
+            seed=np.random.default_rng(stream),
+            migration_every=job.migrate_every,
+            on_migration=exchange,
+        )
 
-    best = outcome.best
-    _, _, percent = outcome.history.improvement("mean")
-    return JobResult(
-        job_id=job.job_id,
-        dataset=job.dataset,
-        seed=job.seed,
-        generations=len(outcome.history),
-        best_score=float(best.score),
-        best_information_loss=float(best.information_loss),
-        best_disclosure_risk=float(best.disclosure_risk),
-        final_scores=tuple(float(ind.score) for ind in outcome.population),
-        mean_improvement_percent=float(percent),
-        fresh_evaluations=evaluator.evaluations,
-        memo_hits=evaluator.cache_hits,
-        persistent_hits=evaluator.persistent_hits,
-        wall_seconds=time.perf_counter() - start,
-        extras={
-            "evaluator_stats": evaluator.stats(),
-            "timeline": timeline_from_history(outcome.history.records),
-            "island": {
-                "group": group,
-                "role": "member",
-                "index": job.island_index,
-                "islands": job.islands,
-                "topology": job.topology,
-                "migrate_every": job.migrate_every,
-                "migrants": job.migrants,
-                "rounds": state["rounds"],
-                "injected": state["injected"],
-                "degraded": state["degraded"],
-                # The final (IL, DR, score) cloud: what the merge job's
-                # Pareto consolidation runs over.
-                "population": [
-                    [float(ind.information_loss),
-                     float(ind.disclosure_risk),
-                     float(ind.score)]
-                    for ind in outcome.population
-                ],
-            },
-        },
-    )
-
-
-def _settle_pending_round(
-    store,
-    job: ProtectionJob,
-    state: dict,
-    checkpoint: EngineCheckpoint,
-    senders: list[tuple[int, str]],
-    group: str,
-    original,
-    grace: float,
-    timeout: float,
-    persist: Callable[[EngineCheckpoint], None],
-) -> EngineCheckpoint:
-    """Finish the exchange a previous claim parked on, pre-resume.
-
-    The checkpoint holds the pre-injection population at the exchange
-    boundary.  If the round's inbound migrants are now published, the
-    injection plan is recomputed (identical — pure function of stamped
-    buffers) against the checkpoint and the run resumes as if it never
-    parked.  Still unfulfilled: re-park, or degrade on failed/silent
-    peers past the timeout.
-    """
-    round_index = int(state["pending_round"])
-    generation = checkpoint.generation
-    wait_started = time.monotonic()
-    while True:
-        received, missing = _gather_inbound(
-            store, job, senders, group, round_index, original)
-        if not missing:
-            break
-        if time.monotonic() - wait_started >= grace:
-            break
-        time.sleep(min(0.05, grace))
-    if missing:
-        failed = _failed_senders(store, missing)
-        if failed:
-            _degrade(job, state, "sender-failed", failed, round_index)
-            persist(checkpoint)
-            return checkpoint
-        wait_since = float(state.get("wait_since") or 0.0)
-        if wait_since and time.time() - wait_since > timeout:
-            _degrade(job, state, "timeout", missing, round_index)
-            persist(checkpoint)
-            return checkpoint
-        if not wait_since:
-            state["wait_since"] = time.time()
-            persist(checkpoint)
-        raise _ParkSignal(round_index, generation, tuple(missing))
-    individuals = list(checkpoint.individuals)
-    wait_since = float(state.get("wait_since") or 0.0)
-    waited = (time.time() - wait_since) if wait_since else (
-        time.monotonic() - wait_started)
-
-    def apply(slot: int, individual: Individual) -> None:
-        individuals[slot] = individual
-
-    _complete_exchange(job, state, round_index, received, list(individuals),
-                       apply, waited)
-    settled = EngineCheckpoint(
-        generation=checkpoint.generation,
-        initial=checkpoint.initial,
-        individuals=individuals,
-        records=checkpoint.records,
-        rng_state=checkpoint.rng_state,
-    )
-    persist(settled)
-    return settled
+    result = _job_result(job, outcome, time.perf_counter() - start)
+    result.extras["island"] = {
+        "group": island_group_id(job),
+        "role": "member",
+        "index": job.island_index,
+        "islands": job.islands,
+        "topology": job.topology,
+        "migrate_every": job.migrate_every,
+        "migrants": job.migrants,
+        "rounds": state["rounds"],
+        "injected": state["injected"],
+        "degraded": state["degraded"],
+        # The final (IL, DR, score) cloud: what the merge job's
+        # Pareto consolidation runs over.
+        "population": [
+            [float(ind.information_loss), float(ind.disclosure_risk),
+             float(ind.score)]
+            for ind in outcome.result.population
+        ],
+    }
+    return result
 
 
 # -- the merge executor -------------------------------------------------------
@@ -917,23 +775,11 @@ def execute_island_job(payload: dict) -> JobResult:
             f"island_index must be in [0, {job.islands}], "
             f"got {job.island_index}"
         )
-    scope = None
-    trace_ctx = payload.get("trace")
-    if isinstance(trace_ctx, dict) and trace_ctx.get("id"):
-        scope = trace.activate(str(trace_ctx["id"]),
-                               str(trace_ctx.get("root") or ""))
-    try:
-        if job.island_index == job.islands:
-            result = _execute_merge_job(job, payload)
-        else:
-            result = _execute_member_job(job, payload)
-    except BaseException:
-        if scope is not None:
-            trace.deactivate(scope)
-        raise
-    if scope is not None:
-        result.extras["trace_spans"] = trace.deactivate(scope)
-    return result
+    from repro.service.runner import _traced
+
+    execute = (_execute_merge_job if job.island_index == job.islands
+               else _execute_member_job)
+    return _traced(payload, lambda: execute(job, payload))
 
 
 def park_record(store, record: JobRecord, parked: dict) -> None:

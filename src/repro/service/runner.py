@@ -21,12 +21,13 @@ the same job list.
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 from repro.datasets.registry import load_dataset
 from repro.exceptions import ServiceError
-from repro.experiments.runner import ExperimentResult, run_experiment
+from repro.experiments.runner import ExperimentConfig, ExperimentResult, run_experiment
 from repro.obs import timeline_from_history, trace
 from repro.service.backends import ExecutionBackend, create_backend
 from repro.service.cache import EvaluationCache
@@ -71,6 +72,59 @@ def _job_result(
     )
 
 
+def _run_config(job: ProtectionJob, payload: dict) -> ExperimentConfig:
+    """``job``'s run configuration under the payload's ``eval_workers``.
+
+    A runner-level ``eval_workers`` is the worker's default for jobs
+    that did not pin their own — evaluation is pure, so the override
+    can never change the job's results (or its identity).
+    """
+    config = job.to_config()
+    runner_eval_workers = int(payload.get("eval_workers") or 0)
+    if config.eval_workers == 0 and runner_eval_workers:
+        config = replace(
+            config,
+            eval_workers=runner_eval_workers,
+            eval_backend=str(payload.get("eval_backend") or "thread"),
+        )
+    return config
+
+
+@contextmanager
+def _evaluation_cache(payload: dict) -> Iterator[EvaluationCache | None]:
+    """The payload's persistent evaluation cache, open for one run."""
+    cache_path = payload.get("cache_path") or ""
+    if not cache_path:
+        yield None
+        return
+    cache = EvaluationCache(cache_path,
+                            max_entries=payload.get("cache_max_entries") or None)
+    try:
+        yield cache
+    finally:
+        cache.close()
+
+
+def _traced(payload: dict, execute: Callable[[], JobResult]) -> JobResult:
+    """``execute()`` inside the payload's trace context, when it has one.
+
+    Arriving trace context re-enables span recording here: a fresh
+    process-pool worker starts with tracing off, but the submit side
+    already opted this job in.  The spans ride back in the result's
+    ``extras["trace_spans"]``; those of a failed or parked attempt stay
+    recoverable through ``trace.take_stray_spans()`` in the settled
+    wrapper.
+    """
+    trace_ctx = payload.get("trace")
+    if not (isinstance(trace_ctx, dict) and trace_ctx.get("id")):
+        return execute()
+    with trace.activated(str(trace_ctx["id"]),
+                         str(trace_ctx.get("root") or "")) as scope:
+        result = execute()
+    result.extras["trace_spans"] = scope.collected
+    return result
+
+
 def _execute_job(payload: dict) -> JobResult:
     """Run one job end to end inside the current worker.
 
@@ -78,9 +132,6 @@ def _execute_job(payload: dict) -> JobResult:
     the job's own dict plus cache / checkpoint / resume directives.
     Checkpoints go to the job store the payload names, gated on the
     caller's claim ``owner``.
-    A runner-level ``eval_workers`` is the worker's default for jobs
-    that did not pin their own — evaluation is pure, so the override
-    can never change the job's results (or its identity).
     """
     job = ProtectionJob.from_dict(payload["job"])
     if job.islands >= 2:
@@ -90,16 +141,6 @@ def _execute_job(payload: dict) -> JobResult:
         from repro.service.islands import execute_island_job
 
         return execute_island_job(payload)
-    config = job.to_config()
-    runner_eval_workers = int(payload.get("eval_workers") or 0)
-    if config.eval_workers == 0 and runner_eval_workers:
-        config = replace(
-            config,
-            eval_workers=runner_eval_workers,
-            eval_backend=str(payload.get("eval_backend") or "thread"),
-        )
-    cache_path = payload.get("cache_path") or ""
-    cache_max_entries = payload.get("cache_max_entries") or None
     checkpoint_every = int(payload.get("checkpoint_every") or 0)
     # True: must resume; None: resume when the stored checkpoint is
     # resumable (see JobRunner.run); False: start fresh.
@@ -120,44 +161,23 @@ def _execute_job(payload: dict) -> JobResult:
         else None
     )
 
-    cache = (
-        EvaluationCache(cache_path, max_entries=cache_max_entries)
-        if cache_path
-        else None
-    )
-    # Arriving trace context re-enables span recording here: a fresh
-    # process-pool worker starts with tracing off, but the submit side
-    # already opted this job in.
-    scope = None
-    trace_ctx = payload.get("trace")
-    if isinstance(trace_ctx, dict) and trace_ctx.get("id"):
-        scope = trace.activate(str(trace_ctx["id"]), str(trace_ctx.get("root") or ""))
-    start = time.perf_counter()
-    try:
-        with trace.span(
-            "repro.run", dataset=job.dataset, seed=job.seed,
-            resume=resume_from is not None or None,
-        ):
-            outcome = run_experiment(
-                config,
-                evaluation_cache=cache,
-                checkpoint_every=checkpoint_every if manager is not None else 0,
-                on_checkpoint=manager.save if manager is not None else None,
-                resume_from=resume_from,
-            )
-    except BaseException:
-        if scope is not None:
-            # Spans from the failed attempt stay recoverable through
-            # trace.take_stray_spans() in the settled wrapper.
-            trace.deactivate(scope)
-        raise
-    finally:
-        if cache is not None:
-            cache.close()
-    result = _job_result(job, outcome, time.perf_counter() - start)
-    if scope is not None:
-        result.extras["trace_spans"] = trace.deactivate(scope)
-    return result
+    def execute() -> JobResult:
+        with _evaluation_cache(payload) as cache:
+            start = time.perf_counter()
+            with trace.span(
+                "repro.run", dataset=job.dataset, seed=job.seed,
+                resume=resume_from is not None or None,
+            ):
+                outcome = run_experiment(
+                    _run_config(job, payload),
+                    evaluation_cache=cache,
+                    checkpoint_every=checkpoint_every if manager is not None else 0,
+                    on_checkpoint=manager.save if manager is not None else None,
+                    resume_from=resume_from,
+                )
+        return _job_result(job, outcome, time.perf_counter() - start)
+
+    return _traced(payload, execute)
 
 
 def _execute_job_settled(payload: dict) -> dict:
@@ -364,8 +384,9 @@ class JobRunner:
 
         Unlike :meth:`run`, a failing job does not abort the fan-out:
         every job returns either its result or its error, in submission
-        order.  This is what the CLI uses so completed replicates are
-        never discarded because a sibling failed.
+        order.  This is what :class:`~repro.service.worker.Worker` runs
+        its claims through, so completed replicates are never discarded
+        because a sibling failed.
         """
         if not jobs:
             return []

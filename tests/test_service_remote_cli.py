@@ -68,6 +68,28 @@ class TestRemoteSubmitAndWorker:
         for job_id in job_ids:
             assert backing.get(job_id).status == "queued"
 
+    @pytest.mark.parametrize("flag", ["--store", "--store-url"])
+    def test_detached_submit_hint_carries_token_for_remote_spec(
+        self, server, tmp_path, capsys, flag
+    ):
+        code = main(["submit", "--dataset", "adult", "--generations", "1",
+                     "--detach", flag, server.url, "--token", TOKEN,
+                     "--state-dir", str(tmp_path / "client")])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert (f"run them with: repro worker --once {flag} {server.url} "
+                "--token <token>") in out
+        assert TOKEN not in out
+
+    def test_detached_submit_hint_has_no_token_for_local_spec(
+        self, tmp_path, capsys
+    ):
+        spec = f"sqlite:{tmp_path / 'db.sqlite'}"
+        assert main(["submit", "--dataset", "adult", "--generations", "1",
+                     "--detach", "--store", spec, "--token", TOKEN]) == 0
+        out = capsys.readouterr().out
+        assert f"run them with: repro worker --once --store {spec}\n" in out
+
     def test_remote_worker_drains_server_queue(self, server, backing, tmp_path,
                                                capsys):
         main(["submit", "--dataset", "adult", "--generations", "1",
