@@ -4,15 +4,19 @@ The batch-first refactor's tentpole claim: evaluating a fresh (uncached)
 population through ``ProtectionEvaluator.evaluate_many`` is several
 times faster than the scalar ``evaluate`` loop, because the batch path
 computes shared intermediates once (original-side linkage index, rank
-tables, stacked code tensors) and pools the Fellegi–Sunter EM across
-the whole batch.  This bench measures fresh-population throughput at
-2–3 dataset sizes on three paths:
+tables, stacked code tensors) and fits every candidate's Fellegi–Sunter
+model in one call.  Most PRL rows take the certified closed form there,
+and the EM rows that remain are pooled across the batch.  This bench
+measures fresh-population throughput at 2–3 dataset sizes on three
+paths:
 
 * ``serial``  — the scalar reference: ``[evaluator.evaluate(p) ...]``;
 * ``batch``   — ``evaluate_many`` in-process (vectorized kernels);
 * ``process`` — ``evaluate_many`` over a 2-worker process executor.
 
-Every path must return byte-identical scores (asserted), and the batch
+Every path must return byte-identical scores (asserted), every
+population must send PRL rows down both fit routes, closed form and EM
+(asserted, so the identity check covers mixed routing), and the batch
 path must beat serial by ``>= 3x`` at the largest size (the acceptance
 headline).  The process row is informational: on a single-core box the
 pickling tax usually wins, which is exactly the thread-vs-process
@@ -31,6 +35,7 @@ import time
 
 from conftest import emit, record_result
 
+from repro import obs
 from repro.data import CategoricalDataset
 from repro.datasets import load_flare, protected_attributes
 from repro.experiments.population_builder import build_initial_population
@@ -61,6 +66,28 @@ def _population(size: int) -> tuple[CategoricalDataset, list[CategoricalDataset]
 def _fresh_evaluator(original: CategoricalDataset, executor=None) -> ProtectionEvaluator:
     return ProtectionEvaluator(original, protected_attributes("flare"),
                                executor=executor)
+
+
+def _observed_scores_and_routes(original: CategoricalDataset,
+                population: list[CategoricalDataset]) -> tuple[list, dict[str, float]]:
+    """Batch scores with telemetry on, and PRL rows per fit route.
+
+    Untimed: the routes are read off ``repro_em_fits_total{method}``.
+    """
+    registry = obs.enable()
+    registry.reset()
+    try:
+        clear_pair_memo()
+        scores = _fresh_evaluator(original).evaluate_many(population)
+        routes = {
+            counter["labels"]["method"]: counter["value"]
+            for counter in registry.snapshot()["counters"]
+            if counter["name"] == "repro_em_fits_total"
+        }
+    finally:
+        obs.disable()
+        registry.reset()
+    return scores, routes
 
 
 def test_bench_batch_evaluation_beats_serial():
@@ -95,6 +122,12 @@ def test_bench_batch_evaluation_beats_serial():
         # Whatever the path, the scores are byte-identical.
         assert batch_scores == serial_scores
         assert process_scores == serial_scores
+        observed_scores, routes = _observed_scores_and_routes(original, population)
+        assert observed_scores == serial_scores
+        assert routes.get("closed_form", 0) > 0 and routes.get("em", 0) > 0, (
+            f"n={size}: PRL fits took only {routes}; the identity checks "
+            "must cover both the closed-form and the EM route"
+        )
 
         speedup = serial_s / batch_s if batch_s else float("inf")
         record_result("evaluation", f"serial-n{size}", serial_s)
@@ -107,7 +140,8 @@ def test_bench_batch_evaluation_beats_serial():
             f"n={size:5d}  pop={len(population):4d}  "
             f"serial={serial_s:6.2f}s  batch={batch_s:6.2f}s  "
             f"process={process_s:6.2f}s  batch-speedup={speedup:4.1f}x  "
-            f"({rate:5.0f} cand/s batched)"
+            f"({rate:5.0f} cand/s batched)  "
+            f"prl closed-form/em={routes['closed_form']:.0f}/{routes['em']:.0f}"
         )
 
     emit("fresh-population evaluation: serial vs batch vs process", "\n".join(attrs_rows))

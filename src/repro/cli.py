@@ -680,6 +680,7 @@ def _print_timeline(record) -> None:
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
+    from repro.service.checkpoint import is_resumable
     from repro.service.worker import Worker, release_quietly, unique_owner
 
     _enable_telemetry(args, "resume")
@@ -722,15 +723,27 @@ def cmd_resume(args: argparse.Namespace) -> int:
         if record.status == "completed" and not args.force:
             print(f"{record.job_id} was completed by another worker meanwhile")
             return 0
-        if store.get_checkpoint(record.job_id) is None:
+        # The one read of the blob: checked here, before the job's
+        # status changes, then handed to the run.
+        checkpoint = store.get_checkpoint(record.job_id)
+        if checkpoint is None:
             raise ReproError(
                 f"no checkpoint for {record.job_id} in {_store_label(store)}; "
                 "was the job submitted with --checkpoint-every?"
             )
+        if not is_resumable(checkpoint, record.job.checkpoint_fingerprint()):
+            raise ReproError(
+                f"the checkpoint for {record.job_id} in {_store_label(store)} "
+                "cannot be resumed by this version: it was saved under another "
+                "metric kernel, job configuration or checkpoint format. "
+                "'repro worker' restarts a queued or stranded job from "
+                "generation 0 (resubmit a failed one)"
+            )
         # From here the worker owns the claim: it heartbeats, marks,
         # releases and flushes the trace, whatever the run does.
         held = []
-        (outcome,) = worker.run_claimed([record], resume=True)
+        (outcome,) = worker.run_claimed(
+            [record], resume=True, checkpoints={record.job_id: checkpoint})
     finally:
         release_quietly(store, held, owner)
     if not outcome.ok:

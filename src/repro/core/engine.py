@@ -361,7 +361,7 @@ class EvolutionaryProtector:
             )
             t0 = time.perf_counter()
             # Both crossover offspring are one evaluation batch: shared
-            # intermediates (and a pooled EM fit) are computed once.
+            # intermediates (and one PRL fit call) are computed once.
             eval_a, eval_b = self.evaluator.evaluate_many([child_a_data, child_b_data])
             fitness_seconds += time.perf_counter() - t0
             evaluations += 2

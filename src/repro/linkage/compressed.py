@@ -13,9 +13,10 @@ suite asserts against the reference implementations in
 :mod:`~repro.linkage.rsrl`.
 
 The paper singles out fitness evaluation as the dominant cost of the
-whole approach (its §3.2 timing paragraph and §4 "major drawback"), so
-this module is the reproduction's main answer to that bottleneck; the
-measures in :mod:`repro.metrics.linkage_risk` route through it.
+whole approach (its §3.2 timing paragraph and §4 "major drawback").
+This module answers it for the linkage grids, and the closed-form PRL
+fit of :mod:`repro.linkage.prl` for the Fellegi–Sunter model; the
+measures in :mod:`repro.metrics.linkage_risk` route through both.
 
 Two layers of sharing keep repeated evaluations cheap:
 
@@ -260,7 +261,7 @@ class CompressedPair:
     def probabilistic_linkage_from_weights(self, pattern_weights: np.ndarray) -> float:
         """PRL percentage under an already-fitted weight table.
 
-        The batch evaluator fits one EM over the whole candidate batch
+        The batch evaluator fits the whole candidate batch in one call
         (see :func:`repro.linkage.prl.fit_fellegi_sunter_many`) and then
         scores each pair with its own weight row through here.  This is
         the pattern grid's last consumer in an evaluation, so the cached

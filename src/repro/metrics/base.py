@@ -13,7 +13,7 @@ leaked" for disclosure risk.
 The protocol is *batch-first*: :meth:`BoundMeasure.compute_many` scores
 a whole sequence of masked candidates in one call, and vectorized
 measures implement :meth:`BoundMeasure._compute_many` to share per-batch
-intermediates (rank tables, stacked code tensors, pooled EM fits)
+intermediates (rank tables, stacked code tensors, one PRL fit call)
 instead of recomputing them per candidate.  The scalar
 :meth:`BoundMeasure.compute` remains the convenience form; a measure
 that only implements the scalar ``_compute`` gets a looping batch

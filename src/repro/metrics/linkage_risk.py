@@ -44,13 +44,13 @@ class ProbabilisticLinkageRisk(DisclosureRiskMeasure):
         return get_compressed_pair(self.original, masked, self.attributes).probabilistic_linkage()
 
     def _compute_many(self, batch: Sequence[CategoricalDataset]) -> np.ndarray:
-        """Batched PRL: one pooled EM fit over the whole candidate batch.
+        """Batched PRL: one Fellegi–Sunter fit call over the whole batch.
 
-        The EM loop dominates evaluation time (hundreds of tiny-array
-        iterations per candidate); :func:`fit_fellegi_sunter_many` runs
-        every candidate's iterations through one set of batch-wide numpy
-        calls, with per-candidate trajectories — and therefore results —
-        identical to the scalar fit.
+        :func:`fit_fellegi_sunter_many` gives each certified candidate
+        its closed-form fit and runs the remaining candidates' capped EM
+        iterations through one set of batch-wide numpy calls.  Each row
+        is computed from its own counts alone, so results are identical
+        to the scalar fit.
         """
         pairs = [
             get_compressed_pair(self.original, masked, self.attributes)

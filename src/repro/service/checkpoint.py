@@ -317,15 +317,17 @@ class CheckpointManager:
             observe_save(time.perf_counter() - started, len(json.dumps(payload)))
         return True
 
-    def load(self, reference: CategoricalDataset,
-             required: bool = True) -> EngineCheckpoint | None:
+    def load(self, reference: CategoricalDataset, required: bool = True,
+             payload: dict | None = None) -> EngineCheckpoint | None:
         """Read the checkpoint back, decoding against ``reference``'s schema.
 
         With ``required=False`` a missing blob, or one this run cannot
         resume (see :func:`is_resumable`), reads as ``None`` instead of
-        raising; either way the blob is fetched once.
+        raising; either way the blob is fetched once.  A ``payload`` the
+        caller already fetched is used instead of fetching it again.
         """
-        payload = self.store.get_checkpoint(self.job_id)
+        if payload is None:
+            payload = self.store.get_checkpoint(self.job_id)
         if not required and not is_resumable(payload, self.fingerprint):
             return None
         if payload is None:

@@ -448,7 +448,7 @@ def _persist_island_checkpoint(
     :func:`~repro.service.checkpoint.checkpoint_to_dict`); ``owner`` the
     claim owner the save is gated on.
     """
-    CheckpointManager(store, job.job_id, job.fingerprint(), owner=owner,
+    CheckpointManager(store, job.job_id, job.checkpoint_fingerprint(), owner=owner,
                       memo=memo).save(checkpoint, island_state=_state_payload(state))
 
 
@@ -551,7 +551,7 @@ def _execute_member_job(job: ProtectionJob, payload: dict) -> JobResult:
 
     store = resolve_store(payload)
     original = load_dataset(job.dataset)
-    fingerprint = job.fingerprint()
+    fingerprint = job.checkpoint_fingerprint()
     senders = [
         replace(job, island_index=s).job_id
         for s in sorted(island_topology(job.topology, job.islands)[job.island_index])

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 from repro.exceptions import ServiceError
 from repro.experiments.runner import ExperimentConfig
+from repro.metrics.evaluation import METRIC_KERNEL_VERSION
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,18 @@ class ProtectionJob:
         }
         blob = json.dumps(payload, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
+
+    def checkpoint_fingerprint(self) -> str:
+        """The fingerprint this job's checkpoints are stamped and resumed under.
+
+        :meth:`fingerprint` salted with ``METRIC_KERNEL_VERSION``: a
+        checkpoint's population carries scores from the kernel that saved
+        it, so one saved under another kernel is not resumable (a worker
+        restarts the job from generation 0, ``repro resume`` refuses).
+        Kernels up to 2 stamped the bare :meth:`fingerprint`.
+        """
+        salted = f"{self.fingerprint()}:kernel{METRIC_KERNEL_VERSION}"
+        return hashlib.sha256(salted.encode("utf-8")).hexdigest()
 
     @property
     def job_id(self) -> str:

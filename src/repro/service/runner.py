@@ -151,12 +151,14 @@ def _execute_job(payload: dict) -> JobResult:
         raise ServiceError("cannot resume without a job store")
     manager = (
         CheckpointManager(resolve_store(payload), job.job_id,
-                          fingerprint=job.fingerprint(), owner=payload.get("owner"))
+                          fingerprint=job.checkpoint_fingerprint(),
+                          owner=payload.get("owner"))
         if has_store and (checkpoint_every or resume is not False)
         else None
     )
     resume_from = (
-        manager.load(load_dataset(job.dataset), required=bool(resume))
+        manager.load(load_dataset(job.dataset), required=bool(resume),
+                     payload=payload.get("checkpoint"))
         if manager is not None and resume is not False
         else None
     )
@@ -321,7 +323,8 @@ class JobRunner:
     # -- payload plumbing ---------------------------------------------------
 
     def _payload(
-        self, job: ProtectionJob, resume: bool | None, trace_ctx: dict | None = None
+        self, job: ProtectionJob, resume: bool | None, trace_ctx: dict | None = None,
+        checkpoint: dict | None = None,
     ) -> dict:
         return {
             "job": job.to_dict(),
@@ -329,6 +332,9 @@ class JobRunner:
             "cache_max_entries": self.cache_max_entries,
             "checkpoint_every": self.checkpoint_every,
             "resume": resume,
+            # A checkpoint blob the caller already read (``repro
+            # resume``), so the job does not fetch it again.
+            "checkpoint": checkpoint,
             "eval_workers": self.eval_workers,
             "eval_backend": self.eval_backend,
             # Trace context crosses the (possibly process) backend
@@ -379,6 +385,7 @@ class JobRunner:
         jobs: Sequence[ProtectionJob],
         resume: bool | None = False,
         traces: Sequence[dict | None] | None = None,
+        checkpoints: Sequence[dict | None] | None = None,
     ) -> list[JobOutcome]:
         """Execute ``jobs``, settling each one's outcome individually.
 
@@ -386,14 +393,18 @@ class JobRunner:
         every job returns either its result or its error, in submission
         order.  This is what :class:`~repro.service.worker.Worker` runs
         its claims through, so completed replicates are never discarded
-        because a sibling failed.
+        because a sibling failed.  ``checkpoints`` (one blob or None per
+        job) hands over blobs the caller already read from the store.
         """
         if not jobs:
             return []
         if traces is None:
             traces = [None] * len(jobs)
+        if checkpoints is None:
+            checkpoints = [None] * len(jobs)
         payloads = [
-            self._payload(job, resume, ctx) for job, ctx in zip(jobs, traces)
+            self._payload(job, resume, ctx, blob)
+            for job, ctx, blob in zip(jobs, traces, checkpoints)
         ]
         settled = self.backend.map(_execute_job_settled, payloads)
         return [

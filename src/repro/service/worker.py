@@ -336,7 +336,8 @@ class Worker:
         return batch
 
     def run_claimed(
-        self, records: list[JobRecord], resume: bool | None = None
+        self, records: list[JobRecord], resume: bool | None = None,
+        checkpoints: dict[str, dict] | None = None,
     ) -> list[JobOutcome]:
         """Execute records this worker owns; marks, heartbeats, releases.
 
@@ -345,6 +346,8 @@ class Worker:
         ``resume=None`` a job left behind by an interrupted worker
         continues from its (fingerprint-validated) checkpoint instead of
         restarting; ``resume=True`` (``repro resume``) requires one.
+        ``checkpoints`` maps job ids to blobs the caller already read,
+        which those jobs resume from without fetching them again.
         All claims beat from one background thread for the whole batch
         and are released in the ``finally``, whatever happens mid-run;
         each traced record's spans are flushed after the release.
@@ -373,6 +376,9 @@ class Worker:
                     traces=[
                         trace.trace_context_from_extras(record.extras)
                         for record in group
+                    ],
+                    checkpoints=[
+                        (checkpoints or {}).get(record.job_id) for record in group
                     ],
                 )
                 registry = get_registry()

@@ -86,7 +86,9 @@ def legacy_run():
     straight = run_experiment(job.to_config(), checkpoint_every=2,
                               on_checkpoint=midway.append)
     assert midway[0].generation == 2
-    return job, checkpoint_to_dict(midway[0], job.fingerprint()), straight
+    # Stamped as this kernel stamps checkpoints; the same file stamped
+    # by kernel 2 (the bare job hash) is refused, not resumed.
+    return job, checkpoint_to_dict(midway[0], job.checkpoint_fingerprint()), straight
 
 
 def _legacy_state_dir(tmp_path, job, payload) -> SqliteJobStore:

@@ -17,7 +17,7 @@ import pytest
 
 from repro import obs
 from repro.data import CategoricalDataset
-from repro.linkage.prl import fit_fellegi_sunter, fit_fellegi_sunter_many
+from repro.linkage.prl import _fit_em_many, fit_fellegi_sunter, fit_fellegi_sunter_many
 from repro.metrics.evaluation import (
     ProtectionEvaluator,
     default_dr_measures,
@@ -134,7 +134,7 @@ def _fit_key(model) -> tuple[bytes, ...]:
 
 
 def _fit_row(row: np.ndarray, cap: int) -> tuple[bytes, ...]:
-    return _fit_key(fit_fellegi_sunter_many(row[None, :], 3, max_iterations=cap))
+    return _fit_key(_fit_em_many(row[None, :], 3, max_iterations=cap))
 
 
 def _iterations_to_settle(row: np.ndarray, cap: int) -> int:
@@ -158,7 +158,28 @@ def _still_moving(row: np.ndarray, cap: int) -> bool:
     return _fit_row(row, cap) != _fit_row(row, cap + 1)
 
 
+def _interior_counts() -> np.ndarray:
+    """Pattern counts of a known interior mixture: the closed form certifies them."""
+    bits = (np.arange(8)[:, None] >> np.arange(3)[None, :]) & 1
+    m, u = np.array([0.9, 0.8, 0.85]), np.array([0.2, 0.3, 0.25])
+    mixture = (0.05 * np.where(bits, m, 1 - m).prod(axis=1)
+               + 0.95 * np.where(bits, u, 1 - u).prod(axis=1))
+    return np.round(1e6 * mixture)
+
+
+#: Attributes 1 and 2 rarely agree together: c_12 c_13 c_23 < 0, no
+#: interior solution, so the row goes to the EM.
+_BOUNDARY_COUNTS = np.array([400.0, 300, 300, 10, 300, 100, 100, 60])
+
+
 class TestEMTelemetry:
+    """The capped EM's convergence series, on the EM path itself.
+
+    ``fit_fellegi_sunter_many`` sends certified ``a = 3`` rows to the
+    closed form, which observes no iterations; these tests call the EM
+    directly so their counts stay about EM rows.
+    """
+
     @pytest.fixture
     def registry(self):
         registry = obs.enable()
@@ -179,10 +200,10 @@ class TestEMTelemetry:
     def test_fits_bit_identical_with_telemetry_on_and_off(self, cap, tolerance):
         counts = _em_counts()
         obs.disable()
-        off = fit_fellegi_sunter_many(counts, 3, max_iterations=cap, tolerance=tolerance)
+        off = _fit_em_many(counts, 3, max_iterations=cap, tolerance=tolerance)
         registry = obs.enable()
         try:
-            on = fit_fellegi_sunter_many(counts, 3, max_iterations=cap, tolerance=tolerance)
+            on = _fit_em_many(counts, 3, max_iterations=cap, tolerance=tolerance)
         finally:
             obs.disable()
             registry.reset()
@@ -195,7 +216,7 @@ class TestEMTelemetry:
         moving = sum(_still_moving(row, cap) for row in counts)
         assert 0 < moving < counts.shape[0]  # the fixture mixes both kinds
         registry.reset()  # the reference fits above observed too
-        fit_fellegi_sunter_many(counts, 3, max_iterations=cap)
+        _fit_em_many(counts, 3, max_iterations=cap)
         histogram, unconverged = self._series(registry)
         assert histogram["bounds"] == [float(b) for b in obs.DEFAULT_SIZE_BUCKETS]
         assert histogram["count"] == counts.shape[0]
@@ -204,17 +225,44 @@ class TestEMTelemetry:
 
     def test_cap_counts_every_moving_row_unconverged(self, registry):
         counts = _em_counts()
-        fit_fellegi_sunter_many(counts, 3, max_iterations=3)
+        _fit_em_many(counts, 3, max_iterations=3)
         histogram, unconverged = self._series(registry)
         assert histogram["count"] == counts.shape[0]
         assert histogram["sum"] == 3 * counts.shape[0]
         assert unconverged == counts.shape[0]
 
+    def test_route_counter_labels(self, registry):
+        counts = np.stack([_interior_counts(), _BOUNDARY_COUNTS, 3 * _interior_counts()])
+        fit_fellegi_sunter_many(counts, 3)
+        routes = {tuple(sorted(c["labels"].items())): c["value"]
+                  for c in registry.snapshot()["counters"]
+                  if c["name"] == "repro_em_fits_total"}
+        assert routes == {(("method", "closed_form"),): 2.0, (("method", "em"),): 1.0}
+        text = registry.render_prometheus()
+        assert 'repro_em_fits_total{method="closed_form"} 2' in text
+        assert 'repro_em_fits_total{method="em"} 1' in text
+
+    def test_closed_form_rows_observe_no_iterations(self, registry):
+        fit_fellegi_sunter_many(np.stack([_interior_counts()] * 3), 3)
+        snapshot = registry.snapshot()
+        assert not [h for h in snapshot["histograms"]
+                    if h["name"] == "repro_em_iterations"]
+        assert not [c for c in snapshot["counters"]
+                    if c["name"] == "repro_em_unconverged_total"]
+        (fit_seconds,) = [h for h in snapshot["histograms"]
+                          if h["name"] == "repro_em_fit_seconds"]
+        assert fit_seconds["count"] == 1
+        # In a mixed batch only the EM row observes its iterations.
+        registry.reset()
+        fit_fellegi_sunter_many(np.stack([_interior_counts(), _BOUNDARY_COUNTS]), 3)
+        histogram, _ = self._series(registry)
+        assert histogram["count"] == 1
+
     def test_tolerance_zero_runs_clean_under_warnings_as_errors(self, registry):
         counts = _em_counts()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            model = fit_fellegi_sunter_many(counts, 3, max_iterations=12, tolerance=0.0)
+            model = _fit_em_many(counts, 3, max_iterations=12, tolerance=0.0)
         assert np.isfinite(model.pattern_weights).all()
         histogram, unconverged = self._series(registry)
         assert histogram["sum"] == 12 * counts.shape[0]

@@ -112,3 +112,111 @@ def test_failed_resume_exits_one_and_leaves_no_claim(tmp_path, monkeypatch, caps
     assert f"{job_id} failed:" in capsys.readouterr().err
     assert store.get(job_id).status == "failed"
     assert store.claimed_job_ids() == []
+
+
+class CountingStore:
+    """A job store proxy that counts ``get_checkpoint`` calls."""
+
+    def __init__(self, inner: SqliteJobStore) -> None:
+        self._inner = inner
+        self.checkpoint_reads = 0
+
+    def get_checkpoint(self, job_id: str):
+        self.checkpoint_reads += 1
+        return self._inner.get_checkpoint(job_id)
+
+    def __getattr__(self, name: str):
+        return getattr(self._inner, name)
+
+
+def _counting_cli_store(monkeypatch) -> list[CountingStore]:
+    """Route every CLI store through a :class:`CountingStore`; returns them."""
+    import repro.cli as cli
+
+    opened: list[CountingStore] = []
+    real = cli._job_store
+
+    def counting(args):
+        opened.append(CountingStore(real(args)))
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "_job_store", counting)
+    return opened
+
+
+def _strand(store: SqliteJobStore, job_id: str) -> None:
+    """A crash after the last checkpoint: running, no result, no claim."""
+    record = store.get(job_id)
+    record.status = "running"
+    record.result = None
+    store.save(record)
+
+
+def test_resume_reads_the_checkpoint_once(tmp_path, monkeypatch, capsys):
+    state = tmp_path / "state"
+    assert main(["submit", "--dataset", "adult", "--generations", "2",
+                 "--seed", "7", "--checkpoint-every", "1",
+                 "--state-dir", str(state)]) == 0
+    store = _store(state)
+    job_id = ProtectionJob(dataset="adult", generations=2, seed=7).job_id
+    expected = store.get(job_id).result.final_scores
+    _strand(store, job_id)
+
+    opened = _counting_cli_store(monkeypatch)
+    assert main(["resume", "--job", job_id, "--state-dir", str(state)]) == 0
+    assert [s.checkpoint_reads for s in opened] == [1]
+    assert store.get(job_id).result.final_scores == expected
+
+
+def test_resume_without_checkpoint_reads_once_and_leaves_the_job(
+        tmp_path, monkeypatch, capsys):
+    state = tmp_path / "state"
+    assert main(["submit", "--dataset", "adult", "--generations", "2",
+                 "--seed", "8", "--checkpoint-every", "0",
+                 "--state-dir", str(state)]) == 0
+    store = _store(state)
+    job_id = ProtectionJob(dataset="adult", generations=2, seed=8).job_id
+    _strand(store, job_id)
+
+    opened = _counting_cli_store(monkeypatch)
+    capsys.readouterr()
+    assert main(["resume", "--job", job_id, "--state-dir", str(state)]) == 2
+    assert f"no checkpoint for {job_id}" in capsys.readouterr().err
+    assert [s.checkpoint_reads for s in opened] == [1]
+    assert store.get(job_id).status == "running"
+    assert store.claimed_job_ids() == []
+
+
+def test_kernel_2_checkpoint_is_not_resumable(tmp_path, capsys):
+    state = tmp_path / "state"
+    job = ProtectionJob(dataset="adult", generations=4, seed=9)
+    assert main(["submit", "--dataset", "adult", "--generations", "4",
+                 "--seed", "9", "--checkpoint-every", "2", "--no-cache",
+                 "--state-dir", str(state)]) == 0
+    store = _store(state)
+    expected = store.get(job.job_id).result
+    blob = store.get_checkpoint(job.job_id)
+    assert blob["generation"] == 4
+    assert blob["fingerprint"] == job.checkpoint_fingerprint() != job.fingerprint()
+    # Kernel 2 stamped checkpoints with the job's bare content hash.
+    blob["fingerprint"] = job.fingerprint()
+    store.put_checkpoint(job.job_id, blob)
+    _strand(store, job.job_id)
+
+    capsys.readouterr()
+    assert main(["resume", "--job", job.job_id, "--state-dir", str(state)]) == 2
+    error = capsys.readouterr().err
+    assert f"the checkpoint for {job.job_id}" in error
+    assert "cannot be resumed" in error and "metric kernel" in error
+    assert store.get(job.job_id).status == "running"
+    assert store.claimed_job_ids() == []
+
+    # A worker restarts the job from generation 0: every evaluation is
+    # fresh again, the result is the uninterrupted run's, and the new
+    # checkpoint carries this kernel's fingerprint.
+    store.requeue(store.get(job.job_id))
+    assert main(["worker", "--once", "--no-cache", "--state-dir", str(state)]) == 0
+    result = store.get(job.job_id).result
+    assert result.final_scores == expected.final_scores
+    assert result.fresh_evaluations == expected.fresh_evaluations > 0
+    assert store.get_checkpoint(job.job_id)["fingerprint"] == job.checkpoint_fingerprint()

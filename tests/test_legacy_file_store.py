@@ -76,7 +76,8 @@ def _legacy_state(root: Path, midway) -> dict[str, str]:
     ]
     for record in records:
         _write(root / "jobs" / f"{record.job_id}.json", record.to_dict())
-    checkpoint = checkpoint_to_dict(midway, JOB.fingerprint())
+    # Stamped as this kernel stamps checkpoints, so the import resumes.
+    checkpoint = checkpoint_to_dict(midway, JOB.checkpoint_fingerprint())
     assert checkpoint["version"] == 2
     _write(root / "checkpoints" / f"{JOB.job_id}.json", checkpoint)
     _write(root / "checkpoints" / f"{trace_blob_id(completed.job_id)}.json", {

@@ -376,7 +376,9 @@ class TestResumability:
         store.submit(job)
         legacy = store.checkpoint_path(job.job_id)
         legacy.parent.mkdir()
-        legacy.write_text(json.dumps(_v1_payload(midway[0], job.fingerprint())))
+        # Stamped as this kernel stamps checkpoints (a kernel-2 stamp is
+        # refused whatever the format).
+        legacy.write_text(json.dumps(_v1_payload(midway[0], job.checkpoint_fingerprint())))
         assert main(["worker", "--once", "--state-dir", str(tmp_path)]) == 0
         result = store.get(job.job_id).result
         assert result.final_scores == tuple(
