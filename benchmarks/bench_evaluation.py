@@ -5,8 +5,9 @@ population through ``ProtectionEvaluator.evaluate_many`` is several
 times faster than the scalar ``evaluate`` loop, because the batch path
 computes shared intermediates once (original-side linkage index, rank
 tables, stacked code tensors) and fits every candidate's Fellegi–Sunter
-model in one call.  Most PRL rows take the certified closed form there,
-and the EM rows that remain are pooled across the batch.  This bench
+model in one call.  PRL rows take the certified interior closed form or
+the certified boundary fit there, and the few EM rows left (a zero
+pattern cell) are pooled across the batch.  This bench
 measures fresh-population throughput at 2–3 dataset sizes on three
 paths:
 
@@ -15,8 +16,10 @@ paths:
 * ``process`` — ``evaluate_many`` over a 2-worker process executor.
 
 Every path must return byte-identical scores (asserted), every
-population must send PRL rows down both fit routes, closed form and EM
-(asserted, so the identity check covers mixed routing), and the batch
+population must send PRL rows down both closed-form routes, interior
+and boundary (asserted, so the identity check covers mixed routing; the
+EM count is printed, and the EM route's identity has its own unit
+tests), and the batch
 path must beat serial by ``>= 3x`` at the largest size (the acceptance
 headline).  The process row is informational: on a single-core box the
 pickling tax usually wins, which is exactly the thread-vs-process
@@ -124,9 +127,9 @@ def test_bench_batch_evaluation_beats_serial():
         assert process_scores == serial_scores
         observed_scores, routes = _observed_scores_and_routes(original, population)
         assert observed_scores == serial_scores
-        assert routes.get("closed_form", 0) > 0 and routes.get("em", 0) > 0, (
+        assert routes.get("closed_form", 0) > 0 and routes.get("boundary", 0) > 0, (
             f"n={size}: PRL fits took only {routes}; the identity checks "
-            "must cover both the closed-form and the EM route"
+            "must cover both the interior and the boundary closed form"
         )
 
         speedup = serial_s / batch_s if batch_s else float("inf")
@@ -141,7 +144,8 @@ def test_bench_batch_evaluation_beats_serial():
             f"serial={serial_s:6.2f}s  batch={batch_s:6.2f}s  "
             f"process={process_s:6.2f}s  batch-speedup={speedup:4.1f}x  "
             f"({rate:5.0f} cand/s batched)  "
-            f"prl closed-form/em={routes['closed_form']:.0f}/{routes['em']:.0f}"
+            f"prl closed-form/boundary/em={routes['closed_form']:.0f}/"
+            f"{routes['boundary']:.0f}/{routes.get('em', 0):.0f}"
         )
 
     emit("fresh-population evaluation: serial vs batch vs process", "\n".join(attrs_rows))

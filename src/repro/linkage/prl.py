@@ -27,10 +27,29 @@ pattern frequencies exactly and has a closed form in the pattern
 moments (:func:`_closed_form`).  A closed-form row is used only when it
 is *certified*: its parameters are valid probabilities and its
 log-likelihood is within ``_CERTIFY_RTOL`` (relative) of the saturated
-bound ``sum c log(c/N)``, which no model can exceed.  Every other row —
-no interior solution, or ``a != 3`` — is fitted by the capped EM of
-:func:`_fit_em_many`.  Every fit reports its gap to the saturated bound
-(``loglik_gap``), a convergence certificate that needs no reference fit.
+bound ``sum c log(c/N)``, which no model can exceed.
+
+A row with no interior solution has its maximum on the boundary of the
+parameter space, where some rates sit at 0 or 1.  A class's product
+distribution is then supported on a subcube of the 8 patterns (8, 4,
+2 or 1 cells), and when every pattern count is > 0 the two supports
+must cover all 8 cells, or a cell with pairs would have probability
+zero.  Two subcubes cover the cube only when one is the whole cube or
+they are complementary faces, so any other set of active bounds is
+excluded and exactly four kinds of boundary stratum remain.  With class
+C of full support, class D never shows one bit value (its support is a
+face, F1: 6 strata), lives on one edge (F3: 12) or on one pattern (F4:
+8); or one bit separates the classes (F2: 3).  Each stratum's maximum
+is again in closed form (:func:`_boundary_fit`), so such a row takes
+the best valid candidate of the 29, accepted only if it passes a
+first-order (KKT) check of the log-likelihood's gradient.  The check is local; on sampled GA rows and
+random all-positive rows, no long or multi-start EM found a higher
+likelihood than an accepted fit.
+
+Every other row — a zero pattern cell, a failed certificate, or
+``a != 3`` — is fitted by the capped EM of :func:`_fit_em_many`.  Every
+fit reports its gap to the saturated bound (``loglik_gap``): ~0 for an
+interior fit, the model's true shortfall for a boundary fit.
 """
 
 from __future__ import annotations
@@ -146,12 +165,16 @@ class BatchFellegiSunterModel:
 
 
 def _checked_counts(pattern_counts: np.ndarray, n_attributes: int) -> np.ndarray:
-    """``pattern_counts`` as float64 ``(B, 2^a)``, every row with pairs."""
+    """``pattern_counts`` as float64 ``(B, 2^a)``: finite, >= 0, every row with pairs."""
     counts = np.asarray(pattern_counts, dtype=np.float64)
     if counts.ndim != 2 or counts.shape[1] != 2**n_attributes:
         raise LinkageError(
             f"expected (B, {2**n_attributes}) pattern counts, got shape {counts.shape}"
         )
+    if not np.isfinite(counts).all():
+        raise LinkageError("pattern counts must be finite")
+    if (counts < 0).any():
+        raise LinkageError("pattern counts must be non-negative")
     if counts.shape[0] and counts.sum(axis=-1).min() <= 0:
         raise LinkageError("no record pairs to fit")
     return counts
@@ -164,6 +187,21 @@ def _pattern_weights(bits: np.ndarray, m: np.ndarray, u: np.ndarray) -> np.ndarr
     )
 
 
+def _logliks(
+    counts: np.ndarray,
+    bits: np.ndarray,
+    m: np.ndarray,
+    u: np.ndarray,
+    match_proportion: np.ndarray,
+) -> np.ndarray:
+    """Per-row log-likelihood of the exact mixture (no ``_EPS``) over observed patterns."""
+    agree = bits > 0
+    m_side = np.where(agree, m[:, None, :], 1 - m[:, None, :]).prod(axis=-1)
+    u_side = np.where(agree, u[:, None, :], 1 - u[:, None, :]).prod(axis=-1)
+    mixture = match_proportion[:, None] * m_side + (1 - match_proportion)[:, None] * u_side
+    return np.einsum("bp,bp->b", counts, np.log(np.where(counts > 0, mixture, 1.0)))
+
+
 def _loglik_gaps(
     counts: np.ndarray,
     bits: np.ndarray,
@@ -173,19 +211,13 @@ def _loglik_gaps(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row saturated bound ``sum c log(c/N)`` and the fit's gap to it.
 
-    The fit's log-likelihood is the exact mixture's (no ``_EPS``) over
-    the observed patterns.  Invalid parameters give a NaN or infinite
-    gap; a caller fitting such rows silences the warnings.
+    Invalid parameters give a NaN or infinite gap; a caller fitting such
+    rows silences the warnings.
     """
-    observed = counts > 0
     frequencies = counts / counts.sum(axis=-1, keepdims=True)
-    bound = np.einsum("bp,bp->b", counts, np.log(np.where(observed, frequencies, 1.0)))
-    agree = bits > 0
-    m_side = np.where(agree, m[:, None, :], 1 - m[:, None, :]).prod(axis=-1)
-    u_side = np.where(agree, u[:, None, :], 1 - u[:, None, :]).prod(axis=-1)
-    mixture = match_proportion[:, None] * m_side + (1 - match_proportion)[:, None] * u_side
-    loglik = np.einsum("bp,bp->b", counts, np.log(np.where(observed, mixture, 1.0)))
-    return bound, bound - loglik
+    bound = np.einsum("bp,bp->b", counts,
+                      np.log(np.where(counts > 0, frequencies, 1.0)))
+    return bound, bound - _logliks(counts, bits, m, u, match_proportion)
 
 
 def _closed_form(
@@ -239,6 +271,264 @@ def _closed_form(
         & ((m >= 0) & (m <= 1) & (u >= 0) & (u <= 1)).all(axis=1)
         & (gap <= _CERTIFY_RTOL * np.abs(bound))
     )
+    model = BatchFellegiSunterModel(
+        m=m, u=u, match_proportion=pi,
+        pattern_weights=_pattern_weights(bits, m, u), loglik_gap=gap,
+    )
+    return model, certified
+
+
+# Boundary strata of the a = 3 model.  Class D's support is a face (F1),
+# an edge (F3) or a vertex (F4) of the pattern cube and class C's is the
+# whole cube, or the two classes split the cube into complementary faces
+# (F2).  Each family's fit is computed in canonical rate columns and put
+# back in bit order by its ``_PLACE`` table; the tables are built once,
+# here.
+
+
+def _cell(assignment: dict[int, int]) -> int:
+    """Pattern index of the cell whose bit ``k`` is ``assignment[k]``."""
+    return sum(value << bit for bit, value in assignment.items())
+
+
+def _others(*fixed: int) -> list[int]:
+    return [bit for bit in range(3) if bit not in fixed]
+
+
+def _face(bit: int, value: int) -> list[list[int]]:
+    """The 2×2 table of cells with ``bit == value``, indexed by the other two bits."""
+    first, second = _others(bit)
+    return [[_cell({bit: value, first: x, second: y}) for y in (0, 1)] for x in (0, 1)]
+
+
+def _edge(j: int, k: int, x_j: int, x_k: int) -> list[int]:
+    """The two cells with bits ``(j, k) == (x_j, x_k)``, by the third bit."""
+    (third,) = _others(j, k)
+    return [_cell({j: x_j, k: x_k, third: x}) for x in (0, 1)]
+
+
+def _placement(orders: list[list[int]]) -> np.ndarray:
+    """``place[g, bit]``: the canonical column that holds ``bit`` in stratum ``g``."""
+    return np.array([[order.index(bit) for bit in range(3)] for order in orders])
+
+
+_F1_KEYS = [(k, v) for k in range(3) for v in (0, 1)]
+_F1_KEEP = np.array([_face(k, v) for k, v in _F1_KEYS])
+_F1_MIXED = np.array([_face(k, 1 - v) for k, v in _F1_KEYS])
+_F1_VALUE = np.array([v for _, v in _F1_KEYS], dtype=np.float64)
+_F1_PLACE = _placement([[k, *_others(k)] for k, _ in _F1_KEYS])
+
+_F2_ONE = np.array([_face(k, 1) for k in range(3)])
+_F2_ZERO = np.array([_face(k, 0) for k in range(3)])
+_F2_PLACE = _placement([[k, *_others(k)] for k in range(3)])
+
+_F3_KEYS = [(j, k, alpha, beta) for j, k in ((0, 1), (0, 2), (1, 2))
+            for alpha in (0, 1) for beta in (0, 1)]
+# Per stratum: the j-side, k-side and corner cells C fits alone, then D's two cells.
+_F3_CELLS = np.array([
+    [_edge(j, k, a, 1 - b), _edge(j, k, 1 - a, b), _edge(j, k, 1 - a, 1 - b),
+     _edge(j, k, a, b)]
+    for j, k, a, b in _F3_KEYS
+])
+_F3_ALPHA = np.array([a for _, _, a, _ in _F3_KEYS], dtype=np.float64)
+_F3_BETA = np.array([b for _, _, _, b in _F3_KEYS], dtype=np.float64)
+_F3_PLACE = _placement([[j, k, *_others(j, k)] for j, k, _, _ in _F3_KEYS])
+
+_F4_STAR = _pattern_bits(3).astype(np.float64)
+# ``_F4_AWAY[x, k]``: the four cells that disagree with pattern ``x`` on bit ``k``.
+_F4_AWAY = np.array([[[p for p in range(8) if (p ^ x) >> k & 1] for k in range(3)]
+                     for x in range(8)])
+
+#: Tolerance of the boundary certificate's first-order conditions, as a
+#: fraction of the row's pair count.
+_KKT_RTOL = 1e-7
+
+
+def _placed(rates: np.ndarray, place: np.ndarray) -> np.ndarray:
+    """``(B, G, 3)`` canonical rate columns put back in bit order."""
+    return rates[:, np.arange(place.shape[0])[:, None], place]
+
+
+def _face_fits(frequencies: np.ndarray) -> tuple[np.ndarray, ...]:
+    """F1: D never shows bit ``k = v``; weight of C, and C's and D's rates.
+
+    The cells with ``k = v`` come from C alone, which fits them by
+    independence: ``a``, ``b`` are their margins and their mass is
+    ``s·P_C(k = v)``.  The other face is ``Q = w·abᵀ + (1 - s)·D₂``,
+    with ``D₂`` D's rank-1 table there, so ``w`` solves the linear
+    ``det(Q - w·abᵀ) = 0`` and D's rates are the margins of the residual.
+    """
+    keep = frequencies[:, _F1_KEEP]
+    q = frequencies[:, _F1_MIXED]
+    mass = keep[..., 0, 0] + keep[..., 0, 1] + keep[..., 1, 0] + keep[..., 1, 1]
+    a = (keep[..., 1, 0] + keep[..., 1, 1]) / mass
+    b = (keep[..., 0, 1] + keep[..., 1, 1]) / mass
+    p00, p01, p10, p11 = (1 - a) * (1 - b), (1 - a) * b, a * (1 - b), a * b
+    w = ((q[..., 0, 0] * q[..., 1, 1] - q[..., 0, 1] * q[..., 1, 0])
+         / (q[..., 0, 0] * p11 + q[..., 1, 1] * p00
+            - q[..., 0, 1] * p10 - q[..., 1, 0] * p01))
+    r00, r01 = q[..., 0, 0] - w * p00, q[..., 0, 1] - w * p01
+    r10, r11 = q[..., 1, 0] - w * p10, q[..., 1, 1] - w * p11
+    residual = r00 + r01 + r10 + r11
+    weight = mass + w
+    share = mass / weight
+    c = np.stack([np.where(_F1_VALUE == 1, share, 1 - share), a, b], axis=-1)
+    d = np.stack([np.broadcast_to(1 - _F1_VALUE, a.shape),
+                  (r10 + r11) / residual, (r01 + r11) / residual], axis=-1)
+    return weight, _placed(c, _F1_PLACE), _placed(d, _F1_PLACE)
+
+
+def _split_fits(frequencies: np.ndarray) -> tuple[np.ndarray, ...]:
+    """F2: bit ``k`` separates the classes; each half by independence."""
+    rates = []
+    for cells in (_F2_ONE, _F2_ZERO):
+        half = frequencies[:, cells]
+        mass = half[..., 0, 0] + half[..., 0, 1] + half[..., 1, 0] + half[..., 1, 1]
+        rates.append((mass, (half[..., 1, 0] + half[..., 1, 1]) / mass,
+                      (half[..., 0, 1] + half[..., 1, 1]) / mass))
+    (weight, c_first, c_second), (_, d_first, d_second) = rates
+    c = np.stack([np.ones_like(weight), c_first, c_second], axis=-1)
+    d = np.stack([np.zeros_like(weight), d_first, d_second], axis=-1)
+    return weight, _placed(c, _F2_PLACE), _placed(d, _F2_PLACE)
+
+
+def _edge_fits(frequencies: np.ndarray) -> tuple[np.ndarray, ...]:
+    """F3: D lives on the two cells with bits ``(j, k) = (α, β)``.
+
+    C alone fits the other six cells by quasi-independence: its ``j``
+    and ``k`` rates follow from the odds of the three observed ``(j, k)``
+    cells, and its third rate is the six cells' share with that bit set.
+    D fits its two cells exactly with the residual.
+    """
+    cells = frequencies[:, _F3_CELLS]
+    pairs = cells[..., 0] + cells[..., 1]
+    side_j, side_k, corner = pairs[..., 0], pairs[..., 1], pairs[..., 2]
+    c_j = side_j / (side_j + corner)  # C's P(bit j = α)
+    c_k = side_k / (side_k + corner)  # C's P(bit k = β)
+    pure = side_j + side_k + corner
+    c_third = (cells[..., 0, 1] + cells[..., 1, 1] + cells[..., 2, 1]) / pure
+    weight = pure / (1 - c_j * c_k)
+    inside = weight * c_j * c_k
+    r0 = cells[..., 3, 0] - inside * (1 - c_third)
+    r1 = cells[..., 3, 1] - inside * c_third
+    c = np.stack([np.where(_F3_ALPHA == 1, c_j, 1 - c_j),
+                  np.where(_F3_BETA == 1, c_k, 1 - c_k), c_third], axis=-1)
+    d = np.stack([np.broadcast_to(_F3_ALPHA, c_j.shape),
+                  np.broadcast_to(_F3_BETA, c_j.shape), r1 / (r0 + r1)], axis=-1)
+    return weight, _placed(c, _F3_PLACE), _placed(d, _F3_PLACE)
+
+
+def _vertex_fits(frequencies: np.ndarray) -> tuple[np.ndarray, ...]:
+    """F4: D is a point mass on one pattern; both roots of its quadratic.
+
+    C fits the other seven cells as an independence model truncated to
+    exclude the pattern.  With ``s_k`` their share that agrees with the
+    pattern on bit ``k``, stationarity gives C's agreement rates
+    ``r_k = ρ + s_k (1 - ρ)`` with ``ρ = Π r_k``; in ``t = 1 - ρ`` and
+    ``a = 1 - s`` that is ``e₃t² - e₂t - (1 - e₁) = 0`` (elementary
+    symmetric polynomials of ``a``), solved without cancellation.
+    """
+    away = frequencies[:, _F4_AWAY]
+    rest = 1 - frequencies  # mass off each pattern, (B, 8)
+    a = (away[..., 0] + away[..., 1] + away[..., 2] + away[..., 3]) / rest[..., None]
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    e1, e2, e3 = a0 + a1 + a2, a0 * a1 + a0 * a2 + a1 * a2, a0 * a1 * a2
+    q = (e2 + np.sqrt(e2 * e2 + 4 * e3 * (1 - e1))) / 2
+    t = np.stack([q / e3, -(1 - e1) / q], axis=-1)  # (B, 8, 2)
+    weight = rest[..., None] / t
+    disagree = t[..., None] * a[:, :, None, :]  # C's P(bit k differs), (B, 8, 2, 3)
+    star = _F4_STAR[:, None, :]
+    c = np.where(star == 1, 1 - disagree, disagree)
+    d = np.broadcast_to(star, c.shape)
+    batch = frequencies.shape[0]
+    return weight.reshape(batch, 16), c.reshape(batch, 16, 3), d.reshape(batch, 16, 3)
+
+
+def _kkt_holds(
+    counts: np.ndarray,
+    bits: np.ndarray,
+    m: np.ndarray,
+    u: np.ndarray,
+    match_proportion: np.ndarray,
+) -> np.ndarray:
+    """First-order optimality of each ``a = 3`` fit ``(π, m, u)``, within ``_KKT_RTOL · N``.
+
+    The analytic gradient of the log-likelihood must vanish on every
+    free parameter, be ``>= -tol`` on a rate at 1 and ``<= tol`` on a
+    rate at 0.  A NaN anywhere fails.
+    """
+    agree = bits > 0
+    sign = np.where(agree, 1.0, -1.0).T  # (3, 2^a): d factor / d rate
+    pi = match_proportion[:, None]
+    sides, others = [], []
+    for rates in (m, u):
+        factors = np.where(agree, rates[:, None, :], 1 - rates[:, None, :])
+        f0, f1, f2 = factors[..., 0], factors[..., 1], factors[..., 2]
+        sides.append(f0 * f1 * f2)
+        others.append(np.stack([f1 * f2, f0 * f2, f0 * f1], axis=1))  # (B, 3, 2^a)
+    m_side, u_side = sides
+    weight = counts / (pi * m_side + (1 - pi) * u_side)
+    signed = weight[:, None, :] * sign
+    gradient = np.concatenate([
+        np.einsum("bp,bp->b", weight, m_side - u_side)[:, None],
+        pi * (signed * others[0]).sum(axis=-1),
+        (1 - pi) * (signed * others[1]).sum(axis=-1),
+    ], axis=1)
+    params = np.concatenate([pi, m, u], axis=1)
+    tol = _KKT_RTOL * counts.sum(axis=-1, keepdims=True)
+    return np.where(params >= 1, gradient >= -tol,
+                    np.where(params <= 0, gradient <= tol,
+                             np.abs(gradient) <= tol)).all(axis=1)
+
+
+def _boundary_candidates(
+    frequencies: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(π, m, u)`` of every stratum's fit, shapes ``(B, G)``, ``(B, G, 3)``.
+
+    Columns run F1 (6), F2 (3), F3 (12), F4 (8 patterns × 2 roots); the
+    smaller class is labelled the matches.
+    """
+    families = [fits(frequencies) for fits in (_face_fits, _split_fits, _edge_fits,
+                                               _vertex_fits)]
+    weight, c, d = (np.concatenate(parts, axis=1) for parts in zip(*families))
+    c_matches = weight < 0.5
+    pi = np.where(c_matches, weight, 1 - weight)
+    m = np.where(c_matches[..., None], c, d)
+    u = np.where(c_matches[..., None], d, c)
+    return pi, m, u
+
+
+def _boundary_fit(
+    counts: np.ndarray, bits: np.ndarray
+) -> tuple[BatchFellegiSunterModel, np.ndarray]:
+    """Best boundary-stratum fit of each all-positive ``a = 3`` row, and its certificate.
+
+    Every stratum's maximum is in closed form (see the family functions),
+    so a row's boundary maximum is the best of 29 candidates (37 with
+    both F4 roots).  A candidate is valid when ``m`` and ``u`` lie in
+    [0, 1], ``0 < π < ½`` and its log-likelihood is finite; the valid
+    candidate with the highest log-likelihood wins, the lowest column on
+    a tie.  A row is certified when a valid candidate exists and it passes
+    :func:`_kkt_holds`.  Other rows hold garbage (the caller silences
+    the warnings).  Every operation is elementwise, a gather from the
+    module's index tables, or a per-row reduction, so a row's fit and
+    verdict never depend on the rest of its batch.
+    """
+    frequencies = counts / counts.sum(axis=-1, keepdims=True)
+    pi, m, u = _boundary_candidates(frequencies)
+    batch, width = pi.shape
+    loglik = _logliks(np.repeat(counts, width, axis=0), bits, m.reshape(-1, 3),
+                      u.reshape(-1, 3), pi.reshape(-1)).reshape(batch, width)
+    valid = ((pi > 0) & (pi < 0.5)
+             & ((m >= 0) & (m <= 1) & (u >= 0) & (u <= 1)).all(axis=-1)
+             & (loglik > -np.inf))  # also False for NaN
+    score = np.where(valid, loglik, -np.inf)
+    rows = np.arange(batch)
+    best = score.argmax(axis=1)
+    m, u, pi = m[rows, best], u[rows, best], pi[rows, best]
+    certified = valid[rows, best] & _kkt_holds(counts, bits, m, u, pi)
+    _, gap = _loglik_gaps(counts, bits, m, u, pi)
     model = BatchFellegiSunterModel(
         m=m, u=u, match_proportion=pi,
         pattern_weights=_pattern_weights(bits, m, u), loglik_gap=gap,
@@ -370,15 +660,17 @@ def fit_fellegi_sunter_many(
 
     This is the primary implementation — :func:`fit_fellegi_sunter` is
     its ``B == 1`` wrapper.  With ``a = 3`` each row takes the closed
-    form of :func:`_closed_form` when it is certified; every other row
-    (and every row when ``a != 3``) is fitted by :func:`_fit_em_many`
-    on the gathered subset, with ``max_iterations`` and ``tolerance``.
-    Both routes compute each row from that row alone, so batching
-    changes throughput, never results.
+    form of :func:`_closed_form` when it is certified, and otherwise,
+    when every pattern count is > 0, the boundary fit of
+    :func:`_boundary_fit` when that is certified.  Every other row (and
+    every row when ``a != 3``) is fitted by :func:`_fit_em_many` on the
+    gathered subset, with ``max_iterations`` and ``tolerance``.  Every
+    route computes each row from that row alone, so batching changes
+    throughput, never results.
 
     With telemetry on, each call observes ``repro_em_fit_seconds`` and
     counts its rows into ``repro_em_fits_total{method}``
-    (``closed_form`` or ``em``); only EM rows observe
+    (``closed_form``, ``boundary`` or ``em``); only EM rows observe
     ``repro_em_iterations`` and ``repro_em_unconverged_total``.
     """
     counts = _checked_counts(pattern_counts, n_attributes)
@@ -386,28 +678,42 @@ def fit_fellegi_sunter_many(
     # telemetry is on.
     registry = get_registry()
     fit_start = time.perf_counter() if registry.enabled else 0.0
+    batch = counts.shape[0]
+    closed = np.zeros(batch, dtype=bool)
+    boundary = np.zeros(batch, dtype=bool)
+    model = None
     if n_attributes == 3:
+        bits = _pattern_bits(3).astype(np.float64)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            model, closed = _closed_form(counts, _pattern_bits(3).astype(np.float64))
-        em_rows = np.flatnonzero(~closed)
-    else:
-        model, em_rows = None, np.arange(counts.shape[0])
+            model, closed = _closed_form(counts, bits)
+            rest = np.flatnonzero(~closed & (counts > 0).all(axis=1))
+            if rest.size:
+                fit, certified = _boundary_fit(counts[rest], bits)
+                _scatter(model, rest[certified], fit, certified)
+                boundary[rest[certified]] = True
+    em_rows = np.flatnonzero(~closed & ~boundary)
     if em_rows.size:
         em = _fit_em_many(counts[em_rows], n_attributes,
                           max_iterations=max_iterations, tolerance=tolerance)
-        if model is None or em_rows.size == counts.shape[0]:
+        if model is None or em_rows.size == batch:
             model = em
         else:
-            for name in ("m", "u", "match_proportion", "pattern_weights", "loglik_gap"):
-                getattr(model, name)[em_rows] = getattr(em, name)
+            _scatter(model, em_rows, em, slice(None))
     if registry.enabled:
         registry.observe("repro_em_fit_seconds", time.perf_counter() - fit_start)
-        closed_rows = counts.shape[0] - em_rows.size
-        if closed_rows:
-            registry.inc("repro_em_fits_total", closed_rows, method="closed_form")
-        if em_rows.size:
-            registry.inc("repro_em_fits_total", em_rows.size, method="em")
+        for method, rows in (("closed_form", int(closed.sum())),
+                             ("boundary", int(boundary.sum())),
+                             ("em", em_rows.size)):
+            if rows:
+                registry.inc("repro_em_fits_total", rows, method=method)
     return model
+
+
+def _scatter(model: BatchFellegiSunterModel, rows, part: BatchFellegiSunterModel,
+             part_rows) -> None:
+    """Overwrite ``model``'s ``rows`` with ``part``'s ``part_rows``, in place."""
+    for name in ("m", "u", "match_proportion", "pattern_weights", "loglik_gap"):
+        getattr(model, name)[rows] = getattr(part, name)[part_rows]
 
 
 def fit_fellegi_sunter(

@@ -62,7 +62,7 @@ get_registry().declare_histogram("repro_eval_batch_size", DEFAULT_SIZE_BUCKETS)
 #: fresh computation would otherwise break the bit-identity guarantees
 #: (cached vs fresh, resume-across-kill).  Bumping only costs warm
 #: caches a recompute.
-METRIC_KERNEL_VERSION = 3
+METRIC_KERNEL_VERSION = 4
 
 
 @dataclass(frozen=True)

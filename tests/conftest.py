@@ -1,4 +1,4 @@
-"""Shared fixtures: datasets, plus the job-store contract harness."""
+"""Shared fixtures: datasets, PRL pattern counts, plus the job-store contract harness."""
 
 from __future__ import annotations
 
@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from repro.data import CategoricalDataset, CategoricalDomain, DatasetSchema
-from repro.datasets import load_adult, load_flare
+from repro.datasets import load_adult, load_dataset, load_flare, protected_attributes
+from repro.experiments.population_builder import build_initial_population
+from repro.linkage.compressed import get_compressed_pair
 
 
 @dataclass
@@ -136,3 +138,18 @@ def flare() -> CategoricalDataset:
 def small_adult(adult: CategoricalDataset) -> CategoricalDataset:
     """First 120 Adult records — fast enough for linkage-heavy tests."""
     return CategoricalDataset(adult.codes[:120], adult.schema, name="adult-small")
+
+
+@pytest.fixture(scope="session")
+def prl_population_counts() -> dict[str, np.ndarray]:
+    """PRL pattern counts of each paper dataset's seed-0 initial population."""
+    counts = {}
+    for name in ("flare", "adult", "german", "housing"):
+        original = load_dataset(name)
+        attributes = protected_attributes(name)
+        population = build_initial_population(original, dataset_name=name, seed=0)
+        counts[name] = np.stack([
+            get_compressed_pair(original, masked, attributes).pattern_counts()
+            for masked in population
+        ])
+    return counts

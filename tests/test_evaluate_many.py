@@ -168,16 +168,20 @@ def _interior_counts() -> np.ndarray:
 
 
 #: Attributes 1 and 2 rarely agree together: c_12 c_13 c_23 < 0, no
-#: interior solution, so the row goes to the EM.
+#: interior solution, so the row takes the boundary fit.
 _BOUNDARY_COUNTS = np.array([400.0, 300, 300, 10, 300, 100, 100, 60])
+
+#: The same with no pairs agreeing on exactly attributes 1 and 2: a
+#: zero cell, so the row goes to the EM.
+_ZERO_CELL_COUNTS = np.array([400.0, 300, 300, 0, 300, 100, 100, 60])
 
 
 class TestEMTelemetry:
     """The capped EM's convergence series, on the EM path itself.
 
     ``fit_fellegi_sunter_many`` sends certified ``a = 3`` rows to the
-    closed form, which observes no iterations; these tests call the EM
-    directly so their counts stay about EM rows.
+    closed form or the boundary fit, which observe no iterations; these
+    tests call the EM directly so their counts stay about EM rows.
     """
 
     @pytest.fixture
@@ -232,18 +236,22 @@ class TestEMTelemetry:
         assert unconverged == counts.shape[0]
 
     def test_route_counter_labels(self, registry):
-        counts = np.stack([_interior_counts(), _BOUNDARY_COUNTS, 3 * _interior_counts()])
+        counts = np.stack([_interior_counts(), _BOUNDARY_COUNTS, _ZERO_CELL_COUNTS,
+                           3 * _interior_counts()])
         fit_fellegi_sunter_many(counts, 3)
         routes = {tuple(sorted(c["labels"].items())): c["value"]
                   for c in registry.snapshot()["counters"]
                   if c["name"] == "repro_em_fits_total"}
-        assert routes == {(("method", "closed_form"),): 2.0, (("method", "em"),): 1.0}
+        assert routes == {(("method", "closed_form"),): 2.0,
+                          (("method", "boundary"),): 1.0, (("method", "em"),): 1.0}
         text = registry.render_prometheus()
         assert 'repro_em_fits_total{method="closed_form"} 2' in text
+        assert 'repro_em_fits_total{method="boundary"} 1' in text
         assert 'repro_em_fits_total{method="em"} 1' in text
 
     def test_closed_form_rows_observe_no_iterations(self, registry):
-        fit_fellegi_sunter_many(np.stack([_interior_counts()] * 3), 3)
+        fit_fellegi_sunter_many(
+            np.stack([_interior_counts(), _BOUNDARY_COUNTS, _interior_counts()]), 3)
         snapshot = registry.snapshot()
         assert not [h for h in snapshot["histograms"]
                     if h["name"] == "repro_em_iterations"]
@@ -254,7 +262,8 @@ class TestEMTelemetry:
         assert fit_seconds["count"] == 1
         # In a mixed batch only the EM row observes its iterations.
         registry.reset()
-        fit_fellegi_sunter_many(np.stack([_interior_counts(), _BOUNDARY_COUNTS]), 3)
+        fit_fellegi_sunter_many(
+            np.stack([_interior_counts(), _BOUNDARY_COUNTS, _ZERO_CELL_COUNTS]), 3)
         histogram, _ = self._series(registry)
         assert histogram["count"] == 1
 

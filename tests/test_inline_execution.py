@@ -9,6 +9,7 @@ counters, claim/release trace spans, and failures reported as a
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -187,8 +188,9 @@ def test_resume_without_checkpoint_reads_once_and_leaves_the_job(
     assert store.claimed_job_ids() == []
 
 
-def test_kernel_2_checkpoint_is_not_resumable(tmp_path, capsys):
-    state = tmp_path / "state"
+def _assert_stale_kernel_refused(state: Path, capsys, stale_stamp) -> None:
+    """A checkpoint stamped by ``stale_stamp(job)`` is refused by ``resume``
+    and restarted from generation 0 by a worker."""
     job = ProtectionJob(dataset="adult", generations=4, seed=9)
     assert main(["submit", "--dataset", "adult", "--generations", "4",
                  "--seed", "9", "--checkpoint-every", "2", "--no-cache",
@@ -197,9 +199,8 @@ def test_kernel_2_checkpoint_is_not_resumable(tmp_path, capsys):
     expected = store.get(job.job_id).result
     blob = store.get_checkpoint(job.job_id)
     assert blob["generation"] == 4
-    assert blob["fingerprint"] == job.checkpoint_fingerprint() != job.fingerprint()
-    # Kernel 2 stamped checkpoints with the job's bare content hash.
-    blob["fingerprint"] = job.fingerprint()
+    assert blob["fingerprint"] == job.checkpoint_fingerprint() != stale_stamp(job)
+    blob["fingerprint"] = stale_stamp(job)
     store.put_checkpoint(job.job_id, blob)
     _strand(store, job.job_id)
 
@@ -220,3 +221,18 @@ def test_kernel_2_checkpoint_is_not_resumable(tmp_path, capsys):
     assert result.final_scores == expected.final_scores
     assert result.fresh_evaluations == expected.fresh_evaluations > 0
     assert store.get_checkpoint(job.job_id)["fingerprint"] == job.checkpoint_fingerprint()
+
+
+def test_kernel_2_checkpoint_is_not_resumable(tmp_path, capsys):
+    # Kernel 2 stamped checkpoints with the job's bare content hash.
+    _assert_stale_kernel_refused(tmp_path / "state", capsys,
+                                 lambda job: job.fingerprint())
+
+
+def test_kernel_3_checkpoint_is_not_resumable(tmp_path, capsys):
+    # Kernel 3 salted the hash with its version, as kernel 4 does.
+    def kernel_3(job: ProtectionJob) -> str:
+        salted = f"{job.fingerprint()}:kernel3"
+        return hashlib.sha256(salted.encode("utf-8")).hexdigest()
+
+    _assert_stale_kernel_refused(tmp_path / "state", capsys, kernel_3)

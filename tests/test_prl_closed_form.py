@@ -1,12 +1,12 @@
-"""The closed-form Fellegi–Sunter fit for ``a = 3`` and its EM fallback.
+"""The closed-form Fellegi–Sunter fit for ``a = 3`` and its routing.
 
 Every paper dataset links on three attributes, where the two-class
 model is just-identified: an interior maximum reproduces the pattern
 frequencies and reaches the saturated log-likelihood ``sum c log(c/N)``.
 These tests pin that certified rows really are there, that they beat
 a long EM, that the route a row takes never depends on its batch, and
-that every row the closed form does not certify is exactly the capped
-EM's fit.
+that every row with a zero pattern cell is exactly the capped EM's fit.
+The boundary route has its own tests in ``test_prl_boundary.py``.
 """
 
 from __future__ import annotations
@@ -15,10 +15,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.datasets import load_dataset, protected_attributes
 from repro.exceptions import LinkageError
-from repro.experiments.population_builder import build_initial_population
-from repro.linkage.compressed import get_compressed_pair
 from repro.linkage.prl import (
     _fit_em_many,
     _loglik_gaps,
@@ -30,24 +27,13 @@ from repro.linkage.prl import (
 DATASETS = ["flare", "adult", "german", "housing"]
 
 
-def _population_counts(name: str) -> np.ndarray:
-    """Pattern counts of a dataset's seed-0 initial population."""
-    original = load_dataset(name)
-    attributes = protected_attributes(name)
-    population = build_initial_population(original, dataset_name=name, seed=0)
-    return np.stack([
-        get_compressed_pair(original, masked, attributes).pattern_counts()
-        for masked in population
-    ])
-
-
 @pytest.fixture(scope="module")
-def population_counts() -> dict[str, np.ndarray]:
-    return {name: _population_counts(name) for name in DATASETS}
+def population_counts(prl_population_counts) -> dict[str, np.ndarray]:
+    return prl_population_counts
 
 
 def _routes(counts: np.ndarray) -> np.ndarray:
-    """Per row, True when a one-row fit counts as ``closed_form``."""
+    """Per row, the ``repro_em_fits_total`` method a one-row fit counts."""
     registry = obs.enable()
     try:
         routes = []
@@ -56,16 +42,18 @@ def _routes(counts: np.ndarray) -> np.ndarray:
             fit_fellegi_sunter_many(row[None, :], counts.shape[1].bit_length() - 1)
             (counter,) = [c for c in registry.snapshot()["counters"]
                           if c["name"] == "repro_em_fits_total"]
-            routes.append(counter["labels"]["method"] == "closed_form")
+            routes.append(counter["labels"]["method"])
     finally:
         obs.disable()
         registry.reset()
-    return np.array(routes, dtype=bool)
+    return np.array(routes)
 
 
 @pytest.fixture(scope="module")
 def population_routes(population_counts) -> dict[str, np.ndarray]:
-    return {name: _routes(counts) for name, counts in population_counts.items()}
+    """Per dataset and row, True when the row takes the closed form."""
+    return {name: _routes(counts) == "closed_form"
+            for name, counts in population_counts.items()}
 
 
 def _bound(counts: np.ndarray, model) -> np.ndarray:
@@ -81,8 +69,18 @@ def _row_bytes(model, row: int) -> tuple[bytes, ...]:
 
 
 def _mixed(table: dict[str, np.ndarray]) -> np.ndarray:
-    """Flare then housing rows (counts or routes): both routes occur."""
+    """Flare then housing rows (counts or routes): closed-form and boundary rows."""
     return np.concatenate([table["flare"], table["housing"]])
+
+
+def _with_zero_cells(counts: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``_mixed`` counts with one zero cell in every third row (two in every
+    sixth), and those rows' indices: all three routes occur."""
+    mixed = _mixed(counts).copy()
+    zero = np.arange(0, mixed.shape[0], 3)
+    mixed[zero, zero % 8] = 0
+    mixed[zero[::2], (zero[::2] + 3) % 8] = 0
+    return mixed, zero
 
 
 class TestCertifiedRows:
@@ -118,14 +116,23 @@ class TestCertifiedRows:
         model = fit_fellegi_sunter_many(counts, 3)
         assert model.loglik_gap.shape == (counts.shape[0],)
         assert np.isfinite(model.loglik_gap).all()
-        # The capped EM stops short of the bound on the boundary rows.
-        assert (model.loglik_gap[~_mixed(population_routes)] > 1e-3).all()
+        # A boundary row sits below the bound, and never further below
+        # it than the capped EM would have stopped.
+        boundary = ~_mixed(population_routes)
+        capped = _fit_em_many(counts[boundary], 3)
+        assert (model.loglik_gap[boundary] >= 0).all()
+        assert (model.loglik_gap[boundary] <= capped.loglik_gap).all()
 
 
 class TestRouting:
-    def test_population_mixes_both_routes(self, population_counts, population_routes):
-        closed = _mixed(population_routes)
-        assert 0 < closed.sum() < closed.size
+    def test_population_mixes_both_routes(self, population_counts):
+        # The populations' rows all have pairs in every cell, so each
+        # takes the closed form or the boundary fit, never the EM.
+        counts = _mixed(population_counts)
+        routes = _routes(counts)
+        closed, boundary = routes == "closed_form", routes == "boundary"
+        assert closed.any() and boundary.any()
+        assert (closed | boundary).all()
         # Routing a whole batch counts the same split as row by row.
         registry = obs.enable()
         try:
@@ -137,11 +144,11 @@ class TestRouting:
         finally:
             obs.disable()
             registry.reset()
-        assert counters == {"closed_form": closed.sum(), "em": (~closed).sum()}
+        assert counters == {"closed_form": closed.sum(), "boundary": boundary.sum()}
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_batch_equals_scalar_in_any_row_order(self, population_counts, seed):
-        counts = _mixed(population_counts)
+        counts, _ = _with_zero_cells(population_counts)
         order = np.random.default_rng(seed).permutation(counts.shape[0])
         shuffled = counts[order]
         model = fit_fellegi_sunter_many(shuffled, 3)
@@ -153,13 +160,12 @@ class TestRouting:
             assert np.array_equal(single.pattern_weights, model.pattern_weights[row])
             assert single.loglik_gap == model.loglik_gap[row]
 
-    def test_boundary_rows_are_the_capped_em_fit(self, population_counts,
-                                                 population_routes):
-        counts = _mixed(population_counts)
-        boundary = np.flatnonzero(~_mixed(population_routes))
+    def test_zero_cell_rows_are_the_capped_em_fit(self, population_counts):
+        counts, zero = _with_zero_cells(population_counts)
+        assert (_routes(counts[zero]) == "em").all()
         model = fit_fellegi_sunter_many(counts, 3)
-        em = _fit_em_many(counts[boundary], 3)
-        for position, row in enumerate(boundary):
+        em = _fit_em_many(counts[zero], 3)
+        for position, row in enumerate(zero):
             assert _row_bytes(model, row) == _row_bytes(em, position)
             alone = _fit_em_many(counts[row][None, :], 3)
             assert _row_bytes(model, row) == _row_bytes(alone, 0)
@@ -173,7 +179,7 @@ class TestRouting:
         em = _fit_em_many(counts, n_attributes)
         for row in range(counts.shape[0]):
             assert _row_bytes(model, row) == _row_bytes(em, row)
-        assert not _routes(counts).any()
+        assert (_routes(counts) == "em").all()
 
 
 class TestValidation:
@@ -195,6 +201,16 @@ class TestValidation:
             fit_fellegi_sunter_many(counts, n_attributes)
         with pytest.raises(LinkageError):
             fit_fellegi_sunter(np.zeros(2**n_attributes), n_attributes)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -5.0])
+    def test_non_finite_and_negative_counts_raise(self, bad):
+        counts = np.full((2, 8), 10.0)
+        counts[1, 0] = bad
+        for fit in (fit_fellegi_sunter_many, _fit_em_many):
+            with pytest.raises(LinkageError):
+                fit(counts, 3)
+        with pytest.raises(LinkageError):
+            fit_fellegi_sunter(counts[1], 3)
 
     def test_empty_batch(self):
         model = fit_fellegi_sunter_many(np.zeros((0, 8)), 3)
