@@ -346,13 +346,10 @@ def _job_table(records, title: str, island: bool = False,
 def _record_payload(record, claims: dict[str, dict]) -> dict:
     """One job's machine-readable status (the ``--json`` row).
 
-    Built from the same structs the telemetry layer uses — the
+    Built from the same struct the telemetry layer uses — the
     evaluator's :meth:`~repro.metrics.evaluation.ProtectionEvaluator.stats`
-    snapshot and the timeline summary — so scripts read fields instead
-    of scraping table columns.
+    snapshot — so scripts read fields instead of scraping table columns.
     """
-    from repro.obs import timeline_summary
-
     payload: dict[str, object] = {
         "job_id": record.job_id,
         "dataset": record.job.dataset,
@@ -395,9 +392,6 @@ def _record_payload(record, claims: dict[str, dict]) -> dict:
             "wall_seconds": result.wall_seconds,
             "evaluator_stats": _evaluator_stats(record),
         }
-        timeline = result.extras.get("timeline")
-        if isinstance(timeline, dict):
-            payload["timeline"] = timeline_summary(timeline)
     return payload
 
 
@@ -433,6 +427,14 @@ def _print_merge_front(record) -> None:
 def cmd_submit(args: argparse.Namespace) -> int:
     from repro.service.job import ProtectionJob
 
+    # A queued record is read by every worker: refuse what no worker can
+    # run before anything is written.
+    if args.generations < 1:
+        raise ReproError(f"--generations must be >= 1, got {args.generations}")
+    if args.checkpoint_every < 0:
+        raise ReproError(
+            f"--checkpoint-every must be >= 0, got {args.checkpoint_every}"
+        )
     _enable_telemetry(args, "submit")
     store = _job_store(args)
     base = ProtectionJob(
@@ -614,12 +616,10 @@ def cmd_status(args: argparse.Namespace) -> int:
         record = store.get(args.job)
         if args.json:
             payload = _record_payload(record, claims)
-            if record.result is not None:
-                timeline = record.result.extras.get("timeline")
-                if isinstance(timeline, dict):
-                    # The full trace, not just the summary: --json on a
-                    # single job is the scripting face of the timeline.
-                    payload["timeline_trace"] = timeline
+            history = _stored_history(record)
+            if history:
+                # The run's records, verbatim in the checkpoint encoding.
+                payload["history"] = history
             print(json.dumps(payload, indent=2, sort_keys=True))
             return 0
         print(_job_table([record], record.job_id, claims=claims))
@@ -641,7 +641,7 @@ def cmd_status(args: argparse.Namespace) -> int:
                             "batch_dedup")
                 if key in stats
             ))
-        _print_timeline(record)
+        _print_history(record)
         return 0
     records = store.records()
     if args.json:
@@ -657,26 +657,34 @@ def cmd_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_timeline(record) -> None:
-    """Render a finished job's generation-by-generation trace."""
-    from repro.obs import TIMELINE_HEADER, timeline_rows, timeline_summary
-
+def _stored_history(record) -> list[dict]:
+    """The run history a finished job stored (``[]`` when it has none)."""
     if record.result is None:
+        return []
+    return record.result.extras.get("history") or []
+
+
+def _print_history(record) -> None:
+    """Render a finished job's run history with the paper's tables.
+
+    The same evolution and timing tables ``repro experiment`` and
+    ``repro evolve`` print, rebuilt from the records the job stored.
+    """
+    from repro.core.history import EvolutionHistory, GenerationRecord
+    from repro.experiments.reporting import render_evolution, render_timing
+
+    history = EvolutionHistory(
+        [GenerationRecord.from_dict(r) for r in _stored_history(record)]
+    )
+    if not history.records:
         return
-    timeline = record.result.extras.get("timeline")
-    if not isinstance(timeline, dict) or not timeline.get("generation"):
-        return
-    summary = timeline_summary(timeline)
-    title = (f"run timeline: {summary['generations']} generation(s), "
-             f"{summary['evaluations']} evaluation(s), "
-             f"{summary['total_seconds']:.1f}s in the GA loop")
-    if summary["stride"] > 1:
-        title += f" (trace sampled every {summary['stride']} generations)"
+    seconds = sum(r.fitness_seconds + r.other_seconds for r in history.records)
+    evaluations = sum(r.evaluations for r in history.records)
+    print(f"\nrun history: {len(history)} generation(s), {evaluations} "
+          f"evaluation(s), {seconds:.1f}s in the GA loop\n")
+    print(render_evolution(history, "score evolution"))
     print()
-    # Long runs collapse into bucketed ranges so the trace stays one
-    # screenful; short runs print one row per generation.
-    print(format_table(TIMELINE_HEADER, timeline_rows(timeline, max_rows=40),
-                       title=title))
+    print(render_timing(history, "per-generation timing"))
 
 
 def cmd_resume(args: argparse.Namespace) -> int:

@@ -30,6 +30,21 @@ class GenerationRecord:
     other_seconds: float
     accepted: bool
 
+    def to_dict(self) -> dict:
+        """The record's one JSON encoding: every field, in declaration order.
+
+        Checkpoints (format v1 and v2) store their records in exactly
+        this form, and finished jobs carry their history in it.
+        """
+        # The instance dict holds the fields in declaration order, and
+        # copying it is far cheaper than ``dataclasses.asdict``.
+        return dict(vars(self))
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> GenerationRecord:
+        """Rebuild a record from :meth:`to_dict`."""
+        return cls(**payload)
+
 
 @dataclass
 class EvolutionHistory:

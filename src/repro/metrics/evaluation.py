@@ -147,8 +147,8 @@ def _score_candidates(
     """Score a batch through the measures' vectorized kernels.
 
     Module-level (and taking the measures explicitly) so the process
-    executor can pickle it; the per-candidate aggregation mirrors the
-    scalar :meth:`ProtectionEvaluator.evaluate` arithmetic exactly.
+    executor can pickle it.  Every score the evaluator computes fresh
+    goes through here, so scalar and batch scoring agree bit for bit.
     """
     il_values = [(m.measure_name, m.compute_many(batch)) for m in il_measures]
     dr_values = [(m.measure_name, m.compute_many(batch)) for m in dr_measures]
@@ -327,46 +327,8 @@ class ProtectionEvaluator:
         return self._persistent_key(masked.fingerprint())
 
     def evaluate(self, masked: CategoricalDataset) -> ProtectionScore:
-        """Full score for ``masked`` (memoized by content)."""
-        use_fingerprint = self._cache_size or self.persistent_cache is not None
-        key = masked.fingerprint() if use_fingerprint else b""
-        registry = get_registry()
-        if self._cache_size:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._cache.move_to_end(key)
-                self.cache_hits += 1
-                if registry.enabled:
-                    registry.inc("repro_eval_memo_hits_total")
-                return cached
-
-        persistent_key = ""
-        if self.persistent_cache is not None:
-            persistent_key = self._persistent_key(key)
-            stored = self.persistent_cache.get(persistent_key)
-            if stored is not None:
-                self.persistent_hits += 1
-                if registry.enabled:
-                    registry.inc("repro_eval_persistent_hits_total")
-                self._memoize(key, stored)
-                return stored
-
-        # One implementation of the measure/aggregation arithmetic: the
-        # scalar path is a singleton batch, so the bit-for-bit contract
-        # between evaluate and evaluate_many holds by construction.
-        start = time.perf_counter()
-        (result,) = _score_candidates(
-            self.il_measures, self.dr_measures, self.score_function, [masked]
-        )
-        self.fresh_seconds += time.perf_counter() - start
-        self.evaluations += 1
-        if registry.enabled:
-            registry.inc("repro_eval_fresh_total")
-
-        if self.persistent_cache is not None:
-            self.persistent_cache.put(persistent_key, result)
-        self._memoize(key, result)
-        return result
+        """Full score for ``masked`` (memoized by content): a batch of one."""
+        return self.evaluate_many([masked])[0]
 
     def evaluate_many(self, batch: Sequence[CategoricalDataset]) -> list[ProtectionScore]:
         """Score a whole batch; identical to mapping :meth:`evaluate`.
@@ -384,11 +346,11 @@ class ProtectionEvaluator:
         5. store fresh scores back (bulk ``put_many``) and fan results
            out to the original batch positions.
 
-        Counter semantics match the scalar path per *distinct*
-        candidate: ``evaluations`` counts fresh scorings, ``cache_hits``
-        memo hits, ``persistent_hits`` store hits.  Within-batch
-        duplicates land in ``batch_dedup`` instead of ``cache_hits``
-        (the scalar loop would have re-hit the memo for them).
+        Counters are per *distinct* candidate: ``evaluations`` counts
+        fresh scorings, ``cache_hits`` memo hits, ``persistent_hits``
+        store hits.  Within-batch duplicates land in ``batch_dedup``
+        instead of ``cache_hits`` (a scalar loop would have re-hit the
+        memo for them).
         """
         candidates = list(batch)
         if not candidates:
@@ -529,19 +491,18 @@ class ProtectionEvaluator:
         )
 
     def stats(self) -> dict[str, int]:
-        """Evaluation-work snapshot, consistent across scalar and batch paths.
+        """Evaluation-work snapshot over every :meth:`evaluate_many` call.
 
         ``evaluations`` counts fresh metric computations, ``memo_hits``
         in-memory cache hits, ``persistent_hits`` persistent-store hits
-        — each per *distinct* candidate, whichever path scored it.
-        ``batch_dedup`` counts the within-batch duplicates
-        :meth:`evaluate_many` collapsed before any cache was consulted
-        (the batch path's equivalent of the memo hits a scalar loop
-        would have recorded for them).  ``batches`` / ``max_batch_size``
-        describe the batch-shape this evaluator saw, and
-        ``fresh_seconds`` is wall time spent inside the metric kernels
-        (the only nondeterministic value here — everything else is a
-        pure function of the evaluation stream).
+        — each per *distinct* candidate.  ``batch_dedup`` counts the
+        within-batch duplicates collapsed before any cache was consulted
+        (the memo hits a scalar loop would have recorded for them).
+        ``batches`` / ``max_batch_size`` describe the batch-shape this
+        evaluator saw (a scalar :meth:`evaluate` call is a batch of
+        one), and ``fresh_seconds`` is wall time spent inside the metric
+        kernels (the only nondeterministic value here — everything else
+        is a pure function of the evaluation stream).
         """
         return {
             "evaluations": self.evaluations,

@@ -1,4 +1,4 @@
-"""Fleet-wide telemetry: metrics registry, structured events, timelines.
+"""Fleet-wide telemetry: metrics registry, structured events, traces.
 
 ``repro.obs`` is the observability substrate the rest of the codebase
 records into.  It is stdlib-only and sits below every other layer, so
@@ -7,15 +7,13 @@ import it without cycles.  Telemetry is **off by default**: library
 users pay a single attribute check per instrumentation point until a
 CLI entry point (or a test) calls :func:`enable`.
 
-The package splits into five small pieces:
+The package splits into four small pieces:
 
 * :mod:`repro.obs.registry` — thread-safe counters/gauges/histograms,
   Prometheus text rendering, and fleet snapshot ingest.
 * :mod:`repro.obs.events` — the JSONL structured event log behind
   ``--log-json`` (stderr and/or a size-rotated file sink).
 * :mod:`repro.obs.instrument` — the store-op timing proxy.
-* :mod:`repro.obs.timeline` — per-job generation-by-generation traces
-  persisted through ``JobResult.extras``.
 * :mod:`repro.obs.trace` — causal spans across the fleet behind
   ``--trace-sample``, flushed to durable per-job trace blobs.
 """
@@ -42,12 +40,6 @@ from repro.obs.registry import (
     escape_label_value,
     get_registry,
     is_enabled,
-)
-from repro.obs.timeline import (
-    TIMELINE_HEADER,
-    timeline_from_history,
-    timeline_rows,
-    timeline_summary,
 )
 from repro.obs.trace import (
     DEFAULT_SLOW_OP_SECONDS,
@@ -87,7 +79,6 @@ __all__ = [
     "InstrumentedStore",
     "MetricsRegistry",
     "RotatingFileStream",
-    "TIMELINE_HEADER",
     "TRACE_BLOB_SUFFIX",
     "TeeStream",
     "TraceScope",
@@ -122,9 +113,6 @@ __all__ = [
     "span_active",
     "store_backend_label",
     "take_stray_spans",
-    "timeline_from_history",
-    "timeline_rows",
-    "timeline_summary",
     "trace_blob_id",
     "trace_context_from_extras",
     "tracing_enabled",

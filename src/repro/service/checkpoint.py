@@ -138,20 +138,6 @@ def _individual_from_dict(
     )
 
 
-def _record_to_dict(record: GenerationRecord) -> dict:
-    return {
-        "generation": record.generation,
-        "operator": record.operator,
-        "max_score": record.max_score,
-        "mean_score": record.mean_score,
-        "min_score": record.min_score,
-        "evaluations": record.evaluations,
-        "fitness_seconds": record.fitness_seconds,
-        "other_seconds": record.other_seconds,
-        "accepted": record.accepted,
-    }
-
-
 def checkpoint_to_dict(
     checkpoint: EngineCheckpoint,
     fingerprint: str = "",
@@ -196,7 +182,7 @@ def checkpoint_to_dict(
         "rng_state": checkpoint.rng_state,
         "initial": encode(checkpoint.initial),
         "individuals": encode(checkpoint.individuals),
-        "records": [_record_to_dict(r) for r in checkpoint.records],
+        "records": [r.to_dict() for r in checkpoint.records],
         "codes": table,
     }
     for digest in memo.keys() - by_digest.keys():
@@ -252,7 +238,7 @@ def checkpoint_from_dict(
         individuals=[
             _individual_from_dict(p, reference, dataset(p)) for p in payload["individuals"]
         ],
-        records=[GenerationRecord(**r) for r in payload["records"]],
+        records=[GenerationRecord.from_dict(r) for r in payload["records"]],
         rng_state=payload["rng_state"],
     )
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from repro.datasets.registry import load_dataset
 from repro.exceptions import ServiceError
 from repro.experiments.runner import ExperimentConfig, ExperimentResult, run_experiment
-from repro.obs import timeline_from_history, trace
+from repro.obs import trace
 from repro.service.backends import ExecutionBackend, create_backend
 from repro.service.cache import EvaluationCache
 from repro.service.checkpoint import CheckpointManager
@@ -65,9 +65,9 @@ def _job_result(
         wall_seconds=wall_seconds,
         extras={
             "evaluator_stats": evaluator.stats(),
-            # The per-generation trace rides with the result through any
-            # store backend; ``repro status --job ID`` renders it.
-            "timeline": timeline_from_history(outcome.history.records),
+            # The run's history, in the checkpoint's record encoding,
+            # rides with the result; ``repro status --job ID`` renders it.
+            "history": [r.to_dict() for r in outcome.history.records],
         },
     )
 

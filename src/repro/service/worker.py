@@ -43,7 +43,7 @@ import threading
 import time
 import uuid
 
-from repro.exceptions import WorkerError
+from repro.exceptions import ServiceError, WorkerError
 from repro.obs import emit_event, get_registry, trace
 from repro.service.backends import create_backend
 from repro.service.islands import park_record, parked_signature
@@ -363,9 +363,17 @@ class Worker:
                 every = int(record.extras.get("checkpoint_every", 0))
                 groups.setdefault(every, []).append(record)
             for group in groups.values():
-                # Build the runner before mark_running: a construction
-                # error must leave these records queued, not stranded.
-                runner = self._runner_for(group[0])
+                # Build the runner before mark_running.  Worker-level
+                # settings were validated at construction, so an error
+                # here is the records' own stored cadence: fail them
+                # rather than leave them queued to block every drain.
+                try:
+                    runner = self._runner_for(group[0])
+                except ServiceError as exc:
+                    for record in group:
+                        outcomes[record.job_id] = self._settle(
+                            record, JobOutcome(record.job_id, error=str(exc)))
+                    continue
                 for record in group:
                     self.store.mark_running(record)
                 settled = runner.run_settled(
@@ -381,36 +389,8 @@ class Worker:
                         (checkpoints or {}).get(record.job_id) for record in group
                     ],
                 )
-                registry = get_registry()
                 for record, outcome in zip(group, settled):
-                    if outcome.ok:
-                        self.store.mark_completed(record, outcome.result)
-                        registry.inc("repro_worker_jobs_total",
-                                     outcome="completed")
-                        emit_event("job_completed", job_id=record.job_id,
-                                   worker=self.worker_id,
-                                   wall_seconds=round(
-                                       outcome.result.wall_seconds, 3))
-                    elif outcome.parked is not None:
-                        # An island job yielded at an exchange boundary:
-                        # its state is durably checkpointed — requeue it
-                        # (behind the queue) rather than mark it failed.
-                        park_record(self.store, record, outcome.parked)
-                        registry.inc("repro_worker_jobs_total",
-                                     outcome="parked")
-                        emit_event("job_parked", job_id=record.job_id,
-                                   worker=self.worker_id,
-                                   round=outcome.parked.get("round"),
-                                   generation=outcome.parked.get("generation"),
-                                   waiting_on=outcome.parked.get("waiting_on"))
-                    else:
-                        self.store.mark_failed(record, outcome.error)
-                        registry.inc("repro_worker_jobs_total",
-                                     outcome="failed")
-                        emit_event("job_failed", job_id=record.job_id,
-                                   worker=self.worker_id,
-                                   error=str(outcome.error))
-                    outcomes[record.job_id] = outcome
+                    outcomes[record.job_id] = self._settle(record, outcome)
         finally:
             beat.stop()
             release_started = time.time()
@@ -425,6 +405,33 @@ class Worker:
                          max(0.0, time.time() - release_started)),
             )
         return [outcomes[r.job_id] for r in records if r.job_id in outcomes]
+
+    def _settle(self, record: JobRecord, outcome: JobOutcome) -> JobOutcome:
+        """Mark ``record`` by its outcome: completed, parked or failed."""
+        registry = get_registry()
+        if outcome.ok:
+            self.store.mark_completed(record, outcome.result)
+            registry.inc("repro_worker_jobs_total", outcome="completed")
+            emit_event("job_completed", job_id=record.job_id,
+                       worker=self.worker_id,
+                       wall_seconds=round(outcome.result.wall_seconds, 3))
+        elif outcome.parked is not None:
+            # An island job yielded at an exchange boundary: its state
+            # is durably checkpointed — requeue it (behind the queue)
+            # rather than mark it failed.
+            park_record(self.store, record, outcome.parked)
+            registry.inc("repro_worker_jobs_total", outcome="parked")
+            emit_event("job_parked", job_id=record.job_id,
+                       worker=self.worker_id,
+                       round=outcome.parked.get("round"),
+                       generation=outcome.parked.get("generation"),
+                       waiting_on=outcome.parked.get("waiting_on"))
+        else:
+            self.store.mark_failed(record, outcome.error)
+            registry.inc("repro_worker_jobs_total", outcome="failed")
+            emit_event("job_failed", job_id=record.job_id,
+                       worker=self.worker_id, error=str(outcome.error))
+        return outcome
 
     def _flush_traces(
         self,

@@ -121,8 +121,8 @@ class TestTelemetryDeterminism:
             (outcome,) = Worker(store, worker_id=f"w-{state}").run_once()
             result = outcome.result
             return (result.final_scores, result.best_score,
-                    result.extras["timeline"]["best"],
-                    result.extras["timeline"]["evaluations"])
+                    [(r["min_score"], r["evaluations"])
+                     for r in result.extras["history"]])
 
         quiet, loud = self.run_pair(run_job)
         assert quiet == loud

@@ -23,7 +23,7 @@ from repro.service.islands import execute_island_job, register_store
 from repro.service.runner import _job_result
 
 # Timing fields differ between any two runs; everything else must not.
-_TIMING_SERIES = ("fitness_seconds", "total_seconds")
+_TIMING_FIELDS = ("fitness_seconds", "other_seconds")
 
 
 def _comparable(result) -> dict:
@@ -33,8 +33,9 @@ def _comparable(result) -> dict:
     extras.pop("island", None)
     extras.pop("trace_spans", None)
     extras["evaluator_stats"].pop("fresh_seconds", None)
-    for key in _TIMING_SERIES:
-        extras["timeline"].pop(key)
+    for record in extras["history"]:
+        for key in _TIMING_FIELDS:
+            record.pop(key)
     return payload
 
 

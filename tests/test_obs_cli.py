@@ -1,7 +1,7 @@
 """CLI surfaces of the telemetry layer.
 
-``status --json`` / ``cache --json`` machine output, the per-job run
-timeline ``status --job`` renders from ``JobResult.extras``, the
+``status --json`` / ``cache --json`` machine output, the run history
+``status --job`` renders from ``JobResult.extras``, the
 ``repro top`` fleet overview, and the ``--log-json`` event stream on
 the service commands.
 """
@@ -51,24 +51,49 @@ class TestStatusJson:
         assert payload["status"] == "completed"
         assert payload["result"]["best_score"] > 0
         assert payload["result"]["evaluator_stats"]["evaluations"] > 0
-        assert payload["timeline"]["generations"] == 4
+        assert "timeline" not in payload  # retired on purpose
 
-    def test_single_job_includes_timeline_trace(self, state_dir, job_id, capsys):
+    def test_single_job_includes_history(self, state_dir, job_id, capsys):
         assert main(["status", "--state-dir", state_dir,
                      "--job", job_id, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        trace = payload["timeline_trace"]
-        assert trace["generation"] == [1, 2, 3, 4]
-        assert len(trace["best"]) == 4
-        assert set(trace["operator"]) <= {"m", "c"}
+        assert "timeline_trace" not in payload
+        stored = SqliteJobStore(f"{state_dir}/jobs.sqlite").get(job_id)
+        assert payload["history"] == stored.result.extras["history"]
+        assert [r["generation"] for r in payload["history"]] == [1, 2, 3, 4]
+        assert {r["operator"] for r in payload["history"]} <= {"mutation", "crossover"}
 
-    def test_text_single_job_renders_timeline_table(self, state_dir, job_id,
+    def test_text_single_job_renders_history_tables(self, state_dir, job_id,
                                                     capsys):
+        from repro.core import EvolutionHistory, GenerationRecord
+        from repro.experiments.reporting import render_evolution, render_timing
+
         assert main(["status", "--state-dir", state_dir, "--job", job_id]) == 0
         out = capsys.readouterr().out
-        assert "run timeline: 4 generation(s)" in out
-        assert "accepted" in out
-        assert out.count("crossover") + out.count("mutation") >= 4
+        assert "run history: 4 generation(s)" in out
+        # The tables ``repro experiment`` / ``repro evolve`` print, from
+        # the stored records.
+        stored = SqliteJobStore(f"{state_dir}/jobs.sqlite").get(job_id)
+        history = EvolutionHistory(
+            [GenerationRecord.from_dict(r) for r in stored.result.extras["history"]]
+        )
+        assert render_evolution(history, "score evolution") in out
+        assert render_timing(history, "per-generation timing") in out
+
+    def test_record_without_history_shows_job_table_only(self, tmp_path, capsys):
+        # A record finished before results carried their history.
+        state = str(tmp_path / "state")
+        assert main(["submit", "--dataset", "adult", "--generations", "1",
+                     "--seed", "3", "--state-dir", state]) == 0
+        store = SqliteJobStore(f"{state}/jobs.sqlite")
+        (record,) = store.records()
+        del record.result.extras["history"]
+        store.save(record)
+        capsys.readouterr()
+        assert main(["status", "--state-dir", state, "--job", record.job_id]) == 0
+        out = capsys.readouterr().out
+        assert record.job_id in out
+        assert "run history" not in out and "score evolution" not in out
 
 
 class TestCacheJson:

@@ -4,8 +4,7 @@ Covers the observer wiring the registry unit tests cannot: the
 :class:`InstrumentedStore` proxy (timing without touching store
 classes), the netstore's ``/metrics`` and ``/telemetry`` side-channels,
 worker claim/outcome/heartbeat counters with error routing through the
-event log, and the per-job timeline blob that rides in
-``JobResult.extras``.
+event log.
 """
 
 from __future__ import annotations
@@ -24,13 +23,8 @@ from repro.obs import (
     InstrumentedStore,
     instrument_store,
     store_backend_label,
-    timeline_from_history,
-    timeline_rows,
-    timeline_summary,
 )
-from repro.obs.timeline import MAX_TIMELINE_POINTS
 from repro.service import (
-    JobRunner,
     JobStoreServer,
     ProtectionJob,
     RemoteJobStore,
@@ -126,70 +120,6 @@ class TestInstrumentedStore:
             SimpleNamespace(base_url="http://x:1", spec="")) == "remote"
         assert store_backend_label(
             SimpleNamespace(spec="sqlite:/tmp/db")) == "sqlite"
-
-
-def fake_history(n: int) -> list[SimpleNamespace]:
-    return [
-        SimpleNamespace(
-            generation=i + 1,
-            operator="mutation" if i % 2 else "crossover",
-            min_score=30.0 - i * 0.01,
-            mean_score=35.0 - i * 0.01,
-            evaluations=2,
-            fitness_seconds=0.004,
-            other_seconds=0.001,
-            accepted=bool(i % 3),
-        )
-        for i in range(n)
-    ]
-
-
-class TestTimeline:
-    def test_blob_shape_and_rows(self):
-        timeline = timeline_from_history(fake_history(6))
-        assert timeline["version"] == 1
-        assert timeline["stride"] == 1
-        assert timeline["generation"] == [1, 2, 3, 4, 5, 6]
-        assert timeline["operator"] == "cmcmcm"
-        rows = timeline_rows(timeline)
-        assert len(rows) == 6
-        assert rows[0][0] == "1" and rows[0][1] == "crossover"
-        assert rows[1][1] == "mutation"
-
-    def test_long_runs_stride_sampled_keeping_last(self):
-        n = MAX_TIMELINE_POINTS * 3 + 7
-        timeline = timeline_from_history(fake_history(n))
-        assert timeline["stride"] == 4
-        assert len(timeline["generation"]) <= MAX_TIMELINE_POINTS + 1
-        assert timeline["generation"][-1] == n
-
-    def test_rows_bucketed_to_max(self):
-        timeline = timeline_from_history(fake_history(100))
-        rows = timeline_rows(timeline, max_rows=10)
-        assert len(rows) == 10
-        assert rows[0][0] == "1-10"
-        assert rows[0][4] == 20  # evaluations summed over the bucket
-        assert rows[0][7] == "6/10"  # accepted count over bucket size
-
-    def test_summary(self):
-        summary = timeline_summary(timeline_from_history(fake_history(6)))
-        assert summary["generations"] == 6
-        assert summary["traced"] == 6
-        assert summary["evaluations"] == 12
-        assert summary["final_best"] == pytest.approx(30.0 - 5 * 0.01)
-
-    def test_empty_history(self):
-        timeline = timeline_from_history([])
-        assert timeline_rows(timeline) == []
-        assert timeline_summary(timeline)["generations"] == 0
-
-    def test_runner_persists_timeline_in_extras(self, tmp_path):
-        job = ProtectionJob(dataset="flare", generations=3, seed=5)
-        (result,) = JobRunner().run([job])
-        timeline = result.extras["timeline"]
-        assert timeline["generation"] == [1, 2, 3]
-        assert len(timeline["best"]) == 3
-        json.dumps(timeline)  # store-safe
 
 
 class TestMetricsEndpoint:

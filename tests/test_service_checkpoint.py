@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core import EngineCheckpoint, EvolutionaryProtector
+from repro.core import EngineCheckpoint, EvolutionaryProtector, GenerationRecord
 from repro.core.individual import Individual
 from repro.core.operators import mutate
 from repro.data import CategoricalDataset, CategoricalDomain, DatasetSchema
@@ -28,9 +28,14 @@ from repro.service.checkpoint import (
     FORMAT_VERSION,
     SUPPORTED_VERSIONS,
     _individual_to_dict,
-    _record_to_dict,
     is_resumable,
 )
+
+#: The record keys checkpoint format v2 has always written, in order.
+V2_RECORD_KEYS = [
+    "generation", "operator", "max_score", "mean_score", "min_score",
+    "evaluations", "fitness_seconds", "other_seconds", "accepted",
+]
 
 TOTAL_GENERATIONS = 24
 INTERRUPT_AT = 10
@@ -73,7 +78,7 @@ def _v1_payload(checkpoint: EngineCheckpoint, fingerprint: str = "") -> dict:
         "rng_state": checkpoint.rng_state,
         "initial": [_individual_to_dict(ind) for ind in checkpoint.initial],
         "individuals": [_individual_to_dict(ind) for ind in checkpoint.individuals],
-        "records": [_record_to_dict(r) for r in checkpoint.records],
+        "records": [r.to_dict() for r in checkpoint.records],
     }
 
 
@@ -241,6 +246,23 @@ def _wide_dataset(categories: int) -> CategoricalDataset:
     ])
     codes[0, 0] = categories - 1
     return CategoricalDataset(codes, schema, name="wide")
+
+
+class TestRecordEncoding:
+    def test_engine_records_round_trip(self, evaluator, protections):
+        result = EvolutionaryProtector(evaluator, seed=5).run(protections, stopping=8)
+        for record in result.history.records:
+            assert GenerationRecord.from_dict(record.to_dict()) == record
+            stored = json.loads(json.dumps(record.to_dict()))
+            assert GenerationRecord.from_dict(stored) == record
+
+    def test_keys_are_the_v2_checkpoint_record_keys(self, evaluator, protections):
+        checkpoint = _capture(evaluator, protections)[-1]
+        payload = checkpoint_to_dict(checkpoint)
+        assert payload["version"] == 2
+        for stored, record in zip(payload["records"], checkpoint.records, strict=True):
+            assert list(record.to_dict()) == V2_RECORD_KEYS
+            assert list(stored) == V2_RECORD_KEYS
 
 
 class TestFormatV2:

@@ -8,6 +8,8 @@ evaluations.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.exceptions import ServiceError
@@ -51,6 +53,13 @@ class TestBackendEquivalence:
     def test_two_replicates_run(self, serial_results):
         assert [r.seed for r in serial_results] == list(SEEDS)
         assert all(r.generations == JOB.generations for r in serial_results)
+
+    def test_results_carry_the_run_history(self, serial_results):
+        # The engine's records, in the checkpoint's encoding, store-safe.
+        for result in serial_results:
+            history = result.extras["history"]
+            assert [r["generation"] for r in history] == [1, 2, 3, 4]
+            assert json.loads(json.dumps(history)) == history
 
     def test_process_scores_byte_identical_to_serial(self, serial_results, process_results):
         for serial, process in zip(serial_results, process_results):

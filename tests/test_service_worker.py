@@ -55,6 +55,21 @@ class TestRunOnce:
         assert store.get_checkpoint(record.job_id)["generation"] == 2
         assert not (store.root / "checkpoints").exists()
 
+    def test_bad_stored_cadence_fails_alone(self, store):
+        # Regression: a record whose stored cadence cannot build a
+        # runner raised out of every drain and stayed queued, so the
+        # valid job behind it never ran.
+        bad = store.submit(_job(1), extras={"checkpoint_every": -1})
+        good = store.submit(_job(2))
+        outcomes = {out.job_id: out for out in Worker(store).run_once()}
+        assert "checkpoint_every must be >= 0, got -1" in outcomes[bad.job_id].error
+        assert outcomes[good.job_id].ok
+        loaded = store.get(bad.job_id)
+        assert loaded.status == "failed"
+        assert "checkpoint_every must be >= 0" in loaded.error
+        assert store.get(good.job_id).status == "completed"
+        assert store.claimed_job_ids() == []
+
     def test_skips_jobs_claimed_elsewhere(self, store):
         record = store.submit(_job(1))
         store.claim(record.job_id, owner="someone-else")

@@ -151,3 +151,21 @@ class TestWorkerFailures:
         captured = capsys.readouterr()
         assert code == 1
         assert "failed" in captured.err
+
+
+class TestSubmitValidation:
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--generations", "0", "--generations must be >= 1, got 0"),
+        ("--generations", "-3", "--generations must be >= 1, got -3"),
+        ("--checkpoint-every", "-1", "--checkpoint-every must be >= 0, got -1"),
+    ])
+    def test_rejected_before_any_store_write(self, tmp_path, capsys, flag,
+                                             value, message):
+        # Regression: these were queued, and the bad cadence then made
+        # every worker drain exit 2 with the valid jobs behind it unrun.
+        state = str(tmp_path / "state")
+        args = ["submit", "--dataset", "adult", "--generations", "1",
+                "--detach", "--state-dir", state, flag, value]
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
+        assert SqliteJobStore(Path(state) / "jobs.sqlite").records() == []
