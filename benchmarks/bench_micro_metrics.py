@@ -16,7 +16,7 @@ from repro.linkage import (
     probabilistic_record_linkage,
     rank_swapping_record_linkage,
 )
-from repro.linkage.compressed import CompressedPair
+from repro.linkage.compressed import CompressedPair, OriginalIndex
 from repro.methods import Pram
 from repro.metrics import (
     ContingencyTableLoss,
@@ -62,7 +62,7 @@ def test_cached_evaluation_throughput(benchmark):
     "path,fn",
     [
         ("reference_n2", lambda: distance_based_record_linkage(ORIGINAL, MASKED, ATTRS)),
-        ("compressed", lambda: CompressedPair(ORIGINAL, MASKED, ATTRS).distance_linkage()),
+        ("compressed", lambda: CompressedPair(OriginalIndex(ORIGINAL, ATTRS), MASKED).distance_linkage()),
     ],
 )
 def test_dbrl_reference_vs_compressed(benchmark, path, fn):
@@ -74,7 +74,7 @@ def test_dbrl_reference_vs_compressed(benchmark, path, fn):
     "path,fn",
     [
         ("reference_n2", lambda: probabilistic_record_linkage(ORIGINAL, MASKED, ATTRS)),
-        ("compressed", lambda: CompressedPair(ORIGINAL, MASKED, ATTRS).probabilistic_linkage()),
+        ("compressed", lambda: ProbabilisticLinkageRisk(ORIGINAL, ATTRS).compute(MASKED)),
     ],
 )
 def test_prl_reference_vs_compressed(benchmark, path, fn):
@@ -86,7 +86,7 @@ def test_prl_reference_vs_compressed(benchmark, path, fn):
     "path,fn",
     [
         ("reference_n2", lambda: rank_swapping_record_linkage(ORIGINAL, MASKED, ATTRS)),
-        ("compressed", lambda: CompressedPair(ORIGINAL, MASKED, ATTRS).rank_linkage()),
+        ("compressed", lambda: CompressedPair(OriginalIndex(ORIGINAL, ATTRS), MASKED).rank_linkage()),
     ],
 )
 def test_rsrl_reference_vs_compressed(benchmark, path, fn):

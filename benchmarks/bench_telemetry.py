@@ -33,7 +33,6 @@ from repro.data import CategoricalDataset
 from repro.obs import trace as obs_trace
 from repro.datasets import load_flare, protected_attributes
 from repro.experiments.population_builder import build_initial_population
-from repro.linkage.compressed import clear_pair_memo
 from repro.metrics import ProtectionEvaluator
 
 #: Enabled-telemetry median must stay within this factor of disabled.
@@ -62,7 +61,6 @@ def _timed_leg(original, population, enabled: bool, traced: bool = False):
     else:
         obs.disable()
     obs.get_registry().reset()
-    clear_pair_memo()
     evaluator = ProtectionEvaluator(original, protected_attributes("flare"))
     scope = None
     if traced:

@@ -65,6 +65,9 @@ class DatasetSchema:
 
     def require_compatible(self, other: "DatasetSchema") -> None:
         """Raise :class:`SchemaError` unless both schemas are identical."""
+        if other is self:
+            # Every candidate shares its original's schema object.
+            return
         if self.attribute_names != other.attribute_names:
             raise SchemaError(
                 f"attribute names differ: {self.attribute_names} vs {other.attribute_names}"

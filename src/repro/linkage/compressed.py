@@ -18,24 +18,18 @@ This module answers it for the linkage grids, and the closed-form PRL
 fit of :mod:`repro.linkage.prl` for the Fellegi–Sunter model; the
 measures in :mod:`repro.metrics.linkage_risk` route through both.
 
-Two layers of sharing keep repeated evaluations cheap:
-
-* an :class:`OriginalIndex` holds everything that depends only on the
-  original file and the attribute set — the distinct original tuples,
-  the per-record inverse, per-tuple record counts, and the rank-position
-  tables — computed once per (original, attributes) and reused by every
-  candidate of a run (the GA scores thousands against one original);
-* a bounded, thread-local memo keyed by the (original, masked,
-  attributes) fingerprints lets the three linkage measures of one
-  evaluation — and all candidates of one evaluation batch — share their
-  :class:`CompressedPair` objects.  Thread-locality makes the memo safe
-  under the batch evaluator's thread executor without any locking.
+An :class:`OriginalIndex` holds everything that depends only on the
+original file and the attribute set — the distinct original tuples, the
+per-record inverse, per-tuple record counts, and the rank-position
+tables.  Each linkage measure builds its own index when it is bound to
+the original and builds one :class:`CompressedPair` per candidate from
+it.  Linkage measures hold no process-wide or per-thread state, so a
+score depends only on (original, candidate, measure configuration),
+never on what the process scored before.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from collections.abc import Sequence
 
 import numpy as np
@@ -44,7 +38,6 @@ from repro.data.dataset import CategoricalDataset
 from repro.data.validation import require_attributes, require_masked_pair
 from repro.exceptions import LinkageError
 from repro.linkage.distance import rank_positions
-from repro.linkage.prl import fit_fellegi_sunter
 
 
 def _encode_tuples(codes: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
@@ -77,9 +70,10 @@ class OriginalIndex:
     quasi-identifier tuples, each record's tuple index, how many records
     carry each tuple, and the rank-position table of every attribute.
     The GA evaluates thousands of candidates against one original, so
-    computing this once per run instead of once per candidate removes a
-    per-evaluation ``np.unique`` over the original plus one
-    ``rank_positions`` pass per attribute per candidate.
+    each linkage measure computes this once, when it is bound, instead of
+    once per candidate: that removes a per-evaluation ``np.unique`` over
+    the original plus one ``rank_positions`` pass per attribute per
+    candidate.
     """
 
     def __init__(self, original: CategoricalDataset, attributes: Sequence[str]) -> None:
@@ -100,33 +94,10 @@ class OriginalIndex:
         self.rank_tables = [rank_positions(original, d.name) for d in self.domains]
 
 
-#: Bound on cached original indexes; distinct originals per process are
-#: few (one per dataset under evaluation), so this is a leak guard.
-_INDEX_CAPACITY = 8
-_INDEX_LOCK = threading.Lock()
-_INDEX_MEMO: OrderedDict[tuple, OriginalIndex] = OrderedDict()
-
-
-def get_original_index(
-    original: CategoricalDataset, attributes: Sequence[str]
-) -> OriginalIndex:
-    """The shared, memoized :class:`OriginalIndex` for this binding."""
-    key = (original.fingerprint(), tuple(attributes))
-    with _INDEX_LOCK:
-        index = _INDEX_MEMO.get(key)
-        if index is not None:
-            _INDEX_MEMO.move_to_end(key)
-            return index
-    index = OriginalIndex(original, attributes)
-    with _INDEX_LOCK:
-        _INDEX_MEMO[key] = index
-        while len(_INDEX_MEMO) > _INDEX_CAPACITY:
-            _INDEX_MEMO.popitem(last=False)
-    return index
-
-
 class CompressedPair:
     """Distinct-tuple view of an (original, masked) file pair.
+
+    The original side, and the attributes, come from ``index``.
 
     Attributes
     ----------
@@ -138,20 +109,12 @@ class CompressedPair:
         Number of masked records carrying each distinct masked tuple.
     """
 
-    def __init__(
-        self,
-        original: CategoricalDataset,
-        masked: CategoricalDataset,
-        attributes: Sequence[str],
-        index: OriginalIndex | None = None,
-    ) -> None:
-        require_masked_pair(original, masked)
-        if index is None:
-            index = OriginalIndex(original, attributes)
+    def __init__(self, index: OriginalIndex, masked: CategoricalDataset) -> None:
+        require_masked_pair(index.original, masked)
         self.index = index
-        self.original = original
+        self.original = index.original
         self.masked = masked
-        self.attributes = tuple(attributes)
+        self.attributes = index.attributes
         self.columns = index.columns
         self.domains = index.domains
         sizes = index.sizes
@@ -186,24 +149,13 @@ class CompressedPair:
         return total
 
     def pattern_grid(self) -> np.ndarray:
-        """Agreement-pattern index between distinct tuple pairs, (u_o, u_m).
-
-        Cached on the pair because the PRL path needs it twice
-        (aggregating the pattern counts, then scoring under the fitted
-        weights); the second consumer releases it — see
-        :meth:`probabilistic_linkage_from_weights` — so pairs parked in
-        the memo don't pin an O(u_o * u_m) grid each.
-        """
-        cached = getattr(self, "_pattern_grid", None)
-        if cached is not None:
-            return cached
+        """Agreement-pattern index between distinct tuple pairs, (u_o, u_m)."""
         patterns = np.zeros(
             (self.unique_original.shape[0], self.unique_masked.shape[0]), dtype=np.int64
         )
         for bit in range(len(self.domains)):
             agree = self.unique_original[:, bit][:, None] == self.unique_masked[:, bit][None, :]
             patterns |= agree.astype(np.int64) << bit
-        self._pattern_grid = patterns
         return patterns
 
     def rank_score_grid(self, window: float) -> np.ndarray:
@@ -245,32 +197,26 @@ class CompressedPair:
         correct = self.fractional_correct(self.distance_grid(), best_is_max=False)
         return 100.0 * correct / self.n_records
 
-    def pattern_counts(self) -> np.ndarray:
-        """Aggregated agreement-pattern counts over all record pairs."""
-        patterns = self.pattern_grid()
+    def pattern_counts(self, patterns: np.ndarray) -> np.ndarray:
+        """Aggregated agreement-pattern counts over all record pairs.
+
+        ``patterns`` is this pair's :meth:`pattern_grid`.
+        """
         weights = np.outer(self.index.counts_original, self.counts_masked)
         return np.bincount(
             patterns.ravel(), weights=weights.ravel(), minlength=2 ** len(self.domains)
         )
 
-    def probabilistic_linkage(self) -> float:
-        """PRL re-identification percentage (identical to the n^2 path)."""
-        model = fit_fellegi_sunter(self.pattern_counts(), len(self.domains))
-        return self.probabilistic_linkage_from_weights(model.pattern_weights)
+    def probabilistic_linkage_from_weights(
+        self, patterns: np.ndarray, pattern_weights: np.ndarray
+    ) -> float:
+        """PRL re-identification percentage under a fitted weight table.
 
-    def probabilistic_linkage_from_weights(self, pattern_weights: np.ndarray) -> float:
-        """PRL percentage under an already-fitted weight table.
-
-        The batch evaluator fits the whole candidate batch in one call
-        (see :func:`repro.linkage.prl.fit_fellegi_sunter_many`) and then
-        scores each pair with its own weight row through here.  This is
-        the pattern grid's last consumer in an evaluation, so the cached
-        grid is released — a pair living on in the memo keeps only its
-        small distinct-tuple matrices.
+        ``patterns`` is this pair's :meth:`pattern_grid`; the weights come
+        from :func:`repro.linkage.prl.fit_fellegi_sunter_many` over the
+        pair's :meth:`pattern_counts` (identical to the n^2 path).
         """
-        grid = pattern_weights[self.pattern_grid()]
-        self._pattern_grid = None
-        correct = self.fractional_correct(grid, best_is_max=True)
+        correct = self.fractional_correct(pattern_weights[patterns], best_is_max=True)
         return 100.0 * correct / self.n_records
 
     def rank_linkage(self, window: float = 0.1) -> float:
@@ -278,47 +224,3 @@ class CompressedPair:
         grid = self.rank_score_grid(window).astype(np.float64)
         correct = self.fractional_correct(grid, best_is_max=True)
         return 100.0 * correct / self.n_records
-
-
-#: Per-thread pair memo bound — large enough that one evaluation batch's
-#: candidates survive all three linkage measures' passes over the batch.
-_PAIR_CAPACITY = 256
-_PAIR_MEMO = threading.local()
-
-
-def clear_pair_memo() -> None:
-    """Drop this thread's pair memo (benchmark/test hook for cold timings)."""
-    if getattr(_PAIR_MEMO, "pairs", None) is not None:
-        _PAIR_MEMO.pairs = OrderedDict()
-
-
-def get_compressed_pair(
-    original: CategoricalDataset,
-    masked: CategoricalDataset,
-    attributes: Sequence[str],
-) -> CompressedPair:
-    """Bounded thread-local memo so measures share :class:`CompressedPair` objects.
-
-    Within one candidate evaluation the three linkage measures hit the
-    same pair; within one evaluation batch each measure's pass over the
-    candidates re-hits the pairs the first measure built.  Thread-local
-    storage keeps the memo coherent under the batch evaluator's thread
-    executor without locking (each worker thread evaluates disjoint
-    candidates, so sharing across threads would buy nothing).
-    """
-    memo: OrderedDict[tuple, CompressedPair] | None
-    memo = getattr(_PAIR_MEMO, "pairs", None)
-    if memo is None:
-        memo = _PAIR_MEMO.pairs = OrderedDict()
-    key = (original.fingerprint(), masked.fingerprint(), tuple(attributes))
-    pair = memo.get(key)
-    if pair is not None:
-        memo.move_to_end(key)
-        return pair
-    pair = CompressedPair(
-        original, masked, attributes, index=get_original_index(original, attributes)
-    )
-    memo[key] = pair
-    while len(memo) > _PAIR_CAPACITY:
-        memo.popitem(last=False)
-    return pair

@@ -292,7 +292,8 @@ class ProtectionEvaluator:
     def config_fingerprint(self) -> str:
         """Stable hash of the bound measure configuration.
 
-        Covers the original file's content, the protected attributes, the
+        Covers the original file's content and schema (each domain's
+        name, categories and ordinal flag), the protected attributes, the
         measure stacks (with their parameters), and the score function —
         everything that changes the meaning of a :class:`ProtectionScore`.
         Persistent caches key on it so entries from a differently-
@@ -302,6 +303,9 @@ class ProtectionEvaluator:
             payload = {
                 "kernel": METRIC_KERNEL_VERSION,
                 "original": hashlib.sha256(self.original.fingerprint()).hexdigest(),
+                "schema": [
+                    [d.name, list(d.categories), d.ordinal] for d in self.original.schema
+                ],
                 "attributes": list(self.attributes),
                 "il_measures": [
                     self._component_signature(m, m.measure_name) for m in self.il_measures

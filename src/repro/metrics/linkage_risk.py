@@ -10,7 +10,10 @@ All three route through the tuple-compressed fast path of
 :mod:`repro.linkage.compressed`, which is exactly equivalent to the
 reference ``n^2`` implementations (asserted by the test suite) but
 several times faster — fitness evaluation is the paper's acknowledged
-bottleneck.
+bottleneck.  Each measure builds its :class:`OriginalIndex` when it is
+bound and one :class:`CompressedPair` per candidate; it keeps no
+process-wide or per-thread state, so threads may share a bound measure
+read-only and a process worker receives the index in the pickle.
 """
 
 from __future__ import annotations
@@ -21,27 +24,35 @@ import numpy as np
 
 from repro.data.dataset import CategoricalDataset
 from repro.exceptions import MetricError
-from repro.linkage.compressed import get_compressed_pair
+from repro.linkage.compressed import CompressedPair, OriginalIndex
 from repro.linkage.prl import fit_fellegi_sunter_many
 from repro.metrics.base import DisclosureRiskMeasure
 
 
-class DistanceLinkageRisk(DisclosureRiskMeasure):
+class _LinkageRisk(DisclosureRiskMeasure):
+    """A linkage measure: owns the original-side geometry of its binding."""
+
+    def __init__(self, original: CategoricalDataset, attributes: Sequence[str]) -> None:
+        super().__init__(original, attributes)
+        self.index = OriginalIndex(original, self.attributes)
+
+
+class DistanceLinkageRisk(_LinkageRisk):
     """Percentage of records re-identified by nearest-record linkage."""
 
     measure_name = "dbrl"
 
     def _compute(self, masked: CategoricalDataset) -> float:
-        return get_compressed_pair(self.original, masked, self.attributes).distance_linkage()
+        return CompressedPair(self.index, masked).distance_linkage()
 
 
-class ProbabilisticLinkageRisk(DisclosureRiskMeasure):
+class ProbabilisticLinkageRisk(_LinkageRisk):
     """Percentage of records re-identified by Fellegi–Sunter linkage."""
 
     measure_name = "prl"
 
     def _compute(self, masked: CategoricalDataset) -> float:
-        return get_compressed_pair(self.original, masked, self.attributes).probabilistic_linkage()
+        return float(self._compute_many([masked])[0])
 
     def _compute_many(self, batch: Sequence[CategoricalDataset]) -> np.ndarray:
         """Batched PRL: one Fellegi–Sunter fit call over the whole batch.
@@ -52,22 +63,20 @@ class ProbabilisticLinkageRisk(DisclosureRiskMeasure):
         is computed from its own counts alone, so results are identical
         to the scalar fit.
         """
-        pairs = [
-            get_compressed_pair(self.original, masked, self.attributes)
-            for masked in batch
-        ]
-        counts = np.stack([pair.pattern_counts() for pair in pairs])
+        pairs = [CompressedPair(self.index, masked) for masked in batch]
+        grids = [pair.pattern_grid() for pair in pairs]
+        counts = np.stack([pair.pattern_counts(grid) for pair, grid in zip(pairs, grids)])
         model = fit_fellegi_sunter_many(counts, len(self.attributes))
         return np.array(
             [
-                pair.probabilistic_linkage_from_weights(model.pattern_weights[index])
-                for index, pair in enumerate(pairs)
+                pair.probabilistic_linkage_from_weights(grid, weights)
+                for pair, grid, weights in zip(pairs, grids, model.pattern_weights)
             ],
             dtype=np.float64,
         )
 
 
-class RankSwappingLinkageRisk(DisclosureRiskMeasure):
+class RankSwappingLinkageRisk(_LinkageRisk):
     """Percentage of records re-identified by rank-window linkage."""
 
     measure_name = "rsrl"
@@ -84,5 +93,4 @@ class RankSwappingLinkageRisk(DisclosureRiskMeasure):
         self.window = float(window)
 
     def _compute(self, masked: CategoricalDataset) -> float:
-        pair = get_compressed_pair(self.original, masked, self.attributes)
-        return pair.rank_linkage(window=self.window)
+        return CompressedPair(self.index, masked).rank_linkage(window=self.window)

@@ -188,32 +188,8 @@ class EvaluationCache:
     # -- ScoreCache protocol ------------------------------------------------
 
     def get(self, key: str) -> ProtectionScore | None:
-        """Stored score for ``key``, or ``None`` on a miss.
-
-        On a bounded handle a hit refreshes the row's ``accessed_at`` so
-        recently-used entries survive LRU eviction — recorded as a
-        pending touch and flushed in batches (and always before an
-        eviction orders by ``accessed_at``), so the hit path pays a
-        disk write once per :data:`_TOUCH_FLUSH_EVERY` hits, not per
-        hit.  Unbounded handles keep the read path free of disk writes
-        entirely — their rows carry the ``accessed_at`` of the last
-        write, so an ``evict()`` run against a store only ever touched
-        unbounded is least-recently-*written* eviction, which is still
-        oldest-work-first.
-        """
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT payload FROM evaluations WHERE key = ?", (key,)
-            ).fetchone()
-            if row is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            if not self.readonly and self.max_entries is not None:
-                self._pending_touches[key] = time.time()
-                if len(self._pending_touches) >= self._TOUCH_FLUSH_EVERY:
-                    self._flush_touches_locked()
-        return score_from_dict(json.loads(row[0]))
+        """Stored score for ``key``, or ``None`` on a miss: a one-key :meth:`get_many`."""
+        return self.get_many([key]).get(key)
 
     #: SQLite's default host-parameter limit is 999; chunk IN-lists under it.
     _SELECT_CHUNK = 500
@@ -221,10 +197,18 @@ class EvaluationCache:
     def get_many(self, keys: "list[str] | tuple[str, ...]") -> dict[str, ProtectionScore]:
         """Stored scores for ``keys`` in one SELECT round (missing keys absent).
 
-        The bulk face of :meth:`get`, used by the batch evaluator: one
-        indexed ``IN`` query per ~500 keys instead of a query per key.
-        Counters and LRU touches behave exactly as if :meth:`get` had
-        been called once per key.
+        One indexed ``IN`` query per ~500 keys; every key counts as one
+        hit or one miss.  On a bounded handle each hit refreshes the
+        row's ``accessed_at`` so recently-used entries survive LRU
+        eviction — recorded as a pending touch and flushed in batches
+        (and always before an eviction orders by ``accessed_at``), so
+        the hit path pays a disk write once per
+        :data:`_TOUCH_FLUSH_EVERY` hits, not per hit.  Unbounded handles
+        keep the read path free of disk writes entirely — their rows
+        carry the ``accessed_at`` of the last write, so an ``evict()``
+        run against a store only ever touched unbounded is
+        least-recently-*written* eviction, which is still
+        oldest-work-first.
         """
         wanted = list(keys)
         rows: dict[str, str] = {}
@@ -252,9 +236,9 @@ class EvaluationCache:
     def put_many(self, items: "list[tuple[str, ProtectionScore]]") -> None:
         """Store many scores in one transaction (last writer wins per key).
 
-        The bulk face of :meth:`put`: one ``executemany`` + one commit
-        for the whole batch, with the same in-memory entry accounting
-        and at most one LRU eviction pass at the end.
+        One ``executemany`` + one commit for the whole batch.  With
+        ``max_entries`` set, at most one LRU eviction pass at the end
+        keeps the store within its bound after this call returns.
         """
         if self.readonly or not items:
             return
@@ -276,44 +260,12 @@ class EvaluationCache:
                 payloads,
             )
             self._entries += len(new_keys)
+            # The write stamps accessed_at itself; pending hit touches
+            # for the same keys are superseded.
             for key, _, _ in payloads:
                 self._pending_touches.pop(key, None)
             if self.max_entries is not None:
                 self._puts_since_count += len(payloads)
-                if self._puts_since_count >= self._COUNT_SYNC_EVERY:
-                    self._entries = self._count_locked()
-                    self._puts_since_count = 0
-                self.evictions += self._evict_locked(self.max_entries)
-            self._conn.commit()
-            self.writes += len(payloads)
-
-    def put(self, key: str, score: ProtectionScore) -> None:
-        """Store ``score`` under ``key`` (last writer wins).
-
-        With ``max_entries`` set, evicts least-recently-used rows so the
-        store never exceeds its bound after this call returns.
-        """
-        if self.readonly:
-            return
-        payload = json.dumps(score_to_dict(score))
-        with self._lock:
-            # Maintain the in-memory count with an indexed existence
-            # probe instead of the old COUNT(*)-per-put table scan.
-            exists = self._conn.execute(
-                "SELECT 1 FROM evaluations WHERE key = ?", (key,)
-            ).fetchone() is not None
-            self._conn.execute(
-                "INSERT OR REPLACE INTO evaluations (key, payload, accessed_at) "
-                "VALUES (?, ?, ?)",
-                (key, payload, time.time()),
-            )
-            if not exists:
-                self._entries += 1
-            # The write stamps accessed_at itself; a pending hit touch
-            # for the same key is superseded.
-            self._pending_touches.pop(key, None)
-            if self.max_entries is not None:
-                self._puts_since_count += 1
                 if self._puts_since_count >= self._COUNT_SYNC_EVERY:
                     # See the inserts other handles on this file made
                     # since the last sync, or a shared bound would only
@@ -322,7 +274,11 @@ class EvaluationCache:
                     self._puts_since_count = 0
                 self.evictions += self._evict_locked(self.max_entries)
             self._conn.commit()
-            self.writes += 1
+            self.writes += len(payloads)
+
+    def put(self, key: str, score: ProtectionScore) -> None:
+        """Store ``score`` under ``key`` (last writer wins): a one-key :meth:`put_many`."""
+        self.put_many([(key, score)])
 
     # -- maintenance --------------------------------------------------------
 

@@ -10,8 +10,9 @@ from repro.linkage import (
     probabilistic_record_linkage,
     rank_swapping_record_linkage,
 )
-from repro.linkage.compressed import CompressedPair, get_compressed_pair
+from repro.linkage.compressed import CompressedPair, OriginalIndex
 from repro.methods import LocalSuppression, Microaggregation, Pram, RankSwapping, TopCoding
+from repro.metrics.linkage_risk import ProbabilisticLinkageRisk
 
 ATTRS = ["EDUCATION", "MARITAL-STATUS", "OCCUPATION"]
 
@@ -36,44 +37,31 @@ class TestEquivalence:
     def test_dbrl_matches_reference(self, small_adult, label, method):
         masked = _mask(small_adult, method)
         reference = distance_based_record_linkage(small_adult, masked, ATTRS)
-        compressed = CompressedPair(small_adult, masked, ATTRS).distance_linkage()
+        compressed = CompressedPair(OriginalIndex(small_adult, ATTRS), masked).distance_linkage()
         assert compressed == pytest.approx(reference, abs=1e-9)
 
     def test_prl_matches_reference(self, small_adult, label, method):
         masked = _mask(small_adult, method)
         reference = probabilistic_record_linkage(small_adult, masked, ATTRS)
-        compressed = CompressedPair(small_adult, masked, ATTRS).probabilistic_linkage()
+        compressed = ProbabilisticLinkageRisk(small_adult, ATTRS).compute(masked)
         assert compressed == pytest.approx(reference, abs=1e-6)
 
     def test_rsrl_matches_reference(self, small_adult, label, method):
         masked = _mask(small_adult, method)
         reference = rank_swapping_record_linkage(small_adult, masked, ATTRS, window=0.1)
-        compressed = CompressedPair(small_adult, masked, ATTRS).rank_linkage(window=0.1)
+        compressed = CompressedPair(OriginalIndex(small_adult, ATTRS), masked).rank_linkage(window=0.1)
         assert compressed == pytest.approx(reference, abs=1e-9)
 
 
 class TestCompressedStructure:
     def test_inverse_reconstructs_tuples(self, small_adult):
         masked = Pram(theta=0.3).protect(small_adult, ATTRS, seed=1)
-        pair = CompressedPair(small_adult, masked, ATTRS)
+        pair = CompressedPair(OriginalIndex(small_adult, ATTRS), masked)
         columns = [small_adult.schema.index_of(a) for a in ATTRS]
         reconstructed = pair.unique_original[pair.inverse_original]
         assert np.array_equal(reconstructed, small_adult.codes[:, columns])
 
     def test_masked_counts_sum_to_n(self, small_adult):
         masked = Pram(theta=0.3).protect(small_adult, ATTRS, seed=1)
-        pair = CompressedPair(small_adult, masked, ATTRS)
+        pair = CompressedPair(OriginalIndex(small_adult, ATTRS), masked)
         assert pair.counts_masked.sum() == small_adult.n_records
-
-    def test_memo_returns_same_object(self, small_adult):
-        masked = Pram(theta=0.3).protect(small_adult, ATTRS, seed=2)
-        first = get_compressed_pair(small_adult, masked, ATTRS)
-        second = get_compressed_pair(small_adult, masked, ATTRS)
-        assert first is second
-
-    def test_memo_invalidated_by_new_masked(self, small_adult):
-        masked_a = Pram(theta=0.3).protect(small_adult, ATTRS, seed=3)
-        masked_b = Pram(theta=0.3).protect(small_adult, ATTRS, seed=4)
-        first = get_compressed_pair(small_adult, masked_a, ATTRS)
-        second = get_compressed_pair(small_adult, masked_b, ATTRS)
-        assert first is not second

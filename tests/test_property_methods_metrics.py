@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.data import CategoricalDataset, CategoricalDomain, DatasetSchema
 from repro.linkage import distance_based_record_linkage, rank_swapping_record_linkage
-from repro.linkage.compressed import CompressedPair
+from repro.linkage.compressed import CompressedPair, OriginalIndex
 from repro.methods import (
     BottomCoding,
     GlobalRecoding,
@@ -140,7 +140,7 @@ class TestCompressedLinkageProperty:
     def test_compressed_equals_reference(self, dataset, method_index, seed):
         attrs = list(dataset.attribute_names[:2])
         masked = METHOD_FACTORIES[method_index]().protect(dataset, attrs, seed=seed)
-        pair = CompressedPair(dataset, masked, attrs)
+        pair = CompressedPair(OriginalIndex(dataset, attrs), masked)
         assert pair.distance_linkage() == np.float64(
             distance_based_record_linkage(dataset, masked, attrs)
         ) or abs(

@@ -83,6 +83,37 @@ class TestCompatibility:
         with pytest.raises(SchemaError, match="domain mismatch"):
             make_schema().require_compatible(other)
 
+    @pytest.fixture
+    def domain_comparisons(self, monkeypatch):
+        calls = []
+        original_eq = CategoricalDomain.__eq__
+
+        def counting_eq(self, other):
+            calls.append(self.name)
+            return original_eq(self, other)
+
+        monkeypatch.setattr(CategoricalDomain, "__eq__", counting_eq)
+        return calls
+
+    def test_same_object_compares_no_domain(self, domain_comparisons):
+        schema = make_schema()
+        schema.require_compatible(schema)
+        assert domain_comparisons == []
+
+    def test_equal_distinct_schema_compares_every_domain(self, domain_comparisons):
+        make_schema().require_compatible(make_schema())
+        assert domain_comparisons == ["A", "B"]
+
+    def test_mismatch_still_raises_after_fast_path(self, domain_comparisons):
+        schema = make_schema()
+        schema.require_compatible(schema)
+        other = DatasetSchema(
+            [CategoricalDomain("A", ["a1", "a2"]), CategoricalDomain("B", ["b1", "b2", "b3"])]
+        )
+        with pytest.raises(SchemaError, match="domain mismatch"):
+            schema.require_compatible(other)
+        assert domain_comparisons == ["A", "B"]
+
     def test_equality_and_hash(self):
         assert make_schema() == make_schema()
         assert hash(make_schema()) == hash(make_schema())
