@@ -30,7 +30,8 @@ _JSON_FLAG = $(if $(JSON),--json $(JSON),)
 bench:
 	$(PYTHON) -m pytest -q -o addopts="" $(_JSON_FLAG) \
 	    benchmarks/bench_evaluation.py benchmarks/bench_store.py \
-	    benchmarks/bench_telemetry.py benchmarks/bench_islands.py
+	    benchmarks/bench_telemetry.py benchmarks/bench_islands.py \
+	    benchmarks/bench_micro_metrics.py
 
 bench-islands:
 	$(PYTHON) -m pytest -q -s -o addopts="" $(_JSON_FLAG) \

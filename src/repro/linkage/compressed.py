@@ -5,10 +5,10 @@ quasi-identifier *value tuples*: the distance, agreement pattern and
 rank compatibility of a pair ``(i, j)`` depend solely on the category
 tuples of original record ``i`` and masked record ``j``.  With three
 protected attributes, a 1000-record file typically holds just a few
-hundred distinct tuples, so linkage over the ``u_o x u_m`` distinct-tuple
-grid plus per-record lookups is several times cheaper than the naive
-``n x n`` pair sweep — and produces *identical* results, which the test
-suite asserts against the reference implementations in
+hundred distinct tuples, so linkage over the distinct-tuple grid plus
+per-record lookups is several times cheaper than the naive ``n x n``
+pair sweep — and produces *identical* results, which the test suite
+asserts against the reference implementations in
 :mod:`repro.linkage.dbrl` / :mod:`~repro.linkage.prl` /
 :mod:`~repro.linkage.rsrl`.
 
@@ -18,14 +18,26 @@ This module answers it for the linkage grids, and the closed-form PRL
 fit of :mod:`repro.linkage.prl` for the Fellegi–Sunter model; the
 measures in :mod:`repro.metrics.linkage_risk` route through both.
 
+A **cell** is one point of the attributes' tuple space: one combination
+of their category codes, numbered by mixed-radix encoding (flare has 280
+cells, adult 1568, german 180, housing 4200).  A grid entry depends only
+on the pair (distinct original tuple, cell), never on the candidate, so
+the grids are built from three *column kernels* —
+:func:`distance_columns`, :func:`pattern_columns` and
+:func:`rank_score_columns` — that map cell tuples to one row per cell,
+``u_o`` wide: row ``j`` is the grid column of cell ``j`` against every
+distinct original tuple.  The linkage measures keep those rows in
+per-cell tables filled on first use and gather a candidate's grid from
+them; the kernels are the only place the arithmetic lives.
+
 An :class:`OriginalIndex` holds everything that depends only on the
 original file and the attribute set — the distinct original tuples, the
-per-record inverse, per-tuple record counts, and the rank-position
-tables.  Each linkage measure builds its own index when it is bound to
-the original and builds one :class:`CompressedPair` per candidate from
-it.  Linkage measures hold no process-wide or per-thread state, so a
-score depends only on (original, candidate, measure configuration),
-never on what the process scored before.
+per-record inverse and per-tuple record counts.  A
+:class:`CompressedPair` holds a candidate's side: the cells its records
+occupy, each record's cell, and the records per cell.  Neither keeps
+process-wide or per-thread state, so a score depends only on (original,
+candidate, measure configuration), never on what the process scored
+before.
 """
 
 from __future__ import annotations
@@ -37,7 +49,11 @@ import numpy as np
 from repro.data.dataset import CategoricalDataset
 from repro.data.validation import require_attributes, require_masked_pair
 from repro.exceptions import LinkageError
-from repro.linkage.distance import rank_positions
+
+#: Tuple spaces up to this many cells find a candidate's distinct cells
+#: with one ``bincount`` over the space; larger ones use ``np.unique``,
+#: whose cost does not grow with the space.
+BINCOUNT_CELLS = 1 << 16
 
 
 def _encode_tuples(codes: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
@@ -68,12 +84,10 @@ class OriginalIndex:
 
     Everything here depends only on the original file: the distinct
     quasi-identifier tuples, each record's tuple index, how many records
-    carry each tuple, and the rank-position table of every attribute.
-    The GA evaluates thousands of candidates against one original, so
-    each linkage measure computes this once, when it is bound, instead of
-    once per candidate: that removes a per-evaluation ``np.unique`` over
-    the original plus one ``rank_positions`` pass per attribute per
-    candidate.
+    carry each tuple, and the size of the attributes' tuple space.  The
+    GA evaluates thousands of candidates against one original, so each
+    linkage measure computes this once, when it is bound, instead of
+    once per candidate.
     """
 
     def __init__(self, original: CategoricalDataset, attributes: Sequence[str]) -> None:
@@ -86,141 +100,140 @@ class OriginalIndex:
         self.domains = [original.schema.domain(c) for c in columns]
         self.sizes = [d.size for d in self.domains]
         keys_original = _encode_tuples(original.codes[:, columns], self.sizes)
+        self.n_cells = int(np.prod(self.sizes, dtype=np.int64))
         unique_keys_o, self.inverse_original = np.unique(keys_original, return_inverse=True)
-        self.unique_original = _decode_tuples(unique_keys_o, self.sizes)
+        self.unique_original = self.cell_tuples(unique_keys_o)
         #: Records per distinct original tuple (PRL's pattern weighting).
         self.counts_original = np.bincount(self.inverse_original).astype(np.float64)
-        #: Rank-position table per attribute, in ``columns`` order.
-        self.rank_tables = [rank_positions(original, d.name) for d in self.domains]
+
+    def cell_tuples(self, cells: np.ndarray) -> np.ndarray:
+        """Code tuples ``(len(cells), a)`` of the given cell numbers."""
+        return _decode_tuples(cells, self.sizes)
 
 
 class CompressedPair:
-    """Distinct-tuple view of an (original, masked) file pair.
-
-    The original side, and the attributes, come from ``index``.
+    """A masked candidate's cells, against the original side of ``index``.
 
     Attributes
     ----------
-    unique_original / unique_masked:
-        ``(u, a)`` matrices of the distinct quasi-identifier tuples.
-    inverse_original / inverse_masked:
-        Per-record index into the distinct-tuple matrices.
+    keys:
+        The cells the masked records occupy, ascending: the candidate's
+        distinct quasi-identifier tuples, as cell numbers.
+    inverse_masked:
+        Per-record index into ``keys``.
     counts_masked:
-        Number of masked records carrying each distinct masked tuple.
+        Number of masked records in each of ``keys``' cells.
     """
 
     def __init__(self, index: OriginalIndex, masked: CategoricalDataset) -> None:
         require_masked_pair(index.original, masked)
         self.index = index
-        self.original = index.original
-        self.masked = masked
-        self.attributes = index.attributes
-        self.columns = index.columns
-        self.domains = index.domains
-        sizes = index.sizes
-
-        self.inverse_original = index.inverse_original
-        self.unique_original = index.unique_original
-
-        keys_masked = _encode_tuples(masked.codes[:, list(self.columns)], sizes)
-        unique_keys_m, self.inverse_masked, counts = np.unique(
-            keys_masked, return_inverse=True, return_counts=True
-        )
+        cells = _encode_tuples(masked.codes[:, list(index.columns)], index.sizes)
+        if index.n_cells <= BINCOUNT_CELLS:
+            counts = np.bincount(cells, minlength=index.n_cells)
+            self.keys = np.flatnonzero(counts)
+            position = np.empty(index.n_cells, dtype=np.intp)
+            position[self.keys] = np.arange(self.keys.size)
+            self.inverse_masked = position[cells]
+            counts = counts[self.keys]
+        else:
+            self.keys, self.inverse_masked, counts = np.unique(
+                cells, return_inverse=True, return_counts=True
+            )
         self.counts_masked = counts.astype(np.float64)
-        self.unique_masked = _decode_tuples(unique_keys_m, sizes)
 
     @property
     def n_records(self) -> int:
-        return self.original.n_records
+        return self.index.original.n_records
 
-    # -- grids over distinct tuples --------------------------------------
-
-    def distance_grid(self) -> np.ndarray:
-        """Mean categorical distance between distinct tuple pairs, (u_o, u_m)."""
-        total = np.zeros((self.unique_original.shape[0], self.unique_masked.shape[0]))
-        for slot, domain in enumerate(self.domains):
-            x = self.unique_original[:, slot][:, None]
-            y = self.unique_masked[:, slot][None, :]
-            if domain.ordinal and domain.size > 1:
-                total += np.abs(x - y) / (domain.size - 1)
-            else:
-                total += (x != y).astype(np.float64)
-        total /= len(self.domains)
-        return total
-
-    def pattern_grid(self) -> np.ndarray:
-        """Agreement-pattern index between distinct tuple pairs, (u_o, u_m)."""
-        patterns = np.zeros(
-            (self.unique_original.shape[0], self.unique_masked.shape[0]), dtype=np.int64
-        )
-        for bit in range(len(self.domains)):
-            agree = self.unique_original[:, bit][:, None] == self.unique_masked[:, bit][None, :]
-            patterns |= agree.astype(np.int64) << bit
-        return patterns
-
-    def rank_score_grid(self, window: float) -> np.ndarray:
-        """Rank-compatible attribute count between distinct tuple pairs."""
-        if not 0 < window <= 1:
-            raise LinkageError(f"window must be in (0, 1], got {window}")
-        scores = np.zeros(
-            (self.unique_original.shape[0], self.unique_masked.shape[0]), dtype=np.int64
-        )
-        for slot in range(len(self.domains)):
-            positions = self.index.rank_tables[slot]
-            x = positions[self.unique_original[:, slot]][:, None]
-            y = positions[self.unique_masked[:, slot]][None, :]
-            scores += (np.abs(x - y) <= window).astype(np.int64)
-        return scores
-
-    # -- fractional-credit linkage over a grid ----------------------------
-
-    def fractional_correct(self, grid: np.ndarray, best_is_max: bool) -> float:
-        """Expected correct links for a per-tuple score grid.
-
-        Mirrors :func:`repro.linkage.dbrl.fractional_correct_links` on the
-        compressed representation: for each original record, the tie set
-        size is the number of masked *records* (not tuples) achieving the
-        row optimum, and the record scores ``1/ties`` if its own masked
-        tuple is in the tie set.
-        """
-        best = grid.max(axis=1) if best_is_max else grid.min(axis=1)
-        at_best = grid == best[:, None]
-        tie_counts = at_best @ self.counts_masked
-        hits = at_best[self.inverse_original, self.inverse_masked]
-        credits = hits / tie_counts[self.inverse_original]
-        return float(credits.sum())
-
-    # -- the three attacks -------------------------------------------------
-
-    def distance_linkage(self) -> float:
-        """DBRL re-identification percentage (identical to the n^2 path)."""
-        correct = self.fractional_correct(self.distance_grid(), best_is_max=False)
-        return 100.0 * correct / self.n_records
-
-    def pattern_counts(self, patterns: np.ndarray) -> np.ndarray:
+    def pattern_counts(self, histogram: np.ndarray) -> np.ndarray:
         """Aggregated agreement-pattern counts over all record pairs.
 
-        ``patterns`` is this pair's :meth:`pattern_grid`.
+        ``histogram`` holds the :func:`pattern_histogram` row of each of
+        ``keys``' cells.  Every term is an integer-valued float64 below
+        2^53, so the sum is exact in any order.
         """
-        weights = np.outer(self.index.counts_original, self.counts_masked)
-        return np.bincount(
-            patterns.ravel(), weights=weights.ravel(), minlength=2 ** len(self.domains)
-        )
+        return (histogram * self.counts_masked[:, None]).sum(axis=0)
 
-    def probabilistic_linkage_from_weights(
-        self, patterns: np.ndarray, pattern_weights: np.ndarray
-    ) -> float:
-        """PRL re-identification percentage under a fitted weight table.
+    def reidentified(self, grid: np.ndarray, best_is_max: bool) -> float:
+        """Re-identification percentage for a per-cell score grid.
 
-        ``patterns`` is this pair's :meth:`pattern_grid`; the weights come
-        from :func:`repro.linkage.prl.fit_fellegi_sunter_many` over the
-        pair's :meth:`pattern_counts` (identical to the n^2 path).
+        ``grid`` has one row per cell of ``keys`` and one column per
+        distinct original tuple.  Mirrors
+        :func:`repro.linkage.dbrl.fractional_correct_links` on the
+        compressed representation: for each original record, the tie set
+        size is the number of masked *records* (not tuples) achieving
+        the optimum of its column, and the record scores ``1/ties`` if
+        its own masked tuple is in the tie set.
         """
-        correct = self.fractional_correct(pattern_weights[patterns], best_is_max=True)
-        return 100.0 * correct / self.n_records
+        best = grid.max(axis=0) if best_is_max else grid.min(axis=0)
+        at_best = grid == best
+        tie_counts = np.einsum("k,ko->o", self.counts_masked, at_best)
+        hits = at_best[self.inverse_masked, self.index.inverse_original]
+        credits = hits / tie_counts[self.index.inverse_original]
+        return 100.0 * float(credits.sum()) / self.n_records
 
-    def rank_linkage(self, window: float = 0.1) -> float:
-        """RSRL re-identification percentage (identical to the n^2 path)."""
-        grid = self.rank_score_grid(window).astype(np.float64)
-        correct = self.fractional_correct(grid, best_is_max=True)
-        return 100.0 * correct / self.n_records
+
+# -- column kernels: one row per cell tuple, one column per original tuple --
+
+
+def distance_columns(index: OriginalIndex, cells: np.ndarray) -> np.ndarray:
+    """Mean categorical distance of each cell tuple to each original tuple."""
+    total = np.zeros((cells.shape[0], index.unique_original.shape[0]))
+    for slot, domain in enumerate(index.domains):
+        x = index.unique_original[:, slot][None, :]
+        y = cells[:, slot][:, None]
+        if domain.ordinal and domain.size > 1:
+            total += np.abs(x - y) / (domain.size - 1)
+        else:
+            total += (x != y).astype(np.float64)
+    total /= len(index.domains)
+    return total
+
+
+def pattern_columns(index: OriginalIndex, cells: np.ndarray) -> np.ndarray:
+    """Agreement-pattern index of each cell tuple against each original tuple.
+
+    Bit ``b`` is set when the two tuples agree on attribute ``b``; the
+    dtype is the narrowest unsigned type that holds ``2^a - 1``.
+    """
+    dtype = np.min_scalar_type(2 ** len(index.domains) - 1)
+    patterns = np.zeros((cells.shape[0], index.unique_original.shape[0]), dtype=dtype)
+    for bit in range(len(index.domains)):
+        agree = index.unique_original[:, bit][None, :] == cells[:, bit][:, None]
+        patterns |= agree.astype(dtype) << dtype.type(bit)
+    return patterns
+
+
+def pattern_histogram(index: OriginalIndex, patterns: np.ndarray) -> np.ndarray:
+    """Original records per agreement pattern, one ``2^a`` row per cell.
+
+    ``H[c, p] = Σ_o counts_original[o]·[patterns[c, o] = p]`` for the
+    :func:`pattern_columns` rows ``patterns``.
+    """
+    width = 2 ** len(index.domains)
+    offsets = np.arange(patterns.shape[0], dtype=np.int64)[:, None] * width
+    weights = np.broadcast_to(index.counts_original, patterns.shape)
+    flat = np.bincount(
+        (offsets + patterns).ravel(), weights=weights.ravel(), minlength=patterns.shape[0] * width
+    )
+    return flat.reshape(patterns.shape[0], width)
+
+
+def rank_score_columns(
+    index: OriginalIndex, positions: Sequence[np.ndarray], cells: np.ndarray, window: float
+) -> np.ndarray:
+    """Rank-compatible attribute count of each cell tuple against each original tuple.
+
+    ``positions`` holds each attribute's rank-position table
+    (:func:`repro.linkage.distance.rank_positions`), in index order.
+    """
+    if not 0 < window <= 1:
+        raise LinkageError(f"window must be in (0, 1], got {window}")
+    dtype = np.min_scalar_type(len(index.domains))
+    scores = np.zeros((cells.shape[0], index.unique_original.shape[0]), dtype=dtype)
+    for slot, table in enumerate(positions):
+        x = table[index.unique_original[:, slot]][None, :]
+        y = table[cells[:, slot]][:, None]
+        scores += np.abs(x - y) <= window
+    return scores

@@ -11,7 +11,8 @@ import pytest
 from repro.data import CategoricalDataset, CategoricalDomain, DatasetSchema
 from repro.datasets import load_adult, load_dataset, load_flare, protected_attributes
 from repro.experiments.population_builder import build_initial_population
-from repro.linkage.compressed import CompressedPair, OriginalIndex
+from repro.linkage.compressed import CompressedPair
+from repro.metrics.linkage_risk import ProbabilisticLinkageRisk
 
 
 @dataclass
@@ -148,7 +149,7 @@ def prl_population_counts() -> dict[str, np.ndarray]:
         original = load_dataset(name)
         attributes = protected_attributes(name)
         population = build_initial_population(original, dataset_name=name, seed=0)
-        index = OriginalIndex(original, attributes)
-        pairs = [CompressedPair(index, masked) for masked in population]
-        counts[name] = np.stack([pair.pattern_counts(pair.pattern_grid()) for pair in pairs])
+        measure = ProbabilisticLinkageRisk(original, attributes)
+        pairs = [CompressedPair(measure.index, masked) for masked in population]
+        counts[name] = np.stack([pair.pattern_counts(measure.rows(pair)[1]) for pair in pairs])
     return counts

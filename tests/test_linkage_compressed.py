@@ -12,7 +12,11 @@ from repro.linkage import (
 )
 from repro.linkage.compressed import CompressedPair, OriginalIndex
 from repro.methods import LocalSuppression, Microaggregation, Pram, RankSwapping, TopCoding
-from repro.metrics.linkage_risk import ProbabilisticLinkageRisk
+from repro.metrics.linkage_risk import (
+    DistanceLinkageRisk,
+    ProbabilisticLinkageRisk,
+    RankSwappingLinkageRisk,
+)
 
 ATTRS = ["EDUCATION", "MARITAL-STATUS", "OCCUPATION"]
 
@@ -37,7 +41,7 @@ class TestEquivalence:
     def test_dbrl_matches_reference(self, small_adult, label, method):
         masked = _mask(small_adult, method)
         reference = distance_based_record_linkage(small_adult, masked, ATTRS)
-        compressed = CompressedPair(OriginalIndex(small_adult, ATTRS), masked).distance_linkage()
+        compressed = DistanceLinkageRisk(small_adult, ATTRS).compute(masked)
         assert compressed == pytest.approx(reference, abs=1e-9)
 
     def test_prl_matches_reference(self, small_adult, label, method):
@@ -49,7 +53,7 @@ class TestEquivalence:
     def test_rsrl_matches_reference(self, small_adult, label, method):
         masked = _mask(small_adult, method)
         reference = rank_swapping_record_linkage(small_adult, masked, ATTRS, window=0.1)
-        compressed = CompressedPair(OriginalIndex(small_adult, ATTRS), masked).rank_linkage(window=0.1)
+        compressed = RankSwappingLinkageRisk(small_adult, ATTRS, window=0.1).compute(masked)
         assert compressed == pytest.approx(reference, abs=1e-9)
 
 
@@ -57,9 +61,13 @@ class TestCompressedStructure:
     def test_inverse_reconstructs_tuples(self, small_adult):
         masked = Pram(theta=0.3).protect(small_adult, ATTRS, seed=1)
         pair = CompressedPair(OriginalIndex(small_adult, ATTRS), masked)
+        index = pair.index
         columns = [small_adult.schema.index_of(a) for a in ATTRS]
-        reconstructed = pair.unique_original[pair.inverse_original]
+        reconstructed = index.unique_original[index.inverse_original]
         assert np.array_equal(reconstructed, small_adult.codes[:, columns])
+        cells = index.cell_tuples(pair.keys)
+        assert np.array_equal(cells[pair.inverse_masked], masked.codes[:, columns])
+        assert np.all(np.diff(pair.keys) > 0)
 
     def test_masked_counts_sum_to_n(self, small_adult):
         masked = Pram(theta=0.3).protect(small_adult, ATTRS, seed=1)
