@@ -713,6 +713,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
         heartbeat_every=_INLINE_HEARTBEAT_SECONDS,
     )
     owner = worker.worker_id
+    claim_started = time.time()
     if not store.claim(record.job_id, owner=owner):
         if not args.force:
             raise ReproError(
@@ -723,6 +724,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
         store.release(record.job_id)
         if not store.claim(record.job_id, owner=owner):
             raise ReproError(f"{record.job_id}: lost a claim race; retry")
+    claim = (claim_started, time.time() - claim_started)
     held = [record.job_id]
     try:
         # Re-read inside the claim: a worker may have finished the job
@@ -751,7 +753,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
         # releases and flushes the trace, whatever the run does.
         held = []
         (outcome,) = worker.run_claimed(
-            [record], resume=True, checkpoints={record.job_id: checkpoint})
+            [record], resume=True, checkpoints={record.job_id: checkpoint}, claim=claim)
     finally:
         release_quietly(store, held, owner)
     if not outcome.ok:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import copy
 import time
 from collections.abc import Callable, Sequence
+from contextlib import AbstractContextManager, ExitStack, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,7 @@ from repro.core.stopping import MaxGenerations, StoppingRule
 from repro.data.dataset import CategoricalDataset
 from repro.data.validation import require_population
 from repro.exceptions import EvolutionError
-from repro.metrics.evaluation import ProtectionEvaluator
+from repro.metrics.evaluation import ProtectionEvaluator, ProtectionScore
 from repro.obs import emit_event, get_registry
 from repro.obs.trace import span as trace_span
 from repro.utils.rng import as_generator
@@ -84,6 +85,32 @@ class EngineCheckpoint:
     individuals: list[Individual]
     records: list[GenerationRecord]
     rng_state: dict
+
+
+@dataclass
+class RunState:
+    """A run between generations: what :meth:`EvolutionaryProtector.capture` snapshots."""
+
+    population: Population
+    initial: list[Individual]
+    history: EvolutionHistory
+    generation: int = 0
+
+
+@dataclass(frozen=True)
+class Proposal:
+    """One generation's offspring, drawn but not yet scored.
+
+    ``slots`` are the population slots the offspring compete for, in
+    offspring order (mutation: the parent's; crossover: the leader's,
+    then the mate's).  ``seconds`` is the time the draws took.
+    """
+
+    generation: int
+    operator: str
+    slots: tuple[int, ...]
+    offspring: tuple[CategoricalDataset, ...]
+    seconds: float
 
 
 class EvolutionaryProtector:
@@ -182,15 +209,8 @@ class EvolutionaryProtector:
         population in place (elite injection); it must not draw from the
         run RNG, so seeded runs stay bit-identical with or without it.
         """
-        individuals = self._coerce_initial(initial)
-        if len(individuals) < 2:
-            raise EvolutionError("the GA needs a population of at least 2 protections")
-        population = Population(individuals)
         return self._loop(
-            population=population,
-            initial_snapshot=population.snapshot(),
-            history=EvolutionHistory(),
-            generation=0,
+            self.start(self._coerce_initial(initial)),
             stopping=stopping,
             on_generation=on_generation,
             checkpoint_every=checkpoint_every,
@@ -220,14 +240,8 @@ class EvolutionaryProtector:
         behave exactly as in :meth:`run`; a hook boundary the checkpoint
         already passed does not re-fire.
         """
-        if not checkpoint.individuals:
-            raise EvolutionError("checkpoint holds an empty population")
-        self._rng.bit_generator.state = copy.deepcopy(checkpoint.rng_state)
         return self._loop(
-            population=Population(checkpoint.individuals),
-            initial_snapshot=list(checkpoint.initial),
-            history=EvolutionHistory(list(checkpoint.records)),
-            generation=checkpoint.generation,
+            self.restore(checkpoint),
             stopping=stopping,
             on_generation=on_generation,
             checkpoint_every=checkpoint_every,
@@ -236,14 +250,126 @@ class EvolutionaryProtector:
             on_migration=on_migration,
         )
 
+    # -- the generation step, in parts ------------------------------------
+    #
+    # :func:`run_lockstep` steps engines through these parts: ``run`` /
+    # ``resume`` as a list of one, the lockstep island groups of
+    # :mod:`repro.service.islands` as a list of ``P`` whose offspring
+    # are pooled into one evaluation batch.
+
+    def start(self, individuals: Sequence[Individual]) -> RunState:
+        """The state of a fresh run over already scored ``individuals``."""
+        if len(individuals) < 2:
+            raise EvolutionError("the GA needs a population of at least 2 protections")
+        population = Population(individuals)
+        return RunState(population, population.snapshot(), EvolutionHistory())
+
+    def restore(self, checkpoint: EngineCheckpoint) -> RunState:
+        """The state a checkpoint captured; also restores the RNG stream."""
+        if not checkpoint.individuals:
+            raise EvolutionError("checkpoint holds an empty population")
+        self._rng.bit_generator.state = copy.deepcopy(checkpoint.rng_state)
+        return RunState(
+            Population(checkpoint.individuals),
+            list(checkpoint.initial),
+            EvolutionHistory(list(checkpoint.records)),
+            checkpoint.generation,
+        )
+
+    def capture(self, state: RunState) -> EngineCheckpoint:
+        """Snapshot ``state`` and the RNG stream into a checkpoint."""
+        return EngineCheckpoint(
+            generation=state.generation,
+            initial=list(state.initial),
+            individuals=state.population.snapshot(),
+            records=list(state.history.records),
+            rng_state=copy.deepcopy(self._rng.bit_generator.state),
+        )
+
+    def propose(self, population: Population, generation: int) -> Proposal:
+        """Draw one generation's offspring: every RNG draw of the generation.
+
+        Flips the operator coin, selects the parent(s) and applies the
+        operator.  Scoring and survival are left to :meth:`commit`.
+        """
+        start = time.perf_counter()
+        if self._rng.random() < self.mutation_probability:
+            operator = "mutation"
+            parent_index = select_index(population, self.selection_strategy, self._rng)
+            parent = population[parent_index].dataset
+            slots: tuple[int, ...] = (parent_index,)
+            offspring: tuple[CategoricalDataset, ...] = (mutate(
+                parent,
+                self.evaluator.attributes,
+                seed=self._rng,
+                name=f"gen{generation}:mut({parent.name})",
+            ),)
+        else:
+            operator = "crossover"
+            leader_index = select_leader(population, self._leader_count(population), self._rng)
+            mate_index = select_index(population, self.selection_strategy, self._rng)
+            slots = (leader_index, mate_index)
+            offspring = crossover(
+                population[leader_index].dataset,
+                population[mate_index].dataset,
+                self.evaluator.attributes,
+                seed=self._rng,
+                names=(
+                    f"gen{generation}:crossA",
+                    f"gen{generation}:crossB",
+                ),
+            )
+        return Proposal(generation, operator, slots, tuple(offspring),
+                        time.perf_counter() - start)
+
+    def commit(
+        self,
+        population: Population,
+        proposal: Proposal,
+        evaluations: Sequence[ProtectionScore],
+        fitness_seconds: float,
+    ) -> GenerationRecord:
+        """Apply the survivor rule to scored offspring; the generation's record.
+
+        Mutation keeps the better of parent and child (elitism);
+        crossover lets each child compete with its parent (deterministic
+        crowding).  Draws nothing from the RNG.
+        """
+        start = time.perf_counter()
+        generation = proposal.generation
+        children = tuple(
+            Individual(dataset, evaluation, origin=proposal.operator,
+                       birth_generation=generation)
+            for dataset, evaluation in zip(proposal.offspring, evaluations)
+        )
+        parents = tuple(population[slot] for slot in proposal.slots)
+        if proposal.operator == "mutation":
+            survivors = (elitist_survivor(parents[0], children[0]),)
+        else:
+            survivors = deterministic_crowding(parents, children, self.crowding_pairing)
+        accepted = False
+        for slot, survivor, child in zip(proposal.slots, survivors, children):
+            if survivor is child:
+                population.replace(slot, child)
+                accepted = True
+        max_score, mean_score, min_score = population.score_summary()
+        return GenerationRecord(
+            generation=generation,
+            operator=proposal.operator,
+            max_score=max_score,
+            mean_score=mean_score,
+            min_score=min_score,
+            evaluations=len(children),
+            fitness_seconds=fitness_seconds,
+            other_seconds=proposal.seconds + time.perf_counter() - start,
+            accepted=accepted,
+        )
+
     # -- internals ----------------------------------------------------------
 
     def _loop(
         self,
-        population: Population,
-        initial_snapshot: list[Individual],
-        history: EvolutionHistory,
-        generation: int,
+        state: RunState,
         stopping: StoppingRule | int,
         on_generation: Callable[[GenerationRecord], None] | None,
         checkpoint_every: int,
@@ -259,50 +385,31 @@ class EvolutionaryProtector:
             raise EvolutionError(f"migration_every must be >= 0, got {migration_every}")
         emit = on_checkpoint if checkpoint_every else None
         migrate = on_migration if migration_every else None
-        stepped = False
-        while not stopping.should_stop(history):
-            generation += 1
-            # Pure observer: the span reads clocks only when a traced
-            # job is active, and never touches the run's RNG streams.
-            with trace_span("repro.engine.generation",
-                            generation=generation) as span:
-                record = self._step(population, generation)
-                _publish(record, span)
-            history.append(record)
-            stepped = True
+        first = state.generation
+
+        def after(generation: int) -> None:
             if on_generation is not None:
-                on_generation(record)
+                on_generation(state.history.records[-1])
             if migrate is not None and generation % migration_every == 0:
                 # The hook runs before the checkpoint emit so a
                 # checkpoint at an exchange boundary captures the
                 # post-injection population (resume-consistent).
-                migrate(
-                    population,
-                    generation,
-                    lambda: self._capture(population, initial_snapshot, history, generation),
-                )
+                migrate(state.population, generation, lambda: self.capture(state))
             if emit is not None and generation % checkpoint_every == 0:
-                emit(self._capture(population, initial_snapshot, history, generation))
-        if emit is not None and stepped and generation % checkpoint_every != 0:
+                emit(self.capture(state))
+
+        # The generation's offspring are one evaluation batch (a
+        # crossover's two children share intermediates and one PRL fit
+        # call).
+        run_lockstep([(self, state)], stopping,
+                     lambda proposals: self.evaluator.evaluate_many(proposals[0].offspring),
+                     after)
+        if emit is not None and state.generation > first and state.generation % checkpoint_every != 0:
             # Final partial interval, so a completed run's last checkpoint
             # always matches its returned result.
-            emit(self._capture(population, initial_snapshot, history, generation))
-        return EvolutionResult(initial=initial_snapshot, population=population, history=history)
-
-    def _capture(
-        self,
-        population: Population,
-        initial_snapshot: list[Individual],
-        history: EvolutionHistory,
-        generation: int,
-    ) -> EngineCheckpoint:
-        return EngineCheckpoint(
-            generation=generation,
-            initial=list(initial_snapshot),
-            individuals=population.snapshot(),
-            records=list(history.records),
-            rng_state=copy.deepcopy(self._rng.bit_generator.state),
-        )
+            emit(self.capture(state))
+        return EvolutionResult(initial=state.initial, population=state.population,
+                               history=state.history)
 
     def _coerce_initial(
         self, initial: Sequence[CategoricalDataset] | Sequence[Individual]
@@ -316,78 +423,55 @@ class EvolutionaryProtector:
     def _leader_count(self, population: Population) -> int:
         return max(1, int(round(self.leader_fraction * len(population))))
 
-    def _step(self, population: Population, generation: int) -> GenerationRecord:
-        start = time.perf_counter()
-        use_mutation = self._rng.random() < self.mutation_probability
-        fitness_seconds = 0.0
-        evaluations = 0
-        accepted = False
 
-        if use_mutation:
-            operator = "mutation"
-            parent_index = select_index(population, self.selection_strategy, self._rng)
-            parent = population[parent_index]
-            child_dataset = mutate(
-                parent.dataset,
-                self.evaluator.attributes,
-                seed=self._rng,
-                name=f"gen{generation}:mut({parent.dataset.name})",
-            )
-            t0 = time.perf_counter()
-            # The mutation evaluation point emits a (singleton) batch:
-            # evaluation is pure, so the RNG stream is untouched either way.
-            (child_eval,) = self.evaluator.evaluate_many([child_dataset])
-            fitness_seconds += time.perf_counter() - t0
-            evaluations += 1
-            child = Individual(child_dataset, child_eval, origin="mutation", birth_generation=generation)
-            survivor = elitist_survivor(parent, child)
-            if survivor is child:
-                population.replace(parent_index, child)
-                accepted = True
-        else:
-            operator = "crossover"
-            leader_index = select_leader(population, self._leader_count(population), self._rng)
-            mate_index = select_index(population, self.selection_strategy, self._rng)
-            parents = (population[leader_index], population[mate_index])
-            child_a_data, child_b_data = crossover(
-                parents[0].dataset,
-                parents[1].dataset,
-                self.evaluator.attributes,
-                seed=self._rng,
-                names=(
-                    f"gen{generation}:crossA",
-                    f"gen{generation}:crossB",
-                ),
-            )
-            t0 = time.perf_counter()
-            # Both crossover offspring are one evaluation batch: shared
-            # intermediates (and one PRL fit call) are computed once.
-            eval_a, eval_b = self.evaluator.evaluate_many([child_a_data, child_b_data])
-            fitness_seconds += time.perf_counter() - t0
-            evaluations += 2
-            children = (
-                Individual(child_a_data, eval_a, origin="crossover", birth_generation=generation),
-                Individual(child_b_data, eval_b, origin="crossover", birth_generation=generation),
-            )
-            survivors = deterministic_crowding(parents, children, self.crowding_pairing)
-            for slot, index in enumerate((leader_index, mate_index)):
-                if survivors[slot] is children[slot]:
-                    population.replace(index, children[slot])
-                    accepted = True
+def run_lockstep(
+    runs: Sequence[tuple[EvolutionaryProtector, RunState]],
+    stopping: StoppingRule,
+    evaluate: Callable[[list[Proposal]], Sequence[ProtectionScore]],
+    after: Callable[[int], None] | None = None,
+    enter: Callable[[int], AbstractContextManager] | None = None,
+) -> None:
+    """The generation loop: step every ``(engine, state)`` together until ``stopping`` fires.
 
-        max_score, mean_score, min_score = population.score_summary()
-        total_seconds = time.perf_counter() - start
-        return GenerationRecord(
-            generation=generation,
-            operator=operator,
-            max_score=max_score,
-            mean_score=mean_score,
-            min_score=min_score,
-            evaluations=evaluations,
-            fitness_seconds=fitness_seconds,
-            other_seconds=max(0.0, total_seconds - fitness_seconds),
-            accepted=accepted,
-        )
+    A solo run (:meth:`EvolutionaryProtector.run` / ``resume``) is a
+    list of one; an island group run in one process is a list of ``P``.
+    Each generation every engine proposes its offspring, ``evaluate``
+    scores all the proposals as one batch (one score per offspring, in
+    proposal order), and every engine commits its share; a record's
+    ``fitness_seconds`` is its share, by candidate count, of the
+    batch's time.  ``stopping`` reads the first run's history (every
+    run holds as many records).  ``after(generation)`` fires once every
+    run committed the generation; ``enter(i)`` is the trace context run
+    ``i``'s ``repro.engine.generation`` span opens in (default: the
+    current one).
+    """
+    while not stopping.should_stop(runs[0][1].history):
+        generation = runs[0][1].generation + 1
+        with ExitStack() as open_spans:
+            spans = []
+            proposals = []
+            for index, (engine, state) in enumerate(runs):
+                # Pure observer: the span reads clocks only when a traced
+                # job is active, and never touches the run's RNG streams.
+                with enter(index) if enter is not None else nullcontext():
+                    spans.append(open_spans.enter_context(
+                        trace_span("repro.engine.generation", generation=generation)))
+                proposals.append(engine.propose(state.population, generation))
+            start = time.perf_counter()
+            # Evaluation is pure, so the RNG streams are untouched.
+            scores = evaluate(proposals)
+            elapsed = time.perf_counter() - start
+            offset = 0
+            for (engine, state), proposal, span in zip(runs, proposals, spans):
+                end = offset + len(proposal.offspring)
+                record = engine.commit(state.population, proposal, scores[offset:end],
+                                       elapsed * (end - offset) / len(scores))
+                _publish(record, span)
+                state.history.append(record)
+                state.generation = generation
+                offset = end
+        if after is not None:
+            after(generation)
 
 
 def _publish(record: GenerationRecord, span) -> None:

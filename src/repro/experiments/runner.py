@@ -142,28 +142,7 @@ def run_experiment(
     ``on_migration`` forward to the engine's exchange hook — together
     they run one island of :mod:`repro.service.islands`.
     """
-    original = load_dataset(config.dataset)
-    attributes = protected_attributes(config.dataset)
-    executor = None
-    if config.eval_workers >= 2:
-        # Imported lazily: the service layer sits above this module.
-        from repro.service.backends import create_backend
-
-        executor = create_backend(config.eval_backend, max_workers=config.eval_workers)
-    evaluator = ProtectionEvaluator(
-        original,
-        attributes,
-        score_function=score_function_by_name(config.score),
-        persistent_cache=evaluation_cache,
-        executor=executor,
-    )
-    engine = EvolutionaryProtector(
-        evaluator,
-        mutation_probability=config.mutation_probability,
-        leader_fraction=config.leader_fraction,
-        selection_strategy=config.selection_strategy,
-        seed=config.seed if seed is None else seed,
-    )
+    engine = build_engine(config, build_evaluator(config, evaluation_cache), seed)
     hooks = dict(
         stopping=config.generations,
         checkpoint_every=checkpoint_every,
@@ -173,14 +152,59 @@ def run_experiment(
     )
     if resume_from is not None:
         result = engine.resume(resume_from, **hooks)
-        return ExperimentResult(config=config, result=result, evaluator=evaluator)
-    protections = build_initial_population(
-        original, dataset_name=config.dataset, seed=config.population_seed
-    )
-    individuals = engine.evaluate_initial(protections)
-    kept, dropped = drop_best(individuals, config.drop_best_fraction)
+        return ExperimentResult(config=config, result=result, evaluator=engine.evaluator)
+    kept, dropped = score_initial_population(config, engine)
     result = engine.run(kept, **hooks)
-    return ExperimentResult(config=config, result=result, evaluator=evaluator, dropped=dropped)
+    return ExperimentResult(config=config, result=result, evaluator=engine.evaluator,
+                            dropped=dropped)
+
+
+# -- the construction path, shared with lockstep island groups --------------
+
+
+def build_evaluator(
+    config: ExperimentConfig, evaluation_cache: ScoreCache | None = None
+) -> ProtectionEvaluator:
+    """The run's fitness stack: the paper's measures on ``config.dataset``."""
+    original = load_dataset(config.dataset)
+    executor = None
+    if config.eval_workers >= 2:
+        # Imported lazily: the service layer sits above this module.
+        from repro.service.backends import create_backend
+
+        executor = create_backend(config.eval_backend, max_workers=config.eval_workers)
+    return ProtectionEvaluator(
+        original,
+        protected_attributes(config.dataset),
+        score_function=score_function_by_name(config.score),
+        persistent_cache=evaluation_cache,
+        executor=executor,
+    )
+
+
+def build_engine(
+    config: ExperimentConfig,
+    evaluator: ProtectionEvaluator,
+    seed: int | np.random.Generator | None = None,
+) -> EvolutionaryProtector:
+    """The GA over ``evaluator``; ``seed`` overrides ``config.seed``."""
+    return EvolutionaryProtector(
+        evaluator,
+        mutation_probability=config.mutation_probability,
+        leader_fraction=config.leader_fraction,
+        selection_strategy=config.selection_strategy,
+        seed=config.seed if seed is None else seed,
+    )
+
+
+def score_initial_population(
+    config: ExperimentConfig, engine: EvolutionaryProtector
+) -> tuple[list[Individual], list[Individual]]:
+    """Build and score the initial population; ``(kept, dropped)`` per experiment 3."""
+    protections = build_initial_population(
+        engine.evaluator.original, dataset_name=config.dataset, seed=config.population_seed
+    )
+    return drop_best(engine.evaluate_initial(protections), config.drop_best_fraction)
 
 
 def run_replicates(

@@ -334,7 +334,9 @@ class ProtectionEvaluator:
         """Full score for ``masked`` (memoized by content): a batch of one."""
         return self.evaluate_many([masked])[0]
 
-    def evaluate_many(self, batch: Sequence[CategoricalDataset]) -> list[ProtectionScore]:
+    def evaluate_many(
+        self, batch: Sequence[CategoricalDataset], sources: list[str] | None = None
+    ) -> list[ProtectionScore]:
         """Score a whole batch; identical to mapping :meth:`evaluate`.
 
         The batch pipeline, in order:
@@ -354,7 +356,10 @@ class ProtectionEvaluator:
         fresh scorings, ``cache_hits`` memo hits, ``persistent_hits``
         store hits.  Within-batch duplicates land in ``batch_dedup``
         instead of ``cache_hits`` (a scalar loop would have re-hit the
-        memo for them).
+        memo for them).  A ``sources`` list is refilled with the counter
+        each batch position was charged to: ``"memo"``, ``"persistent"``
+        or ``"fresh"`` at a distinct candidate's first position,
+        ``"dedup"`` at its later ones.
         """
         candidates = list(batch)
         if not candidates:
@@ -377,6 +382,7 @@ class ProtectionEvaluator:
             registry.inc("repro_eval_dedup_total", duplicates)
 
         resolved: dict[bytes, ProtectionScore] = {}
+        charged: dict[bytes, str] = {}
         missing: list[bytes] = []
         memo_hits = 0
         for key in slots:
@@ -386,6 +392,7 @@ class ProtectionEvaluator:
                     self._cache.move_to_end(key)
                     memo_hits += 1
                     resolved[key] = cached
+                    charged[key] = "memo"
                     continue
             missing.append(key)
         self.cache_hits += memo_hits
@@ -405,6 +412,7 @@ class ProtectionEvaluator:
                     persistent_hits += 1
                     self._memoize(key, score)
                     resolved[key] = score
+                    charged[key] = "persistent"
                 else:
                     still_missing.append(key)
             missing = still_missing
@@ -435,10 +443,14 @@ class ProtectionEvaluator:
                 resolved[key] = score
 
         results: list[ProtectionScore | None] = [None] * len(candidates)
+        if sources is not None:
+            sources[:] = ["dedup"] * len(candidates)
         for key, positions in slots.items():
             score = resolved[key]
             for position in positions:
                 results[position] = score
+            if sources is not None:
+                sources[positions[0]] = charged.get(key, "fresh")
         if trace_started:
             record_span("repro.eval.batch",
                         time.perf_counter() - trace_started,

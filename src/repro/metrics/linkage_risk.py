@@ -157,10 +157,22 @@ class ProbabilisticLinkageRisk(_LinkageRisk):
             [pair.pattern_counts(histogram) for pair, (_, histogram) in zip(pairs, gathered)]
         )
         model = fit_fellegi_sunter_many(counts, len(self.attributes))
+        # ``reidentified`` reads only each column's maximum and its ties,
+        # so a candidate's dense weight rank (uint8 for up to 8
+        # attributes) re-identifies exactly the records its float64
+        # weights do — provided no weight is NaN, which the weights'
+        # _EPS terms rule out.
+        weights = model.pattern_weights
+        if not np.isfinite(weights).all():
+            raise MetricError("PRL pattern weights must be finite")
+        rank_dtype = np.min_scalar_type(weights.shape[1] - 1)
         return np.array(
             [
-                pair.reidentified(np.take(weights, patterns), best_is_max=True)
-                for pair, (patterns, _), weights in zip(pairs, gathered, model.pattern_weights)
+                pair.reidentified(
+                    np.take(np.unique(row, return_inverse=True)[1].astype(rank_dtype), patterns),
+                    best_is_max=True,
+                )
+                for pair, (patterns, _), row in zip(pairs, gathered, weights)
             ],
             dtype=np.float64,
         )

@@ -291,6 +291,25 @@ def activated(trace_id: str, root_id: str = ""):
         deactivate(scope)
 
 
+@contextmanager
+def entered(scope: TraceScope | None):
+    """Make ``scope`` this thread's current scope for the block.
+
+    For code that works for several traced jobs in turn on one
+    thread: each job's spans land in its own scope, and ``None`` records
+    nowhere.  Unlike :func:`activate` it neither creates nor drains the
+    scope; entering one turns the tracer on, as activating does.
+    """
+    previous = getattr(_context, "scope", None)
+    _context.scope = scope
+    if scope is not None:
+        _state.enabled = True
+    try:
+        yield scope
+    finally:
+        _context.scope = previous
+
+
 def current_scope() -> TraceScope | None:
     """The active scope on this thread, or ``None`` (also when disabled)."""
     if not _state.enabled:

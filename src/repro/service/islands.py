@@ -22,16 +22,35 @@ which island happens to run ahead:
    RNG; injection is a deterministic replacement plan (worst slots
    first, improvements only, senders in index order).
 
-An island whose inbound migrants have not been published yet does not
+**A worker batch that holds a whole group runs it in lockstep.**  In a
+one-shot drain (:meth:`~repro.service.worker.Worker.run_once`, ``repro
+worker --once``, an inline ``repro submit --islands``) winning one
+member also claims the group's still-queued siblings, so the group
+takes one capacity slot; a fleet's poll loop claims members one slot
+each and splits the group across its workers.  :func:`execute_lockstep_group`
+steps the ``P`` engines together in one process through the engine's
+one generation loop (:func:`~repro.core.engine.run_lockstep`): one
+shared evaluator, each engine's own stream, one pooled evaluation batch
+per generation, and at every exchange boundary each island publishes,
+injects and saves exactly what the per-member path below would.
+Nothing waits, so nothing parks.  A group qualifies when every member
+starts fresh, or every member resumes at the same generation from a
+settled exchange.  If the lockstep run raises, each member reruns on
+the per-member path from its last durable exchange checkpoint, so an
+error fails only the member it belongs to.
+
+Every other case runs member by member: a *split* group (another
+worker holds a sibling), a parked or degraded member, or a single
+record handed to :meth:`~repro.service.worker.Worker.process`.  A
+member whose inbound migrants have not been published yet does not
 spin inside its claim: it *parks* — persists a full engine checkpoint
 (plus island state) on the store's checkpoint-blob path, requeues its
-own record behind the rest of the queue, and releases the claim.  A
-single worker therefore round-robins all ``P`` islands segment by
-segment with no deadlock; a fleet runs them genuinely in parallel and
-parks only when it outruns a peer.  Whether an injection happened live
-or through a park/resume cycle is unobservable in the results: the
-checkpoint is captured *before* injection, and re-injecting into the
-restored checkpoint replays the identical plan.
+own record behind the rest of the queue, and releases the claim, so
+workers round-robin the members with no deadlock.  Whether an injection
+happened live, through a park/resume cycle or in lockstep is
+unobservable in the results: a park's checkpoint is captured *before*
+injection, and re-injecting into the restored checkpoint replays the
+identical plan.
 
 If a peer dies (its record ``failed``) or stays silent past the wait
 timeout, the island **degrades to solo continuation** — sticky, counted
@@ -52,9 +71,10 @@ group.
 A member runs through the same path as a plain job:
 :func:`~repro.experiments.runner.run_experiment` on its spawned stream,
 with the exchange as the engine's migration hook, reported through the
-runner's ``_job_result`` plus ``extras["island"]``.  Islands are pure
-clients of :data:`~repro.service.store.STORE_PROTOCOL` — no store grew
-a new method for them.
+runner's ``_job_result`` plus ``extras["island"]``; a lockstep group
+builds its engines through the same construction path.  Islands are
+pure clients of :data:`~repro.service.store.STORE_PROTOCOL` — no store
+grew a new method for them.
 """
 
 from __future__ import annotations
@@ -65,16 +85,24 @@ import os
 import time
 import weakref
 from collections.abc import Callable
+from contextlib import ExitStack
 from dataclasses import replace
 
 import numpy as np
 
-from repro.core.engine import EngineCheckpoint
+from repro.core.engine import EngineCheckpoint, EvolutionResult, RunState, run_lockstep
 from repro.core.individual import Individual
 from repro.core.pareto import non_dominated_sort
+from repro.core.stopping import MaxGenerations
 from repro.datasets.registry import load_dataset
 from repro.exceptions import ServiceError
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import (
+    ExperimentResult,
+    build_engine,
+    build_evaluator,
+    run_experiment,
+    score_initial_population,
+)
 from repro.obs import emit_event, get_registry, trace
 from repro.service.checkpoint import (
     CheckpointManager,
@@ -318,6 +346,11 @@ def select_migrants(individuals: list[Individual], k: int) -> list[Individual]:
     return [individuals[int(i)] for i in order[: min(k, len(individuals))]]
 
 
+def migrant_entries(individuals: list[Individual], k: int) -> list[dict]:
+    """The wire form of the ``k`` elites: what a published round carries."""
+    return [_individual_to_dict(ind) for ind in select_migrants(individuals, k)]
+
+
 def publish_migrants(
     store,
     job: ProtectionJob,
@@ -332,6 +365,13 @@ def publish_migrants(
     same elites (determinism), so first-write-wins is both safe and
     idempotent.  Returns whether this call added the round.
     """
+    return _publish_round(store, job, round_index, generation,
+                          migrant_entries(individuals, job.migrants))
+
+
+def _publish_round(store, job: ProtectionJob, round_index: int, generation: int,
+                   entries: list[dict]) -> bool:
+    """:func:`publish_migrants` of already encoded elites."""
     blob_id = migrants_blob_id(job.job_id)
     group = island_group_id(job)
     payload = store.get_checkpoint(blob_id)
@@ -351,11 +391,7 @@ def publish_migrants(
     key = str(int(round_index))
     if key in rounds:
         return False
-    elites = select_migrants(individuals, job.migrants)
-    rounds[key] = {
-        "generation": int(generation),
-        "migrants": [_individual_to_dict(ind) for ind in elites],
-    }
+    rounds[key] = {"generation": int(generation), "migrants": entries}
     store.put_checkpoint(blob_id, payload)
     return True
 
@@ -519,6 +555,20 @@ def _await_round(
         return tuple(missing)
     waited = max(0.0, (time.time() - wait_since) if wait_since else (
         time.monotonic() - wait_started))
+    _inject(job, state, round_index, received, individuals, apply_replacement, waited)
+    return ()
+
+
+def _inject(
+    job: ProtectionJob,
+    state: dict,
+    round_index: int,
+    received: list[Individual],
+    individuals: list[Individual],
+    apply_replacement: Callable[[int, Individual], None],
+    waited: float,
+) -> None:
+    """Settle round ``round_index``: inject ``received`` and count the exchange."""
     plan = plan_injection(individuals, received)
     for slot, individual in plan:
         apply_replacement(slot, individual)
@@ -535,7 +585,16 @@ def _await_round(
                    island=job.island_index, round=round_index,
                    received=len(received), injected=len(plan),
                    wait_seconds=round(waited, 3))
-    return ()
+
+
+def _exchange_due(job: ProtectionJob, generation: int) -> bool:
+    """Whether island ``job`` exchanges right after ``generation``.
+
+    Every ``migrate_every``-th generation but the final one, which has
+    nothing downstream to inject into.  The one rule of both paths: the
+    per-member exchange hook and :func:`execute_lockstep_group`.
+    """
+    return generation % job.migrate_every == 0 and generation < job.generations
 
 
 def _execute_member_job(job: ProtectionJob, payload: dict) -> JobResult:
@@ -567,9 +626,7 @@ def _execute_member_job(job: ProtectionJob, payload: dict) -> JobResult:
         _persist_island_checkpoint(store, job, checkpoint, state, memo, owner)
 
     def exchange(population, generation, capture) -> None:
-        # The engine fires on every migrate_every boundary; the final
-        # generation has nothing downstream to inject into, so skip it.
-        if generation >= job.generations:
+        if not _exchange_due(job, generation):
             return
         round_index = generation // job.migrate_every
         with trace.span("repro.island.exchange", island=job.island_index,
@@ -586,7 +643,7 @@ def _execute_member_job(job: ProtectionJob, payload: dict) -> JobResult:
                 raise IslandParked(job.job_id, round_index, generation, waiting_on)
 
     start = time.perf_counter()
-    blob = store.get_checkpoint(job.job_id)
+    blob = payload.get("checkpoint") or store.get_checkpoint(job.job_id)
     resumable = is_resumable(blob, fingerprint)
     with _evaluation_cache(payload) as cache, trace.span(
         "repro.run", dataset=job.dataset, seed=job.seed,
@@ -626,7 +683,13 @@ def _execute_member_job(job: ProtectionJob, payload: dict) -> JobResult:
         )
 
     result = _job_result(job, outcome, time.perf_counter() - start)
-    result.extras["island"] = {
+    result.extras["island"] = _member_extras(job, state, outcome.result.population)
+    return result
+
+
+def _member_extras(job: ProtectionJob, state: dict, population) -> dict:
+    """A finished member's ``extras["island"]``."""
+    return {
         "group": island_group_id(job),
         "role": "member",
         "index": job.island_index,
@@ -642,10 +705,254 @@ def _execute_member_job(job: ProtectionJob, payload: dict) -> JobResult:
         "population": [
             [float(ind.information_loss), float(ind.disclosure_risk),
              float(ind.score)]
-            for ind in outcome.result.population
+            for ind in population
         ],
     }
-    return result
+
+
+# -- lockstep groups: one process steps every member together ----------------
+
+
+def lockstep_groups(jobs: list[ProtectionJob], blobs: list[dict | None], store) -> list[list[int]]:
+    """The island groups in ``jobs`` that can run in lockstep, as index lists.
+
+    A group qualifies when ``jobs`` holds each of its ``P`` members
+    exactly once, and either every member starts fresh (no resumable
+    checkpoint) or every member resumes at the same generation from a
+    settled exchange: no pending round, none degraded.  Each index list
+    is in island order.  The checkpoint blob of a complete group's
+    member whose ``blobs`` entry is ``None`` is read and stored there,
+    for whichever path then runs the member.
+    """
+    positions: dict[str, list[int]] = {}
+    for position, job in enumerate(jobs):
+        if job.islands >= 2 and job.island_index < job.islands:
+            positions.setdefault(island_group_id(job), []).append(position)
+    groups = []
+    for members in positions.values():
+        members.sort(key=lambda position: jobs[position].island_index)
+        if [jobs[i].island_index for i in members] != list(range(jobs[members[0]].islands)):
+            continue
+        for i in members:
+            if blobs[i] is None:
+                blobs[i] = store.get_checkpoint(jobs[i].job_id)
+        resumable = [is_resumable(blobs[i], jobs[i].checkpoint_fingerprint()) for i in members]
+        if all(resumable):
+            states = [_state_payload(blobs[i].get("island_state") or {}) for i in members]
+            if (len({blobs[i]["generation"] for i in members}) > 1
+                    or any(st["pending_round"] or st["degraded"] for st in states)):
+                continue
+        elif any(resumable):
+            continue
+        groups.append(members)
+    return groups
+
+
+#: The :meth:`~repro.metrics.evaluation.ProtectionEvaluator.stats` key each
+#: ``evaluate_many`` source is counted under.
+_CHARGED = {"fresh": "evaluations", "memo": "memo_hits",
+            "persistent": "persistent_hits", "dedup": "batch_dedup"}
+
+
+class _Member:
+    """One island of a lockstep group: job, engine, run and island state, trace scope."""
+
+    def __init__(self, job: ProtectionJob, payload: dict, engine) -> None:
+        self.job = job
+        self.engine = engine
+        self.run: RunState | None = None
+        self.island = _fresh_state()
+        # The member's checkpoint encoding memo, as in the per-member path.
+        self.memo: dict[bytes, dict] = {}
+        # This member's share of the shared evaluator's stats: each
+        # distinct candidate is charged to the lowest-index member that
+        # submitted it, so the members' counts sum to the evaluator's.
+        self.stats = {"evaluations": 0, "memo_hits": 0, "persistent_hits": 0,
+                      "batch_dedup": 0, "batches": 0, "max_batch_size": 0,
+                      "fresh_seconds": 0.0}
+        info = payload.get("trace")
+        self.scope = (trace.TraceScope(str(info["id"]), str(info.get("root") or ""))
+                      if isinstance(info, dict) and info.get("id") else None)
+
+    def span(self, name: str, **attrs):
+        """A span of this member's trace (a no-op one when it is untraced)."""
+        with trace.entered(self.scope):
+            return trace.span(name, **attrs)
+
+    def mirror(self, spans: list[dict]) -> None:
+        """Copy another member's spans of work done for the whole group.
+
+        The copies get fresh ids in this member's trace; a span whose
+        parent is not among ``spans`` hangs under this member's open span.
+        """
+        if self.scope is None or not spans:
+            return
+        parent = self.scope.stack[-1].span_id if self.scope.stack else self.scope.root_id
+        ids = {item["span_id"]: trace.new_span_id() for item in spans}
+        for item in spans:
+            self.scope.record({**item, "trace_id": self.scope.trace_id,
+                               "span_id": ids[item["span_id"]],
+                               "parent_id": ids.get(item["parent_id"], parent)})
+
+
+def execute_lockstep_group(payloads: list[dict], spans: list[list[dict]]) -> list[JobResult]:
+    """Run every member of one island group in lockstep; results in island order.
+
+    ``payloads`` are the members' runner payloads, in island order, each
+    carrying its checkpoint blob (see :func:`lockstep_groups`).  The
+    members' engines share one evaluator, and each generation's
+    offspring go through it as one pooled batch.  At every exchange
+    boundary each island publishes, injects and saves exactly as the
+    per-member path does, so results, migrant blobs and checkpoints are
+    the bytes that path writes.  ``spans[i]`` receives member ``i``'s
+    trace spans, also when the run fails.
+    """
+    from repro.service.runner import _evaluation_cache, _job_result, _run_config
+
+    jobs = [ProtectionJob.from_dict(payload["job"]) for payload in payloads]
+    head = jobs[0]
+    config = _run_config(head, payloads[0])
+    # Rule 1: disjoint, reproducible per-island streams off the run seed.
+    streams = np.random.SeedSequence(head.seed).spawn(head.islands)
+    resumed = is_resumable(payloads[0].get("checkpoint"), head.checkpoint_fingerprint())
+    store = resolve_store(payloads[0])
+    start = time.perf_counter()
+    with _evaluation_cache(payloads[0]) as cache:
+        evaluator = build_evaluator(config, cache)
+        members = [
+            _Member(job, payload,
+                    build_engine(config, evaluator, np.random.default_rng(streams[job.island_index])))
+            for job, payload in zip(jobs, payloads)
+        ]
+        try:
+            with ExitStack() as runs:
+                for member in members:
+                    runs.enter_context(member.span(
+                        "repro.run", dataset=head.dataset, seed=head.seed,
+                        island=member.job.island_index, resume=resumed or None))
+                dropped = _start_members(members, payloads, config, evaluator, resumed)
+
+                def exchange(generation: int) -> None:
+                    if _exchange_due(head, generation):
+                        _exchange_members(members, store, payloads[0].get("owner"),
+                                          evaluator.original, generation)
+
+                run_lockstep([(member.engine, member.run) for member in members],
+                             MaxGenerations(config.generations),
+                             lambda proposals: _evaluate_pooled(members, evaluator, proposals),
+                             exchange, lambda index: trace.entered(members[index].scope))
+        finally:
+            for member, collected in zip(members, spans):
+                if member.scope is not None:
+                    collected.extend(member.scope.drain())
+    wall_seconds = time.perf_counter() - start
+    results = []
+    for member in members:
+        run = member.run
+        outcome = ExperimentResult(
+            config, EvolutionResult(run.initial, run.population, run.history),
+            evaluator, dropped)
+        result = _job_result(member.job, outcome, wall_seconds, member.stats)
+        result.extras["island"] = _member_extras(member.job, member.island, run.population)
+        results.append(result)
+    return results
+
+
+def _start_members(members: list[_Member], payloads: list[dict], config, evaluator,
+                   resumed: bool) -> list[Individual]:
+    """Restore every member from its checkpoint, or score the initial population once.
+
+    Returns the individuals ``drop_best_fraction`` removed (none on resume).
+    """
+    if resumed:
+        for member, payload in zip(members, payloads):
+            blob = payload["checkpoint"]
+            with trace.entered(member.scope):
+                checkpoint = checkpoint_from_dict(
+                    blob, evaluator.original,
+                    expected_fingerprint=member.job.checkpoint_fingerprint(),
+                    memo=member.memo)
+            member.island.update(_state_payload(blob.get("island_state") or {}))
+            member.run = member.engine.restore(checkpoint)
+        return []
+    # Every island starts from the same scored population: score it
+    # once, charged to the lowest-index member.
+    lead = members[0]
+    mark = len(lead.scope.spans) if lead.scope is not None else 0
+    with trace.entered(lead.scope):
+        kept, dropped = score_initial_population(config, lead.engine)
+    lead.stats = evaluator.stats()
+    shared = lead.scope.spans[mark:] if lead.scope is not None else []
+    for member in members[1:]:
+        member.mirror(shared)
+    for member in members:
+        member.run = member.engine.start(kept)
+    return dropped
+
+
+def _evaluate_pooled(members: list[_Member], evaluator, proposals: list) -> list:
+    """Score every member's proposal as one batch, charging each member its share.
+
+    Each distinct candidate counts for the lowest-index member that
+    submitted it, and each member's trace gets the batch's
+    ``repro.eval.batch`` span under its open generation span.
+    """
+    batch = [child for proposal in proposals for child in proposal.offspring]
+    sources: list[str] = []
+    fresh_before = evaluator.fresh_seconds
+    started, wall_started = time.perf_counter(), time.time()
+    with trace.entered(None):
+        scores = evaluator.evaluate_many(batch, sources=sources)
+    elapsed = time.perf_counter() - started
+    fresh_seconds = evaluator.fresh_seconds - fresh_before
+    fresh_total = sources.count("fresh")
+    offset = 0
+    for member, proposal in zip(members, proposals):
+        end = offset + len(proposal.offspring)
+        mine = sources[offset:end]
+        fresh = mine.count("fresh")
+        stats = member.stats
+        for kind in mine:
+            stats[_CHARGED[kind]] += 1
+        stats["batches"] += 1
+        stats["max_batch_size"] = max(stats["max_batch_size"], len(batch))
+        if fresh:
+            stats["fresh_seconds"] = round(
+                stats["fresh_seconds"] + fresh_seconds * fresh / fresh_total, 6)
+        with trace.entered(member.scope):
+            trace.record_span("repro.eval.batch", elapsed, start=wall_started,
+                              size=len(batch), fresh=fresh)
+        offset = end
+    return scores
+
+
+def _exchange_members(members: list[_Member], store, owner: str | None, reference,
+                      generation: int) -> None:
+    """Every island's exchange at ``generation``, as the per-member hook makes it.
+
+    Each island publishes its pre-injection elites, receives its
+    senders' (decoded from the same wire form peers read), and saves
+    the post-injection checkpoint.
+    """
+    round_index = generation // members[0].job.migrate_every
+    inbound = island_topology(members[0].job.topology, len(members))
+    entries = [migrant_entries(list(member.run.population), member.job.migrants)
+               for member in members]
+    with ExitStack() as open_spans:
+        # As a generation's, every member's span covers the group's exchange.
+        for index, member in enumerate(members):
+            open_spans.enter_context(member.span(
+                "repro.island.exchange", island=index, round=round_index,
+                generation=generation))
+        for index, member in enumerate(members):
+            received = [_individual_from_dict(item, reference)
+                        for sender in sorted(inbound[index]) for item in entries[sender]]
+            with trace.entered(member.scope):
+                _publish_round(store, member.job, round_index, generation, entries[index])
+                _inject(member.job, member.island, round_index, received,
+                        list(member.run.population), member.run.population.replace, 0.0)
+                _persist_island_checkpoint(store, member.job, member.engine.capture(member.run),
+                                           member.island, member.memo, owner)
 
 
 # -- the merge executor -------------------------------------------------------
@@ -816,19 +1123,21 @@ def drive_group(store, worker, job_ids: list[str],
                 poll_seconds: float = 0.2) -> list[JobRecord]:
     """Run an island group to completion with an in-process worker.
 
-    The inline (non-detached) ``repro submit --islands`` path: claim and
-    run each group record in turn, treating parks as scheduling — a
-    parked island goes back in the queue and its peers get the worker.
-    Cooperates with external workers: records claimed or running
-    elsewhere are simply awaited.  Sleeps only on full passes with no
-    progress (every island parked at an unchanged exchange boundary and
-    nothing finished), where the peers' publishes must arrive from
-    outside this process.
+    The inline (non-detached) ``repro submit --islands`` path.  Each pass
+    hands every queued member to one ``worker.process`` call, so a worker
+    that wins them all steps the group in lockstep; the merge runs once
+    no member is left queued.  A member that parks (a split group) goes
+    back in the queue for the next pass.  Cooperates with external
+    workers: records claimed or running elsewhere are simply awaited.
+    Sleeps only on full passes with no progress (every queued island
+    parked at an unchanged exchange boundary and nothing finished),
+    where the peers' publishes must arrive from outside this process.
     """
     signatures: dict[str, tuple[int, int]] = {}
     pending = set(job_ids)
     while pending:
         progress = False
+        queued: list[JobRecord] = []
         for job_id in job_ids:
             if job_id not in pending:
                 continue
@@ -838,20 +1147,20 @@ def drive_group(store, worker, job_ids: list[str],
             if record.status in (COMPLETED, FAILED):
                 pending.discard(job_id)
                 progress = True
-                continue
-            if record.status != QUEUED:
-                continue  # running under another worker; await it
-            outcome = worker.process(record)
-            if outcome is None:
-                continue  # lost the claim race to an external worker
+            elif record.status == QUEUED:
+                queued.append(record)
+            # otherwise running under another worker; await it
+        batch = [r for r in queued if r.job.island_index < r.job.islands] or queued
+        # A claim lost to an external worker simply yields no outcome.
+        for outcome in worker.process(batch) if batch else ():
             if outcome.parked is None:
-                pending.discard(job_id)
+                pending.discard(outcome.job_id)
                 progress = True
             else:
                 signature = parked_signature(outcome.parked)
-                if signatures.get(job_id) != signature:
+                if signatures.get(outcome.job_id) != signature:
                     progress = True
-                signatures[job_id] = signature
+                signatures[outcome.job_id] = signature
         if pending and not progress:
             store.recover_stale_claims(worker.stale_after)
             time.sleep(poll_seconds)

@@ -28,12 +28,13 @@ from dataclasses import dataclass, replace
 from repro.datasets.registry import load_dataset
 from repro.exceptions import ServiceError
 from repro.experiments.runner import ExperimentConfig, ExperimentResult, run_experiment
-from repro.obs import trace
+from repro.obs import emit_event, trace
 from repro.service.backends import ExecutionBackend, create_backend
 from repro.service.cache import EvaluationCache
 from repro.service.checkpoint import CheckpointManager
 from repro.service.islands import (
     IslandParked,
+    lockstep_groups,
     register_store,
     resolve_store,
     store_spec_of,
@@ -44,11 +45,13 @@ from repro.service.job import JobResult, ProtectionJob
 
 
 def _job_result(
-    job: ProtectionJob, outcome: ExperimentResult, wall_seconds: float
+    job: ProtectionJob, outcome: ExperimentResult, wall_seconds: float,
+    stats: dict | None = None,
 ) -> JobResult:
+    """``job``'s result; ``stats`` (default: the evaluator's) are its evaluation counts."""
     best = outcome.result.best
     initial_mean, final_mean, percent = outcome.history.improvement("mean")
-    evaluator = outcome.evaluator
+    stats = outcome.evaluator.stats() if stats is None else stats
     return JobResult(
         job_id=job.job_id,
         dataset=job.dataset,
@@ -59,12 +62,12 @@ def _job_result(
         best_disclosure_risk=float(best.disclosure_risk),
         final_scores=tuple(float(ind.score) for ind in outcome.result.population),
         mean_improvement_percent=float(percent),
-        fresh_evaluations=evaluator.evaluations,
-        memo_hits=evaluator.cache_hits,
-        persistent_hits=evaluator.persistent_hits,
+        fresh_evaluations=stats["evaluations"],
+        memo_hits=stats["memo_hits"],
+        persistent_hits=stats["persistent_hits"],
         wall_seconds=wall_seconds,
         extras={
-            "evaluator_stats": evaluator.stats(),
+            "evaluator_stats": stats,
             # The run's history, in the checkpoint's record encoding,
             # rides with the result; ``repro status --job ID`` renders it.
             "history": [r.to_dict() for r in outcome.history.records],
@@ -213,6 +216,42 @@ def _execute_job_settled(payload: dict) -> dict:
             "error": f"{type(exc).__name__}: {exc}",
             "trace_spans": trace.take_stray_spans(),
         }
+
+
+def _execute_lockstep_settled(payloads: list[dict]) -> list[dict]:
+    """:func:`_execute_job_settled` for one lockstep island group.
+
+    The group runs as one (see
+    :func:`~repro.service.islands.execute_lockstep_group`).  If that
+    raises, every member runs again on its own, through
+    :func:`_execute_job_settled` from its last durable checkpoint (the
+    lockstep run saved each exchange as the per-member path does): an
+    error then fails only the member it belongs to, and its peers park
+    or degrade to solo as in a split group.  Each member keeps the
+    spans of both attempts.
+    """
+    from repro.service.islands import execute_lockstep_group
+
+    spans: list[list[dict]] = [[] for _ in payloads]
+    try:
+        results = execute_lockstep_group(payloads, spans)
+    except Exception as exc:  # noqa: BLE001 - rerun member by member
+        emit_event("island_lockstep_fallback", members=len(payloads),
+                   error=f"{type(exc).__name__}: {exc}")
+        settled = [_execute_job_settled({**payload, "checkpoint": None})
+                   for payload in payloads]
+        for out, collected in zip(settled, spans):
+            out["trace_spans"] = collected + out["trace_spans"]
+        return settled
+    return [{"result": result.to_dict(), "error": "", "trace_spans": collected}
+            for result, collected in zip(results, spans)]
+
+
+def _execute_settled(task: dict | list[dict]) -> dict | list[dict]:
+    """One backend task: a job's payload, or a lockstep group's payload list."""
+    if isinstance(task, list):
+        return _execute_lockstep_settled(task)
+    return _execute_job_settled(task)
 
 
 @dataclass(frozen=True)
@@ -395,18 +434,39 @@ class JobRunner:
         its claims through, so completed replicates are never discarded
         because a sibling failed.  ``checkpoints`` (one blob or None per
         job) hands over blobs the caller already read from the store.
+
+        Every member of an island group that can step in lockstep (see
+        :func:`~repro.service.islands.lockstep_groups`) runs in one
+        backend task that steps the group's engines together; every
+        other job is a task of its own, in the same backend map.
         """
         if not jobs:
             return []
         if traces is None:
             traces = [None] * len(jobs)
-        if checkpoints is None:
-            checkpoints = [None] * len(jobs)
+        blobs = list(checkpoints) if checkpoints is not None else [None] * len(jobs)
+        groups = (lockstep_groups(list(jobs), blobs, self.store)
+                  if self.store is not None else [])
         payloads = [
             self._payload(job, resume, ctx, blob)
-            for job, ctx, blob in zip(jobs, traces, checkpoints)
+            for job, ctx, blob in zip(jobs, traces, blobs)
         ]
-        settled = self.backend.map(_execute_job_settled, payloads)
+        # Tasks in batch order: a group at its first member's position.
+        leading = {min(group): group for group in groups}
+        grouped = {i for group in groups for i in group}
+        units: list[list[int]] = []
+        tasks: list[dict | list[dict]] = []
+        for i, payload in enumerate(payloads):
+            if i in leading:
+                units.append(leading[i])
+                tasks.append([payloads[j] for j in leading[i]])
+            elif i not in grouped:
+                units.append([i])
+                tasks.append(payload)
+        settled: list[dict] = [{}] * len(jobs)
+        for unit, out in zip(units, self.backend.map(_execute_settled, tasks)):
+            for i, item in zip(unit, out if isinstance(out, list) else [out]):
+                settled[i] = item
         return [
             JobOutcome(
                 job_id=job.job_id,

@@ -46,7 +46,7 @@ import uuid
 from repro.exceptions import ServiceError, WorkerError
 from repro.obs import emit_event, get_registry, trace
 from repro.service.backends import create_backend
-from repro.service.islands import park_record, parked_signature
+from repro.service.islands import member_job_ids, park_record, parked_signature
 from repro.service.runner import JobOutcome, JobRunner
 from repro.service.sqlstore import SqliteJobStore
 from repro.service.store import QUEUED, JobRecord
@@ -221,7 +221,13 @@ class Worker:
         as long as its worker keeps beating.
     capacity:
         How many jobs this worker claims per batch (its share of the
-        queue); each batch is executed on the configured backend.
+        queue); each batch is executed on the configured backend.  A
+        batch that holds every member of an island group runs the group
+        in lockstep (see :mod:`repro.service.islands`).  In a
+        :meth:`run_once` drain a group counts as one slot: winning a
+        member also claims its still-queued siblings.  :meth:`run`'s
+        poll loop, the mode a fleet runs, claims members one slot each,
+        so peer workers split a group and its members park.
     heartbeat_every:
         Seconds between claim heartbeats; defaults to ``stale_after / 4``
         so a single missed beat never looks like a death.
@@ -284,6 +290,8 @@ class Worker:
         # (start, duration) of the most recent claim round; feeds the
         # ``repro.claim`` span of every record won in that round.
         self._last_claim = (0.0, 0.0)
+        # True while :meth:`run` polls: its drains claim no siblings.
+        self._polling = False
         if self.heartbeat_every >= self.stale_after:
             # Beating slower than the staleness bound means this
             # worker's live jobs look abandoned and get double-executed.
@@ -335,9 +343,36 @@ class Worker:
         self._last_claim = (claim_started, max(0.0, time.time() - claim_started))
         return batch
 
+    def _claim_siblings(self, batch: list[JobRecord], limit: int | None) -> list[JobRecord]:
+        """Claim the still-queued island members of the groups ``batch`` holds.
+
+        At most ``limit`` of them (``None``: all).  The claim round's
+        span (see :meth:`_claim_batch`) is extended to cover this one.
+        """
+        held = {record.job_id for record in batch}
+        wanted: list[str] = []
+        for record in batch:
+            job = record.job
+            if job.islands >= 2 and job.island_index < job.islands:
+                for job_id in member_job_ids(job):
+                    if job_id not in held:
+                        held.add(job_id)
+                        wanted.append(job_id)
+        records = [self.store.get(job_id, missing_ok=True) for job_id in wanted]
+        candidates = [record for record in records
+                      if record is not None and record.status == QUEUED]
+        if not candidates:
+            return []
+        won = claim_queued(self.store, candidates, self.worker_id,
+                           limit=0 if limit is None else limit)
+        claim_started = self._last_claim[0]
+        self._last_claim = (claim_started, max(0.0, time.time() - claim_started))
+        return won
+
     def run_claimed(
         self, records: list[JobRecord], resume: bool | None = None,
         checkpoints: dict[str, dict] | None = None,
+        claim: tuple[float, float] | None = None,
     ) -> list[JobOutcome]:
         """Execute records this worker owns; marks, heartbeats, releases.
 
@@ -351,7 +386,11 @@ class Worker:
         All claims beat from one background thread for the whole batch
         and are released in the ``finally``, whatever happens mid-run;
         each traced record's spans are flushed after the release.
+        ``claim`` is the ``(start, duration)`` of a claim the caller made
+        itself (``repro resume``); it defaults to this worker's last
+        claim round.
         """
+        claim = self._last_claim if claim is None else claim
         beat = ClaimHeartbeat(
             self.store, [r.job_id for r in records], self.worker_id,
             self.heartbeat_every,
@@ -400,7 +439,7 @@ class Worker:
             # trace (trace-blob writes are owner-ungated, so losing the
             # claim first does not block them).
             self._flush_traces(
-                records, outcomes,
+                records, outcomes, claim,
                 release=(release_started,
                          max(0.0, time.time() - release_started)),
             )
@@ -437,6 +476,7 @@ class Worker:
         self,
         records: list[JobRecord],
         outcomes: dict[str, JobOutcome],
+        claim: tuple[float, float],
         release: tuple[float, float],
     ) -> None:
         """Persist each traced record's spans to its durable trace blob.
@@ -449,7 +489,7 @@ class Worker:
         jobs always persist).  Telemetry: flush failures are swallowed
         and counted, never raised.
         """
-        claim_started, claim_seconds = self._last_claim
+        claim_started, claim_seconds = claim
         release_started, release_seconds = release
         for record in records:
             info = trace.trace_context_from_extras(record.extras)
@@ -531,6 +571,12 @@ class Worker:
         takes over.  The every-queued-job bar matters because the
         store's claim order is oldest first: one stalled island must
         not mask runnable peers queued behind it.
+
+        Winning an island member also claims the group's still-queued
+        siblings, so a group takes one slot and runs in lockstep on this
+        worker; only ``max_jobs`` bounds them.  Not so inside
+        :meth:`run`, whose drains leave the siblings to a fleet's other
+        workers.
         """
         self.store.recover_stale_claims(self.stale_after)
         outcomes: list[JobOutcome] = []
@@ -555,6 +601,12 @@ class Worker:
                 batch = self._claim_batch(limit, candidates=pool)
             else:
                 batch = self._claim_batch(limit)
+                # A stalled drain's walk around parked records (above)
+                # claims no siblings: they would hand it the stalled
+                # members straight back.
+                room = max_jobs - finished - len(batch) if max_jobs else None
+                if not self._polling and batch and (room is None or room > 0):
+                    batch += self._claim_siblings(batch, room)
             if not batch:
                 return outcomes
             for record in batch:
@@ -606,6 +658,11 @@ class Worker:
         up to ``poll_max``, and the first successful claim resets it —
         so an idle fleet stops hammering the shared server or database
         while a busy one still polls at full cadence.
+
+        Each drain claims island members one slot each (see
+        :meth:`run_once`): the workers of a fleet split a group and run
+        its members in parallel, which one worker holding the whole
+        group in lockstep would serialize.
         """
         if poll_seconds <= 0:
             raise WorkerError(f"poll_seconds must be positive, got {poll_seconds}")
@@ -618,32 +675,36 @@ class Worker:
         finished = 0
         idle_polls = 0
         delay = float(poll_seconds)
-        while True:
-            remaining = max_jobs - finished if max_jobs else 0
-            batch = self.run_once(max_jobs=remaining)
-            outcomes.extend(batch)
-            # Parked island yields are scheduling, not work done: only
-            # finished (completed/failed) jobs count toward max_jobs.
-            finished += sum(1 for o in batch if o.parked is None)
-            self._maybe_push_telemetry(force=bool(batch))
-            if max_jobs and finished >= max_jobs:
-                return outcomes
-            if batch:
-                idle_polls = 0
-                delay = float(poll_seconds)
-            else:
-                idle_polls += 1
-            registry.set_gauge("repro_worker_idle_polls", idle_polls)
-            registry.set_gauge("repro_worker_poll_delay_seconds", delay)
-            if idle_exit and idle_polls >= idle_exit:
-                return outcomes
-            time.sleep(delay)
-            if not batch and poll_max is not None:
-                widened = min(delay * 2.0, float(poll_max))
-                if widened != delay:
-                    emit_event("worker_backoff", worker=self.worker_id,
-                               delay_seconds=widened, idle_polls=idle_polls)
-                delay = widened
+        self._polling = True
+        try:
+            while True:
+                remaining = max_jobs - finished if max_jobs else 0
+                batch = self.run_once(max_jobs=remaining)
+                outcomes.extend(batch)
+                # Parked island yields are scheduling, not work done: only
+                # finished (completed/failed) jobs count toward max_jobs.
+                finished += sum(1 for o in batch if o.parked is None)
+                self._maybe_push_telemetry(force=bool(batch))
+                if max_jobs and finished >= max_jobs:
+                    return outcomes
+                if batch:
+                    idle_polls = 0
+                    delay = float(poll_seconds)
+                else:
+                    idle_polls += 1
+                registry.set_gauge("repro_worker_idle_polls", idle_polls)
+                registry.set_gauge("repro_worker_poll_delay_seconds", delay)
+                if idle_exit and idle_polls >= idle_exit:
+                    return outcomes
+                time.sleep(delay)
+                if not batch and poll_max is not None:
+                    widened = min(delay * 2.0, float(poll_max))
+                    if widened != delay:
+                        emit_event("worker_backoff", worker=self.worker_id,
+                                   delay_seconds=widened, idle_polls=idle_polls)
+                    delay = widened
+        finally:
+            self._polling = False
 
     def _maybe_push_telemetry(self, force: bool = False,
                               min_interval: float = 5.0) -> None:

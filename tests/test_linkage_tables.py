@@ -11,9 +11,12 @@ measure, and pickling.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import pickle
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,3 +197,24 @@ def test_pickled_measure_drops_its_rows_and_scores_identically(flare_case, measu
     restored = pickle.loads(payload)
     assert restored._table.rows is not None and not restored._table.filled.any()
     assert [restored.compute(masked) for masked in population] == serial[measure_cls]
+
+
+#: SHA-256 of each measure's seed-0 scores, batch and scalar, as the
+#: float64 bytes the code before PRL's rank gather produced.
+LINKAGE_GOLDENS = Path(__file__).parent / "data" / "linkage_score_goldens.json"
+
+
+@pytest.mark.parametrize("name", DATASETS)
+def test_seed0_scores_match_their_golden_digests(name):
+    goldens = json.loads(LINKAGE_GOLDENS.read_text(encoding="utf-8"))
+    original = load_dataset(name)
+    attributes = protected_attributes(name)
+    population = build_initial_population(original, dataset_name=name, seed=0)
+    for measure_cls in MEASURES:
+        batch = np.asarray(measure_cls(original, attributes).compute_many(population),
+                           dtype=np.float64)
+        fresh = measure_cls(original, attributes)
+        scalar = np.array([fresh.compute(masked) for masked in population], dtype=np.float64)
+        key = f"{name}.{measure_cls.measure_name}"
+        assert hashlib.sha256(batch.tobytes()).hexdigest() == goldens[f"{key}.batch"]
+        assert hashlib.sha256(scalar.tobytes()).hexdigest() == goldens[f"{key}.scalar"]

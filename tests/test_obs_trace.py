@@ -444,6 +444,25 @@ class TestResumeLinksToOriginalTrace:
         assert roots[0]["attrs"]["status"] == "completed"
 
 
+    def test_repro_resume_flushes_its_claim_span(self, tmp_path, capsys):
+        from repro.service import JobRunner
+
+        trace.enable_tracing(sample_rate=1.0)
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
+        record, _ = _submit_traced(store, _job(seed=12), checkpoint_every=1)
+        # A run that saved its checkpoints but never reached a worker's
+        # trace flush, like one killed before its release.
+        JobRunner(store=store, checkpoint_every=1).run([record.job])
+        assert main(["resume", "--job", record.job_id,
+                     "--state-dir", str(tmp_path)]) == 0
+        payload = trace.load_trace(store, record.job_id)
+        _assert_connected(payload, {"repro.job", "repro.submit", "repro.claim",
+                                    "repro.run", "repro.release"})
+        claims = [s for s in payload["spans"] if s["name"] == "repro.claim"]
+        assert len(claims) == 1
+        assert claims[0]["attrs"]["worker"].startswith("resume-")
+
+
 class TestCheckpointSpan:
     def test_each_save_is_a_span_under_run(self, tmp_path):
         trace.enable_tracing(sample_rate=1.0)
