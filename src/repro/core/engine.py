@@ -73,7 +73,9 @@ class EngineCheckpoint:
     """Complete mid-run engine state, sufficient to continue the run.
 
     Captures the population, the initial snapshot, the history so far,
-    the generation counter, and the RNG bit-generator state.  Resuming
+    the generation counter, and the RNG bit-generator state, plus the
+    original file the run protects (a saved checkpoint stores each
+    protected file as its difference from it).  Resuming
     from a checkpoint with :meth:`EvolutionaryProtector.resume` replays
     the exact stochastic stream the uninterrupted run would have drawn,
     so an interrupted-and-resumed run is bit-identical to a straight one.
@@ -85,6 +87,7 @@ class EngineCheckpoint:
     individuals: list[Individual]
     records: list[GenerationRecord]
     rng_state: dict
+    original: CategoricalDataset | None = None
 
 
 @dataclass
@@ -284,6 +287,7 @@ class EvolutionaryProtector:
             individuals=state.population.snapshot(),
             records=list(state.history.records),
             rng_state=copy.deepcopy(self._rng.bit_generator.state),
+            original=self.evaluator.original,
         )
 
     def propose(self, population: Population, generation: int) -> Proposal:

@@ -33,7 +33,7 @@ class GenerationRecord:
     def to_dict(self) -> dict:
         """The record's one JSON encoding: every field, in declaration order.
 
-        Checkpoints (format v1 and v2) store their records in exactly
+        Checkpoints (every format) store their records in exactly
         this form, and finished jobs carry their history in it.
         """
         # The instance dict holds the fields in declaration order, and

@@ -15,6 +15,7 @@ that need scratch space take an explicit writable copy via
 
 from __future__ import annotations
 
+import hashlib
 from collections.abc import Sequence
 
 import numpy as np
@@ -38,7 +39,7 @@ class CategoricalDataset:
         Human-readable name carried through reports.
     """
 
-    __slots__ = ("codes", "schema", "name")
+    __slots__ = ("codes", "schema", "name", "_digest", "checkpoint_entry")
 
     def __init__(self, codes: np.ndarray, schema: DatasetSchema, name: str = "dataset") -> None:
         arr = np.asarray(codes, dtype=np.int64)
@@ -55,6 +56,21 @@ class CategoricalDataset:
         self.codes = arr
         self.schema = schema
         self.name = name
+        self._digest: str | None = None
+        #: ``(original digest, entry)``: this matrix's checkpoint table
+        #: entry, diffed against the original with that :meth:`digest`.
+        #: Set and read by :mod:`repro.service.checkpoint`; never pickled.
+        self.checkpoint_entry: tuple[str, dict] | None = None
+
+    def __getstate__(self) -> tuple[None, dict]:
+        # The per-object caches stay behind: a copy recomputes them.
+        return None, {"codes": self.codes, "schema": self.schema, "name": self.name}
+
+    def __setstate__(self, state: tuple[None, dict]) -> None:
+        for slot, value in state[1].items():
+            setattr(self, slot, value)
+        self._digest = None
+        self.checkpoint_entry = None
 
     # -- construction -------------------------------------------------
 
@@ -221,6 +237,18 @@ class CategoricalDataset:
     def fingerprint(self) -> bytes:
         """Cheap content hash of the code matrix (used by fitness caching)."""
         return self.codes.tobytes()
+
+    def digest(self) -> str:
+        """Short hex hash of the code matrix and its shape.
+
+        Hashed once per object (the codes are read-only), so a checkpoint
+        save can stamp its original without rehashing it.
+        """
+        if self._digest is None:
+            digest = hashlib.blake2b(self.codes, digest_size=16)
+            digest.update(repr(self.codes.shape).encode("ascii"))
+            self._digest = digest.hexdigest()
+        return self._digest
 
     def __repr__(self) -> str:
         return (

@@ -9,17 +9,29 @@ stopped, on this machine or any other.  The store is a checkpoint's only
 home: a save that returns has landed, and there is no local copy to
 sync.
 
-**Format version 2** (what saves write) stores each distinct code
-matrix once, in a top-level ``"codes"`` table of ``{"shape", "dtype",
-"data"}`` entries; an individual's ``"codes"`` is an index into it (the
-initial snapshot and most of the current population are the same
-files).  Entries hold a matrix at its natural width (``uint8``,
-``uint16`` or ``int64``, the narrowest that fits), zlib'd and base64'd;
-decoding always yields ``int64``, so scores, fingerprints and resume are
-bit-identical at any width.  The saves of one run share a memo from a
-short digest of each matrix to its encoded entry, so a save compresses
-only matrices no earlier save encoded; each save prunes the memo to the
-entries it referenced.
+**Format version 3** (what saves write) stores each protected file as
+its difference from the run's original (a GA chromosome differs from
+it in a few hundred of ~10^4 cells): a top-level ``"codes"`` table of
+``{"positions", "index_dtype", "values", "dtype"}`` entries, where
+``positions`` are the flat cells that differ (stored as the gaps
+between them) and ``values`` the codes there, each at the narrowest of
+``uint8`` / ``uint16`` / ``int64``, zlib'd and base64'd; decoding always yields ``int64``, so
+scores, fingerprints and resume are bit-identical at any width.  The
+table holds one entry per distinct matrix and an individual's
+``"codes"`` is an index into it.  The payload's ``"original"`` is the
+original's :meth:`~repro.data.dataset.CategoricalDataset.digest`, and a
+load under any other original is refused.
+
+Each dataset object is encoded at most once per process: its entry is
+cached on the dataset (``checkpoint_entry``, keyed by the original's
+digest, never pickled), a load attaches the entries it decodes to the
+datasets it rebuilds, and a save encodes only the datasets that carry
+no entry for its original.  So a save whose population is unchanged
+hashes and compresses nothing, and a resumed run's first save
+compresses nothing it loaded.
+
+**Format version 2** (still loaded) stored each distinct matrix whole,
+as ``{"shape", "dtype", "data"}`` entries of the same table.
 
 **Format version 1** (still loaded) inlined a zlib'd raw ``int64``
 buffer per individual.  It lives on as the wire form of island migrant
@@ -35,7 +47,6 @@ something else.
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
 import time
 import zlib
@@ -50,18 +61,19 @@ from repro.exceptions import ServiceError, StoreUnavailableError, WorkerError
 from repro.obs import emit_event, get_registry, trace
 from repro.service.cache import score_from_dict, score_to_dict
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: Every checkpoint version this module loads (and the fleet resumes).
-SUPPORTED_VERSIONS = (1, 2)
+SUPPORTED_VERSIONS = (1, 2, 3)
 
-#: zlib level of v2 table entries.  Measured on a cold 25-generation
-#: flare save (119 uint8 matrices, 2-core x86): level 1 encodes in
-#: ~55 ms to 0.96 MB, the default level 6 in ~190 ms to 0.84 MB.
+#: zlib level of table entries.  Measured on a cold 25-generation
+#: flare save of whole matrices (format 2, 119 uint8 matrices, 2-core
+#: x86): level 1 encoded in ~55 ms to 0.96 MB, the default level 6 in
+#: ~190 ms to 0.84 MB.
 _ZLIB_LEVEL = 1
 
-#: On-disk byte layout of each v2 ``dtype`` (v1 entries carry no dtype
-#: and are raw int64).
+#: On-disk byte layout of each table ``dtype`` (v1 entries carry no
+#: dtype and are raw int64).
 _WIRE_DTYPES = {"uint8": "<u1", "uint16": "<u2", "int64": "<i8"}
 
 
@@ -83,37 +95,78 @@ def _encode_codes(codes: np.ndarray) -> dict:
     }
 
 
-def _encode_entry(codes: np.ndarray) -> dict:
-    """A v2 table entry: ``codes`` (non-negative) at its natural width."""
-    top = int(codes.max()) if codes.size else 0
-    dtype = "uint8" if top < 1 << 8 else "uint16" if top < 1 << 16 else "int64"
-    raw = np.ascontiguousarray(codes, dtype=_WIRE_DTYPES[dtype]).tobytes()
-    return {
-        "shape": list(codes.shape),
-        "dtype": dtype,
-        "data": base64.b64encode(zlib.compress(raw, _ZLIB_LEVEL)).decode("ascii"),
-    }
+def _narrowest(top: int) -> str:
+    """The narrowest table dtype that holds ``0..top``."""
+    return "uint8" if top < 1 << 8 else "uint16" if top < 1 << 16 else "int64"
+
+
+def _pack(values: np.ndarray, dtype: str) -> str:
+    raw = np.ascontiguousarray(values, dtype=_WIRE_DTYPES[dtype]).tobytes()
+    return base64.b64encode(zlib.compress(raw, _ZLIB_LEVEL)).decode("ascii")
+
+
+def _unpack(data: str, dtype: str) -> np.ndarray:
+    wire = _WIRE_DTYPES.get(dtype)
+    if wire is None:
+        raise ServiceError(f"unsupported checkpoint code dtype: {dtype!r}")
+    return np.frombuffer(zlib.decompress(base64.b64decode(data)), dtype=wire).astype(np.int64)
 
 
 def _decode_codes(payload: dict) -> np.ndarray:
     """Decode a v1 inline or v2 table entry; always ``int64``."""
-    wire = _WIRE_DTYPES.get(payload.get("dtype", "int64"))
-    if wire is None:
-        raise ServiceError(f"unsupported checkpoint code dtype: {payload['dtype']!r}")
-    raw = zlib.decompress(base64.b64decode(payload["data"]))
-    return np.frombuffer(raw, dtype=wire).astype(np.int64).reshape(payload["shape"])
+    return _unpack(payload["data"], payload.get("dtype", "int64")).reshape(payload["shape"])
 
 
-def _digest(codes: np.ndarray) -> bytes:
-    """Short content key of a code matrix (shape included)."""
-    arr = np.ascontiguousarray(codes, dtype=np.int64)
-    digest = hashlib.blake2b(arr, digest_size=16)
-    digest.update(repr(arr.shape).encode("ascii"))
-    return digest.digest()
+def _encode_delta(codes: np.ndarray, original: np.ndarray) -> dict:
+    """A v3 table entry: the cells where ``codes`` differs from ``original``.
+
+    Positions are stored as gaps (each from the previous position, the
+    first from 0): small numbers that fit a narrow width and compress.
+    """
+    if codes.shape != original.shape:
+        raise ServiceError(
+            f"cannot checkpoint a {codes.shape} matrix against a {original.shape} original"
+        )
+    flat = codes.reshape(-1)
+    positions = np.flatnonzero(flat != original.reshape(-1))
+    gaps = np.diff(positions, prepend=0)
+    values = flat[positions]
+    index_dtype = _narrowest(int(gaps.max(initial=0)))
+    dtype = _narrowest(int(values.max(initial=0)))
+    return {
+        "positions": _pack(gaps, index_dtype),
+        "index_dtype": index_dtype,
+        "values": _pack(values, dtype),
+        "dtype": dtype,
+    }
+
+
+def _decode_delta(entry: dict, original: np.ndarray) -> np.ndarray:
+    """The ``int64`` matrix a v3 entry encodes against ``original``."""
+    gaps = _unpack(entry["positions"], entry["index_dtype"])
+    values = _unpack(entry["values"], entry["dtype"])
+    positions = np.cumsum(gaps)
+    if (values.size != positions.size or (gaps[:1] < 0).any() or (gaps[1:] < 1).any()
+            or (positions[-1:] >= original.size).any()):
+        raise ServiceError("malformed checkpoint entry: its positions and values "
+                           "are not distinct cells of the original")
+    codes = original.copy()
+    codes.reshape(-1)[positions] = values
+    return codes
+
+
+def _entry(dataset: CategoricalDataset, original: np.ndarray, digest: str) -> dict:
+    """``dataset``'s v3 entry against the original of ``digest``, encoded once."""
+    cached = dataset.checkpoint_entry
+    if cached is not None and cached[0] == digest:
+        return cached[1]
+    entry = _encode_delta(dataset.codes, original)
+    dataset.checkpoint_entry = (digest, entry)
+    return entry
 
 
 def _individual_to_dict(individual: Individual, codes: int | None = None) -> dict:
-    """One individual: ``codes`` is its v2 table index, or ``None`` to
+    """One individual: ``codes`` is its table index, or ``None`` to
     inline the v1 encoding (the migrant-blob wire form)."""
     return {
         "name": individual.dataset.name,
@@ -138,46 +191,38 @@ def _individual_from_dict(
     )
 
 
-def checkpoint_to_dict(
-    checkpoint: EngineCheckpoint,
-    fingerprint: str = "",
-    memo: dict[bytes, dict] | None = None,
-) -> dict:
-    """JSON-ready (format v2) representation of a full engine checkpoint.
+def checkpoint_to_dict(checkpoint: EngineCheckpoint, fingerprint: str = "") -> dict:
+    """JSON-ready (format v3) representation of a full engine checkpoint.
 
-    ``memo`` maps matrix digests to encoded table entries: pass the same
-    dict to every save of one run and only matrices no earlier save saw
-    are compressed.  It is pruned in place to this save's entries.
+    Every matrix is encoded against ``checkpoint.original``; a dataset
+    that already carries its entry for that original is not encoded
+    again, so the cost of a save is the matrices no save or load of
+    this process has seen.
     """
-    memo = {} if memo is None else memo
+    original = checkpoint.original
+    if original is None:
+        raise ServiceError("checkpoint carries no original to encode its population against")
+    digest = original.digest()
     table: list[dict] = []
-    by_digest: dict[bytes, int] = {}
-    # Individuals often share one dataset object (the initial snapshot
-    # and the survivors of it); identity spares re-hashing those.
-    by_object: dict[int, int] = {}
-
-    def index_of(codes: np.ndarray) -> int:
-        index = by_object.get(id(codes))
-        if index is None:
-            digest = _digest(codes)
-            index = by_digest.get(digest)
-            if index is None:
-                entry = memo.get(digest)
-                if entry is None:
-                    entry = memo[digest] = _encode_entry(codes)
-                index = by_digest[digest] = len(table)
-                table.append(entry)
-            by_object[id(codes)] = index
-        return index
+    # Equal matrices have equal entries, so an entry's fields key the
+    # table (their string hashes are cached once computed).
+    index_of: dict[tuple[str, str, str, str], int] = {}
 
     def encode(individuals: list[Individual]) -> list[dict]:
-        return [
-            _individual_to_dict(ind, index_of(ind.dataset.codes)) for ind in individuals
-        ]
+        items = []
+        for individual in individuals:
+            entry = _entry(individual.dataset, original.codes, digest)
+            key = (entry["index_dtype"], entry["positions"], entry["dtype"], entry["values"])
+            index = index_of.setdefault(key, len(table))
+            if index == len(table):
+                table.append(entry)
+            items.append(_individual_to_dict(individual, index))
+        return items
 
-    payload = {
+    return {
         "version": FORMAT_VERSION,
         "fingerprint": fingerprint,
+        "original": digest,
         "generation": checkpoint.generation,
         "rng_state": checkpoint.rng_state,
         "initial": encode(checkpoint.initial),
@@ -185,25 +230,22 @@ def checkpoint_to_dict(
         "records": [r.to_dict() for r in checkpoint.records],
         "codes": table,
     }
-    for digest in memo.keys() - by_digest.keys():
-        del memo[digest]
-    return payload
 
 
 def checkpoint_from_dict(
     payload: dict,
     reference: CategoricalDataset,
     expected_fingerprint: str = "",
-    memo: dict[bytes, dict] | None = None,
 ) -> EngineCheckpoint:
     """Rebuild an :class:`EngineCheckpoint` from :func:`checkpoint_to_dict`.
 
-    Loads every version in :data:`SUPPORTED_VERSIONS`.  ``reference``
-    supplies the schema the protected files are decoded against (any
-    dataset schema-compatible with the run's original).  When
-    ``expected_fingerprint`` is given and the checkpoint carries a
-    fingerprint, the two must match.  A ``memo`` is seeded with the
-    loaded v2 table, so the resumed run's first save starts warm.
+    Loads every version in :data:`SUPPORTED_VERSIONS`.  ``reference`` is
+    the run's original: a v3 checkpoint is decoded against it (and
+    refused when it was written against another); v1 and v2 only take
+    its schema.  When ``expected_fingerprint`` is given and the
+    checkpoint carries a fingerprint, the two must match.  The datasets
+    a v3 load rebuilds keep their table entries, so the resumed run's
+    saves do not encode them again.
     """
     version = payload.get("version")
     if version not in SUPPORTED_VERSIONS:
@@ -215,9 +257,16 @@ def checkpoint_from_dict(
             "refusing to resume (scores would not be comparable)"
         )
     entries = payload.get("codes", [])  # format 1 has no table
-    matrices = [_decode_codes(entry) for entry in entries]
-    if memo is not None:
-        memo.update((_digest(m), entry) for m, entry in zip(matrices, entries))
+    if version == 3:
+        digest = reference.digest()
+        if payload.get("original") != digest:
+            raise ServiceError(
+                "checkpoint was written against a different original dataset; "
+                "refusing to decode it"
+            )
+        matrices = [_decode_delta(entry, reference.codes) for entry in entries]
+    else:
+        matrices = [_decode_codes(entry) for entry in entries]
     # Individuals that shared a matrix (and name) when saved share one
     # immutable dataset again, as they did in the live run.
     shared: dict[tuple[int, str], CategoricalDataset] = {}
@@ -227,7 +276,9 @@ def checkpoint_from_dict(
             return None  # inline codes, decoded per individual
         key = (item["codes"], item["name"])
         if key not in shared:
-            shared[key] = reference.with_codes(matrices[key[0]], name=key[1])
+            rebuilt = shared[key] = reference.with_codes(matrices[key[0]], name=key[1])
+            if version == 3:
+                rebuilt.checkpoint_entry = (digest, entries[key[0]])
         return shared[key]
 
     return EngineCheckpoint(
@@ -240,6 +291,7 @@ def checkpoint_from_dict(
         ],
         records=[GenerationRecord.from_dict(r) for r in payload["records"]],
         rng_state=payload["rng_state"],
+        original=reference,
     )
 
 
@@ -254,10 +306,7 @@ class CheckpointManager:
     """One job's checkpoint in a job store: encoded saves, verified loads.
 
     Install :meth:`save` as the engine's ``on_checkpoint`` callback (the
-    job runner does this for every job it runs with a store).  One
-    manager serves one run: its encoding memo carries the
-    already-compressed matrices from save to save (and from a
-    :meth:`load` into the next save).
+    job runner does this for every job it runs with a store).
 
     ``owner`` is the caller's claim owner: the store refuses a save once
     the claim has moved to another worker, so a worker that lost its
@@ -269,13 +318,12 @@ class CheckpointManager:
     """
 
     def __init__(self, store, job_id: str, fingerprint: str = "",
-                 owner: str | None = None, memo: dict[bytes, dict] | None = None) -> None:
+                 owner: str | None = None) -> None:
         self.store = store
         self.job_id = job_id
         self.fingerprint = fingerprint
         self.owner = owner
         self.saves = 0
-        self._memo: dict[bytes, dict] = {} if memo is None else memo
 
     @property
     def path(self) -> str:
@@ -288,7 +336,7 @@ class CheckpointManager:
         and write it to the store; True when it landed."""
         started = time.perf_counter()
         with trace.span("repro.checkpoint.save", generation=checkpoint.generation):
-            payload = checkpoint_to_dict(checkpoint, self.fingerprint, memo=self._memo)
+            payload = checkpoint_to_dict(checkpoint, self.fingerprint)
             payload.update(extra)
             try:
                 self.store.put_checkpoint(self.job_id, payload, owner=self.owner)
@@ -305,7 +353,7 @@ class CheckpointManager:
 
     def load(self, reference: CategoricalDataset, required: bool = True,
              payload: dict | None = None) -> EngineCheckpoint | None:
-        """Read the checkpoint back, decoding against ``reference``'s schema.
+        """Read the checkpoint back, decoding against the run's original ``reference``.
 
         With ``required=False`` a missing blob, or one this run cannot
         resume (see :func:`is_resumable`), reads as ``None`` instead of
@@ -318,7 +366,7 @@ class CheckpointManager:
             return None
         if payload is None:
             raise ServiceError(f"no checkpoint for {self.job_id} in {self.path}")
-        return checkpoint_from_dict(payload, reference, self.fingerprint, memo=self._memo)
+        return checkpoint_from_dict(payload, reference, self.fingerprint)
 
     def __repr__(self) -> str:
         return f"CheckpointManager({self.path!r}, saves={self.saves})"

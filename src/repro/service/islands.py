@@ -476,16 +476,14 @@ def _failed_senders(store, sender_ids: list[str]) -> list[str]:
 
 def _persist_island_checkpoint(
     store, job: ProtectionJob, checkpoint: EngineCheckpoint, state: dict,
-    memo: dict[bytes, dict], owner: str | None = None,
+    owner: str | None = None,
 ) -> None:
     """Durably save a segment checkpoint (plus island state) to the store.
 
-    ``memo`` is the executor's encoding memo (see
-    :func:`~repro.service.checkpoint.checkpoint_to_dict`); ``owner`` the
-    claim owner the save is gated on.
+    ``owner`` is the claim owner the save is gated on.
     """
-    CheckpointManager(store, job.job_id, job.checkpoint_fingerprint(), owner=owner,
-                      memo=memo).save(checkpoint, island_state=_state_payload(state))
+    manager = CheckpointManager(store, job.job_id, job.checkpoint_fingerprint(), owner=owner)
+    manager.save(checkpoint, island_state=_state_payload(state))
 
 
 def _degrade(job: ProtectionJob, state: dict, reason: str,
@@ -616,14 +614,11 @@ def _execute_member_job(job: ProtectionJob, payload: dict) -> JobResult:
         for s in sorted(island_topology(job.topology, job.islands)[job.island_index])
     ]
     state = _fresh_state()
-    # One encoding memo for every save of this claim: each save only
-    # compresses the code matrices no earlier save (or the resumed
-    # checkpoint) already encoded.  Saves are gated on our claim.
-    memo: dict[bytes, dict] = {}
+    # Saves are gated on our claim.
     owner = payload.get("owner")
 
     def persist(checkpoint: EngineCheckpoint) -> None:
-        _persist_island_checkpoint(store, job, checkpoint, state, memo, owner)
+        _persist_island_checkpoint(store, job, checkpoint, state, owner)
 
     def exchange(population, generation, capture) -> None:
         if not _exchange_due(job, generation):
@@ -652,7 +647,7 @@ def _execute_member_job(job: ProtectionJob, payload: dict) -> JobResult:
         checkpoint = None
         if resumable:
             checkpoint = checkpoint_from_dict(
-                blob, original, expected_fingerprint=fingerprint, memo=memo)
+                blob, original, expected_fingerprint=fingerprint)
             state.update(_state_payload(blob.get("island_state") or {}))
             round_index = state["pending_round"]
             if round_index and not state["degraded"]:
@@ -762,8 +757,6 @@ class _Member:
         self.engine = engine
         self.run: RunState | None = None
         self.island = _fresh_state()
-        # The member's checkpoint encoding memo, as in the per-member path.
-        self.memo: dict[bytes, dict] = {}
         # This member's share of the shared evaluator's stats: each
         # distinct candidate is charged to the lowest-index member that
         # submitted it, so the members' counts sum to the evaluator's.
@@ -870,8 +863,7 @@ def _start_members(members: list[_Member], payloads: list[dict], config, evaluat
             with trace.entered(member.scope):
                 checkpoint = checkpoint_from_dict(
                     blob, evaluator.original,
-                    expected_fingerprint=member.job.checkpoint_fingerprint(),
-                    memo=member.memo)
+                    expected_fingerprint=member.job.checkpoint_fingerprint())
             member.island.update(_state_payload(blob.get("island_state") or {}))
             member.run = member.engine.restore(checkpoint)
         return []
@@ -952,7 +944,7 @@ def _exchange_members(members: list[_Member], store, owner: str | None, referenc
                 _inject(member.job, member.island, round_index, received,
                         list(member.run.population), member.run.population.replace, 0.0)
                 _persist_island_checkpoint(store, member.job, member.engine.capture(member.run),
-                                           member.island, member.memo, owner)
+                                           member.island, owner)
 
 
 # -- the merge executor -------------------------------------------------------

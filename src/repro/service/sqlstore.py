@@ -550,6 +550,9 @@ class SqliteJobStore:
         """Store a checkpoint blob in the table (claim-gated with ``owner``)."""
         if not isinstance(payload, dict):
             raise ServiceError("checkpoint payload must be a JSON object")
+        # Encode before taking the write lock: claims, heartbeats and
+        # other savers never wait out a payload's serialization.
+        blob = json.dumps(payload)
         with self._lock, self._tx():
             if owner is not None:
                 row = self._conn.execute(
@@ -563,7 +566,7 @@ class SqliteJobStore:
             self._conn.execute(
                 "INSERT OR REPLACE INTO checkpoints (job_id, payload, updated_at) "
                 "VALUES (?, ?, ?)",
-                (job_id, json.dumps(payload), time.time()),
+                (job_id, blob, time.time()),
             )
 
     # -- lifecycle -----------------------------------------------------------

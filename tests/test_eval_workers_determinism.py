@@ -14,6 +14,7 @@ import pytest
 
 from repro.core import EvolutionaryProtector
 from repro.metrics import ProtectionEvaluator
+from repro.metrics.evaluation import chunk_plan
 from repro.service.backends import create_backend
 from repro.service.job import ProtectionJob
 from repro.service.runner import JobRunner
@@ -57,6 +58,14 @@ def run_signature(result):
 
 
 class TestEvalWorkersDeterminism:
+    @pytest.fixture(autouse=True)
+    def fan_out_every_batch(self, monkeypatch):
+        # These runs' batches are smaller than a chunk's minimum; split
+        # them anyway, so the pooled path is the one compared.
+        from repro.metrics import evaluation
+
+        monkeypatch.setattr(evaluation, "MIN_CHUNK", 1)
+
     def test_thread_workers_bit_identical(self, population):
         adult, protections = population
         serial = run_signature(run_with_executor(adult, protections, None))
@@ -160,3 +169,50 @@ class TestJobLevelWiring:
             JobRunner(eval_workers=-1)
         with pytest.raises(ServiceError):
             JobRunner(eval_backend="serial")
+
+
+class TestChunkPlan:
+    """A batch is split only into chunks of at least ``MIN_CHUNK`` (8) candidates."""
+
+    @pytest.mark.parametrize(("size", "workers", "plan"), [
+        (0, 4, []),
+        (1, 4, [(0, 1)]),
+        (7, 4, [(0, 7)]),
+        (15, 4, [(0, 15)]),
+        (16, 4, [(0, 8), (8, 16)]),
+        (17, 4, [(0, 9), (9, 17)]),
+        (40, 4, [(0, 10), (10, 20), (20, 30), (30, 40)]),
+        (40, 2, [(0, 20), (20, 40)]),
+        (100, 1, [(0, 100)]),
+    ])
+    def test_plan(self, size, workers, plan):
+        assert chunk_plan(size, workers) == plan
+
+    def test_one_chunk_scores_in_process_and_more_fan_out(self, small_adult):
+        from repro.methods import Pram
+
+        candidates = [Pram(theta=0.05 * (1 + i % 5)).protect(small_adult, ATTRS, seed=i)
+                      for i in range(16)]
+        serial = ProtectionEvaluator(small_adult, ATTRS).evaluate_many(candidates)
+
+        class Recording:
+            max_workers = 4
+
+            def __init__(self) -> None:
+                self.chunks: list[int] = []
+
+            def map(self, fn, payloads):
+                self.chunks += [len(payload[-1]) for payload in payloads]
+                return [fn(payload) for payload in payloads]
+
+        executor = Recording()
+        evaluator = ProtectionEvaluator(small_adult, ATTRS, executor=executor)
+        assert evaluator.evaluate_many(candidates[:7]) == serial[:7]
+        assert executor.chunks == []
+        assert evaluator.evaluate_many(candidates[7:] + candidates[:7]) == (
+            serial[7:] + serial[:7])
+        # The 7 already scored are memo hits; the 9 fresh make one chunk.
+        assert executor.chunks == []
+        fresh = ProtectionEvaluator(small_adult, ATTRS, executor=executor)
+        assert fresh.evaluate_many(candidates) == serial
+        assert executor.chunks == [8, 8]

@@ -6,8 +6,10 @@ parking at exchange rounds), so they pin lockstep == the per-member
 protocol, byte for byte:
 
 * per member: its final scores, its history minus the timing fields,
-  its ``.migrants`` blob, and its last exchange checkpoint with the
-  timing fields zeroed;
+  its ``.migrants`` blob, and its last exchange checkpoint as decoded
+  (each individual's int64 codes, name, origin, birth generation and
+  score, the RNG state, the untimed records and the island state), so
+  the pin holds across checkpoint formats;
 * per group: the merge job's Pareto front;
 * per solo engine run: every generation's record (minus timing) and the
   RNG state right after it.
@@ -29,6 +31,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -36,8 +39,15 @@ from repro.core import EvolutionaryProtector
 from repro.datasets import load_dataset, protected_attributes
 from repro.experiments.population_builder import build_initial_population
 from repro.metrics import ProtectionEvaluator
-from repro.service import ProtectionJob, SqliteJobStore, Worker, plan_island_jobs
+from repro.service import (
+    ProtectionJob,
+    SqliteJobStore,
+    Worker,
+    checkpoint_from_dict,
+    plan_island_jobs,
+)
 from repro.obs import trace
+from repro.service.cache import score_to_dict
 from repro.service.islands import migrants_blob_id
 
 GOLDENS = Path(__file__).parent / "data" / "island_goldens.json"
@@ -77,22 +87,38 @@ def _group_jobs(shape: dict) -> list[ProtectionJob]:
                             migrants=shape["migrants"], topology="ring")
 
 
+def checkpoint_digest(store, job: ProtectionJob) -> str:
+    """Digest of a member's checkpoint as decoded, whatever its format."""
+    blob = store.get_checkpoint(job.job_id)
+    checkpoint = checkpoint_from_dict(blob, load_dataset(job.dataset))
+
+    def individuals(items) -> list:
+        return [[hashlib.sha256(np.ascontiguousarray(item.dataset.codes, dtype=np.int64)
+                                .tobytes()).hexdigest(),
+                 item.dataset.name, item.origin, item.birth_generation,
+                 score_to_dict(item.evaluation)] for item in items]
+
+    return _digest({
+        "generation": checkpoint.generation,
+        "initial": individuals(checkpoint.initial),
+        "individuals": individuals(checkpoint.individuals),
+        "rng_state": checkpoint.rng_state,
+        "records": _untimed([record.to_dict() for record in checkpoint.records]),
+        "island_state": blob.get("island_state"),
+    })
+
+
 def group_digests(store, jobs: list[ProtectionJob]) -> dict:
     """The golden surface of a finished island group, as SHA-256 digests."""
     digests: dict[str, object] = {}
     for job in jobs[:-1]:
         record = store.get(job.job_id)
         assert record.status == "completed", f"{job.job_id}: {record.status} {record.error}"
-        checkpoint = dict(store.get_checkpoint(job.job_id))
-        checkpoint["records"] = [
-            {**item, **{key: 0.0 for key in _TIMING_FIELDS}}
-            for item in checkpoint["records"]
-        ]
         digests[f"member-{job.island_index}"] = {
             "final_scores": _digest(list(record.result.final_scores)),
             "history": _digest(_untimed(record.result.extras["history"])),
             "migrants": _digest(store.get_checkpoint(migrants_blob_id(job.job_id))),
-            "checkpoint": _digest(checkpoint),
+            "checkpoint": checkpoint_digest(store, job),
         }
     merge = store.get(jobs[-1].job_id)
     assert merge.status == "completed", f"merge: {merge.status} {merge.error}"

@@ -29,6 +29,7 @@ from repro.service import (
     migrants_blob_id,
     store_from_spec,
 )
+from repro.service.checkpoint import FORMAT_VERSION
 from repro.service.store import LegacyFileStore
 
 JOB = ProtectionJob(dataset="adult", generations=4, seed=7)
@@ -61,9 +62,9 @@ def _write(path: Path, payload: dict) -> None:
 
 
 def _legacy_state(root: Path, midway) -> dict[str, str]:
-    """Write a legacy directory: a record in every status, a format-2
-    engine checkpoint for the interrupted one, a trace blob and a
-    migrant buffer.  Returns ``{role: job_id}``."""
+    """Write a legacy directory: a record in every status, an engine
+    checkpoint (in today's format) for the interrupted one, a trace blob
+    and a migrant buffer.  Returns ``{role: job_id}``."""
     queued, completed, failed = (JOB.with_seed(seed) for seed in (8, 9, 10))
     records = [
         JobRecord(job=JOB, status="running", submitted_at=1.0, started_at=2.0,
@@ -78,7 +79,7 @@ def _legacy_state(root: Path, midway) -> dict[str, str]:
         _write(root / "jobs" / f"{record.job_id}.json", record.to_dict())
     # Stamped as this kernel stamps checkpoints, so the import resumes.
     checkpoint = checkpoint_to_dict(midway, JOB.checkpoint_fingerprint())
-    assert checkpoint["version"] == 2
+    assert checkpoint["version"] == FORMAT_VERSION
     _write(root / "checkpoints" / f"{JOB.job_id}.json", checkpoint)
     _write(root / "checkpoints" / f"{trace_blob_id(completed.job_id)}.json", {
         "version": TRACE_BLOB_VERSION, "trace_id": "0123abcd",

@@ -314,7 +314,7 @@ class TestCheckpointTelemetry:
 
         store = SqliteJobStore(tmp_path / "state" / "jobs.sqlite")
         job = ProtectionJob(dataset="flare", generations=2, seed=5)
-        _persist_island_checkpoint(store, job, checkpoint, _fresh_state(), {})
+        _persist_island_checkpoint(store, job, checkpoint, _fresh_state())
         stored = store.get_checkpoint(job.job_id)
         assert stored["island_state"] == _fresh_state()
         assert histogram_count("repro_checkpoint_seconds") == 1

@@ -1,9 +1,20 @@
-"""Checkpoint/resume: bit-identical continuation of an interrupted run."""
+"""Checkpoint/resume: bit-identical continuation of an interrupted run.
+
+``tests/data/checkpoint_v2.json`` holds format-2 checkpoints written by
+the format-2 writer before format 3 replaced it: ``"tiny"`` is the
+generation-10 checkpoint of :func:`_capture` (stamped with the
+evaluator's ``config_fingerprint()``), and ``"wide"`` maps a category
+count to a two-individual checkpoint of :func:`_wide_dataset` (the
+original, then its rows reversed), one per stored width.
+"""
 
 from __future__ import annotations
 
+import hashlib
 import json
+import pickle
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +24,9 @@ from repro.core import EngineCheckpoint, EvolutionaryProtector, GenerationRecord
 from repro.core.individual import Individual
 from repro.core.operators import mutate
 from repro.data import CategoricalDataset, CategoricalDomain, DatasetSchema
+from repro.datasets import load_dataset
 from repro.exceptions import EvolutionError, ServiceError
+from repro.experiments.population_builder import build_initial_population
 from repro.experiments.runner import run_experiment
 from repro.metrics import ProtectionEvaluator, ProtectionScore
 from repro.service import (
@@ -40,6 +53,13 @@ V2_RECORD_KEYS = [
 TOTAL_GENERATIONS = 24
 INTERRUPT_AT = 10
 CHECKPOINT_EVERY = 5
+
+V2_FIXTURES = Path(__file__).parent / "data" / "checkpoint_v2.json"
+
+
+@pytest.fixture(scope="module")
+def v2_fixtures() -> dict:
+    return json.loads(V2_FIXTURES.read_text(encoding="utf-8"))
 
 
 @pytest.fixture()
@@ -137,14 +157,14 @@ class TestCheckpointResumeEquivalence:
         assert _population_signature(resumed) == _population_signature(straight)
         assert resumed.best.score == straight.best.score
 
-    def test_resume_after_warm_v2_saves(self, evaluator, protections, tiny_dataset, tmp_path):
-        # Every checkpoint goes through one manager, so later saves are
-        # served from its memo; the last one must still resume exactly.
+    def test_resume_after_warm_saves(self, evaluator, protections, tiny_dataset, tmp_path):
+        # Later saves reuse the entries cached on the datasets by earlier
+        # ones; the last save must still resume exactly.
         manager = _manager(tmp_path)
         for checkpoint in _capture(evaluator, protections, every=2):
             assert manager.save(checkpoint)
         payload = manager.store.get_checkpoint(manager.job_id)
-        assert payload["version"] == FORMAT_VERSION == 2
+        assert payload["version"] == FORMAT_VERSION == 3
         _resume_matches_straight(evaluator, protections, manager.load(tiny_dataset))
 
     def test_resume_from_v1_file(self, evaluator, protections, tiny_dataset, tmp_path):
@@ -155,6 +175,18 @@ class TestCheckpointResumeEquivalence:
         path.parent.mkdir()
         path.write_text(json.dumps(_v1_payload(_capture(evaluator, protections)[-1])))
         restored = manager.load(tiny_dataset)
+        _resume_matches_straight(evaluator, protections, restored)
+
+    def test_resume_from_v2_fixture(self, evaluator, protections, tiny_dataset, tmp_path,
+                                    v2_fixtures):
+        # A format-2 checkpoint the format-2 writer saved, read back
+        # from the store and resumed: the same bits as never stopping.
+        payload = v2_fixtures["tiny"]
+        assert payload["version"] == 2
+        manager = _manager(tmp_path, fingerprint=evaluator.config_fingerprint())
+        manager.store.put_checkpoint(manager.job_id, payload)
+        restored = manager.load(tiny_dataset)
+        assert restored.generation == INTERRUPT_AT
         _resume_matches_straight(evaluator, protections, restored)
 
     def test_checkpoint_cadence(self, evaluator, protections):
@@ -259,15 +291,130 @@ class TestRecordEncoding:
     def test_keys_are_the_v2_checkpoint_record_keys(self, evaluator, protections):
         checkpoint = _capture(evaluator, protections)[-1]
         payload = checkpoint_to_dict(checkpoint)
-        assert payload["version"] == 2
+        assert payload["version"] == FORMAT_VERSION
         for stored, record in zip(payload["records"], checkpoint.records, strict=True):
             assert list(record.to_dict()) == V2_RECORD_KEYS
             assert list(stored) == V2_RECORD_KEYS
 
 
 class TestFormatV2:
+    """Format 2 is loaded, no longer written: these read the fixtures."""
+
+    @pytest.mark.parametrize(
+        ("categories", "dtype"), [(9, "uint8"), (300, "uint16"), (70_000, "int64")]
+    )
+    def test_natural_width_round_trip(self, v2_fixtures, categories, dtype):
+        original = _wide_dataset(categories)
+        payload = v2_fixtures["wide"][str(categories)]
+        assert {entry["dtype"] for entry in payload["codes"]} == {dtype}
+        back = checkpoint_from_dict(payload, original)
+        expected = [original.codes, original.codes[::-1]]
+        for restored, codes, name in zip(back.initial + back.individuals, expected,
+                                         ["wide", "swapped"], strict=True):
+            assert restored.dataset.codes.dtype == np.int64
+            assert np.array_equal(restored.dataset.codes, codes)
+            assert restored.dataset.name == name
+
+    def test_table_holds_one_entry_per_distinct_matrix(self, v2_fixtures, tiny_dataset):
+        payload = v2_fixtures["tiny"]
+        back = checkpoint_from_dict(payload, tiny_dataset)
+        everyone = back.initial + back.individuals
+        assert len(payload["codes"]) == len({ind.dataset.fingerprint() for ind in everyone})
+
+    def test_shared_matrices_decode_to_shared_datasets(self, v2_fixtures, tiny_dataset):
+        payload = v2_fixtures["tiny"]
+        back = checkpoint_from_dict(payload, tiny_dataset)
+        restored = {id(ind.dataset) for ind in back.initial + back.individuals}
+        distinct = {
+            (item["codes"], item["name"])
+            for item in payload["initial"] + payload["individuals"]
+        }
+        assert len(restored) == len(distinct) < len(back.initial + back.individuals)
+
+    def test_unknown_dtype_refused(self, v2_fixtures, tiny_dataset):
+        payload = json.loads(json.dumps(v2_fixtures["tiny"]))
+        payload["codes"][0]["dtype"] = "float32"
+        with pytest.raises(ServiceError, match="dtype"):
+            checkpoint_from_dict(payload, tiny_dataset)
+
+    def test_v2_load_leaves_datasets_unencoded(self, v2_fixtures, tiny_dataset):
+        back = checkpoint_from_dict(v2_fixtures["tiny"], tiny_dataset)
+        assert all(ind.dataset.checkpoint_entry is None
+                   for ind in back.initial + back.individuals)
+        # Re-saved, it becomes a v3 checkpoint that decodes to the same files.
+        again = checkpoint_from_dict(json.loads(json.dumps(checkpoint_to_dict(back))),
+                                     tiny_dataset)
+        assert [ind.dataset.fingerprint() for ind in again.individuals] == [
+            ind.dataset.fingerprint() for ind in back.individuals
+        ]
+
+
+@pytest.fixture()
+def compressions(monkeypatch):
+    """Counts ``zlib.compress`` calls made by checkpoint encoding."""
+    calls: list[int] = []
+    real = zlib.compress
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(checkpoint_module.zlib, "compress", counting)
+    return calls
+
+
+@pytest.fixture()
+def hashes(monkeypatch):
+    """Counts full-matrix hashes: ``blake2b`` / ``sha256`` calls and ``tobytes`` keys."""
+    calls: list[str] = []
+    for name in ("blake2b", "sha256"):
+        real = getattr(hashlib, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(hashlib, name, counting)
+    real_fingerprint = CategoricalDataset.fingerprint
+
+    def fingerprint(self):
+        calls.append("fingerprint")
+        return real_fingerprint(self)
+
+    monkeypatch.setattr(CategoricalDataset, "fingerprint", fingerprint)
+    return calls
+
+
+def _fresh_copy(dataset: CategoricalDataset) -> CategoricalDataset:
+    """An equal dataset object that shares no cache with ``dataset``."""
+    return CategoricalDataset(dataset.codes, dataset.schema, name=dataset.name)
+
+
+class TestFormatV3:
     def _checkpoint(self, evaluator, protections):
         return _capture(evaluator, protections, stopping=6, every=3)[-1]
+
+    @pytest.mark.parametrize("name", ["adult", "flare", "german", "housing"])
+    def test_seed0_population_round_trip(self, name):
+        original = load_dataset(name)
+        population = build_initial_population(original, dataset_name=name, seed=0)
+        scored = [_scored(dataset, float(i)) for i, dataset in enumerate(population)]
+        checkpoint = EngineCheckpoint(generation=0, initial=scored, individuals=scored[::-1],
+                                      records=[], rng_state={}, original=original)
+        payload = json.loads(json.dumps(checkpoint_to_dict(checkpoint)))
+        assert payload["version"] == 3
+        assert payload["original"] == original.digest()
+        # Paper codes fit a byte; the gaps between changed cells mostly
+        # do too, and never need more than two.
+        assert {e["dtype"] for e in payload["codes"]} == {"uint8"}
+        assert {e["index_dtype"] for e in payload["codes"]} <= {"uint8", "uint16"}
+        back = checkpoint_from_dict(payload, _fresh_copy(original))
+        for restored, saved in zip(back.initial + back.individuals,
+                                   checkpoint.initial + checkpoint.individuals, strict=True):
+            assert restored.dataset.codes.dtype == np.int64
+            assert np.array_equal(restored.dataset.codes, saved.dataset.codes)
+            assert restored.dataset.name == saved.dataset.name
+            assert restored.evaluation == saved.evaluation
 
     @pytest.mark.parametrize(
         ("categories", "dtype"), [(9, "uint8"), (300, "uint16"), (70_000, "int64")]
@@ -281,9 +428,13 @@ class TestFormatV2:
             individuals=[_scored(swapped, 0.5)],
             records=[],
             rng_state={},
+            original=original,
         )
         payload = json.loads(json.dumps(checkpoint_to_dict(checkpoint)))
-        assert {entry["dtype"] for entry in payload["codes"]} == {dtype}
+        # The original's own entry is empty (narrowest width); the
+        # swapped file's values reach the top code.
+        assert [entry["dtype"] for entry in payload["codes"]] == ["uint8", dtype]
+        assert {entry["index_dtype"] for entry in payload["codes"]} == {"uint8"}
         back = checkpoint_from_dict(payload, original)
         for restored, saved in zip(back.initial + back.individuals,
                                    checkpoint.initial + checkpoint.individuals):
@@ -291,9 +442,39 @@ class TestFormatV2:
             assert restored.dataset.fingerprint() == saved.dataset.fingerprint()
             assert restored.dataset.name == saved.dataset.name
 
+    def test_entries_hold_only_the_changed_cells(self, tiny_dataset):
+        codes = tiny_dataset.codes_copy()
+        codes[3, 1] = (codes[3, 1] + 1) % 4
+        codes[7, 2] = 1 - codes[7, 2]
+        masked = tiny_dataset.with_codes(codes, name="masked")
+        entry = checkpoint_module._encode_delta(masked.codes, tiny_dataset.codes)
+        # Flat cells 10 and 23, stored as gaps.
+        assert checkpoint_module._unpack(entry["positions"], entry["index_dtype"]).tolist() == [
+            3 * 3 + 1, (7 * 3 + 2) - (3 * 3 + 1)]
+        assert checkpoint_module._unpack(entry["values"], entry["dtype"]).tolist() == [
+            codes[3, 1], codes[7, 2]]
+
+    @pytest.mark.parametrize(("gaps", "values"), [
+        ([3, 4], [1]),          # fewer values than positions
+        ([3, 0], [1, 1]),       # a cell listed twice
+        ([-1], [1]),            # before the first cell
+        ([36], [1]),            # past the last cell (12 x 3)
+    ])
+    def test_malformed_entry_refused(self, tiny_dataset, gaps, values):
+        entry = {"positions": checkpoint_module._pack(np.array(gaps), "int64"),
+                 "index_dtype": "int64",
+                 "values": checkpoint_module._pack(np.array(values), "int64"),
+                 "dtype": "int64"}
+        with pytest.raises(ServiceError, match="malformed"):
+            checkpoint_module._decode_delta(entry, tiny_dataset.codes)
+
     def test_table_holds_one_entry_per_distinct_matrix(self, evaluator, protections):
         checkpoint = self._checkpoint(evaluator, protections)
         everyone = checkpoint.initial + checkpoint.individuals
+        # A copy of a member under another name is the same matrix.
+        twin = _scored(everyone[0].dataset.renamed("twin"), 0.0)
+        checkpoint.individuals.append(twin)
+        everyone.append(twin)
         payload = checkpoint_to_dict(checkpoint)
         distinct = {ind.dataset.fingerprint() for ind in everyone}
         assert len(payload["codes"]) == len(distinct) < len(everyone)
@@ -302,71 +483,70 @@ class TestFormatV2:
         for ind, item in zip(everyone, payload["initial"] + payload["individuals"]):
             assert index_of.setdefault(ind.dataset.fingerprint(), item["codes"]) == item["codes"]
 
-    @pytest.fixture()
-    def compressions(self, monkeypatch):
-        """Counts ``zlib.compress`` calls made by checkpoint encoding."""
-        calls: list[int] = []
-        real = zlib.compress
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(checkpoint_module.zlib, "compress", counting)
-        return calls
-
-    def test_unchanged_save_compresses_nothing(self, evaluator, protections,
-                                               tmp_path, compressions):
+    def test_warm_save_neither_compresses_nor_hashes(self, evaluator, protections, tmp_path,
+                                                     compressions, hashes):
         checkpoint = self._checkpoint(evaluator, protections)
         manager = _manager(tmp_path)
         manager.save(checkpoint)
-        assert len(compressions) == len(checkpoint_to_dict(checkpoint)["codes"])
+        # Cold: two compressions (positions, values) per dataset object.
+        everyone = checkpoint.initial + checkpoint.individuals
+        assert len(compressions) == 2 * len({id(ind.dataset) for ind in everyone})
         compressions.clear()
+        hashes.clear()
         manager.save(checkpoint)
         assert compressions == []
+        assert hashes == []
 
-    def test_memo_pruned_to_last_save(self, evaluator, protections):
-        checkpoints = _capture(evaluator, protections, stopping=12, every=3)
-        memo: dict = {}
-        for checkpoint in checkpoints:
-            payload = checkpoint_to_dict(checkpoint, memo=memo)
-            assert len(memo) == len(payload["codes"])
-            assert {id(entry) for entry in memo.values()} == {
-                id(entry) for entry in payload["codes"]
-            }
-        # A population that shrank to one matrix shrinks the memo with it.
-        lone = checkpoints[-1].individuals[0]
-        checkpoint_to_dict(
-            EngineCheckpoint(generation=99, initial=[lone], individuals=[lone],
-                             records=[], rng_state={}),
-            memo=memo,
-        )
-        assert len(memo) == 1
-
-    def test_load_seeds_the_memo(self, evaluator, protections, tiny_dataset,
-                                 tmp_path, compressions):
+    def test_resumed_first_save_compresses_nothing_it_loaded(
+            self, evaluator, protections, tiny_dataset, tmp_path, compressions):
         _manager(tmp_path).save(self._checkpoint(evaluator, protections))
-        compressions.clear()
+        # A new process loads the original afresh: an equal object with
+        # no cached digest, and datasets with no cached entries.
         resumed = _manager(tmp_path)
-        resumed.save(resumed.load(tiny_dataset))
+        restored = resumed.load(_fresh_copy(tiny_dataset))
+        compressions.clear()
+        assert resumed.save(restored)
         assert compressions == []
+        # The resumed run's next save encodes only the files it made.
+        captured: list[EngineCheckpoint] = []
+        EvolutionaryProtector(
+            ProtectionEvaluator(_fresh_copy(tiny_dataset), tiny_dataset.attribute_names),
+            seed=5,
+        ).resume(restored, stopping=restored.generation + 2, checkpoint_every=2,
+                 on_checkpoint=captured.append)
+        loaded = {id(ind.dataset) for ind in restored.initial + restored.individuals}
+        made = {id(ind.dataset) for ind in captured[-1].individuals} - loaded
+        assert resumed.save(captured[-1])
+        assert len(compressions) == 2 * len(made)
 
-    def test_shared_matrices_decode_to_shared_datasets(self, evaluator, protections,
-                                                       tiny_dataset):
+    def test_load_under_a_different_original_refused(self, evaluator, protections,
+                                                     tiny_dataset, tmp_path):
+        manager = _manager(tmp_path)
+        manager.save(self._checkpoint(evaluator, protections))
+        codes = tiny_dataset.codes_copy()
+        codes[0, 0] = (codes[0, 0] + 1) % 3
+        other = tiny_dataset.with_codes(codes)
+        with pytest.raises(ServiceError, match="different original"):
+            manager.load(other)
+
+    def test_checkpoint_without_an_original_refused(self, tiny_dataset):
+        lone = _scored(tiny_dataset, 1.0)
+        with pytest.raises(ServiceError, match="no original"):
+            checkpoint_to_dict(EngineCheckpoint(generation=0, initial=[lone],
+                                                individuals=[lone], records=[],
+                                                rng_state={}))
+
+    def test_pickled_dataset_carries_no_entry(self, evaluator, protections):
         checkpoint = self._checkpoint(evaluator, protections)
-        back = checkpoint_from_dict(checkpoint_to_dict(checkpoint), tiny_dataset)
-        restored = {id(ind.dataset) for ind in back.initial + back.individuals}
-        distinct = {
-            (ind.dataset.fingerprint(), ind.dataset.name)
-            for ind in checkpoint.initial + checkpoint.individuals
-        }
-        assert len(restored) == len(distinct)
-
-    def test_unknown_dtype_refused(self, evaluator, protections, tiny_dataset):
-        payload = checkpoint_to_dict(self._checkpoint(evaluator, protections))
-        payload["codes"][0]["dtype"] = "float32"
-        with pytest.raises(ServiceError, match="dtype"):
-            checkpoint_from_dict(payload, tiny_dataset)
+        payload = checkpoint_to_dict(checkpoint)
+        dataset = checkpoint.individuals[0].dataset
+        assert dataset.checkpoint_entry is not None
+        blob = pickle.dumps(dataset)
+        assert payload["codes"][payload["individuals"][0]["codes"]]["values"].encode() not in blob
+        copy = pickle.loads(blob)
+        assert copy.checkpoint_entry is None
+        assert np.array_equal(copy.codes, dataset.codes) and copy.name == dataset.name
+        assert copy.digest() == dataset.digest()
 
 
 class TestResumability:

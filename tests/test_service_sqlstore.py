@@ -178,6 +178,49 @@ class TestCheckpointBlobsInDatabase:
         assert after == before
         assert store.get_checkpoint("job-z") == {"generation": 2}
 
+    def test_checkpoint_is_serialized_outside_the_write_transaction(self, store,
+                                                                   monkeypatch):
+        from repro.service import sqlstore
+
+        during: list[bool] = []
+        dumps = sqlstore.json.dumps
+
+        def recording(payload, *args, **kwargs):
+            if isinstance(payload, dict) and payload.get("marker") == "checkpoint":
+                during.append(store._conn.in_transaction)
+            return dumps(payload, *args, **kwargs)
+
+        monkeypatch.setattr(sqlstore.json, "dumps", recording)
+        store.put_checkpoint("job-x", {"marker": "checkpoint"})
+        assert during == [False]
+        assert store.get_checkpoint("job-x") == {"marker": "checkpoint"}
+
+    def test_unserializable_checkpoint_raises_before_any_transaction(self, store,
+                                                                   monkeypatch):
+        class Recording:
+            """The store's connection, recording every statement it runs."""
+
+            def __init__(self, conn) -> None:
+                self.conn = conn
+                self.statements: list[str] = []
+
+            def execute(self, sql, *args):
+                self.statements.append(sql)
+                return self.conn.execute(sql, *args)
+
+            def __getattr__(self, name):
+                return getattr(self.conn, name)
+
+        recording = Recording(store._conn)
+        monkeypatch.setattr(store, "_conn", recording)
+        with pytest.raises(TypeError):
+            store.put_checkpoint("job-x", {"bad": object()})
+        assert recording.statements == []
+        assert not store._conn.in_transaction
+        # The store still takes the next write.
+        store.put_checkpoint("job-x", {"generation": 1})
+        assert store.get_checkpoint("job-x") == {"generation": 1}
+
     def test_legacy_file_is_read_when_the_table_has_no_row(self, store):
         legacy = store.checkpoint_path("job-old")
         legacy.parent.mkdir()
