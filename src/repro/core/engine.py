@@ -207,8 +207,10 @@ class EvolutionaryProtector:
         When ``migration_every`` is positive, ``on_migration`` fires
         after every that-many generations with the live population, the
         generation number, and a zero-argument capture callable that
-        snapshots the full engine state — the island-model exchange hook
-        (see :mod:`repro.service.islands`).  The hook may mutate the
+        snapshots the full engine state: an island-model exchange hook
+        for library callers (the service's island members exchange
+        between :func:`run_lockstep` generations instead, see
+        :mod:`repro.service.islands`).  The hook may mutate the
         population in place (elite injection); it must not draw from the
         run RNG, so seeded runs stay bit-identical with or without it.
         """
@@ -256,9 +258,10 @@ class EvolutionaryProtector:
     # -- the generation step, in parts ------------------------------------
     #
     # :func:`run_lockstep` steps engines through these parts: ``run`` /
-    # ``resume`` as a list of one, the lockstep island groups of
+    # ``resume`` as a list of one, the island members of
     # :mod:`repro.service.islands` as a list of ``P`` whose offspring
-    # are pooled into one evaluation batch.
+    # are pooled into one evaluation batch (or of one, for a member
+    # running alone).
 
     def start(self, individuals: Sequence[Individual]) -> RunState:
         """The state of a fresh run over already scored ``individuals``."""
@@ -437,8 +440,9 @@ def run_lockstep(
 ) -> None:
     """The generation loop: step every ``(engine, state)`` together until ``stopping`` fires.
 
-    A solo run (:meth:`EvolutionaryProtector.run` / ``resume``) is a
-    list of one; an island group run in one process is a list of ``P``.
+    A solo run (:meth:`EvolutionaryProtector.run` / ``resume``) or an
+    island member running alone is a list of one; an island group run
+    whole in one process is a list of ``P``.
     Each generation every engine proposes its offspring, ``evaluate``
     scores all the proposals as one batch (one score per offspring, in
     proposal order), and every engine commits its share; a record's

@@ -30,14 +30,28 @@ def dataset_names() -> tuple[str, ...]:
     return tuple(PAPER_SPECS)
 
 
+#: Every original loaded in this process, by name.
+_LOADED: dict[str, CategoricalDataset] = {}
+
+
 def load_dataset(name: str) -> CategoricalDataset:
-    """Load one of the paper's datasets by name."""
+    """Load one of the paper's datasets by name.
+
+    Each original is built once per process and shared: it is
+    deterministic and read-only, and candidates built from it share its
+    schema object, so a later run's compatibility checks stay identity
+    hits.  Racing first loads may build twice; the first stored wins.
+    """
+    loaded = _LOADED.get(name)
+    if loaded is not None:
+        return loaded
     try:
-        return _LOADERS[name]()
+        loader = _LOADERS[name]
     except KeyError:
         raise ExperimentError(
             f"unknown dataset {name!r}; available: {', '.join(PAPER_SPECS)}"
         ) from None
+    return _LOADED.setdefault(name, loader())
 
 
 def protected_attributes(name: str) -> tuple[str, ...]:

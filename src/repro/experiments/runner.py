@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.core.engine import EngineCheckpoint, EvolutionaryProtector, EvolutionResult
 from repro.core.individual import Individual
-from repro.core.population import Population
 from repro.datasets.registry import load_dataset, protected_attributes
 from repro.exceptions import ExperimentError
 from repro.experiments.population_builder import build_initial_population
@@ -126,8 +125,6 @@ def run_experiment(
     on_checkpoint: Callable[[EngineCheckpoint], None] | None = None,
     resume_from: EngineCheckpoint | None = None,
     seed: int | np.random.Generator | None = None,
-    migration_every: int = 0,
-    on_migration: Callable[[Population, int, Callable[[], EngineCheckpoint]], None] | None = None,
 ) -> ExperimentResult:
     """Execute one configured paper run end to end.
 
@@ -138,17 +135,16 @@ def run_experiment(
     instead of building and scoring a fresh initial population (the
     individuals dropped by ``drop_best_fraction`` are not part of a
     checkpoint, so a resumed result reports none).  ``seed`` overrides
-    ``config.seed`` as the engine's run seed, and ``migration_every`` /
-    ``on_migration`` forward to the engine's exchange hook — together
-    they run one island of :mod:`repro.service.islands`.
+    ``config.seed`` as the engine's run seed.  Island members run
+    through the same construction path (:func:`build_evaluator`,
+    :func:`build_engine`, :func:`score_initial_population`) but their
+    own generation loop, in :mod:`repro.service.islands`.
     """
     engine = build_engine(config, build_evaluator(config, evaluation_cache), seed)
     hooks = dict(
         stopping=config.generations,
         checkpoint_every=checkpoint_every,
         on_checkpoint=on_checkpoint,
-        migration_every=migration_every,
-        on_migration=on_migration,
     )
     if resume_from is not None:
         result = engine.resume(resume_from, **hooks)

@@ -47,7 +47,6 @@ something else.
 from __future__ import annotations
 
 import base64
-import json
 import time
 import zlib
 
@@ -295,13 +294,6 @@ def checkpoint_from_dict(
     )
 
 
-def observe_save(seconds: float, nbytes: int) -> None:
-    """Record one save; callers size it only when telemetry is enabled."""
-    registry = get_registry()
-    registry.observe("repro_checkpoint_seconds", seconds)
-    registry.inc("repro_checkpoint_bytes_total", nbytes)
-
-
 class CheckpointManager:
     """One job's checkpoint in a job store: encoded saves, verified loads.
 
@@ -339,16 +331,17 @@ class CheckpointManager:
             payload = checkpoint_to_dict(checkpoint, self.fingerprint)
             payload.update(extra)
             try:
-                self.store.put_checkpoint(self.job_id, payload, owner=self.owner)
+                nbytes = self.store.put_checkpoint(self.job_id, payload, owner=self.owner)
             except (WorkerError, StoreUnavailableError) as error:
                 emit_event("checkpoint_dropped", job_id=self.job_id, owner=self.owner,
                            generation=checkpoint.generation, error=repr(error))
                 return False
         self.saves += 1
-        if get_registry().enabled:
-            # The store serializes internally; sizing the payload costs
-            # one more encode, paid only with telemetry on.
-            observe_save(time.perf_counter() - started, len(json.dumps(payload)))
+        registry = get_registry()
+        if registry.enabled:
+            registry.observe("repro_checkpoint_seconds", time.perf_counter() - started)
+            # The store's own encode, sized where it was made.
+            registry.inc("repro_checkpoint_bytes_total", nbytes)
         return True
 
     def load(self, reference: CategoricalDataset, required: bool = True,

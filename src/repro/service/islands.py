@@ -22,34 +22,35 @@ which island happens to run ahead:
    RNG; injection is a deterministic replacement plan (worst slots
    first, improvements only, senders in index order).
 
-**A worker batch that holds a whole group runs it in lockstep.**  In a
-one-shot drain (:meth:`~repro.service.worker.Worker.run_once`, ``repro
-worker --once``, an inline ``repro submit --islands``) winning one
-member also claims the group's still-queued siblings, so the group
-takes one capacity slot; a fleet's poll loop claims members one slot
-each and splits the group across its workers.  :func:`execute_lockstep_group`
-steps the ``P`` engines together in one process through the engine's
-one generation loop (:func:`~repro.core.engine.run_lockstep`): one
-shared evaluator, each engine's own stream, one pooled evaluation batch
-per generation, and at every exchange boundary each island publishes,
-injects and saves exactly what the per-member path below would.
-Nothing waits, so nothing parks.  A group qualifies when every member
-starts fresh, or every member resumes at the same generation from a
-settled exchange.  If the lockstep run raises, each member reruns on
-the per-member path from its last durable exchange checkpoint, so an
-error fails only the member it belongs to.
+**One executor steps every member.**  :func:`execute_lockstep_group`
+steps island engines together in one process through the engine's one
+generation loop (:func:`~repro.core.engine.run_lockstep`): one shared
+evaluator, each engine on its own stream, one pooled evaluation batch
+per generation, and one exchange step at every boundary, in which each
+island publishes, injects and saves.  In a one-shot drain
+(:meth:`~repro.service.worker.Worker.run_once`, ``repro worker
+--once``, an inline ``repro submit --islands``) winning one member also
+claims the group's still-queued siblings, so the group takes one
+capacity slot and runs whole: each island takes its senders' migrants
+from memory, so nothing reads a buffer, waits or parks.  A group runs
+whole when every member starts fresh, or every member resumes at the
+same generation from a settled exchange.  If a whole-group run raises,
+each member reruns alone from its last durable exchange checkpoint, so
+an error fails only the member it belongs to.
 
-Every other case runs member by member: a *split* group (another
-worker holds a sibling), a parked or degraded member, or a single
-record handed to :meth:`~repro.service.worker.Worker.process`.  A
-member whose inbound migrants have not been published yet does not
-spin inside its claim: it *parks* — persists a full engine checkpoint
-(plus island state) on the store's checkpoint-blob path, requeues its
-own record behind the rest of the queue, and releases the claim, so
-workers round-robin the members with no deadlock.  Whether an injection
-happened live, through a park/resume cycle or in lockstep is
-unobservable in the results: a park's checkpoint is captured *before*
-injection, and re-injecting into the restored checkpoint replays the
+Every other member runs alone, as a group of one: a *split* group (a
+fleet's poll loop claims members one slot each, or another worker holds
+a sibling), a parked or degraded member, or a single record handed to
+:meth:`~repro.service.worker.Worker.process`.  A lone member reads its
+senders' migrants from their buffers.  One whose inbound migrants have
+not been published yet does not spin inside its claim: it *parks* —
+persists a full engine checkpoint (plus island state) on the store's
+checkpoint-blob path, requeues its own record behind the rest of the
+queue, and releases the claim, so workers round-robin the members with
+no deadlock.  Whether an injection happened in a whole group, alone,
+or through a park/resume cycle is unobservable in the results: a park's
+checkpoint is captured *before* injection, and the resumed member
+settles that round through the same exchange step, replaying the
 identical plan.
 
 If a peer dies (its record ``failed``) or stays silent past the wait
@@ -68,13 +69,14 @@ individuals encoded like format-v1 engine checkpoints (inline int64
 codes, no shared table), so a worker of any version can join a live
 group.
 
-A member runs through the same path as a plain job:
-:func:`~repro.experiments.runner.run_experiment` on its spawned stream,
-with the exchange as the engine's migration hook, reported through the
-runner's ``_job_result`` plus ``extras["island"]``; a lockstep group
-builds its engines through the same construction path.  Islands are
-pure clients of :data:`~repro.service.store.STORE_PROTOCOL` — no store
-grew a new method for them.
+Members are built through the plain run's construction path
+(:func:`~repro.experiments.runner.build_evaluator`,
+:func:`~repro.experiments.runner.build_engine`,
+:func:`~repro.experiments.runner.score_initial_population`), each on
+its spawned stream, and report through the runner's ``_job_result``
+plus ``extras["island"]``.  Islands are pure clients of
+:data:`~repro.service.store.STORE_PROTOCOL` — no store grew a new
+method for them.
 """
 
 from __future__ import annotations
@@ -94,13 +96,11 @@ from repro.core.engine import EngineCheckpoint, EvolutionResult, RunState, run_l
 from repro.core.individual import Individual
 from repro.core.pareto import non_dominated_sort
 from repro.core.stopping import MaxGenerations
-from repro.datasets.registry import load_dataset
 from repro.exceptions import ServiceError
 from repro.experiments.runner import (
     ExperimentResult,
     build_engine,
     build_evaluator,
-    run_experiment,
     score_initial_population,
 )
 from repro.obs import emit_event, get_registry, trace
@@ -447,7 +447,7 @@ def plan_injection(
     return plan
 
 
-# -- the member executor: run_experiment plus the exchange hook ---------------
+# -- the exchange step: publish, await, inject, persist, park ----------------
 
 
 def _state_payload(state: dict) -> dict:
@@ -510,11 +510,13 @@ def _await_round(
     reference,
     individuals: list[Individual],
     apply_replacement: Callable[[int, Individual], None],
+    held: dict[str, list[Individual]],
 ) -> tuple[str, ...]:
     """Await exchange round ``round_index``; the sender ids still owed.
 
-    The one gather → grace → degrade → park sequence, shared by the live
-    exchange and a claim settling the round an earlier claim parked on.
+    ``held`` maps each sender that runs in this process to its round
+    migrants, taken from memory; every other sender's are read from its
+    buffer through the one gather → grace → degrade → park sequence.
     Once every sender has published, injects the migrants into
     ``individuals`` via ``apply_replacement(slot, individual)``.  A
     failed sender, or silence past the wait timeout, degrades to solo
@@ -528,8 +530,8 @@ def _await_round(
         received: list[Individual] = []
         missing: list[str] = []
         for sender_id in senders:
-            migrants = read_round_migrants(store, sender_id, group,
-                                           round_index, reference)
+            migrants = held[sender_id] if sender_id in held else read_round_migrants(
+                store, sender_id, group, round_index, reference)
             if migrants is None:
                 missing.append(sender_id)
             else:
@@ -589,97 +591,9 @@ def _exchange_due(job: ProtectionJob, generation: int) -> bool:
     """Whether island ``job`` exchanges right after ``generation``.
 
     Every ``migrate_every``-th generation but the final one, which has
-    nothing downstream to inject into.  The one rule of both paths: the
-    per-member exchange hook and :func:`execute_lockstep_group`.
+    nothing downstream to inject into.
     """
     return generation % job.migrate_every == 0 and generation < job.generations
-
-
-def _execute_member_job(job: ProtectionJob, payload: dict) -> JobResult:
-    """Run one island member through the plain job path.
-
-    A member is :func:`~repro.experiments.runner.run_experiment` on its
-    own spawned RNG stream with the exchange as the engine's migration
-    hook, and its result is the runner's ``_job_result`` plus
-    ``extras["island"]``.  Only the exchange — publish, await, inject,
-    persist, park — is island-specific.
-    """
-    from repro.service.runner import _evaluation_cache, _job_result, _run_config
-
-    store = resolve_store(payload)
-    original = load_dataset(job.dataset)
-    fingerprint = job.checkpoint_fingerprint()
-    senders = [
-        replace(job, island_index=s).job_id
-        for s in sorted(island_topology(job.topology, job.islands)[job.island_index])
-    ]
-    state = _fresh_state()
-    # Saves are gated on our claim.
-    owner = payload.get("owner")
-
-    def persist(checkpoint: EngineCheckpoint) -> None:
-        _persist_island_checkpoint(store, job, checkpoint, state, owner)
-
-    def exchange(population, generation, capture) -> None:
-        if not _exchange_due(job, generation):
-            return
-        round_index = generation // job.migrate_every
-        with trace.span("repro.island.exchange", island=job.island_index,
-                        round=round_index, generation=generation):
-            publish_migrants(store, job, round_index, generation, list(population))
-            waiting_on = () if state["degraded"] else _await_round(
-                store, job, state, round_index, senders, original,
-                list(population), population.replace)
-            # A park saves the pre-injection checkpoint: resume re-runs
-            # this very exchange against the same stamped buffers, so
-            # the parked path replays the live path bit for bit.
-            persist(capture())
-            if waiting_on:
-                raise IslandParked(job.job_id, round_index, generation, waiting_on)
-
-    start = time.perf_counter()
-    blob = payload.get("checkpoint") or store.get_checkpoint(job.job_id)
-    resumable = is_resumable(blob, fingerprint)
-    with _evaluation_cache(payload) as cache, trace.span(
-        "repro.run", dataset=job.dataset, seed=job.seed,
-        island=job.island_index, resume=resumable or None,
-    ):
-        checkpoint = None
-        if resumable:
-            checkpoint = checkpoint_from_dict(
-                blob, original, expected_fingerprint=fingerprint)
-            state.update(_state_payload(blob.get("island_state") or {}))
-            round_index = state["pending_round"]
-            if round_index and not state["degraded"]:
-                # Settle the exchange a previous claim parked on, against
-                # its pre-injection checkpoint: the run resumes as if it
-                # never parked.  That checkpoint is already durable, so a
-                # re-park saves only to start the wait clock.
-                individuals = list(checkpoint.individuals)
-                clock_idle = not state["wait_since"]
-                waiting_on = _await_round(
-                    store, job, state, round_index, senders, original,
-                    list(individuals), individuals.__setitem__)
-                checkpoint = replace(checkpoint, individuals=individuals)
-                if not waiting_on or clock_idle:
-                    persist(checkpoint)
-                if waiting_on:
-                    raise IslandParked(job.job_id, round_index,
-                                       checkpoint.generation, waiting_on)
-        # Rule 1: disjoint, reproducible per-island streams off the run seed.
-        stream = np.random.SeedSequence(job.seed).spawn(job.islands)[job.island_index]
-        outcome = run_experiment(
-            _run_config(job, payload),
-            evaluation_cache=cache,
-            resume_from=checkpoint,
-            seed=np.random.default_rng(stream),
-            migration_every=job.migrate_every,
-            on_migration=exchange,
-        )
-
-    result = _job_result(job, outcome, time.perf_counter() - start)
-    result.extras["island"] = _member_extras(job, state, outcome.result.population)
-    return result
 
 
 def _member_extras(job: ProtectionJob, state: dict, population) -> dict:
@@ -705,7 +619,7 @@ def _member_extras(job: ProtectionJob, state: dict, population) -> dict:
     }
 
 
-# -- lockstep groups: one process steps every member together ----------------
+# -- the one executor: members stepped together, a whole group or one alone --
 
 
 def lockstep_groups(jobs: list[ProtectionJob], blobs: list[dict | None], store) -> list[list[int]]:
@@ -717,7 +631,7 @@ def lockstep_groups(jobs: list[ProtectionJob], blobs: list[dict | None], store) 
     settled exchange: no pending round, none degraded.  Each index list
     is in island order.  The checkpoint blob of a complete group's
     member whose ``blobs`` entry is ``None`` is read and stored there,
-    for whichever path then runs the member.
+    for the member's run, whole or alone.
     """
     positions: dict[str, list[int]] = {}
     for position, job in enumerate(jobs):
@@ -789,16 +703,18 @@ class _Member:
 
 
 def execute_lockstep_group(payloads: list[dict], spans: list[list[dict]]) -> list[JobResult]:
-    """Run every member of one island group in lockstep; results in island order.
+    """Run island members in lockstep; results in island order.
 
-    ``payloads`` are the members' runner payloads, in island order, each
-    carrying its checkpoint blob (see :func:`lockstep_groups`).  The
+    The one island executor: ``payloads`` are either every member of a
+    group (see :func:`lockstep_groups`) or a single member running on
+    its own (:func:`_execute_member_job`), in island order, each
+    carrying its checkpoint blob (``None`` to start fresh).  The
     members' engines share one evaluator, and each generation's
-    offspring go through it as one pooled batch.  At every exchange
-    boundary each island publishes, injects and saves exactly as the
-    per-member path does, so results, migrant blobs and checkpoints are
-    the bytes that path writes.  ``spans[i]`` receives member ``i``'s
-    trace spans, also when the run fails.
+    offspring go through it as one pooled batch.  Every exchange
+    boundary is one :func:`_exchange_members` step, and a resumed
+    member first settles the round it parked on through that same step.
+    ``spans[i]`` receives member ``i``'s trace spans, also when the run
+    fails or parks.
     """
     from repro.service.runner import _evaluation_cache, _job_result, _run_config
 
@@ -809,6 +725,8 @@ def execute_lockstep_group(payloads: list[dict], spans: list[list[dict]]) -> lis
     streams = np.random.SeedSequence(head.seed).spawn(head.islands)
     resumed = is_resumable(payloads[0].get("checkpoint"), head.checkpoint_fingerprint())
     store = resolve_store(payloads[0])
+    # Saves are gated on our claim.
+    owner = payloads[0].get("owner")
     start = time.perf_counter()
     with _evaluation_cache(payloads[0]) as cache:
         evaluator = build_evaluator(config, cache)
@@ -824,11 +742,18 @@ def execute_lockstep_group(payloads: list[dict], spans: list[list[dict]]) -> lis
                         "repro.run", dataset=head.dataset, seed=head.seed,
                         island=member.job.island_index, resume=resumed or None))
                 dropped = _start_members(members, payloads, config, evaluator, resumed)
+                for member in members:
+                    if member.island["pending_round"]:
+                        # Settle the round a previous claim parked on,
+                        # against its pre-injection checkpoint: the run
+                        # goes on as if it never parked.
+                        _exchange_members([member], store, owner, evaluator.original,
+                                          member.run.generation, settling=True)
 
                 def exchange(generation: int) -> None:
                     if _exchange_due(head, generation):
-                        _exchange_members(members, store, payloads[0].get("owner"),
-                                          evaluator.original, generation)
+                        _exchange_members(members, store, owner, evaluator.original,
+                                          generation)
 
                 run_lockstep([(member.engine, member.run) for member in members],
                              MaxGenerations(config.generations),
@@ -849,6 +774,28 @@ def execute_lockstep_group(payloads: list[dict], spans: list[list[dict]]) -> lis
         result.extras["island"] = _member_extras(member.job, member.island, run.population)
         results.append(result)
     return results
+
+
+def _execute_member_job(job: ProtectionJob, payload: dict) -> JobResult:
+    """Run one island member on its own: a lockstep group of one.
+
+    The member's checkpoint blob is read here unless the caller handed
+    it over, and its spans join the trace scope the caller opened for
+    the job, also when it parks or fails.
+    """
+    store = resolve_store(payload)
+    blob = payload.get("checkpoint") or store.get_checkpoint(job.job_id)
+    # A token for the resolved store, so the group run reuses it rather
+    # than reopening the payload's spec.
+    alone = {**payload, "checkpoint": blob, "store_ref": register_store(store)}
+    spans: list[dict] = []
+    try:
+        (result,) = execute_lockstep_group([alone], [spans])
+    finally:
+        scope = trace.current_scope()
+        if scope is not None:
+            scope.spans.extend(spans)
+    return result
 
 
 def _start_members(members: list[_Member], payloads: list[dict], config, evaluator,
@@ -919,32 +866,47 @@ def _evaluate_pooled(members: list[_Member], evaluator, proposals: list) -> list
 
 
 def _exchange_members(members: list[_Member], store, owner: str | None, reference,
-                      generation: int) -> None:
-    """Every island's exchange at ``generation``, as the per-member hook makes it.
+                      generation: int, settling: bool = False) -> None:
+    """The exchange step of every member in ``members`` at ``generation``.
 
-    Each island publishes its pre-injection elites, receives its
-    senders' (decoded from the same wire form peers read), and saves
-    the post-injection checkpoint.
+    Each island publishes its pre-injection elites, takes a held
+    sender's migrants from memory (decoded from the same wire form peers
+    read) and any other sender's through :func:`_await_round`, and saves
+    its post-injection checkpoint.  A member still owed migrants (only
+    a lone one can be) saves its pre-injection checkpoint and parks.
+    ``settling`` is the resumed member's re-run of that round: nothing
+    is published, and a re-park saves only to start the wait clock.
     """
-    round_index = generation // members[0].job.migrate_every
-    inbound = island_topology(members[0].job.topology, len(members))
-    entries = [migrant_entries(list(member.run.population), member.job.migrants)
-               for member in members]
+    head = members[0].job
+    round_index = generation // head.migrate_every
+    inbound = island_topology(head.topology, head.islands)
+    entries = {member.job.job_id: migrant_entries(list(member.run.population),
+                                                  member.job.migrants)
+               for member in members}
     with ExitStack() as open_spans:
         # As a generation's, every member's span covers the group's exchange.
-        for index, member in enumerate(members):
+        for member in members:
             open_spans.enter_context(member.span(
-                "repro.island.exchange", island=index, round=round_index,
-                generation=generation))
-        for index, member in enumerate(members):
-            received = [_individual_from_dict(item, reference)
-                        for sender in sorted(inbound[index]) for item in entries[sender]]
+                "repro.island.exchange", island=member.job.island_index,
+                round=round_index, generation=generation))
+        for member in members:
+            job, state, population = member.job, member.island, member.run.population
+            senders = [replace(job, island_index=s).job_id
+                       for s in sorted(inbound[job.island_index])]
+            held = {sender: [_individual_from_dict(item, reference) for item in entries[sender]]
+                    for sender in senders if sender in entries}
             with trace.entered(member.scope):
-                _publish_round(store, member.job, round_index, generation, entries[index])
-                _inject(member.job, member.island, round_index, received,
-                        list(member.run.population), member.run.population.replace, 0.0)
-                _persist_island_checkpoint(store, member.job, member.engine.capture(member.run),
-                                           member.island, owner)
+                if not settling:
+                    _publish_round(store, job, round_index, generation, entries[job.job_id])
+                clock_idle = not state["wait_since"]
+                waiting_on = () if state["degraded"] else _await_round(
+                    store, job, state, round_index, senders, reference,
+                    list(population), population.replace, held)
+                if not settling or not waiting_on or clock_idle:
+                    _persist_island_checkpoint(store, job, member.engine.capture(member.run),
+                                               state, owner)
+            if waiting_on:
+                raise IslandParked(job.job_id, round_index, generation, waiting_on)
 
 
 # -- the merge executor -------------------------------------------------------

@@ -207,7 +207,7 @@ def _m_get_checkpoint(store: SqliteJobStore, p: dict) -> dict | None:
     return store.get_checkpoint(_checked_job_id(p["job_id"]))
 
 
-def _m_put_checkpoint(store: SqliteJobStore, p: dict) -> None:
+def _m_put_checkpoint(store: SqliteJobStore, p: dict) -> int:
     payload = p.get("payload")
     if not isinstance(payload, dict):
         raise ServiceError("put_checkpoint needs a JSON object payload")
@@ -215,8 +215,8 @@ def _m_put_checkpoint(store: SqliteJobStore, p: dict) -> None:
     # The store's put_checkpoint enforces the owner gate (a worker whose
     # claim was recovered must not overwrite the new owner's state); for
     # the sqlite backend it also lands the blob in the database.
-    store.put_checkpoint(_checked_job_id(p["job_id"]), payload,
-                         owner=None if owner is None else str(owner))
+    return store.put_checkpoint(_checked_job_id(p["job_id"]), payload,
+                                owner=None if owner is None else str(owner))
 
 
 def _m_ping(store: SqliteJobStore, p: dict) -> dict:
@@ -835,8 +835,11 @@ class RemoteJobStore:
         return payload if isinstance(payload, dict) else None
 
     def put_checkpoint(self, job_id: str, payload: dict,
-                       owner: str | None = None) -> None:
+                       owner: str | None = None) -> int:
         """Upload a checkpoint blob (claim-gated server-side with ``owner``).
+
+        Returns the length of the blob the server stored (0 from a
+        server that predates reporting it).
 
         An owner-gated upload is a run's periodic save, made on the run's
         own thread: it gets one attempt, no retries, so an unreachable
@@ -845,8 +848,8 @@ class RemoteJobStore:
         one.  Ownerless blobs (migrant buffers, traces, migrate imports)
         keep the retry policy.
         """
-        self._call("put_checkpoint", attempts=1 if owner else 0,
-                   job_id=job_id, payload=payload, owner=owner)
+        return int(self._call("put_checkpoint", attempts=1 if owner else 0,
+                              job_id=job_id, payload=payload, owner=owner) or 0)
 
     def __repr__(self) -> str:
         return f"RemoteJobStore({self.base_url!r}, spool={str(self.root)!r})"

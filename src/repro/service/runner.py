@@ -223,12 +223,11 @@ def _execute_lockstep_settled(payloads: list[dict]) -> list[dict]:
 
     The group runs as one (see
     :func:`~repro.service.islands.execute_lockstep_group`).  If that
-    raises, every member runs again on its own, through
-    :func:`_execute_job_settled` from its last durable checkpoint (the
-    lockstep run saved each exchange as the per-member path does): an
-    error then fails only the member it belongs to, and its peers park
-    or degrade to solo as in a split group.  Each member keeps the
-    spans of both attempts.
+    raises, every member runs again alone, through
+    :func:`_execute_job_settled` and the same executor, from its last
+    durable exchange checkpoint: an error then fails only the member it
+    belongs to, and its peers park or degrade to solo as in a split
+    group.  Each member keeps the spans of both attempts.
     """
     from repro.service.islands import execute_lockstep_group
 

@@ -546,8 +546,12 @@ class SqliteJobStore:
         return payload if isinstance(payload, dict) else None
 
     def put_checkpoint(self, job_id: str, payload: dict,
-                       owner: str | None = None) -> None:
-        """Store a checkpoint blob in the table (claim-gated with ``owner``)."""
+                       owner: str | None = None) -> int:
+        """Store a checkpoint blob in the table (claim-gated with ``owner``).
+
+        Returns the stored blob's length, so a saver can size the save
+        without encoding the payload again.
+        """
         if not isinstance(payload, dict):
             raise ServiceError("checkpoint payload must be a JSON object")
         # Encode before taking the write lock: claims, heartbeats and
@@ -568,6 +572,7 @@ class SqliteJobStore:
                 "VALUES (?, ?, ?)",
                 (job_id, blob, time.time()),
             )
+        return len(blob)
 
     # -- lifecycle -----------------------------------------------------------
 

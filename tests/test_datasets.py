@@ -149,3 +149,31 @@ class TestGenerator:
             protected_attributes=base.protected_attributes,
         )
         assert not generate(base).equals(generate(other))
+
+
+class TestLoadedOnce:
+    """Each original is built once per process and shared."""
+
+    def test_one_original_per_name(self):
+        assert load_dataset("flare") is load_dataset("flare")
+
+    def test_a_second_run_compares_no_domains(self, monkeypatch):
+        # Candidates from the population memo share the original's
+        # schema object, so every compatibility check is an identity hit.
+        from dataclasses import replace
+
+        from repro.data import CategoricalDomain
+        from repro.experiments import ExperimentConfig, run_experiment
+
+        config = ExperimentConfig(dataset="flare", generations=2, seed=8)
+        run_experiment(config)
+        compared: list[str] = []
+        eq = CategoricalDomain.__eq__
+
+        def counted(self, other):
+            compared.append(self.name)
+            return eq(self, other)
+
+        monkeypatch.setattr(CategoricalDomain, "__eq__", counted)
+        run_experiment(replace(config, seed=9))
+        assert compared == []

@@ -17,7 +17,8 @@ protocol, byte for byte:
 Each group shape runs three ways: ``repro worker --once`` (one worker
 holds the whole group, so it steps in lockstep), inline ``repro submit
 --islands`` (likewise), and a split group, where another owner holds one
-sibling's claim for a while, so the rest must take the per-member path.
+sibling's claim for a while, so each member runs alone (a lockstep group
+of one) and exchanges through the migrant buffers, parking as it must.
 
 Regenerate the goldens (``python tests/test_island_lockstep.py``) only
 for a change that is meant to move results, such as a metric-kernel
@@ -198,6 +199,40 @@ def test_group_matches_the_per_member_golden(tmp_path, goldens, no_grace, capsys
     assert group_digests(store, _group_jobs(SHAPES[shape])) == goldens["groups"][shape]
 
 
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_a_split_group_runs_on_the_one_executor(tmp_path, goldens, no_grace, monkeypatch,
+                                                shape):
+    """Lone members step on the lockstep executor, never the solo run loop."""
+    def solo_loop(*args, **kwargs):
+        raise AssertionError("an island member ran EvolutionaryProtector.run/resume")
+
+    monkeypatch.setattr(EvolutionaryProtector, "run", solo_loop)
+    monkeypatch.setattr(EvolutionaryProtector, "resume", solo_loop)
+    store = drive_split(SHAPES[shape], tmp_path / "state")
+    assert group_digests(store, _group_jobs(SHAPES[shape])) == goldens["groups"][shape]
+
+
+def test_a_group_held_whole_reads_no_migrant_buffer(tmp_path, capsys, monkeypatch):
+    """``worker --once`` holds the group: migrants move in memory only."""
+    from repro.service import islands
+
+    reads: list[str] = []
+    read = islands.read_round_migrants
+
+    def counted(store, sender_job_id, *args, **kwargs):
+        reads.append(sender_job_id)
+        return read(store, sender_job_id, *args, **kwargs)
+
+    monkeypatch.setattr(islands, "read_round_migrants", counted)
+    shape = SHAPES["flare-base"]
+    store = drive_worker_once(shape, tmp_path / "state")
+    jobs = _group_jobs(shape)
+    members = [store.get(job.job_id) for job in jobs[:-1]]
+    assert all(record.status == "completed" for record in members)
+    assert all(record.result.extras["island"]["rounds"] == 1 for record in members)
+    assert reads == []
+
+
 @pytest.mark.parametrize("run", sorted(SOLO_RUNS))
 def test_engine_step_matches_the_golden_every_generation(goldens, run):
     assert solo_digests(SOLO_RUNS[run]) == goldens["solo"][run]
@@ -366,7 +401,8 @@ def test_a_transient_member_error_reruns_the_group_member_by_member(
     raised = _failing_saves(monkeypatch, island=1, times=1)
     Worker(store, worker_id="flaky-worker").run_once()
     assert raised == [1]
-    assert lockstep_runs == [shape["islands"]]
+    # The whole group, then each member alone through the same executor.
+    assert lockstep_runs == [shape["islands"]] + [1] * shape["islands"]
     assert group_digests(store, jobs) == goldens["groups"]["flare-base"]
 
 
@@ -428,7 +464,7 @@ def test_the_poll_loop_leaves_groups_to_the_fleet(tmp_path, goldens, no_grace,
     store = SqliteJobStore(tmp_path / "jobs.sqlite")
     jobs = _submit(store, shape)
     Worker(store, worker_id="poll-worker").run(poll_seconds=0.05, idle_exit=2)
-    assert lockstep_runs == []
+    assert lockstep_runs and set(lockstep_runs) == {1}
     assert group_digests(store, jobs) == goldens["groups"]["flare-base"]
 
 

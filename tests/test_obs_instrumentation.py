@@ -309,6 +309,33 @@ class TestCheckpointTelemetry:
             2 * len(json.dumps(store.get_checkpoint("job")))
         )
 
+    def test_each_save_encodes_once_and_counts_the_stored_blob(
+            self, store_harness, checkpoint, monkeypatch):
+        """The byte counter reads the store's own encode: no sizing re-encode."""
+        from repro.service import CheckpointManager
+
+        encodes: list[str] = []
+        dumps = json.dumps
+
+        def spy(obj, *args, **kwargs):
+            text = dumps(obj, *args, **kwargs)
+            if '"save-marker"' in text:
+                encodes.append(text)
+            return text
+
+        monkeypatch.setattr(json, "dumps", spy)
+        manager = CheckpointManager(store_harness.store, "job")
+        stored = []
+        for save in ("first", "second"):
+            assert manager.save(checkpoint, marker={"save-marker": save})
+            stored.append(store_harness.backing.get_checkpoint("job"))
+        # One encode per hop: the sqlite store's, plus the client's
+        # request body when the store sits behind the HTTP server.
+        hops = 1 if store_harness.store is store_harness.backing else 2
+        assert len(encodes) == 2 * hops
+        assert counter_value("repro_checkpoint_bytes_total") == sum(
+            len(dumps(payload)) for payload in stored)
+
     def test_island_saves_counted_in_seconds_and_bytes(self, tmp_path, checkpoint):
         from repro.service.islands import _fresh_state, _persist_island_checkpoint
 
