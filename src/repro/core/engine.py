@@ -208,11 +208,12 @@ class EvolutionaryProtector:
         after every that-many generations with the live population, the
         generation number, and a zero-argument capture callable that
         snapshots the full engine state: an island-model exchange hook
-        for library callers (the service's island members exchange
-        between :func:`run_lockstep` generations instead, see
-        :mod:`repro.service.islands`).  The hook may mutate the
-        population in place (elite injection); it must not draw from the
-        run RNG, so seeded runs stay bit-identical with or without it.
+        for library callers (the service's jobs step through
+        :func:`run_lockstep` directly, and its island members exchange
+        between generations there, see :mod:`repro.service.islands`).
+        The hook may mutate the population in place (elite injection);
+        it must not draw from the run RNG, so seeded runs stay
+        bit-identical with or without it.
         """
         return self._loop(
             self.start(self._coerce_initial(initial)),
@@ -258,10 +259,10 @@ class EvolutionaryProtector:
     # -- the generation step, in parts ------------------------------------
     #
     # :func:`run_lockstep` steps engines through these parts: ``run`` /
-    # ``resume`` as a list of one, the island members of
-    # :mod:`repro.service.islands` as a list of ``P`` whose offspring
-    # are pooled into one evaluation batch (or of one, for a member
-    # running alone).
+    # ``resume`` as a list of one, and the service's job executor
+    # (:func:`repro.service.runner.execute_group`) a plain job or lone
+    # island member as a list of one, a whole island group as a list of
+    # ``P`` whose offspring are pooled into one evaluation batch.
 
     def start(self, individuals: Sequence[Individual]) -> RunState:
         """The state of a fresh run over already scored ``individuals``."""
@@ -440,9 +441,9 @@ def run_lockstep(
 ) -> None:
     """The generation loop: step every ``(engine, state)`` together until ``stopping`` fires.
 
-    A solo run (:meth:`EvolutionaryProtector.run` / ``resume``) or an
-    island member running alone is a list of one; an island group run
-    whole in one process is a list of ``P``.
+    A solo run (:meth:`EvolutionaryProtector.run` / ``resume``), a
+    service job or an island member running alone is a list of one; an
+    island group run whole in one process is a list of ``P``.
     Each generation every engine proposes its offspring, ``evaluate``
     scores all the proposals as one batch (one score per offspring, in
     proposal order), and every engine commits its share; a record's

@@ -135,10 +135,12 @@ def run_experiment(
     instead of building and scoring a fresh initial population (the
     individuals dropped by ``drop_best_fraction`` are not part of a
     checkpoint, so a resumed result reports none).  ``seed`` overrides
-    ``config.seed`` as the engine's run seed.  Island members run
-    through the same construction path (:func:`build_evaluator`,
-    :func:`build_engine`, :func:`score_initial_population`) but their
-    own generation loop, in :mod:`repro.service.islands`.
+    ``config.seed`` as the engine's run seed.  Service jobs, plain and
+    island alike, are built through the same construction path
+    (:func:`build_evaluator`, :func:`build_engine`,
+    :func:`score_initial_population`) and step through the engine's
+    generation loop in the job executor,
+    :func:`repro.service.runner.execute_group`.
     """
     engine = build_engine(config, build_evaluator(config, evaluation_cache), seed)
     hooks = dict(
@@ -155,7 +157,7 @@ def run_experiment(
                             dropped=dropped)
 
 
-# -- the construction path, shared with lockstep island groups --------------
+# -- the construction path, shared with the service's job executor ---------
 
 
 def build_evaluator(

@@ -65,7 +65,6 @@ from repro.obs.trace import (
     render_waterfall,
     span,
     span_active,
-    take_stray_spans,
     trace_blob_id,
     trace_context_from_extras,
     tracing_enabled,
@@ -112,7 +111,6 @@ __all__ = [
     "span",
     "span_active",
     "store_backend_label",
-    "take_stray_spans",
     "trace_blob_id",
     "trace_context_from_extras",
     "tracing_enabled",

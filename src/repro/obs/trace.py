@@ -261,24 +261,11 @@ def activate(trace_id: str, root_id: str = "") -> TraceScope:
 
 
 def deactivate(scope: TraceScope) -> list[dict]:
-    """Close ``scope``, restore the outer one, return the collected spans.
-
-    The spans are also stashed thread-locally so an exception path that
-    unwinds past the caller can still recover them with
-    :func:`take_stray_spans`.
-    """
+    """Close ``scope``, restore the outer one, return the collected spans."""
     _context.scope = scope._prev
     spans = scope.drain()
     scope.collected = spans
-    _context.last_spans = spans
     return spans
-
-
-def take_stray_spans() -> list[dict]:
-    """Spans drained by the most recent :func:`deactivate` on this thread."""
-    spans = getattr(_context, "last_spans", None)
-    _context.last_spans = None
-    return list(spans) if spans else []
 
 
 @contextmanager

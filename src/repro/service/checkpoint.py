@@ -297,8 +297,10 @@ def checkpoint_from_dict(
 class CheckpointManager:
     """One job's checkpoint in a job store: encoded saves, verified loads.
 
-    Install :meth:`save` as the engine's ``on_checkpoint`` callback (the
-    job runner does this for every job it runs with a store).
+    :meth:`save` fits the engine's ``on_checkpoint`` callback.  The job
+    runner's executor saves every job it runs with a store through one:
+    a plain job on its ``checkpoint_every`` cadence, an island member at
+    each exchange (with its island state).
 
     ``owner`` is the caller's claim owner: the store refuses a save once
     the claim has moved to another worker, so a worker that lost its

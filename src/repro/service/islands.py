@@ -22,21 +22,23 @@ which island happens to run ahead:
    RNG; injection is a deterministic replacement plan (worst slots
    first, improvements only, senders in index order).
 
-**One executor steps every member.**  :func:`execute_lockstep_group`
-steps island engines together in one process through the engine's one
-generation loop (:func:`~repro.core.engine.run_lockstep`): one shared
-evaluator, each engine on its own stream, one pooled evaluation batch
-per generation, and one exchange step at every boundary, in which each
-island publishes, injects and saves.  In a one-shot drain
+**Members run on the one job executor.**  An island member is a job
+like any other: :func:`~repro.service.runner.execute_group` steps it
+through the engine's one generation loop
+(:func:`~repro.core.engine.run_lockstep`), with :func:`exchange_hook`
+as its per-generation hook.  At every boundary each island publishes,
+injects and saves, in one exchange step.  In a one-shot drain
 (:meth:`~repro.service.worker.Worker.run_once`, ``repro worker
 --once``, an inline ``repro submit --islands``) winning one member also
-claims the group's still-queued siblings, so the group takes one
-capacity slot and runs whole: each island takes its senders' migrants
-from memory, so nothing reads a buffer, waits or parks.  A group runs
-whole when every member starts fresh, or every member resumes at the
-same generation from a settled exchange.  If a whole-group run raises,
-each member reruns alone from its last durable exchange checkpoint, so
-an error fails only the member it belongs to.
+claims the group's still-queued siblings, and the executor steps the
+whole group together: one shared evaluator, each engine on its own
+stream, one pooled evaluation batch per generation.  The group takes
+one capacity slot and each island takes its senders' migrants from
+memory, so nothing reads a buffer, waits or parks.  A group runs whole
+when every member starts fresh, or every member resumes at the same
+generation from a settled exchange (:func:`lockstep_groups`).  If a
+whole-group run raises, each member reruns alone from its last durable
+exchange checkpoint, so an error fails only the member it belongs to.
 
 Every other member runs alone, as a group of one: a *split* group (a
 fleet's poll loop claims members one slot each, or another worker holds
@@ -69,12 +71,9 @@ individuals encoded like format-v1 engine checkpoints (inline int64
 codes, no shared table), so a worker of any version can join a live
 group.
 
-Members are built through the plain run's construction path
-(:func:`~repro.experiments.runner.build_evaluator`,
-:func:`~repro.experiments.runner.build_engine`,
-:func:`~repro.experiments.runner.score_initial_population`), each on
-its spawned stream, and report through the runner's ``_job_result``
-plus ``extras["island"]``.  Islands are pure clients of
+A member's engine draws from its spawned stream (:func:`member_rng`),
+and its result is a plain job's plus ``extras["island"]``
+(:func:`_member_extras`).  Islands are pure clients of
 :data:`~repro.service.store.STORE_PROTOCOL` — no store grew a new
 method for them.
 """
@@ -83,6 +82,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 import weakref
@@ -92,23 +92,15 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.core.engine import EngineCheckpoint, EvolutionResult, RunState, run_lockstep
+from repro.core.engine import EngineCheckpoint
 from repro.core.individual import Individual
 from repro.core.pareto import non_dominated_sort
-from repro.core.stopping import MaxGenerations
 from repro.exceptions import ServiceError
-from repro.experiments.runner import (
-    ExperimentResult,
-    build_engine,
-    build_evaluator,
-    score_initial_population,
-)
 from repro.obs import emit_event, get_registry, trace
 from repro.service.checkpoint import (
     CheckpointManager,
     _individual_from_dict,
     _individual_to_dict,
-    checkpoint_from_dict,
     is_resumable,
 )
 from repro.service.job import JobResult, ProtectionJob
@@ -142,11 +134,17 @@ DEFAULT_GRACE = 0.25
 
 
 def _env_seconds(name: str, default: float) -> float:
-    raw = os.environ.get(name, "")
+    """Seconds from the environment variable ``name``, or ``default``.
+
+    An unset, unparsable, NaN, infinite or negative value reads as
+    ``default``: a NaN or infinite grace would never end the in-claim
+    poll, and a NaN timeout would never degrade.
+    """
     try:
-        return float(raw) if raw else default
+        value = float(os.environ.get(name, "") or default)
     except ValueError:
         return default
+    return value if math.isfinite(value) and value >= 0 else default
 
 
 class IslandParked(ServiceError):
@@ -282,12 +280,14 @@ def member_job_ids(job: ProtectionJob) -> list[str]:
 
 # -- live-store registry ------------------------------------------------------
 
-# Island executors need the *job store* (records + checkpoint blobs),
-# which plain run payloads never carried.  In-process backends resolve
-# the exact live store object through this weak registry — critical for
-# programmatically-built stores whose spec may not be independently
-# reopenable.  Process backends and any registry miss fall back to
-# reopening from the spec.
+# Every job's payload names the *job store* (records, checkpoint and
+# migrant blobs).  In-process backends resolve the exact live store
+# object through this weak registry — critical for programmatically-built
+# stores whose spec may not be independently reopenable.  Process
+# backends and any registry miss fall back to reopening from the spec.
+# A token names the process that registered it: a forked pool worker
+# must not use the parent's store, whose lock a parent thread (the claim
+# heartbeat) may hold at the fork and the child then waits on forever.
 _LIVE_STORES: "weakref.WeakValueDictionary[str, object]" = (
     weakref.WeakValueDictionary()
 )
@@ -296,7 +296,7 @@ _STORE_SEQ = iter(range(1, 1 << 62))
 
 def register_store(store: object) -> str:
     """Register a live store; returns the token for ``resolve_store``."""
-    token = f"st-{next(_STORE_SEQ)}-{id(store):x}"
+    token = f"st-{os.getpid()}-{next(_STORE_SEQ)}-{id(store):x}"
     _LIVE_STORES[token] = store
     return token
 
@@ -313,14 +313,15 @@ def store_spec_of(store: object) -> tuple[str, str]:
 
 
 def resolve_store(payload: dict):
-    """The job store an island payload points at.
+    """The job store a runner payload points at.
 
-    Prefers the live in-process object (``store_ref``), falls back to
-    reopening from ``store_spec``.  Raising here rather than returning
-    ``None`` turns a mis-wired submission into a clear failed job.
+    Prefers the live object (``store_ref``) when this process registered
+    it, falls back to reopening from ``store_spec``.  Raising here rather
+    than returning ``None`` turns a mis-wired submission into a clear
+    failed job.
     """
     ref = str(payload.get("store_ref") or "")
-    if ref:
+    if ref.startswith(f"st-{os.getpid()}-"):
         store = _LIVE_STORES.get(ref)
         if store is not None:
             return store
@@ -458,11 +459,6 @@ def _state_payload(state: dict) -> dict:
         "rounds": int(state.get("rounds") or 0),
         "injected": int(state.get("injected") or 0),
     }
-
-
-def _fresh_state() -> dict:
-    return {"pending_round": 0, "wait_since": 0.0, "degraded": False,
-            "rounds": 0, "injected": 0}
 
 
 def _failed_senders(store, sender_ids: list[str]) -> list[str]:
@@ -619,7 +615,7 @@ def _member_extras(job: ProtectionJob, state: dict, population) -> dict:
     }
 
 
-# -- the one executor: members stepped together, a whole group or one alone --
+# -- the exchange hook: island members on the runner's one executor ----------
 
 
 def lockstep_groups(jobs: list[ProtectionJob], blobs: list[dict | None], store) -> list[list[int]]:
@@ -631,7 +627,8 @@ def lockstep_groups(jobs: list[ProtectionJob], blobs: list[dict | None], store) 
     settled exchange: no pending round, none degraded.  Each index list
     is in island order.  The checkpoint blob of a complete group's
     member whose ``blobs`` entry is ``None`` is read and stored there,
-    for the member's run, whole or alone.
+    for the member's run, whole or alone; a qualifying group that starts
+    fresh gets ``None`` entries, as the executor takes them.
     """
     positions: dict[str, list[int]] = {}
     for position, job in enumerate(jobs):
@@ -653,221 +650,47 @@ def lockstep_groups(jobs: list[ProtectionJob], blobs: list[dict | None], store) 
                 continue
         elif any(resumable):
             continue
+        else:
+            for i in members:
+                blobs[i] = None
         groups.append(members)
     return groups
 
 
-#: The :meth:`~repro.metrics.evaluation.ProtectionEvaluator.stats` key each
-#: ``evaluate_many`` source is counted under.
-_CHARGED = {"fresh": "evaluations", "memo": "memo_hits",
-            "persistent": "persistent_hits", "dedup": "batch_dedup"}
+def member_rng(job: ProtectionJob) -> np.random.Generator:
+    """Island ``job``'s run stream: rule 1's disjoint, reproducible spawn."""
+    stream = np.random.SeedSequence(job.seed).spawn(job.islands)[job.island_index]
+    return np.random.default_rng(stream)
 
 
-class _Member:
-    """One island of a lockstep group: job, engine, run and island state, trace scope."""
+def exchange_hook(runs: list, payload: dict, store, reference) -> Callable[[int], None]:
+    """The per-generation hook of island members run by the runner's executor.
 
-    def __init__(self, job: ProtectionJob, payload: dict, engine) -> None:
-        self.job = job
-        self.engine = engine
-        self.run: RunState | None = None
-        self.island = _fresh_state()
-        # This member's share of the shared evaluator's stats: each
-        # distinct candidate is charged to the lowest-index member that
-        # submitted it, so the members' counts sum to the evaluator's.
-        self.stats = {"evaluations": 0, "memo_hits": 0, "persistent_hits": 0,
-                      "batch_dedup": 0, "batches": 0, "max_batch_size": 0,
-                      "fresh_seconds": 0.0}
-        info = payload.get("trace")
-        self.scope = (trace.TraceScope(str(info["id"]), str(info.get("root") or ""))
-                      if isinstance(info, dict) and info.get("id") else None)
-
-    def span(self, name: str, **attrs):
-        """A span of this member's trace (a no-op one when it is untraced)."""
-        with trace.entered(self.scope):
-            return trace.span(name, **attrs)
-
-    def mirror(self, spans: list[dict]) -> None:
-        """Copy another member's spans of work done for the whole group.
-
-        The copies get fresh ids in this member's trace; a span whose
-        parent is not among ``spans`` hangs under this member's open span.
-        """
-        if self.scope is None or not spans:
-            return
-        parent = self.scope.stack[-1].span_id if self.scope.stack else self.scope.root_id
-        ids = {item["span_id"]: trace.new_span_id() for item in spans}
-        for item in spans:
-            self.scope.record({**item, "trace_id": self.scope.trace_id,
-                               "span_id": ids[item["span_id"]],
-                               "parent_id": ids.get(item["parent_id"], parent)})
-
-
-def execute_lockstep_group(payloads: list[dict], spans: list[list[dict]]) -> list[JobResult]:
-    """Run island members in lockstep; results in island order.
-
-    The one island executor: ``payloads`` are either every member of a
-    group (see :func:`lockstep_groups`) or a single member running on
-    its own (:func:`_execute_member_job`), in island order, each
-    carrying its checkpoint blob (``None`` to start fresh).  The
-    members' engines share one evaluator, and each generation's
-    offspring go through it as one pooled batch.  Every exchange
-    boundary is one :func:`_exchange_members` step, and a resumed
-    member first settles the round it parked on through that same step.
-    ``spans[i]`` receives member ``i``'s trace spans, also when the run
-    fails or parks.
+    ``runs`` are one group's members, whole or one alone, started or
+    restored.  Each gets back the island state of the checkpoint it
+    resumed from, and a member a previous claim parked settles that
+    round first, as if it never parked.  The hook then runs the exchange
+    step at every due boundary, saves gated on the payload's ``owner``.
     """
-    from repro.service.runner import _evaluation_cache, _job_result, _run_config
+    owner = payload.get("owner")
+    for run in runs:
+        run.island = _state_payload((run.blob or {}).get("island_state") or {})
+    for run in runs:
+        if run.island["pending_round"]:
+            _exchange_members([run], store, owner, reference, run.state.generation,
+                              settling=True)
+    head = runs[0].job
 
-    jobs = [ProtectionJob.from_dict(payload["job"]) for payload in payloads]
-    head = jobs[0]
-    config = _run_config(head, payloads[0])
-    # Rule 1: disjoint, reproducible per-island streams off the run seed.
-    streams = np.random.SeedSequence(head.seed).spawn(head.islands)
-    resumed = is_resumable(payloads[0].get("checkpoint"), head.checkpoint_fingerprint())
-    store = resolve_store(payloads[0])
-    # Saves are gated on our claim.
-    owner = payloads[0].get("owner")
-    start = time.perf_counter()
-    with _evaluation_cache(payloads[0]) as cache:
-        evaluator = build_evaluator(config, cache)
-        members = [
-            _Member(job, payload,
-                    build_engine(config, evaluator, np.random.default_rng(streams[job.island_index])))
-            for job, payload in zip(jobs, payloads)
-        ]
-        try:
-            with ExitStack() as runs:
-                for member in members:
-                    runs.enter_context(member.span(
-                        "repro.run", dataset=head.dataset, seed=head.seed,
-                        island=member.job.island_index, resume=resumed or None))
-                dropped = _start_members(members, payloads, config, evaluator, resumed)
-                for member in members:
-                    if member.island["pending_round"]:
-                        # Settle the round a previous claim parked on,
-                        # against its pre-injection checkpoint: the run
-                        # goes on as if it never parked.
-                        _exchange_members([member], store, owner, evaluator.original,
-                                          member.run.generation, settling=True)
+    def exchange(generation: int) -> None:
+        if _exchange_due(head, generation):
+            _exchange_members(runs, store, owner, reference, generation)
 
-                def exchange(generation: int) -> None:
-                    if _exchange_due(head, generation):
-                        _exchange_members(members, store, owner, evaluator.original,
-                                          generation)
-
-                run_lockstep([(member.engine, member.run) for member in members],
-                             MaxGenerations(config.generations),
-                             lambda proposals: _evaluate_pooled(members, evaluator, proposals),
-                             exchange, lambda index: trace.entered(members[index].scope))
-        finally:
-            for member, collected in zip(members, spans):
-                if member.scope is not None:
-                    collected.extend(member.scope.drain())
-    wall_seconds = time.perf_counter() - start
-    results = []
-    for member in members:
-        run = member.run
-        outcome = ExperimentResult(
-            config, EvolutionResult(run.initial, run.population, run.history),
-            evaluator, dropped)
-        result = _job_result(member.job, outcome, wall_seconds, member.stats)
-        result.extras["island"] = _member_extras(member.job, member.island, run.population)
-        results.append(result)
-    return results
+    return exchange
 
 
-def _execute_member_job(job: ProtectionJob, payload: dict) -> JobResult:
-    """Run one island member on its own: a lockstep group of one.
-
-    The member's checkpoint blob is read here unless the caller handed
-    it over, and its spans join the trace scope the caller opened for
-    the job, also when it parks or fails.
-    """
-    store = resolve_store(payload)
-    blob = payload.get("checkpoint") or store.get_checkpoint(job.job_id)
-    # A token for the resolved store, so the group run reuses it rather
-    # than reopening the payload's spec.
-    alone = {**payload, "checkpoint": blob, "store_ref": register_store(store)}
-    spans: list[dict] = []
-    try:
-        (result,) = execute_lockstep_group([alone], [spans])
-    finally:
-        scope = trace.current_scope()
-        if scope is not None:
-            scope.spans.extend(spans)
-    return result
-
-
-def _start_members(members: list[_Member], payloads: list[dict], config, evaluator,
-                   resumed: bool) -> list[Individual]:
-    """Restore every member from its checkpoint, or score the initial population once.
-
-    Returns the individuals ``drop_best_fraction`` removed (none on resume).
-    """
-    if resumed:
-        for member, payload in zip(members, payloads):
-            blob = payload["checkpoint"]
-            with trace.entered(member.scope):
-                checkpoint = checkpoint_from_dict(
-                    blob, evaluator.original,
-                    expected_fingerprint=member.job.checkpoint_fingerprint())
-            member.island.update(_state_payload(blob.get("island_state") or {}))
-            member.run = member.engine.restore(checkpoint)
-        return []
-    # Every island starts from the same scored population: score it
-    # once, charged to the lowest-index member.
-    lead = members[0]
-    mark = len(lead.scope.spans) if lead.scope is not None else 0
-    with trace.entered(lead.scope):
-        kept, dropped = score_initial_population(config, lead.engine)
-    lead.stats = evaluator.stats()
-    shared = lead.scope.spans[mark:] if lead.scope is not None else []
-    for member in members[1:]:
-        member.mirror(shared)
-    for member in members:
-        member.run = member.engine.start(kept)
-    return dropped
-
-
-def _evaluate_pooled(members: list[_Member], evaluator, proposals: list) -> list:
-    """Score every member's proposal as one batch, charging each member its share.
-
-    Each distinct candidate counts for the lowest-index member that
-    submitted it, and each member's trace gets the batch's
-    ``repro.eval.batch`` span under its open generation span.
-    """
-    batch = [child for proposal in proposals for child in proposal.offspring]
-    sources: list[str] = []
-    fresh_before = evaluator.fresh_seconds
-    started, wall_started = time.perf_counter(), time.time()
-    with trace.entered(None):
-        scores = evaluator.evaluate_many(batch, sources=sources)
-    elapsed = time.perf_counter() - started
-    fresh_seconds = evaluator.fresh_seconds - fresh_before
-    fresh_total = sources.count("fresh")
-    offset = 0
-    for member, proposal in zip(members, proposals):
-        end = offset + len(proposal.offspring)
-        mine = sources[offset:end]
-        fresh = mine.count("fresh")
-        stats = member.stats
-        for kind in mine:
-            stats[_CHARGED[kind]] += 1
-        stats["batches"] += 1
-        stats["max_batch_size"] = max(stats["max_batch_size"], len(batch))
-        if fresh:
-            stats["fresh_seconds"] = round(
-                stats["fresh_seconds"] + fresh_seconds * fresh / fresh_total, 6)
-        with trace.entered(member.scope):
-            trace.record_span("repro.eval.batch", elapsed, start=wall_started,
-                              size=len(batch), fresh=fresh)
-        offset = end
-    return scores
-
-
-def _exchange_members(members: list[_Member], store, owner: str | None, reference,
+def _exchange_members(members: list, store, owner: str | None, reference,
                       generation: int, settling: bool = False) -> None:
-    """The exchange step of every member in ``members`` at ``generation``.
+    """The exchange step of every member in ``members`` (the executor's runs) at ``generation``.
 
     Each island publishes its pre-injection elites, takes a held
     sender's migrants from memory (decoded from the same wire form peers
@@ -880,7 +703,7 @@ def _exchange_members(members: list[_Member], store, owner: str | None, referenc
     head = members[0].job
     round_index = generation // head.migrate_every
     inbound = island_topology(head.topology, head.islands)
-    entries = {member.job.job_id: migrant_entries(list(member.run.population),
+    entries = {member.job.job_id: migrant_entries(list(member.state.population),
                                                   member.job.migrants)
                for member in members}
     with ExitStack() as open_spans:
@@ -890,7 +713,7 @@ def _exchange_members(members: list[_Member], store, owner: str | None, referenc
                 "repro.island.exchange", island=member.job.island_index,
                 round=round_index, generation=generation))
         for member in members:
-            job, state, population = member.job, member.island, member.run.population
+            job, state, population = member.job, member.island, member.state.population
             senders = [replace(job, island_index=s).job_id
                        for s in sorted(inbound[job.island_index])]
             held = {sender: [_individual_from_dict(item, reference) for item in entries[sender]]
@@ -903,7 +726,7 @@ def _exchange_members(members: list[_Member], store, owner: str | None, referenc
                     store, job, state, round_index, senders, reference,
                     list(population), population.replace, held)
                 if not settling or not waiting_on or clock_idle:
-                    _persist_island_checkpoint(store, job, member.engine.capture(member.run),
+                    _persist_island_checkpoint(store, job, member.engine.capture(member.state),
                                                state, owner)
             if waiting_on:
                 raise IslandParked(job.job_id, round_index, generation, waiting_on)
@@ -1019,12 +842,12 @@ def _execute_merge_job(job: ProtectionJob, payload: dict) -> JobResult:
 
 
 def execute_island_job(payload: dict) -> JobResult:
-    """Run one island-group job (member or merge) from a runner payload.
+    """Run one island-group job (member or merge) on its own, from a runner payload.
 
-    The island counterpart of the runner's ``_execute_job``: owns its
-    own trace scope (spans ride back in ``extras["trace_spans"]``, or
-    as stray spans when the job parks or fails) and raises
-    :class:`IslandParked` for the yield path.
+    Checks the island fields, then runs the job as the runner runs any
+    job on its own (:func:`~repro.service.runner._execute_job`): a
+    member as a group of one, the merge over its members' results.  It
+    raises :class:`IslandParked` for the yield path.
     """
     job = ProtectionJob.from_dict(payload["job"])
     if job.islands < 2:
@@ -1036,11 +859,14 @@ def execute_island_job(payload: dict) -> JobResult:
             f"island_index must be in [0, {job.islands}], "
             f"got {job.island_index}"
         )
-    from repro.service.runner import _traced
+    from repro.service.runner import _execute_job
 
-    execute = (_execute_merge_job if job.island_index == job.islands
-               else _execute_member_job)
-    return _traced(payload, lambda: execute(job, payload))
+    return _execute_job(payload)
+
+
+def _execute_member_job(job: ProtectionJob, payload: dict) -> JobResult:
+    """Run island member ``job`` (``payload``'s job) on its own."""
+    return execute_island_job(payload)
 
 
 def park_record(store, record: JobRecord, parked: dict) -> None:

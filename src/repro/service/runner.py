@@ -13,6 +13,13 @@ workloads the experiments need:
 * :meth:`JobRunner.run_grid` — method-comparison grids over datasets,
   score functions and seeds.
 
+Every job but an island merge runs on :func:`execute_group`, the one
+job executor, which steps a list of jobs together through the engine's
+one generation loop.  A plain job is a group of one whose
+per-generation hook saves its checkpoint; an island member, alone or
+with its whole group, has the exchange step of
+:mod:`repro.service.islands` as its hook.
+
 Because the GA is deterministic per seed and cache hits return exactly
 the stored computation, every backend produces byte-identical scores for
 the same job list.
@@ -21,20 +28,30 @@ the same job list.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterator, Sequence
-from contextlib import contextmanager
+from collections.abc import Iterator, Sequence
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 
-from repro.datasets.registry import load_dataset
+from repro.core.engine import EvolutionResult, RunState, run_lockstep
+from repro.core.stopping import MaxGenerations
 from repro.exceptions import ServiceError
-from repro.experiments.runner import ExperimentConfig, ExperimentResult, run_experiment
+from repro.experiments.runner import (
+    ExperimentConfig,
+    build_engine,
+    build_evaluator,
+    score_initial_population,
+)
 from repro.obs import emit_event, trace
 from repro.service.backends import ExecutionBackend, create_backend
 from repro.service.cache import EvaluationCache
-from repro.service.checkpoint import CheckpointManager
+from repro.service.checkpoint import CheckpointManager, checkpoint_from_dict, is_resumable
 from repro.service.islands import (
     IslandParked,
+    _execute_merge_job,
+    _member_extras,
+    exchange_hook,
     lockstep_groups,
+    member_rng,
     register_store,
     resolve_store,
     store_spec_of,
@@ -45,22 +62,20 @@ from repro.service.job import JobResult, ProtectionJob
 
 
 def _job_result(
-    job: ProtectionJob, outcome: ExperimentResult, wall_seconds: float,
-    stats: dict | None = None,
+    job: ProtectionJob, run: RunState | EvolutionResult, stats: dict, wall_seconds: float,
 ) -> JobResult:
-    """``job``'s result; ``stats`` (default: the evaluator's) are its evaluation counts."""
-    best = outcome.result.best
-    initial_mean, final_mean, percent = outcome.history.improvement("mean")
-    stats = outcome.evaluator.stats() if stats is None else stats
+    """``job``'s result from its finished ``run``; ``stats`` are its evaluation counts."""
+    best = run.population.best()
+    initial_mean, final_mean, percent = run.history.improvement("mean")
     return JobResult(
         job_id=job.job_id,
         dataset=job.dataset,
         seed=job.seed,
-        generations=len(outcome.history),
+        generations=len(run.history),
         best_score=float(best.score),
         best_information_loss=float(best.information_loss),
         best_disclosure_risk=float(best.disclosure_risk),
-        final_scores=tuple(float(ind.score) for ind in outcome.result.population),
+        final_scores=tuple(float(ind.score) for ind in run.population),
         mean_improvement_percent=float(percent),
         fresh_evaluations=stats["evaluations"],
         memo_hits=stats["memo_hits"],
@@ -70,7 +85,7 @@ def _job_result(
             "evaluator_stats": stats,
             # The run's history, in the checkpoint's record encoding,
             # rides with the result; ``repro status --job ID`` renders it.
-            "history": [r.to_dict() for r in outcome.history.records],
+            "history": [r.to_dict() for r in run.history.records],
         },
     )
 
@@ -108,149 +123,314 @@ def _evaluation_cache(payload: dict) -> Iterator[EvaluationCache | None]:
         cache.close()
 
 
-def _traced(payload: dict, execute: Callable[[], JobResult]) -> JobResult:
-    """``execute()`` inside the payload's trace context, when it has one.
+def _trace_scope(payload: dict) -> trace.TraceScope | None:
+    """The span scope of a job that arrived with trace context, else ``None``.
 
-    Arriving trace context re-enables span recording here: a fresh
-    process-pool worker starts with tracing off, but the submit side
-    already opted this job in.  The spans ride back in the result's
-    ``extras["trace_spans"]``; those of a failed or parked attempt stay
-    recoverable through ``trace.take_stray_spans()`` in the settled
-    wrapper.
+    Entering it turns span recording on, so a fresh process-pool worker
+    records the spans of a job the submit side opted in.
     """
-    trace_ctx = payload.get("trace")
-    if not (isinstance(trace_ctx, dict) and trace_ctx.get("id")):
-        return execute()
-    with trace.activated(str(trace_ctx["id"]),
-                         str(trace_ctx.get("root") or "")) as scope:
-        result = execute()
-    result.extras["trace_spans"] = scope.collected
-    return result
+    info = payload.get("trace")
+    if not (isinstance(info, dict) and info.get("id")):
+        return None
+    return trace.TraceScope(str(info["id"]), str(info.get("root") or ""))
+
+
+def _resume_blob(job: ProtectionJob, payload: dict, store) -> dict | None:
+    """The checkpoint blob ``job`` resumes from, or ``None`` to start fresh.
+
+    The payload's ``resume`` is ``True`` (``store`` must hold a
+    checkpoint), ``None`` (resume a resumable one, see
+    :func:`~repro.service.checkpoint.is_resumable`) or ``False``; an
+    island member always reads as ``None``, so it picks its segment up.
+    A blob the caller already read (``payload["checkpoint"]``) is not
+    fetched again.
+    """
+    resume = payload.get("resume") if job.islands < 2 else None
+    if resume is False:
+        return None
+    if store is None:
+        if resume:
+            raise ServiceError("cannot resume without a job store")
+        return None
+    blob = payload.get("checkpoint")
+    if blob is None:
+        blob = store.get_checkpoint(job.job_id)
+        if blob is None and resume:
+            raise ServiceError(
+                f"no checkpoint for {job.job_id} in {CheckpointManager(store, job.job_id).path}")
+    # Decoding a blob ``resume=True`` insists on raises what is wrong with it.
+    return blob if resume or is_resumable(blob, job.checkpoint_fingerprint()) else None
+
+
+def _execute(payloads: list[dict], spans: list[list[dict]]) -> list[JobResult]:
+    """The results of one backend task: a job on its own, or a whole island group.
+
+    A job on its own goes through :func:`_resume_blob` first; a whole
+    group's blobs were read and checked when it qualified (see
+    :func:`~repro.service.islands.lockstep_groups`).  ``spans[i]``
+    receives job ``i``'s trace spans, also when it fails or parks.
+    """
+    job = ProtectionJob.from_dict(payloads[0]["job"])
+    if job.islands >= 2 and job.island_index == job.islands:
+        scope = _trace_scope(payloads[0])
+        try:
+            with trace.entered(scope):
+                return [_execute_merge_job(job, payloads[0])]
+        finally:
+            if scope is not None:
+                spans[0].extend(scope.drain())
+    # The task's one store handle; an island job without one fails here.
+    has_store = payloads[0].get("store_ref") or payloads[0].get("store_spec")
+    store = resolve_store(payloads[0]) if has_store or job.islands >= 2 else None
+    if len(payloads) == 1:
+        payloads = [{**payloads[0], "checkpoint": _resume_blob(job, payloads[0], store)}]
+    return execute_group(payloads, spans, store)
 
 
 def _execute_job(payload: dict) -> JobResult:
-    """Run one job end to end inside the current worker.
+    """Run one job end to end on its own; raises when it fails or parks.
 
     ``payload`` is a plain dict (picklable for the process backend):
-    the job's own dict plus cache / checkpoint / resume directives.
-    Checkpoints go to the job store the payload names, gated on the
-    caller's claim ``owner``.
+    the job's own dict plus cache / checkpoint / resume directives.  A
+    traced job's spans ride back in the result's ``extras["trace_spans"]``.
     """
-    job = ProtectionJob.from_dict(payload["job"])
-    if job.islands >= 2:
-        # Island-group jobs have their own executor: they need the job
-        # store (migrant buffers, durable segment checkpoints) and can
-        # yield mid-run (IslandParked) — neither fits the plain path.
-        from repro.service.islands import execute_island_job
-
-        return execute_island_job(payload)
-    checkpoint_every = int(payload.get("checkpoint_every") or 0)
-    # True: must resume; None: resume when the stored checkpoint is
-    # resumable (see JobRunner.run); False: start fresh.
-    resume = payload.get("resume")
-
-    has_store = bool(payload.get("store_ref") or payload.get("store_spec"))
-    if resume and not has_store:
-        raise ServiceError("cannot resume without a job store")
-    manager = (
-        CheckpointManager(resolve_store(payload), job.job_id,
-                          fingerprint=job.checkpoint_fingerprint(),
-                          owner=payload.get("owner"))
-        if has_store and (checkpoint_every or resume is not False)
-        else None
-    )
-    resume_from = (
-        manager.load(load_dataset(job.dataset), required=bool(resume),
-                     payload=payload.get("checkpoint"))
-        if manager is not None and resume is not False
-        else None
-    )
-
-    def execute() -> JobResult:
-        with _evaluation_cache(payload) as cache:
-            start = time.perf_counter()
-            with trace.span(
-                "repro.run", dataset=job.dataset, seed=job.seed,
-                resume=resume_from is not None or None,
-            ):
-                outcome = run_experiment(
-                    _run_config(job, payload),
-                    evaluation_cache=cache,
-                    checkpoint_every=checkpoint_every if manager is not None else 0,
-                    on_checkpoint=manager.save if manager is not None else None,
-                    resume_from=resume_from,
-                )
-        return _job_result(job, outcome, time.perf_counter() - start)
-
-    return _traced(payload, execute)
+    spans: list[dict] = []
+    (result,) = _execute([payload], [spans])
+    if spans:
+        result.extras["trace_spans"] = spans
+    return result
 
 
-def _execute_job_settled(payload: dict) -> dict:
-    """Like :func:`_execute_job`, but capture failure instead of raising.
+def _execute_settled(payloads: list[dict]) -> list[dict]:
+    """One backend task, each job's outcome captured instead of raised.
 
-    Returns a plain dict (``result`` xor ``error``) so one bad job cannot
-    poison a whole fan-out: siblings keep their results and the caller
-    records each job's true outcome.  Trace spans ride back as their own
-    key — present in the failure case too, so the spans of a dying run
-    still reach the durable trace (failed jobs always flush).
+    Returns one plain dict per job (``result`` xor ``error``) so one bad
+    job cannot poison a whole fan-out: siblings keep their results and
+    the caller records each job's true outcome.  Trace spans ride back
+    as their own key — present in the failure case too, so the spans of
+    a dying run still reach the durable trace (failed jobs always
+    flush).  A parked island job is a third outcome: the ``parked`` key
+    carries the yield details so the worker requeues the record instead
+    of marking it failed.
 
-    A parked island job (see :mod:`repro.service.islands`) is a third
-    outcome — neither result nor error: the ``parked`` key carries the
-    yield details so the worker requeues the record instead of marking
-    it failed.
+    If a whole island group raises, every member runs again on its own,
+    through :func:`_execute_job_settled`, from its last durable exchange
+    checkpoint: an error then fails only the member it belongs to, and
+    its peers park or degrade to solo as in a split group.  Each member
+    keeps the spans of both attempts.
     """
-    try:
-        result = _execute_job(payload)
-        spans = result.extras.pop("trace_spans", [])
-        return {"result": result.to_dict(), "error": "", "trace_spans": spans}
-    except IslandParked as parked:
-        return {
-            "result": None,
-            "error": "",
-            "parked": parked.to_dict(),
-            "trace_spans": trace.take_stray_spans(),
-        }
-    except Exception as exc:  # noqa: BLE001 - the error is the outcome
-        return {
-            "result": None,
-            "error": f"{type(exc).__name__}: {exc}",
-            "trace_spans": trace.take_stray_spans(),
-        }
-
-
-def _execute_lockstep_settled(payloads: list[dict]) -> list[dict]:
-    """:func:`_execute_job_settled` for one lockstep island group.
-
-    The group runs as one (see
-    :func:`~repro.service.islands.execute_lockstep_group`).  If that
-    raises, every member runs again alone, through
-    :func:`_execute_job_settled` and the same executor, from its last
-    durable exchange checkpoint: an error then fails only the member it
-    belongs to, and its peers park or degrade to solo as in a split
-    group.  Each member keeps the spans of both attempts.
-    """
-    from repro.service.islands import execute_lockstep_group
-
     spans: list[list[dict]] = [[] for _ in payloads]
     try:
-        results = execute_lockstep_group(payloads, spans)
-    except Exception as exc:  # noqa: BLE001 - rerun member by member
-        emit_event("island_lockstep_fallback", members=len(payloads),
-                   error=f"{type(exc).__name__}: {exc}")
-        settled = [_execute_job_settled({**payload, "checkpoint": None})
-                   for payload in payloads]
-        for out, collected in zip(settled, spans):
-            out["trace_spans"] = collected + out["trace_spans"]
-        return settled
+        results = _execute(payloads, spans)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        if len(payloads) > 1:
+            emit_event("island_lockstep_fallback", members=len(payloads),
+                       error=f"{type(exc).__name__}: {exc}")
+            settled = [_execute_job_settled({**payload, "checkpoint": None})
+                       for payload in payloads]
+            for out, collected in zip(settled, spans):
+                out["trace_spans"] = collected + out["trace_spans"]
+            return settled
+        if isinstance(exc, IslandParked):
+            return [{"result": None, "error": "", "parked": exc.to_dict(),
+                     "trace_spans": spans[0]}]
+        return [{"result": None, "error": f"{type(exc).__name__}: {exc}",
+                 "trace_spans": spans[0]}]
     return [{"result": result.to_dict(), "error": "", "trace_spans": collected}
             for result, collected in zip(results, spans)]
 
 
-def _execute_settled(task: dict | list[dict]) -> dict | list[dict]:
-    """One backend task: a job's payload, or a lockstep group's payload list."""
-    if isinstance(task, list):
-        return _execute_lockstep_settled(task)
-    return _execute_job_settled(task)
+def _execute_job_settled(payload: dict) -> dict:
+    """:func:`_execute_settled` of one job on its own."""
+    (out,) = _execute_settled([payload])
+    return out
+
+
+# -- the one executor ---------------------------------------------------------
+
+
+#: The :meth:`~repro.metrics.evaluation.ProtectionEvaluator.stats` key each
+#: ``evaluate_many`` source is counted under.
+_CHARGED = {"fresh": "evaluations", "memo": "memo_hits",
+            "persistent": "persistent_hits", "dedup": "batch_dedup"}
+
+
+class _Run:
+    """One job of an executor group: engine, run state, trace scope, stats."""
+
+    def __init__(self, job: ProtectionJob, payload: dict, engine) -> None:
+        self.job = job
+        self.engine = engine
+        #: The checkpoint blob the run resumes from; ``None`` starts fresh.
+        self.blob: dict | None = payload.get("checkpoint")
+        self.state: RunState | None = None
+        #: An island member's exchange state, set by its exchange hook.
+        self.island: dict | None = None
+        # This job's share of the shared evaluator's stats: each
+        # distinct candidate is charged to the lowest-index job that
+        # submitted it, so the jobs' counts sum to the evaluator's.
+        self.stats = {"evaluations": 0, "memo_hits": 0, "persistent_hits": 0,
+                      "batch_dedup": 0, "batches": 0, "max_batch_size": 0,
+                      "fresh_seconds": 0.0}
+        self.scope = _trace_scope(payload)
+
+    def span(self, name: str, **attrs):
+        """A span of this job's trace (a no-op one when it is untraced)."""
+        with trace.entered(self.scope):
+            return trace.span(name, **attrs)
+
+    def mirror(self, spans: list[dict]) -> None:
+        """Copy another job's spans of work done for the whole group.
+
+        The copies get fresh ids in this job's trace; a span whose
+        parent is not among ``spans`` hangs under this job's open span.
+        """
+        if self.scope is None or not spans:
+            return
+        parent = self.scope.stack[-1].span_id if self.scope.stack else self.scope.root_id
+        ids = {item["span_id"]: trace.new_span_id() for item in spans}
+        for item in spans:
+            self.scope.record({**item, "trace_id": self.scope.trace_id,
+                               "span_id": ids[item["span_id"]],
+                               "parent_id": ids.get(item["parent_id"], parent)})
+
+
+def execute_group(payloads: list[dict], spans: list[list[dict]], store) -> list[JobResult]:
+    """Step the jobs of ``payloads`` together; results in payload order.
+
+    The one job executor: ``payloads`` are one job, or every member of
+    an island group in island order (see
+    :func:`~repro.service.islands.lockstep_groups`), each carrying the
+    checkpoint blob it resumes from (``None`` to start fresh).  The
+    jobs' engines share one evaluator, and each generation's offspring
+    go through it as one pooled batch.  After each generation a hook
+    runs: an island group's exchange step
+    (:func:`~repro.service.islands.exchange_hook`, which also settles a
+    round a resumed member parked on), or a plain job's checkpoint save
+    every ``checkpoint_every`` generations and at the last one; both
+    write to the job ``store`` (``None`` runs a plain job
+    uncheckpointed).  ``spans[i]`` receives job ``i``'s trace spans,
+    also when the run fails or parks.
+    """
+    jobs = [ProtectionJob.from_dict(payload["job"]) for payload in payloads]
+    head = jobs[0]
+    config = _run_config(head, payloads[0])
+    resumed = payloads[0].get("checkpoint") is not None
+    start = time.perf_counter()
+    with _evaluation_cache(payloads[0]) as cache:
+        evaluator = build_evaluator(config, cache)
+        runs = [_Run(job, payload, build_engine(
+                    config, evaluator, member_rng(job) if job.islands >= 2 else None))
+                for job, payload in zip(jobs, payloads)]
+        try:
+            with ExitStack() as open_spans:
+                for run in runs:
+                    island = {"island": run.job.island_index} if run.job.islands >= 2 else {}
+                    open_spans.enter_context(run.span(
+                        "repro.run", dataset=head.dataset, seed=head.seed, **island,
+                        resume=resumed or None))
+                _start(runs, config, evaluator)
+                hook = exchange_hook if head.islands >= 2 else _checkpoint_hook
+                run_lockstep([(run.engine, run.state) for run in runs],
+                             MaxGenerations(config.generations),
+                             lambda proposals: _evaluate_pooled(runs, evaluator, proposals),
+                             hook(runs, payloads[0], store, evaluator.original),
+                             lambda index: trace.entered(runs[index].scope))
+        finally:
+            for run, collected in zip(runs, spans):
+                if run.scope is not None:
+                    collected.extend(run.scope.drain())
+    wall_seconds = time.perf_counter() - start
+    results = []
+    for run in runs:
+        result = _job_result(run.job, run.state, run.stats, wall_seconds)
+        if run.island is not None:
+            result.extras["island"] = _member_extras(run.job, run.island, run.state.population)
+        results.append(result)
+    return results
+
+
+def _start(runs: list[_Run], config: ExperimentConfig, evaluator) -> None:
+    """Restore every run from its checkpoint blob, or score the initial population once."""
+    if runs[0].blob is not None:
+        for run in runs:
+            with trace.entered(run.scope):
+                checkpoint = checkpoint_from_dict(
+                    run.blob, evaluator.original,
+                    expected_fingerprint=run.job.checkpoint_fingerprint())
+            run.state = run.engine.restore(checkpoint)
+        return
+    # Every run starts from the same scored population: score it once,
+    # charged to the first run.
+    lead = runs[0]
+    mark = len(lead.scope.spans) if lead.scope is not None else 0
+    with trace.entered(lead.scope):
+        kept, _ = score_initial_population(config, lead.engine)
+    lead.stats = evaluator.stats()
+    shared = lead.scope.spans[mark:] if lead.scope is not None else []
+    for run in runs[1:]:
+        run.mirror(shared)
+    for run in runs:
+        run.state = run.engine.start(kept)
+
+
+def _checkpoint_hook(runs: list[_Run], payload: dict, store, reference):
+    """A plain job's hook: a save every ``checkpoint_every`` generations and
+    at the last one, so a finished job's checkpoint matches its result.
+
+    ``None`` (no hook) without a cadence or a job store.  Saves are gated
+    on the payload's claim ``owner``.
+    """
+    every = int(payload.get("checkpoint_every") or 0)
+    if not every or store is None:
+        return None
+    (run,) = runs
+    manager = CheckpointManager(store, run.job.job_id,
+                                fingerprint=run.job.checkpoint_fingerprint(),
+                                owner=payload.get("owner"))
+
+    def save(generation: int) -> None:
+        if generation % every == 0 or generation == run.job.generations:
+            with trace.entered(run.scope):
+                manager.save(run.engine.capture(run.state))
+
+    return save
+
+
+def _evaluate_pooled(runs: list[_Run], evaluator, proposals: list) -> list:
+    """Score every run's proposal as one batch, charging each run its share.
+
+    Each distinct candidate counts for the lowest-index run that
+    submitted it, and each run's trace gets the batch's
+    ``repro.eval.batch`` span under its open generation span.
+    """
+    batch = [child for proposal in proposals for child in proposal.offspring]
+    sources: list[str] = []
+    fresh_before = evaluator.fresh_seconds
+    started, wall_started = time.perf_counter(), time.time()
+    with trace.entered(None):
+        scores = evaluator.evaluate_many(batch, sources=sources)
+    elapsed = time.perf_counter() - started
+    fresh_seconds = evaluator.fresh_seconds - fresh_before
+    fresh_total = sources.count("fresh")
+    offset = 0
+    for run, proposal in zip(runs, proposals):
+        end = offset + len(proposal.offspring)
+        mine = sources[offset:end]
+        fresh = mine.count("fresh")
+        stats = run.stats
+        for kind in mine:
+            stats[_CHARGED[kind]] += 1
+        stats["batches"] += 1
+        stats["max_batch_size"] = max(stats["max_batch_size"], len(batch))
+        if fresh:
+            stats["fresh_seconds"] = round(
+                stats["fresh_seconds"] + fresh_seconds * fresh / fresh_total, 6)
+        with trace.entered(run.scope):
+            trace.record_span("repro.eval.batch", elapsed, start=wall_started,
+                              size=len(batch), fresh=fresh)
+        offset = end
+    return scores
 
 
 @dataclass(frozen=True)
@@ -434,10 +614,10 @@ class JobRunner:
         because a sibling failed.  ``checkpoints`` (one blob or None per
         job) hands over blobs the caller already read from the store.
 
-        Every member of an island group that can step in lockstep (see
-        :func:`~repro.service.islands.lockstep_groups`) runs in one
-        backend task that steps the group's engines together; every
-        other job is a task of its own, in the same backend map.
+        Every task is a list of jobs :func:`execute_group` steps
+        together: all the members of an island group that can step in
+        lockstep (see :func:`~repro.service.islands.lockstep_groups`),
+        or one job on its own.
         """
         if not jobs:
             return []
@@ -451,21 +631,14 @@ class JobRunner:
             for job, ctx, blob in zip(jobs, traces, blobs)
         ]
         # Tasks in batch order: a group at its first member's position.
-        leading = {min(group): group for group in groups}
-        grouped = {i for group in groups for i in group}
-        units: list[list[int]] = []
-        tasks: list[dict | list[dict]] = []
-        for i, payload in enumerate(payloads):
-            if i in leading:
-                units.append(leading[i])
-                tasks.append([payloads[j] for j in leading[i]])
-            elif i not in grouped:
-                units.append([i])
-                tasks.append(payload)
+        grouped = {i: group for group in groups for i in group}
+        units = [grouped.get(i, [i]) for i in range(len(jobs))
+                 if i == min(grouped.get(i, [i]))]
+        tasks = [[payloads[i] for i in unit] for unit in units]
         settled: list[dict] = [{}] * len(jobs)
-        for unit, out in zip(units, self.backend.map(_execute_settled, tasks)):
-            for i, item in zip(unit, out if isinstance(out, list) else [out]):
-                settled[i] = item
+        for unit, outs in zip(units, self.backend.map(_execute_settled, tasks)):
+            for i, out in zip(unit, outs):
+                settled[i] = out
         return [
             JobOutcome(
                 job_id=job.job_id,

@@ -51,7 +51,7 @@ def test_inline_resubmit_resumes_from_checkpoint(tmp_path, monkeypatch, capsys):
     expected = _store(reference).get(job_id).result.final_scores
 
     # First attempt: the GA and all its checkpoints finish, then the run dies.
-    real = runner_mod.run_experiment
+    real = runner_mod.run_lockstep
 
     def dying_run(*args, **kwargs):
         real(*args, **kwargs)
@@ -59,7 +59,7 @@ def test_inline_resubmit_resumes_from_checkpoint(tmp_path, monkeypatch, capsys):
 
     state = tmp_path / "state"
     with monkeypatch.context() as patch:
-        patch.setattr(runner_mod, "run_experiment", dying_run)
+        patch.setattr(runner_mod, "run_lockstep", dying_run)
         assert main(SUBMIT + ["--state-dir", str(state)]) == 1
     store = _store(state)
     store.requeue(store.get(job_id))
@@ -107,7 +107,7 @@ def test_failed_resume_exits_one_and_leaves_no_claim(tmp_path, monkeypatch, caps
     def boom(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(runner_mod, "run_experiment", boom)
+    monkeypatch.setattr(runner_mod, "run_lockstep", boom)
     capsys.readouterr()
     assert main(["resume", "--job", job_id, "--state-dir", str(state)]) == 1
     assert f"{job_id} failed:" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Golden bit-identity of island groups and of the engine's generation step.
+"""Golden bit-identity of island groups, plain jobs and the engine's generation step.
 
 The goldens in ``tests/data/island_goldens.json`` were computed by the
 code that predates lockstep island groups (every member then ran alone,
@@ -19,6 +19,14 @@ holds the whole group, so it steps in lockstep), inline ``repro submit
 --islands`` (likewise), and a split group, where another owner holds one
 sibling's claim for a while, so each member runs alone (a lockstep group
 of one) and exchanges through the migrant buffers, parking as it must.
+
+Plain jobs (two flare seeds, 7 generations, a checkpoint every 3) pin
+the same surface per job plus the evaluator stats (every key but the
+timed ``fresh_seconds``), computed by the code that ran a plain job
+through ``run_experiment``.  They run through ``repro worker --once``
+(serial, ``--backend thread``, ``--backend process`` and
+``--eval-workers 2``), inline ``repro submit``, and ``repro resume``
+from the generation-3 checkpoint, whose stats have their own golden.
 
 Regenerate the goldens (``python tests/test_island_lockstep.py``) only
 for a change that is meant to move results, such as a metric-kernel
@@ -69,6 +77,10 @@ SOLO_RUNS = {
     "flare-s5": dict(dataset="flare", generations=40, seed=5),
     "adult-s3": dict(dataset="adult", generations=8, seed=3),
 }
+
+
+#: The plain jobs: saves land at generations 3, 6 and the partial 7.
+PLAIN = dict(dataset="flare", generations=7, seeds=(1, 2), checkpoint_every=3)
 
 
 def _digest(payload: object) -> str:
@@ -180,6 +192,85 @@ DRIVES = {"worker-once": drive_worker_once, "inline-submit": drive_inline,
           "split-group": drive_split}
 
 
+def _plain_jobs() -> list[ProtectionJob]:
+    return [ProtectionJob(dataset=PLAIN["dataset"], generations=PLAIN["generations"],
+                          seed=seed) for seed in PLAIN["seeds"]]
+
+
+def plain_digests(store) -> dict:
+    """The golden surface of the finished plain jobs, as SHA-256 digests."""
+    digests = {}
+    for job in _plain_jobs():
+        record = store.get(job.job_id)
+        assert record.status == "completed", f"{job.job_id}: {record.status} {record.error}"
+        stats = dict(record.result.extras["evaluator_stats"])
+        stats.pop("fresh_seconds")
+        digests[f"seed-{job.seed}"] = {
+            "final_scores": _digest(list(record.result.final_scores)),
+            "history": _digest(_untimed(record.result.extras["history"])),
+            "checkpoint": checkpoint_digest(store, job),
+            "evaluator_stats": _digest(stats),
+        }
+    return digests
+
+
+def _plain_submit_args(state: Path, cache: bool = False) -> list[str]:
+    return ["submit", "--dataset", PLAIN["dataset"], "--generations",
+            str(PLAIN["generations"]), "--seeds", ",".join(map(str, PLAIN["seeds"])),
+            "--checkpoint-every", str(PLAIN["checkpoint_every"]), "--state-dir", str(state),
+            *([] if cache else ["--no-cache"])]
+
+
+def drive_plain_worker(state: Path, *worker_args: str) -> SqliteJobStore:
+    """``repro worker --once`` with ``worker_args``; no evaluation cache, so
+    parallel jobs cannot race for each other's cache entries."""
+    assert main(_plain_submit_args(state) + ["--detach"]) == 0
+    assert main(["worker", "--once", "--no-cache", "--state-dir", str(state),
+                 *worker_args]) == 0
+    return SqliteJobStore(state / "jobs.sqlite")
+
+
+def drive_plain_inline(state: Path) -> SqliteJobStore:
+    assert main(_plain_submit_args(state)) == 0
+    return SqliteJobStore(state / "jobs.sqlite")
+
+
+def drive_plain_resume(state: Path) -> SqliteJobStore:
+    """Run inline with the evaluation cache, then ``repro resume`` each job
+    from the checkpoint its first run saved at generation 3."""
+    saved: dict[str, dict] = {}
+    put = SqliteJobStore.put_checkpoint
+
+    def keeping(self, job_id, payload, *args, **kwargs):
+        if isinstance(payload, dict) and payload.get("generation") == 3:
+            saved[job_id] = json.loads(json.dumps(payload))
+        return put(self, job_id, payload, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SqliteJobStore, "put_checkpoint", keeping)
+        assert main(_plain_submit_args(state, cache=True)) == 0
+    store = SqliteJobStore(state / "jobs.sqlite")
+    for job in _plain_jobs():
+        store.put_checkpoint(job.job_id, saved[job.job_id])
+        assert main(["resume", "--job", job.job_id, "--force",
+                     "--state-dir", str(state)]) == 0
+    return store
+
+
+#: Each plain drive and the golden it must match.
+PLAIN_DRIVES = {
+    "worker-once": (drive_plain_worker, "straight"),
+    "inline-submit": (drive_plain_inline, "straight"),
+    "thread-backend": (lambda state: drive_plain_worker(
+        state, "--backend", "thread", "--workers", "2", "--capacity", "2"), "straight"),
+    "process-backend": (lambda state: drive_plain_worker(
+        state, "--backend", "process", "--workers", "2", "--capacity", "2"), "straight"),
+    "eval-workers": (lambda state: drive_plain_worker(state, "--eval-workers", "2"),
+                     "straight"),
+    "resume": (drive_plain_resume, "resumed"),
+}
+
+
 @pytest.fixture(scope="module")
 def goldens() -> dict:
     return json.loads(GOLDENS.read_text(encoding="utf-8"))
@@ -231,6 +322,24 @@ def test_a_group_held_whole_reads_no_migrant_buffer(tmp_path, capsys, monkeypatc
     assert all(record.status == "completed" for record in members)
     assert all(record.result.extras["island"]["rounds"] == 1 for record in members)
     assert reads == []
+
+
+@pytest.mark.parametrize("drive", sorted(PLAIN_DRIVES))
+def test_plain_jobs_match_the_golden(tmp_path, goldens, capsys, drive):
+    run, golden = PLAIN_DRIVES[drive]
+    store = run(tmp_path / "state")
+    assert plain_digests(store) == goldens["plain"][golden]
+
+
+def test_plain_jobs_run_on_the_one_executor(tmp_path, goldens, capsys, monkeypatch):
+    """A plain job steps on the job executor, never the library run loop."""
+    def solo_loop(*args, **kwargs):
+        raise AssertionError("a plain job ran EvolutionaryProtector.run/resume")
+
+    monkeypatch.setattr(EvolutionaryProtector, "run", solo_loop)
+    monkeypatch.setattr(EvolutionaryProtector, "resume", solo_loop)
+    store = drive_plain_resume(tmp_path / "state")
+    assert plain_digests(store) == goldens["plain"]["resumed"]
 
 
 @pytest.mark.parametrize("run", sorted(SOLO_RUNS))
@@ -327,17 +436,18 @@ def test_traced_members_each_keep_one_connected_tree(tmp_path):
 
 @pytest.fixture
 def lockstep_runs(monkeypatch) -> list[int]:
-    """The size of every group :func:`execute_lockstep_group` runs."""
-    from repro.service import islands
+    """The size of every island group :func:`runner.execute_group` runs."""
+    from repro.service import runner
 
     runs: list[int] = []
-    group = islands.execute_lockstep_group
+    group = runner.execute_group
 
-    def counted(payloads, spans):
-        runs.append(len(payloads))
-        return group(payloads, spans)
+    def counted(payloads, spans, store):
+        if ProtectionJob.from_dict(payloads[0]["job"]).islands >= 2:
+            runs.append(len(payloads))
+        return group(payloads, spans, store)
 
-    monkeypatch.setattr(islands, "execute_lockstep_group", counted)
+    monkeypatch.setattr(runner, "execute_group", counted)
     return runs
 
 
@@ -348,24 +458,24 @@ class _Killed(BaseException):
 def test_a_group_killed_mid_run_resumes_in_lockstep(tmp_path, monkeypatch, goldens,
                                                     lockstep_runs):
     """All members resume at their last exchange and match the golden."""
-    from repro.service import islands
+    from repro.service import runner
 
     shape = SHAPES["flare-base"]
     store = SqliteJobStore(tmp_path / "jobs.sqlite")
     jobs = _submit(store, shape)
-    pooled = islands._evaluate_pooled
+    pooled = runner._evaluate_pooled
 
-    def dying(members, evaluator, proposals):
+    def dying(runs, evaluator, proposals):
         if proposals[0].generation == 2:
             raise _Killed()
-        return pooled(members, evaluator, proposals)
+        return pooled(runs, evaluator, proposals)
 
-    monkeypatch.setattr(islands, "_evaluate_pooled", dying)
+    monkeypatch.setattr(runner, "_evaluate_pooled", dying)
     with pytest.raises(_Killed):
         Worker(store, worker_id="doomed-worker").run_once()
     assert all(store.get_checkpoint(job.job_id)["generation"] == 1 for job in jobs[:-1])
 
-    monkeypatch.setattr(islands, "_evaluate_pooled", pooled)
+    monkeypatch.setattr(runner, "_evaluate_pooled", pooled)
     for job in jobs:
         record = store.get(job.job_id)
         if record.status != "queued":
@@ -424,35 +534,32 @@ def test_a_failing_member_fails_alone_and_its_peers_degrade(
     assert jobs[2].job_id in records[-1].error
 
 
-def test_a_plain_job_runs_alongside_a_lockstep_group(tmp_path, monkeypatch,
-                                                      lockstep_runs):
+def test_a_plain_job_runs_alongside_a_lockstep_group(tmp_path, monkeypatch):
     """One backend map: on two threads the group does not hold up the job."""
     import threading
 
-    from repro.service import islands, runner
+    from repro.service import runner
 
     store = SqliteJobStore(tmp_path / "jobs.sqlite")
     plain = ProtectionJob(dataset="flare", generations=2, seed=1)
     store.submit(plain)
     jobs = _submit(store, FLEET)
-    # Each side waits at the barrier until the other one has started.
+    # The group's task and the job's each wait at the barrier until the
+    # other one has started.
     barrier = threading.Barrier(2, timeout=20)
-    group, settled = islands.execute_lockstep_group, runner._execute_job_settled
+    group = runner.execute_group
+    sizes: list[int] = []
 
-    def group_at_barrier(payloads, spans):
+    def group_at_barrier(payloads, spans, store):
+        sizes.append(len(payloads))
         barrier.wait()
-        return group(payloads, spans)
+        return group(payloads, spans, store)
 
-    def job_at_barrier(payload):
-        if ProtectionJob.from_dict(payload["job"]) == plain:
-            barrier.wait()
-        return settled(payload)
-
-    monkeypatch.setattr(islands, "execute_lockstep_group", group_at_barrier)
-    monkeypatch.setattr(runner, "_execute_job_settled", job_at_barrier)
+    monkeypatch.setattr(runner, "execute_group", group_at_barrier)
     Worker(store, worker_id="pair-worker", backend="thread", max_workers=2,
            capacity=2).run_once()
     assert not barrier.broken
+    assert sorted(sizes) == [1, FLEET["islands"]]
     assert store.get(plain.job_id).status == "completed"
     assert all(store.get(job.job_id).status == "completed" for job in jobs)
 
@@ -475,7 +582,9 @@ def compute_goldens(work: Path) -> dict:
         store = drive_worker_once(shape, work / name)
         groups[name] = group_digests(store, _group_jobs(shape))
     solo = {name: solo_digests(run) for name, run in SOLO_RUNS.items()}
-    return {"groups": groups, "solo": solo}
+    plain = {"straight": plain_digests(drive_plain_worker(work / "plain")),
+             "resumed": plain_digests(drive_plain_resume(work / "plain-resumed"))}
+    return {"groups": groups, "solo": solo, "plain": plain}
 
 
 if __name__ == "__main__":

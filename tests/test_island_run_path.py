@@ -54,7 +54,7 @@ def test_member_without_exchange_equals_plain_run_on_its_stream(
 
     stream = np.random.SeedSequence(job.seed).spawn(job.islands)[island_index]
     plain = run_experiment(job.to_config(), seed=np.random.default_rng(stream))
-    expected = _job_result(job, plain, 0.0)
+    expected = _job_result(job, plain.result, plain.evaluator.stats(), 0.0)
 
     assert _comparable(member) == _comparable(expected)
     island = member.extras["island"]

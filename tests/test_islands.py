@@ -10,6 +10,7 @@ migration hook contract.
 from __future__ import annotations
 
 import base64
+import os
 import zlib
 from dataclasses import replace
 
@@ -35,11 +36,15 @@ from repro.service import (
     plan_island_jobs,
 )
 from repro.service.islands import (
+    _env_seconds,
     parked_signature,
     plan_injection,
     publish_migrants,
     read_round_migrants,
+    register_store,
+    resolve_store,
     select_migrants,
+    store_spec_of,
 )
 
 ATTRS = ["EDUCATION", "MARITAL-STATUS", "OCCUPATION"]
@@ -338,6 +343,38 @@ class TestParkedSignal:
             "waiting_on": ["job-2"],
         }
         assert parked_signature(payload) == (3, 75)
+
+
+class TestStoreRegistry:
+    def test_a_forked_process_reopens_the_store_from_its_spec(self, tmp_path,
+                                                              monkeypatch):
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
+        spec, token = store_spec_of(store)
+        payload = {"store_ref": register_store(store), "store_spec": spec,
+                   "store_token": token}
+        assert resolve_store(payload) is store
+        # A forked pool worker inherits the registry under another pid;
+        # the parent's store object (and the lock a parent thread may
+        # hold) is not its to use.
+        pid = os.getpid()
+        monkeypatch.setattr(os, "getpid", lambda: pid + 1)
+        reopened = resolve_store(payload)
+        assert reopened is not store
+        assert reopened.path == store.path
+
+
+class TestTimingEnv:
+    """The island wait settings read seconds, and only usable ones."""
+
+    @pytest.mark.parametrize("raw, seconds", [
+        ("", 0.25), ("0", 0.0), ("1.5", 1.5), ("soon", 0.25),
+        # A NaN or infinite grace never ends the in-claim poll, and a
+        # NaN timeout never degrades: both read as unset.
+        ("nan", 0.25), ("inf", 0.25), ("-inf", 0.25), ("-1", 0.25),
+    ])
+    def test_unusable_values_fall_back_to_the_default(self, monkeypatch, raw, seconds):
+        monkeypatch.setenv("REPRO_ISLAND_GRACE", raw)
+        assert _env_seconds("REPRO_ISLAND_GRACE", 0.25) == seconds
 
 
 # -- the engine's migration hook --------------------------------------------

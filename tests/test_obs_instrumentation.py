@@ -337,13 +337,13 @@ class TestCheckpointTelemetry:
             len(dumps(payload)) for payload in stored)
 
     def test_island_saves_counted_in_seconds_and_bytes(self, tmp_path, checkpoint):
-        from repro.service.islands import _fresh_state, _persist_island_checkpoint
+        from repro.service.islands import _persist_island_checkpoint, _state_payload
 
         store = SqliteJobStore(tmp_path / "state" / "jobs.sqlite")
         job = ProtectionJob(dataset="flare", generations=2, seed=5)
-        _persist_island_checkpoint(store, job, checkpoint, _fresh_state())
+        _persist_island_checkpoint(store, job, checkpoint, _state_payload({}))
         stored = store.get_checkpoint(job.job_id)
-        assert stored["island_state"] == _fresh_state()
+        assert stored["island_state"] == _state_payload({})
         assert histogram_count("repro_checkpoint_seconds") == 1
         assert counter_value("repro_checkpoint_bytes_total") == len(json.dumps(stored))
 

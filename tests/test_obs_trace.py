@@ -406,7 +406,7 @@ class TestResumeLinksToOriginalTrace:
         store = SqliteJobStore(tmp_path / "jobs.sqlite")
         record, info = _submit_traced(store, _job(seed=9), checkpoint_every=1)
 
-        real = runner_mod.run_experiment
+        real = runner_mod.run_lockstep
         calls = {"n": 0}
 
         def dying_run(*args, **kwargs):
@@ -416,7 +416,7 @@ class TestResumeLinksToOriginalTrace:
                 raise RuntimeError("worker killed mid-release")
             return result
 
-        monkeypatch.setattr(runner_mod, "run_experiment", dying_run)
+        monkeypatch.setattr(runner_mod, "run_lockstep", dying_run)
         (outcome,) = Worker(store, stale_after=60.0).run_once()
         assert not outcome.ok
         failed = store.get(record.job_id)
@@ -476,6 +476,47 @@ class TestCheckpointSpan:
         saves = [s for s in spans if s["name"] == "repro.checkpoint.save"]
         assert [s["attrs"]["generation"] for s in saves] == [1, 2, 3]
         assert {s["parent_id"] for s in saves} == {run["span_id"]}
+
+
+class TestPlainJobSpanTree:
+    """A traced plain job's whole tree, pinned as it was when plain jobs
+    still ran through ``run_experiment``."""
+
+    #: (name, parent name, attribute keys) of every span of a 3-generation
+    #: job saving at generation 2 and the final partial 3.
+    TREE = sorted(
+        [("repro.job", "", ("status",)),
+         ("repro.submit", "repro.job", ("dataset", "seed")),
+         ("repro.queue.wait", "repro.job", ()),
+         ("repro.claim", "repro.job", ("worker",)),
+         ("repro.run", "repro.job", ("dataset", "seed")),
+         ("repro.population.build", "repro.run", ("dataset", "memo_hit")),
+         ("repro.eval.batch", "repro.run", ("fresh", "size")),
+         ("repro.release", "repro.job", ("worker",))]
+        + [("repro.engine.generation", "repro.run",
+            ("accepted", "evaluations", "generation", "operator")),
+           ("repro.eval.batch", "repro.engine.generation", ("fresh", "size"))] * 3
+        + [("repro.checkpoint.save", "repro.run", ("generation",))] * 2
+    )
+
+    #: The client's RPC spans a store behind the HTTP server adds.
+    RPCS = [("repro.rpc", "repro.submit", ("method",))] + \
+        [("repro.rpc", "repro.checkpoint.save", ("method",))] * 2
+
+    def test_tree_is_pinned(self, store_harness):
+        trace.enable_tracing(sample_rate=1.0)
+        store = store_harness.store
+        record, _ = _submit_traced(store, _job(seed=31, generations=3), checkpoint_every=2)
+        (outcome,) = Worker(store, stale_after=60.0).run_once()
+        assert outcome.ok
+        spans = trace.load_trace(store, record.job_id)["spans"]
+        names = {s["span_id"]: s["name"] for s in spans}
+        tree = sorted((s["name"], names.get(s["parent_id"], ""),
+                       tuple(sorted(s.get("attrs") or ()))) for s in spans)
+        remote = store is not store_harness.backing
+        assert tree == sorted(self.TREE + (self.RPCS if remote else []))
+        saves = [s for s in spans if s["name"] == "repro.checkpoint.save"]
+        assert [s["attrs"]["generation"] for s in saves] == [2, 3]
 
 
 class TestPopulationBuildSpan:
