@@ -1,8 +1,9 @@
 """Checkpoint persistence: engine state that survives a crash.
 
-The engine emits :class:`~repro.core.engine.EngineCheckpoint` values via
-its ``on_checkpoint`` callback; :class:`CheckpointManager` encodes each
-one and writes it straight into the job store as the job's checkpoint
+The job runner's per-generation hooks capture
+:class:`~repro.core.engine.EngineCheckpoint` values from the engine
+(``engine.capture``); :class:`CheckpointManager` encodes each one and
+writes it straight into the job store as the job's checkpoint
 blob (``store.put_checkpoint``), and reads it back from there
 (``store.get_checkpoint``) so a killed job resumes exactly where it
 stopped, on this machine or any other.  The store is a checkpoint's only
@@ -297,10 +298,11 @@ def checkpoint_from_dict(
 class CheckpointManager:
     """One job's checkpoint in a job store: encoded saves, verified loads.
 
-    :meth:`save` fits the engine's ``on_checkpoint`` callback.  The job
-    runner's executor saves every job it runs with a store through one:
-    a plain job on its ``checkpoint_every`` cadence, an island member at
-    each exchange (with its island state).
+    The job runner's executor saves every job it runs with a store
+    through one, from its per-generation hook: a plain job's hook on the
+    job's ``checkpoint_every`` cadence and at its last generation, an
+    island member's exchange hook at each exchange (with its island
+    state).
 
     ``owner`` is the caller's claim owner: the store refuses a save once
     the claim has moved to another worker, so a worker that lost its

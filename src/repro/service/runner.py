@@ -162,14 +162,26 @@ def _resume_blob(job: ProtectionJob, payload: dict, store) -> dict | None:
     return blob if resume or is_resumable(blob, job.checkpoint_fingerprint()) else None
 
 
+def _cadence(payload: dict) -> int:
+    """The payload's ``checkpoint_every``: generations between saves (0 without one)."""
+    every = payload.get("checkpoint_every", 0)
+    if isinstance(every, bool) or not isinstance(every, int) or every < 0:
+        raise ServiceError(f"checkpoint_every must be >= 0, got {every!r}")
+    return every
+
+
 def _execute(payloads: list[dict], spans: list[list[dict]]) -> list[JobResult]:
     """The results of one backend task: a job on its own, or a whole island group.
 
-    A job on its own goes through :func:`_resume_blob` first; a whole
-    group's blobs were read and checked when it qualified (see
+    Every job's cadence is checked first, so a bad one fails its task
+    before anything is scored.  A job on its own goes through
+    :func:`_resume_blob`; a whole group's blobs were read and checked
+    when it qualified (see
     :func:`~repro.service.islands.lockstep_groups`).  ``spans[i]``
     receives job ``i``'s trace spans, also when it fails or parks.
     """
+    for payload in payloads:
+        _cadence(payload)
     job = ProtectionJob.from_dict(payloads[0]["job"])
     if job.islands >= 2 and job.island_index == job.islands:
         scope = _trace_scope(payloads[0])
@@ -190,14 +202,10 @@ def _execute(payloads: list[dict], spans: list[list[dict]]) -> list[JobResult]:
 def _execute_job(payload: dict) -> JobResult:
     """Run one job end to end on its own; raises when it fails or parks.
 
-    ``payload`` is a plain dict (picklable for the process backend):
-    the job's own dict plus cache / checkpoint / resume directives.  A
-    traced job's spans ride back in the result's ``extras["trace_spans"]``.
+    ``payload`` is a plain dict: the job's own dict plus cache /
+    checkpoint / resume directives.
     """
-    spans: list[dict] = []
-    (result,) = _execute([payload], [spans])
-    if spans:
-        result.extras["trace_spans"] = spans
+    (result,) = _execute([payload], [[]])
     return result
 
 
@@ -381,7 +389,7 @@ def _checkpoint_hook(runs: list[_Run], payload: dict, store, reference):
     ``None`` (no hook) without a cadence or a job store.  Saves are gated
     on the payload's claim ``owner``.
     """
-    every = int(payload.get("checkpoint_every") or 0)
+    every = _cadence(payload)
     if not every or store is None:
         return None
     (run,) = runs
@@ -480,7 +488,8 @@ class JobRunner:
         keeps the cache unbounded.  Eviction never changes scores — an
         evicted entry is recomputed, raising only ``fresh_evaluations``.
     checkpoint_every:
-        Generations between checkpoint saves into ``store``; 0 (or no
+        Generations between checkpoint saves into ``store`` for jobs
+        whose extras set no ``checkpoint_every`` of their own; 0 (or no
         store) disables.
     eval_workers / eval_backend:
         Default in-run parallel-evaluation setting applied to jobs that
@@ -541,14 +550,16 @@ class JobRunner:
     # -- payload plumbing ---------------------------------------------------
 
     def _payload(
-        self, job: ProtectionJob, resume: bool | None, trace_ctx: dict | None = None,
-        checkpoint: dict | None = None,
+        self, job: ProtectionJob, resume: bool | None, extras: dict,
+        checkpoint: dict | None,
     ) -> dict:
         return {
             "job": job.to_dict(),
             "cache_path": self.cache_path,
             "cache_max_entries": self.cache_max_entries,
-            "checkpoint_every": self.checkpoint_every,
+            # The job's own cadence, checked by its task; the runner's
+            # is the default.
+            "checkpoint_every": extras.get("checkpoint_every", self.checkpoint_every),
             "resume": resume,
             # A checkpoint blob the caller already read (``repro
             # resume``), so the job does not fetch it again.
@@ -557,7 +568,7 @@ class JobRunner:
             "eval_backend": self.eval_backend,
             # Trace context crosses the (possibly process) backend
             # boundary inside the payload; None for untraced jobs.
-            "trace": trace_ctx,
+            "trace": trace.trace_context_from_extras(extras),
             # The job store checkpoints and island exchanges go to: a
             # live-object token for in-process backends plus a
             # reopenable spec fallback, and the claim owner saves are
@@ -570,49 +581,47 @@ class JobRunner:
 
     # -- fan-out entry points ----------------------------------------------
 
-    def run(
-        self,
-        jobs: Sequence[ProtectionJob],
-        resume: bool | None = False,
-        traces: Sequence[dict | None] | None = None,
-    ) -> list[JobResult]:
+    def run(self, jobs: Sequence[ProtectionJob], resume: bool | None = False) -> list[JobResult]:
         """Execute ``jobs`` over the backend; results in submission order.
 
-        With ``resume=True`` every job must have a checkpoint in the
-        runner's ``store``, and execution continues from it instead
-        of re-scoring an initial population.  ``resume=None`` (how a
-        worker runs its claims) continues each job whose stored
-        checkpoint is resumable (see
-        :func:`~repro.service.checkpoint.is_resumable`) and starts the
-        others fresh, fetching each blob once.  ``traces`` (one trace
-        context or None per job, from the record's ``extras["trace"]``)
-        makes the run record spans; they come back in each result's
-        ``extras["trace_spans"]`` for the caller to pop and flush.
+        :meth:`run_settled`, raising a :class:`ServiceError` that names
+        the first job that failed (or parked) instead of returning its
+        outcome.
         """
-        if not jobs:
-            return []
-        if traces is None:
-            traces = [None] * len(jobs)
-        payloads = [
-            self._payload(job, resume, ctx) for job, ctx in zip(jobs, traces)
-        ]
-        return self.backend.map(_execute_job, payloads)
+        outcomes = self.run_settled(jobs, resume=resume)
+        for outcome in outcomes:
+            if not outcome.ok:
+                reason = outcome.error or f"parked at {outcome.parked}"
+                raise ServiceError(f"job {outcome.job_id} failed: {reason}")
+        return [outcome.result for outcome in outcomes]
 
     def run_settled(
         self,
         jobs: Sequence[ProtectionJob],
         resume: bool | None = False,
-        traces: Sequence[dict | None] | None = None,
+        extras: Sequence[dict | None] | None = None,
         checkpoints: Sequence[dict | None] | None = None,
     ) -> list[JobOutcome]:
         """Execute ``jobs``, settling each one's outcome individually.
 
-        Unlike :meth:`run`, a failing job does not abort the fan-out:
-        every job returns either its result or its error, in submission
-        order.  This is what :class:`~repro.service.worker.Worker` runs
-        its claims through, so completed replicates are never discarded
-        because a sibling failed.  ``checkpoints`` (one blob or None per
-        job) hands over blobs the caller already read from the store.
+        A failing job does not abort the fan-out: every job returns
+        either its result or its error, in submission order.  This is
+        what :class:`~repro.service.worker.Worker` runs its claims
+        through, so completed replicates are never discarded because a
+        sibling failed.
+
+        With ``resume=True`` every job must have a checkpoint in the
+        runner's ``store``, and execution continues from it instead of
+        re-scoring an initial population.  ``resume=None`` (how a worker
+        runs its claims) continues each job whose stored checkpoint is
+        resumable (see :func:`~repro.service.checkpoint.is_resumable`)
+        and starts the others fresh, fetching each blob once.
+        ``extras`` (one record's extras or None per job) carries each
+        job's ``checkpoint_every`` (the runner's when unset) and trace
+        context (``extras["trace"]``), which makes the run record the
+        spans each outcome carries back.  ``checkpoints`` (one blob or
+        None per job) hands over blobs the caller already read from the
+        store.
 
         Every task is a list of jobs :func:`execute_group` steps
         together: all the members of an island group that can step in
@@ -621,14 +630,13 @@ class JobRunner:
         """
         if not jobs:
             return []
-        if traces is None:
-            traces = [None] * len(jobs)
+        extras = list(extras) if extras is not None else [None] * len(jobs)
         blobs = list(checkpoints) if checkpoints is not None else [None] * len(jobs)
         groups = (lockstep_groups(list(jobs), blobs, self.store)
                   if self.store is not None else [])
         payloads = [
-            self._payload(job, resume, ctx, blob)
-            for job, ctx, blob in zip(jobs, traces, blobs)
+            self._payload(job, resume, job_extras or {}, blob)
+            for job, job_extras, blob in zip(jobs, extras, blobs)
         ]
         # Tasks in batch order: a group at its first member's position.
         grouped = {i: group for group in groups for i in group}

@@ -45,7 +45,6 @@ import uuid
 
 from repro.exceptions import ServiceError, WorkerError
 from repro.obs import emit_event, get_registry, trace
-from repro.service.backends import create_backend
 from repro.service.islands import member_job_ids, park_record, parked_signature
 from repro.service.runner import JobOutcome, JobRunner
 from repro.service.sqlstore import SqliteJobStore
@@ -199,10 +198,12 @@ class Worker:
         :class:`~repro.service.netstore.RemoteJobStore`; multiple
         workers may point at one.
     backend / max_workers:
-        Execution backend for the runner each claimed batch goes
-        through.  With the default (``serial``) parallelism comes from
-        running more workers; with ``capacity`` above 1, pick ``thread``
-        or ``process`` so a batch actually runs concurrently.
+        Execution backend of the one runner (:attr:`runner`) every
+        claimed batch goes through; a pooled backend keeps its pool for
+        the worker's lifetime.  With the default (``serial``)
+        parallelism comes from running more workers; with ``capacity``
+        above 1, pick ``thread`` or ``process`` so a batch actually runs
+        concurrently.
     use_cache:
         Thread the store's persistent evaluation cache through each job
         (worker-local when the store is remote).
@@ -259,39 +260,14 @@ class Worker:
             raise WorkerError(
                 f"heartbeat_every must be positive, got {heartbeat_every}"
             )
-        # Fail fast on bad runner configuration: discovering it only
-        # after claiming and marking a job running would strand records.
-        create_backend(backend, max_workers)
-        if eval_workers < 0:
-            raise WorkerError(f"eval_workers must be >= 0, got {eval_workers}")
-        if eval_backend not in ("thread", "process"):
-            raise WorkerError(
-                f"eval_backend must be 'thread' or 'process', got {eval_backend!r}"
-            )
-        if cache_max_entries is not None and cache_max_entries < 1:
-            raise WorkerError(
-                f"cache_max_entries must be >= 1, got {cache_max_entries}"
-            )
         self.store = store
-        self.backend = backend
-        self.max_workers = max_workers
-        self.use_cache = use_cache
-        self.cache_max_entries = cache_max_entries
         self.worker_id = worker_id or unique_owner()
         self.stale_after = float(stale_after)
         self.capacity = int(capacity)
-        self.eval_workers = int(eval_workers)
-        self.eval_backend = eval_backend
         self.heartbeat_every = (
             float(heartbeat_every) if heartbeat_every is not None
             else self.stale_after / 4.0
         )
-        self._last_telemetry_push = 0.0
-        # (start, duration) of the most recent claim round; feeds the
-        # ``repro.claim`` span of every record won in that round.
-        self._last_claim = (0.0, 0.0)
-        # True while :meth:`run` polls: its drains claim no siblings.
-        self._polling = False
         if self.heartbeat_every >= self.stale_after:
             # Beating slower than the staleness bound means this
             # worker's live jobs look abandoned and get double-executed.
@@ -299,22 +275,30 @@ class Worker:
                 f"heartbeat_every ({self.heartbeat_every}) must be smaller "
                 f"than stale_after ({self.stale_after})"
             )
-
-    def _runner_for(self, record: JobRecord) -> JobRunner:
-        """A runner honouring the record's submit-time checkpoint cadence."""
-        return JobRunner(
-            backend=self.backend,
-            max_workers=self.max_workers,
-            cache_path=str(self.store.cache_path) if self.use_cache else None,
-            cache_max_entries=self.cache_max_entries,
-            checkpoint_every=int(record.extras.get("checkpoint_every", 0)),
-            eval_workers=self.eval_workers,
-            eval_backend=self.eval_backend,
-            # Checkpoints (and island exchanges) go straight to this
-            # worker's store, gated on its claims.
-            store=self.store,
-            owner=self.worker_id,
-        )
+        # The one runner every claimed batch goes through, built here so
+        # a bad setting fails before any claim (discovering it after
+        # marking a job running would strand the record).  Checkpoints
+        # and island exchanges go straight to this worker's store, gated
+        # on its claims; each job's cadence comes with its record.
+        try:
+            self.runner = JobRunner(
+                backend=backend,
+                max_workers=max_workers,
+                cache_path=str(store.cache_path) if use_cache else None,
+                cache_max_entries=cache_max_entries,
+                eval_workers=eval_workers,
+                eval_backend=eval_backend,
+                store=store,
+                owner=self.worker_id,
+            )
+        except ServiceError as exc:
+            raise WorkerError(str(exc)) from exc
+        self._last_telemetry_push = 0.0
+        # (start, duration) of the most recent claim round; feeds the
+        # ``repro.claim`` span of every record won in that round.
+        self._last_claim = (0.0, 0.0)
+        # True while :meth:`run` polls: its drains claim no siblings.
+        self._polling = False
 
     def _claim_batch(
         self, limit: int, candidates: list[JobRecord] | None = None,
@@ -376,11 +360,14 @@ class Worker:
     ) -> list[JobOutcome]:
         """Execute records this worker owns; marks, heartbeats, releases.
 
-        Records are grouped by checkpoint cadence so each group shares
-        one runner call over the configured backend.  With the default
-        ``resume=None`` a job left behind by an interrupted worker
-        continues from its (fingerprint-validated) checkpoint instead of
-        restarting; ``resume=True`` (``repro resume``) requires one.
+        The whole batch is one
+        :meth:`~repro.service.runner.JobRunner.run_settled` call on this
+        worker's runner, each job at the checkpoint cadence its record
+        stores; a bad stored cadence fails only that job.  With the
+        default ``resume=None`` a job left behind by an interrupted
+        worker continues from its (fingerprint-validated) checkpoint
+        instead of restarting; ``resume=True`` (``repro resume``)
+        requires one.
         ``checkpoints`` maps job ids to blobs the caller already read,
         which those jobs resume from without fetching them again.
         All claims beat from one background thread for the whole batch
@@ -397,39 +384,18 @@ class Worker:
         ).start()
         outcomes: dict[str, JobOutcome] = {}
         try:
-            groups: dict[int, list[JobRecord]] = {}
             for record in records:
-                every = int(record.extras.get("checkpoint_every", 0))
-                groups.setdefault(every, []).append(record)
-            for group in groups.values():
-                # Build the runner before mark_running.  Worker-level
-                # settings were validated at construction, so an error
-                # here is the records' own stored cadence: fail them
-                # rather than leave them queued to block every drain.
-                try:
-                    runner = self._runner_for(group[0])
-                except ServiceError as exc:
-                    for record in group:
-                        outcomes[record.job_id] = self._settle(
-                            record, JobOutcome(record.job_id, error=str(exc)))
-                    continue
-                for record in group:
-                    self.store.mark_running(record)
-                settled = runner.run_settled(
-                    [record.job for record in group],
-                    # None: each job resumes iff the store holds a
-                    # resumable checkpoint for it, read once by the job.
-                    resume=resume,
-                    traces=[
-                        trace.trace_context_from_extras(record.extras)
-                        for record in group
-                    ],
-                    checkpoints=[
-                        (checkpoints or {}).get(record.job_id) for record in group
-                    ],
-                )
-                for record, outcome in zip(group, settled):
-                    outcomes[record.job_id] = self._settle(record, outcome)
+                self.store.mark_running(record)
+            settled = self.runner.run_settled(
+                [record.job for record in records],
+                # None: each job resumes iff the store holds a resumable
+                # checkpoint for it, read once by the job.
+                resume=resume,
+                extras=[record.extras for record in records],
+                checkpoints=[(checkpoints or {}).get(record.job_id) for record in records],
+            )
+            for record, outcome in zip(records, settled):
+                outcomes[record.job_id] = self._settle(record, outcome)
         finally:
             beat.stop()
             release_started = time.time()

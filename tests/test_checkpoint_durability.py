@@ -36,9 +36,10 @@ def _claimed(store, owner: str):
 
 
 def _run_as(store, owner: str, record):
-    runner = Worker(store, worker_id=owner, use_cache=False)._runner_for(record)
-    (result,) = runner.run([record.job])
-    return result
+    runner = Worker(store, worker_id=owner, use_cache=False).runner
+    (outcome,) = runner.run_settled([record.job], extras=[record.extras])
+    assert outcome.ok, outcome.error
+    return outcome.result
 
 
 class TestSavesAreDurableOnReturn:

@@ -31,7 +31,6 @@ def _comparable(result) -> dict:
     payload.pop("wall_seconds")
     extras = payload["extras"]
     extras.pop("island", None)
-    extras.pop("trace_spans", None)
     extras["evaluator_stats"].pop("fresh_seconds", None)
     for record in extras["history"]:
         for key in _TIMING_FIELDS:

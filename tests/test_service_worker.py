@@ -55,20 +55,52 @@ class TestRunOnce:
         assert store.get_checkpoint(record.job_id)["generation"] == 2
         assert not (store.root / "checkpoints").exists()
 
-    def test_bad_stored_cadence_fails_alone(self, store):
-        # Regression: a record whose stored cadence cannot build a
-        # runner raised out of every drain and stayed queued, so the
-        # valid job behind it never ran.
-        bad = store.submit(_job(1), extras={"checkpoint_every": -1})
+    @pytest.mark.parametrize("every", [-1, None, "x"])
+    def test_bad_stored_cadence_fails_alone(self, store, every):
+        # Regression: a record whose stored cadence is negative, null or
+        # not an integer raised out of every drain and stayed queued, so
+        # the valid job behind it never ran.
+        bad = store.submit(_job(1), extras={"checkpoint_every": every})
         good = store.submit(_job(2))
         outcomes = {out.job_id: out for out in Worker(store).run_once()}
-        assert "checkpoint_every must be >= 0, got -1" in outcomes[bad.job_id].error
+        assert (f"checkpoint_every must be >= 0, got {every!r}"
+                in outcomes[bad.job_id].error)
         assert outcomes[good.job_id].ok
         loaded = store.get(bad.job_id)
         assert loaded.status == "failed"
         assert "checkpoint_every must be >= 0" in loaded.error
         assert store.get(good.job_id).status == "completed"
         assert store.claimed_job_ids() == []
+
+    def test_one_runner_and_backend_for_the_worker_lifetime(self, store, monkeypatch):
+        from repro.service import backends, islands, runner
+
+        built, maps = [], []
+        create = backends.create_backend
+
+        def counting_create(*args, **kwargs):
+            backend = create(*args, **kwargs)
+            built.append(backend)
+            mapper = backend.map
+            backend.map = lambda fn, items: (maps.append(len(items)),
+                                             mapper(fn, items))[1]
+            return backend
+
+        monkeypatch.setattr(runner, "create_backend", counting_create)
+        worker = Worker(store, backend="thread", capacity=2)
+        jobs = [store.submit(_job(seed), extras={"checkpoint_every": seed % 2})
+                for seed in range(1, 5)]
+        drained = worker.run_once()
+        store.submit(_job(5), extras={"checkpoint_every": 1})
+        drained += worker.run_once()
+        assert len(drained) == 5 and all(out.ok for out in drained)
+        assert store.get_checkpoint(jobs[0].job_id)["generation"] == 1
+        assert store.get_checkpoint(jobs[1].job_id) is None
+        assert len(built) == 1
+        # Each claimed batch (2 + 2 + 1 jobs) reaches the backend once.
+        assert maps == [2, 2, 1]
+        live = [ref for ref, held in islands._LIVE_STORES.items() if held is store]
+        assert len(live) == 1
 
     def test_skips_jobs_claimed_elsewhere(self, store):
         record = store.submit(_job(1))
