@@ -23,6 +23,8 @@ class Population:
         if not individuals:
             raise EvolutionError("population must not be empty")
         self._individuals = list(individuals)
+        # Kept in step with the members by ``replace``, the only mutator.
+        self._scores = np.array([ind.score for ind in self._individuals], dtype=np.float64)
 
     # -- container protocol --------------------------------------------
 
@@ -40,16 +42,17 @@ class Population:
         if not 0 <= index < len(self._individuals):
             raise EvolutionError(f"index {index} out of range for population of {len(self)}")
         self._individuals[index] = individual
+        self._scores[index] = individual.score
 
     # -- score views ----------------------------------------------------
 
     def scores(self) -> np.ndarray:
-        """Vector of aggregated scores, population order."""
-        return np.array([ind.score for ind in self._individuals], dtype=np.float64)
+        """Vector of aggregated scores, population order (a copy)."""
+        return self._scores.copy()
 
     def sorted_indices(self) -> np.ndarray:
         """Population indices ordered best (lowest score) first."""
-        return np.argsort(self.scores(), kind="stable")
+        return np.argsort(self._scores, kind="stable")
 
     def best(self) -> Individual:
         """The individual with the lowest score."""
@@ -69,7 +72,7 @@ class Population:
 
     def score_summary(self) -> tuple[float, float, float]:
         """(max, mean, min) of the population scores — one evolution-figure row."""
-        scores = self.scores()
+        scores = self._scores
         return float(scores.max()), float(scores.mean()), float(scores.min())
 
     def dispersion(self) -> list[tuple[float, float]]:

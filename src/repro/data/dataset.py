@@ -49,8 +49,14 @@ class CategoricalDataset:
             raise SchemaError(
                 f"codes have {arr.shape[1]} columns but schema has {schema.n_attributes} attributes"
             )
-        for col, domain in enumerate(schema):
-            domain.validate_codes(arr[:, col])
+        # One pass over all columns: viewed unsigned, a negative code is
+        # huge, so a single comparison with the domain sizes finds both
+        # kinds of bad code.  Only then is each column checked, to raise
+        # the per-domain error naming the first bad column and code.
+        sizes = np.array(schema.cardinalities, dtype=np.uint64)
+        if (arr.view(np.uint64) >= sizes).any():
+            for col, domain in enumerate(schema):
+                domain.validate_codes(arr[:, col])
         arr = arr.copy()
         arr.setflags(write=False)
         self.codes = arr

@@ -4,7 +4,6 @@ from repro.linkage.blocking import blocked_candidate_pairs, blocked_linkage_rate
 from repro.linkage.dbrl import distance_based_record_linkage, fractional_correct_links
 from repro.linkage.distance import (
     attribute_distance_columns,
-    attribute_distance_tensor,
     cross_distance_matrix,
     rank_position_columns,
     rank_positions,
@@ -21,7 +20,6 @@ from repro.linkage.rsrl import rank_compatibility_scores, rank_swapping_record_l
 
 __all__ = [
     "attribute_distance_columns",
-    "attribute_distance_tensor",
     "cross_distance_matrix",
     "rank_positions",
     "rank_position_columns",

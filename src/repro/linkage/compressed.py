@@ -56,21 +56,25 @@ from repro.exceptions import LinkageError
 BINCOUNT_CELLS = 1 << 16
 
 
-def _encode_tuples(codes: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
-    """Mixed-radix encoding of each row's category tuple into one int64."""
+def encode_cells(columns: Sequence[np.ndarray], sizes: Sequence[int]) -> np.ndarray:
+    """Mixed-radix cell numbers of per-attribute code arrays, as int64.
+
+    ``columns[slot]`` holds attribute ``slot``'s codes, any shape (one
+    file's ``(n,)`` or a batch's ``(B, n)``); the result has that shape.
+    """
     n_cells = 1
     for size in sizes:
         n_cells *= int(size)
     if n_cells > 2**62:
         raise LinkageError("attribute domains too large for tuple encoding")
-    flat = np.zeros(codes.shape[0], dtype=np.int64)
-    for column in range(codes.shape[1]):
-        flat = flat * sizes[column] + codes[:, column]
+    flat = np.zeros(np.shape(columns[0]), dtype=np.int64)
+    for column, size in zip(columns, sizes):
+        flat = flat * size + column
     return flat
 
 
 def _decode_tuples(keys: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
-    """Inverse of :func:`_encode_tuples`: int64 keys back to code tuples."""
+    """Inverse of :func:`encode_cells`: int64 keys back to code tuples."""
     out = np.empty((keys.shape[0], len(sizes)), dtype=np.int64)
     remaining = keys.copy()
     for column in range(len(sizes) - 1, -1, -1):
@@ -99,7 +103,7 @@ class OriginalIndex:
         self.columns = tuple(columns)
         self.domains = [original.schema.domain(c) for c in columns]
         self.sizes = [d.size for d in self.domains]
-        keys_original = _encode_tuples(original.codes[:, columns], self.sizes)
+        keys_original = encode_cells(original.codes[:, columns].T, self.sizes)
         self.n_cells = int(np.prod(self.sizes, dtype=np.int64))
         unique_keys_o, self.inverse_original = np.unique(keys_original, return_inverse=True)
         self.unique_original = self.cell_tuples(unique_keys_o)
@@ -123,12 +127,28 @@ class CompressedPair:
         Per-record index into ``keys``.
     counts_masked:
         Number of masked records in each of ``keys``' cells.
+    own_entries:
+        Per-record flat index of its (own cell, own original tuple)
+        entry in a ``(len(keys), u_o)`` grid.
     """
 
     def __init__(self, index: OriginalIndex, masked: CategoricalDataset) -> None:
         require_masked_pair(index.original, masked)
+        self._occupy(index, encode_cells(masked.codes[:, list(index.columns)].T, index.sizes))
+
+    @classmethod
+    def of_cells(cls, index: OriginalIndex, cells: np.ndarray) -> "CompressedPair":
+        """The pair of an already validated candidate whose records lie in ``cells``.
+
+        ``cells`` is the candidate's :func:`encode_cells` row over
+        ``index``'s columns; the pair equals the one built from the file.
+        """
+        pair = cls.__new__(cls)
+        pair._occupy(index, cells)
+        return pair
+
+    def _occupy(self, index: OriginalIndex, cells: np.ndarray) -> None:
         self.index = index
-        cells = _encode_tuples(masked.codes[:, list(index.columns)], index.sizes)
         if index.n_cells <= BINCOUNT_CELLS:
             counts = np.bincount(cells, minlength=index.n_cells)
             self.keys = np.flatnonzero(counts)
@@ -141,6 +161,8 @@ class CompressedPair:
                 cells, return_inverse=True, return_counts=True
             )
         self.counts_masked = counts.astype(np.float64)
+        self.own_entries = (self.inverse_masked * index.unique_original.shape[0]
+                            + index.inverse_original)
 
     @property
     def n_records(self) -> int:
@@ -169,7 +191,7 @@ class CompressedPair:
         best = grid.max(axis=0) if best_is_max else grid.min(axis=0)
         at_best = grid == best
         tie_counts = np.einsum("k,ko->o", self.counts_masked, at_best)
-        hits = at_best[self.inverse_masked, self.index.inverse_original]
+        hits = at_best.ravel().take(self.own_entries)
         credits = hits / tie_counts[self.index.inverse_original]
         return 100.0 * float(credits.sum()) / self.n_records
 

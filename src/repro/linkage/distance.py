@@ -44,36 +44,6 @@ def attribute_distance_columns(
     return out
 
 
-def attribute_distance_tensor(
-    original: CategoricalDataset,
-    batch: Sequence[CategoricalDataset],
-    attributes: Sequence[str],
-) -> np.ndarray:
-    """Per-candidate, per-record, per-attribute distances, ``(B, n, a)``.
-
-    The batch form of :func:`attribute_distance_columns`: slice ``[b]``
-    equals ``attribute_distance_columns(original, batch[b], attributes)``
-    exactly, but the original-side columns and domain normalizations are
-    set up once per batch and each attribute is one vectorized pass over
-    all candidates.
-    """
-    columns = require_attributes(original, attributes)
-    for masked in batch:
-        require_masked_pair(original, masked)
-    out = np.empty((len(batch), original.n_records, len(columns)), dtype=np.float64)
-    if not batch:
-        return out
-    for slot, col in enumerate(columns):
-        domain = original.schema.domain(col)
-        x = original.column(col)[None, :]
-        stacked = np.stack([masked.column(col) for masked in batch])
-        if domain.ordinal and domain.size > 1:
-            out[:, :, slot] = np.abs(x - stacked) / (domain.size - 1)
-        else:
-            out[:, :, slot] = (x != stacked).astype(np.float64)
-    return out
-
-
 def cross_distance_matrix(
     original: CategoricalDataset, masked: CategoricalDataset, attributes: Sequence[str]
 ) -> np.ndarray:

@@ -15,6 +15,8 @@ is applied in the SDC literature (paper references [14] and [17]).
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from repro.data.dataset import CategoricalDataset
@@ -55,18 +57,18 @@ class RankSwapping(ProtectionMethod):
 
         # Each untaken rank i swaps with a uniformly drawn untaken rank in
         # (i, i + window]; ranks already swapped are skipped, and a rank
-        # with no free partner stays put without drawing.
-        swapped_sorted = values[order].copy()
-        free = np.ones(n, dtype=bool)
-        for i in range(n - 1):
-            if not free[i]:
-                continue
-            partners = free[i + 1 : i + 1 + window].nonzero()[0]
-            if partners.size == 0:
-                continue
-            j = i + 1 + int(partners[rng.integers(partners.size)])
-            swapped_sorted[i], swapped_sorted[j] = swapped_sorted[j], swapped_sorted[i]
-            free[j] = False
+        # with no free partner stays put without drawing.  ``free`` holds
+        # the untaken ranks not yet visited, ascending, so its head is the
+        # next rank to visit and its partners are the ranks after it.
+        swapped_sorted = values[order].tolist()
+        free = list(range(n))
+        draw = rng.integers
+        while free:
+            i = free.pop(0)
+            partners = bisect_right(free, i + window)
+            if partners:
+                j = free.pop(int(draw(partners)))
+                swapped_sorted[i], swapped_sorted[j] = swapped_sorted[j], swapped_sorted[i]
 
         masked = np.empty(n, dtype=np.int64)
         masked[order] = swapped_sorted

@@ -19,6 +19,7 @@ pass over the records.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from itertools import combinations
 
@@ -26,7 +27,8 @@ import numpy as np
 
 from repro.data.dataset import CategoricalDataset
 from repro.exceptions import MetricError
-from repro.metrics.base import InformationLossMeasure
+from repro.linkage.compressed import BINCOUNT_CELLS, encode_cells
+from repro.metrics.base import CandidateBatch, InformationLossMeasure, batch_chunks
 
 #: Refuse to allocate count vectors beyond this many cells per subset.
 _MAX_TABLE_CELLS = 5_000_000
@@ -66,14 +68,31 @@ class ContingencyTableLoss(InformationLossMeasure):
         if max_order < 1:
             raise MetricError(f"max_order must be >= 1, got {max_order}")
         self.max_order = min(max_order, len(self.columns))
-        self._subsets = [
+        slot_subsets = [
             subset
             for order in range(1, self.max_order + 1)
-            for subset in combinations(self.columns, order)
+            for subset in combinations(range(len(self.columns)), order)
         ]
+        self._subsets = [tuple(self.columns[slot] for slot in subset) for subset in slot_subsets]
         self._original_tables = [
             contingency_counts(original, subset) for subset in self._subsets
         ]
+        # The batch kernel counts *blocks*: the joint table of all the
+        # columns when it is small, each subset's table read off it by
+        # summing out the other axes; otherwise one block per subset.
+        sizes = [original.schema.domain(column).size for column in self.columns]
+        if math.prod(sizes) <= BINCOUNT_CELLS:
+            blocks = [(tuple(range(len(sizes))), slot_subsets)]
+        else:
+            blocks = [(subset, [subset]) for subset in slot_subsets]
+        #: ``(slots, sizes, summed-out axes per table, pooled original tables)``.
+        self._blocks = []
+        for block, subsets in blocks:
+            axes = [tuple(1 + position for position, slot in enumerate(block) if slot not in subset)
+                    for subset in subsets]
+            pooled = np.concatenate([self._original_tables[slot_subsets.index(subset)]
+                                     for subset in subsets])
+            self._blocks.append((block, tuple(sizes[slot] for slot in block), axes, pooled))
 
     def _compute(self, masked: CategoricalDataset) -> float:
         total = 0.0
@@ -83,35 +102,32 @@ class ContingencyTableLoss(InformationLossMeasure):
         ceiling = 2.0 * self.original.n_records * len(self._subsets)
         return 100.0 * total / ceiling
 
-    #: Cells per pooled bincount; batches larger than this are chunked so
-    #: a big batch over a big table cannot allocate an oversized counts
-    #: matrix (the per-subset table itself is bounded by _MAX_TABLE_CELLS).
-    _BATCH_CELL_BUDGET = 1 << 24
+    def _compute_many(self, batch: CandidateBatch) -> np.ndarray:
+        """Batched CTBIL: one pooled bincount per block and chunk of candidates.
 
-    def _compute_many(self, batch: Sequence[CategoricalDataset]) -> np.ndarray:
-        """Batched CTBIL: per subset, one pooled bincount over all candidates.
-
-        Cell counts are integers, so the only float operations are the
-        final per-candidate normalizations — identical to the scalar
-        path whatever the batch size.
+        Cell counts and their marginal sums are integers, so the only
+        float operations are the final per-candidate normalizations —
+        identical to the scalar path whatever the batch size.
         """
-        codes = np.stack([masked.codes for masked in batch])
+        n = self.original.n_records
         totals = np.zeros(len(batch), dtype=np.float64)
-        for subset, original_table in zip(self._subsets, self._original_tables):
-            sizes = [self.original.schema.domain(c).size for c in subset]
-            n_cells = int(original_table.shape[0])
-            flat = np.zeros((len(batch), self.original.n_records), dtype=np.int64)
-            for column, size in zip(subset, sizes):
-                flat = flat * size + codes[:, :, column]
-            step = max(1, self._BATCH_CELL_BUDGET // n_cells)
-            for start in range(0, len(batch), step):
-                chunk = flat[start : start + step]
-                offsets = np.arange(chunk.shape[0], dtype=np.int64)[:, None] * n_cells
-                counts = np.bincount(
-                    (chunk + offsets).ravel(), minlength=chunk.shape[0] * n_cells
-                ).reshape(chunk.shape[0], n_cells)
-                totals[start : start + step] += np.abs(
-                    original_table[None, :] - counts
-                ).sum(axis=-1)
-        ceiling = 2.0 * self.original.n_records * len(self._subsets)
+        codes = batch.codes(self.columns)
+        for slots, sizes, axes, pooled in self._blocks:
+            n_cells = math.prod(sizes)
+            for chunk in batch_chunks(len(batch), n + n_cells):
+                if len(self._blocks) == 1:
+                    # The cells of all the columns: the linkage measures'
+                    # pairs read the same array.
+                    cells = batch.cells(self.columns, sizes)[chunk]
+                else:
+                    cells = encode_cells([codes[slot, chunk] for slot in slots], sizes)
+                size = cells.shape[0]
+                offsets = np.arange(size, dtype=np.int64)[:, None] * n_cells
+                joint = np.bincount((cells + offsets).ravel(), minlength=size * n_cells)
+                joint = joint.reshape((size,) + sizes)
+                tables = np.concatenate(
+                    [joint.sum(axis=summed).reshape(size, -1) for summed in axes], axis=1
+                )
+                totals[chunk] += np.abs(pooled - tables).sum(axis=-1)
+        ceiling = 2.0 * n * len(self._subsets)
         return 100.0 * totals / ceiling

@@ -17,8 +17,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.data.dataset import CategoricalDataset
-from repro.linkage.distance import attribute_distance_columns, attribute_distance_tensor
-from repro.metrics.base import InformationLossMeasure
+from repro.linkage.distance import attribute_distance_columns
+from repro.metrics.base import CandidateBatch, InformationLossMeasure, batch_chunks
 
 
 class DistanceBasedLoss(InformationLossMeasure):
@@ -33,15 +33,25 @@ class DistanceBasedLoss(InformationLossMeasure):
         distances = attribute_distance_columns(self.original, masked, self.attributes)
         return 100.0 * float(distances.mean())
 
-    def _compute_many(self, batch: Sequence[CategoricalDataset]) -> np.ndarray:
-        """Batched DBIL over one shared ``(B, n, a)`` distance tensor.
+    def _compute_many(self, batch: CandidateBatch) -> np.ndarray:
+        """Batched DBIL over a ``(B, n, a)`` distance tensor, chunk by chunk.
 
-        Each candidate's mean is taken over its own contiguous slice —
-        the very array the scalar path computes — so the values match it
-        bit for bit.
+        Each candidate's mean is taken over its own contiguous ``(n, a)``
+        block — the very array the scalar path computes — so the values
+        match it bit for bit.
         """
-        tensor = attribute_distance_tensor(self.original, batch, self.attributes)
-        return np.array(
-            [100.0 * float(tensor[index].mean()) for index in range(len(batch))],
-            dtype=np.float64,
-        )
+        codes = batch.codes(self.columns)
+        n = self.original.n_records
+        means = np.empty(len(batch), dtype=np.float64)
+        for chunk in batch_chunks(len(batch), n * len(self.columns)):
+            part = codes[:, chunk]
+            tensor = np.empty((part.shape[1], n, len(self.columns)), dtype=np.float64)
+            for slot, column in enumerate(self.columns):
+                domain = self.original.schema.domain(column)
+                x = self.original.column(column)[None, :]
+                if domain.ordinal and domain.size > 1:
+                    tensor[:, :, slot] = np.abs(x - part[slot]) / (domain.size - 1)
+                else:
+                    tensor[:, :, slot] = (x != part[slot]).astype(np.float64)
+            means[chunk] = tensor.reshape(part.shape[1], -1).mean(axis=-1)
+        return 100.0 * means

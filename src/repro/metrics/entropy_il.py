@@ -25,7 +25,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.data.dataset import CategoricalDataset
-from repro.metrics.base import InformationLossMeasure
+from repro.metrics.base import CandidateBatch, InformationLossMeasure, batch_chunks
 
 
 def conditional_entropy_bits(joint_counts: np.ndarray) -> float:
@@ -43,6 +43,22 @@ def conditional_entropy_bits(joint_counts: np.ndarray) -> float:
     return float((column_totals * per_column_entropy).sum())
 
 
+def _conditional_entropy_bits_many(joint_counts: np.ndarray) -> np.ndarray:
+    """:func:`conditional_entropy_bits` of each ``(k, k)`` table of a ``(B, k, k)`` stack.
+
+    The same elementwise operations over the same reduction axes, so
+    element ``b`` equals the scalar function of ``joint_counts[b]``.
+    """
+    counts = np.asarray(joint_counts, dtype=np.float64)
+    column_totals = counts.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        conditional = np.where(column_totals[:, None, :] > 0,
+                               counts / column_totals[:, None, :], 0.0)
+        log_terms = np.where(conditional > 0, np.log2(conditional), 0.0)
+    per_column_entropy = -(conditional * log_terms).sum(axis=1)
+    return (column_totals * per_column_entropy).sum(axis=-1)
+
+
 class EntropyBasedLoss(InformationLossMeasure):
     """Normalized conditional entropy of original given masked, as a percentage."""
 
@@ -50,6 +66,13 @@ class EntropyBasedLoss(InformationLossMeasure):
 
     def __init__(self, original: CategoricalDataset, attributes: Sequence[str]) -> None:
         super().__init__(original, attributes)
+        #: ``(slot, k, original codes * k, n log2 k)`` of each column with ``k >= 2``.
+        self._informative = []
+        for slot, column in enumerate(self.columns):
+            size = original.schema.domain(column).size
+            if size >= 2:
+                self._informative.append((slot, size, original.column(column) * size,
+                                          original.n_records * np.log2(size)))
 
     def _compute(self, masked: CategoricalDataset) -> float:
         n = self.original.n_records
@@ -70,32 +93,26 @@ class EntropyBasedLoss(InformationLossMeasure):
             return 0.0
         return 100.0 * total / informative
 
-    def _compute_many(self, batch: Sequence[CategoricalDataset]) -> np.ndarray:
-        """Batched EBIL: one pooled joint-count bincount per attribute.
+    def _compute_many(self, batch: CandidateBatch) -> np.ndarray:
+        """Batched EBIL: per attribute, one pooled joint-count bincount.
 
-        The expensive pass over the records happens once per attribute
-        for the whole batch; the entropy of each candidate's (tiny)
-        joint table is then taken with the exact scalar-path arithmetic,
-        so batching cannot move a result.
+        Each candidate's entropy is then taken by
+        :func:`_conditional_entropy_bits_many`, which repeats the scalar
+        path's arithmetic table by table, so batching cannot move a
+        result.
         """
+        codes = batch.codes(self.columns)
         n = self.original.n_records
         totals = np.zeros(len(batch), dtype=np.float64)
-        informative = 0
-        for column in self.columns:
-            size = self.original.schema.domain(column).size
-            if size < 2:
-                continue
-            informative += 1
-            x = self.original.column(column)[None, :] * size
-            flat = x + np.stack([masked.column(column) for masked in batch])
+        for slot, size, x, scale in self._informative:
             cells = size * size
-            offsets = np.arange(len(batch), dtype=np.int64)[:, None] * cells
-            joints = np.bincount(
-                (flat + offsets).ravel(), minlength=len(batch) * cells
-            ).reshape(len(batch), size, size)
-            scale = n * np.log2(size)
-            for index in range(len(batch)):
-                totals[index] += conditional_entropy_bits(joints[index]) / scale
-        if informative == 0:
-            return np.zeros(len(batch), dtype=np.float64)
-        return 100.0 * totals / informative
+            for chunk in batch_chunks(len(batch), max(n, cells)):
+                part = codes[slot, chunk]
+                offsets = np.arange(part.shape[0], dtype=np.int64)[:, None] * cells
+                joints = np.bincount(
+                    (x + part + offsets).ravel(), minlength=part.shape[0] * cells
+                ).reshape(part.shape[0], size, size)
+                totals[chunk] += _conditional_entropy_bits_many(joints) / scale
+        if not self._informative:
+            return totals
+        return 100.0 * totals / len(self._informative)

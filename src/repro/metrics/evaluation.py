@@ -37,7 +37,7 @@ from typing import Protocol, runtime_checkable
 
 from repro.data.dataset import CategoricalDataset
 from repro.exceptions import MetricError
-from repro.metrics.base import DisclosureRiskMeasure, InformationLossMeasure
+from repro.metrics.base import CandidateBatch, DisclosureRiskMeasure, InformationLossMeasure
 from repro.metrics.contingency import ContingencyTableLoss
 from repro.metrics.distance_il import DistanceBasedLoss
 from repro.metrics.entropy_il import EntropyBasedLoss
@@ -149,13 +149,16 @@ def _score_candidates(
     Module-level (and taking the measures explicitly) so the process
     executor can pickle it.  Every score the evaluator computes fresh
     goes through here, so scalar and batch scoring agree bit for bit.
+    All the measures read one :class:`~repro.metrics.base.CandidateBatch`,
+    so each candidate is validated, stacked and encoded once.
     """
-    il_values = [(m.measure_name, m.compute_many(batch)) for m in il_measures]
-    dr_values = [(m.measure_name, m.compute_many(batch)) for m in dr_measures]
+    shared = CandidateBatch(batch)
+    il_values = [(m.measure_name, m.compute_many(shared).tolist()) for m in il_measures]
+    dr_values = [(m.measure_name, m.compute_many(shared).tolist()) for m in dr_measures]
     results = []
-    for index in range(len(batch)):
-        il_components = {name: float(values[index]) for name, values in il_values}
-        dr_components = {name: float(values[index]) for name, values in dr_values}
+    for index in range(len(shared)):
+        il_components = {name: values[index] for name, values in il_values}
+        dr_components = {name: values[index] for name, values in dr_values}
         information_loss = sum(il_components.values()) / len(il_components)
         disclosure_risk = sum(dr_components.values()) / len(dr_components)
         results.append(

@@ -25,7 +25,7 @@ import numpy as np
 from repro.data.dataset import CategoricalDataset
 from repro.exceptions import MetricError
 from repro.linkage.distance import rank_positions
-from repro.metrics.base import DisclosureRiskMeasure
+from repro.metrics.base import CandidateBatch, DisclosureRiskMeasure
 
 
 class IntervalDisclosure(DisclosureRiskMeasure):
@@ -53,6 +53,13 @@ class IntervalDisclosure(DisclosureRiskMeasure):
             column: self._positions[column][original.column(column)]
             for column in self.columns
         }
+        # The batch kernel's per-column window table: ``inside[i * k + j]``
+        # is the scalar test for original code i published as j.
+        self._windows = []
+        for column in self.columns:
+            positions = self._positions[column]
+            inside = np.abs(positions[:, None] - positions[None, :]) <= self.width
+            self._windows.append((original.column(column) * positions.size, inside.ravel()))
 
     def _compute(self, masked: CategoricalDataset) -> float:
         inside_total = 0.0
@@ -63,17 +70,17 @@ class IntervalDisclosure(DisclosureRiskMeasure):
             inside_total += float((np.abs(x - y) <= self.width).mean())
         return 100.0 * inside_total / len(self.columns)
 
-    def _compute_many(self, batch: Sequence[CategoricalDataset]) -> np.ndarray:
-        """Batched ID: one rank-window test per attribute for all candidates.
+    def _compute_many(self, batch: CandidateBatch) -> np.ndarray:
+        """Batched ID: one window-table lookup per attribute for all candidates.
 
-        The inside-window means are counts of booleans divided by ``n``
-        — integer-exact — so the batch path reproduces the scalar one
-        bit for bit.
+        Each cell's verdict is the scalar path's comparison, read off a
+        table of every (original, published) code pair, and the
+        inside-window shares are counts divided by ``n`` — integer-exact
+        — so the batch path reproduces the scalar one bit for bit.
         """
+        codes = batch.codes(self.columns)
+        n = self.original.n_records
         inside_totals = np.zeros(len(batch), dtype=np.float64)
-        for column in self.columns:
-            positions = self._positions[column]
-            x = self._original_positions[column][None, :]
-            stacked = positions[np.stack([masked.column(column) for masked in batch])]
-            inside_totals += (np.abs(x - stacked) <= self.width).mean(axis=-1)
+        for slot, (scaled, inside) in enumerate(self._windows):
+            inside_totals += np.count_nonzero(inside.take(scaled + codes[slot]), axis=-1) / n
         return 100.0 * inside_totals / len(self.columns)

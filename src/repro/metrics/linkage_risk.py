@@ -18,6 +18,12 @@ pattern rows plus their pattern histograms, RSRL rank-score rows at its
 window.  A candidate's grid is a gather of its cells' rows, bit for bit
 the kernel's output on the same pairs, whichever candidate filled them.
 
+A candidate's side, its :class:`CompressedPair`, comes from the scoring
+pass's :class:`~repro.metrics.base.CandidateBatch`, which builds it once
+per (original, attributes) and hands the same pair to every measure
+bound there; the scalar ``compute`` builds its own.  PRL fits the whole
+batch with one call of this module's ``fit_fellegi_sunter_many``.
+
 A table whose rows would exceed :data:`TABLE_BYTES` stores nothing, and
 the measure runs its kernel on each candidate's own cells.  Rows are
 never filled eagerly and never pickled (a process worker receives an
@@ -45,7 +51,7 @@ from repro.linkage.compressed import (
 )
 from repro.linkage.distance import rank_positions
 from repro.linkage.prl import fit_fellegi_sunter_many
-from repro.metrics.base import DisclosureRiskMeasure
+from repro.metrics.base import CandidateBatch, DisclosureRiskMeasure
 
 #: Largest per-cell table a measure keeps (cells x row bytes); housing's
 #: DBRL table, the largest of the paper datasets, is 23.7 MB.
@@ -115,6 +121,16 @@ class _LinkageRisk(DisclosureRiskMeasure):
         """:meth:`cell_rows` of the candidate's cells, gathered from the table."""
         return self._table.gather(pair, self.cell_rows)
 
+    @abstractmethod
+    def score_pairs(self, pairs: Sequence[CompressedPair]) -> np.ndarray:
+        """Re-identification percentage of each candidate's pair."""
+
+    def _compute(self, masked: CategoricalDataset) -> float:
+        return float(self.score_pairs([CompressedPair(self.index, masked)])[0])
+
+    def _compute_many(self, batch: CandidateBatch) -> np.ndarray:
+        return self.score_pairs(batch.pairs(self.index))
+
 
 class DistanceLinkageRisk(_LinkageRisk):
     """Percentage of records re-identified by nearest-record linkage."""
@@ -124,10 +140,9 @@ class DistanceLinkageRisk(_LinkageRisk):
     def cell_rows(self, cells: np.ndarray) -> tuple[np.ndarray, ...]:
         return (distance_columns(self.index, cells),)
 
-    def _compute(self, masked: CategoricalDataset) -> float:
-        pair = CompressedPair(self.index, masked)
-        (distances,) = self.rows(pair)
-        return pair.reidentified(distances, best_is_max=False)
+    def score_pairs(self, pairs: Sequence[CompressedPair]) -> np.ndarray:
+        return np.array([pair.reidentified(self.rows(pair)[0], best_is_max=False)
+                         for pair in pairs], dtype=np.float64)
 
 
 class ProbabilisticLinkageRisk(_LinkageRisk):
@@ -139,23 +154,18 @@ class ProbabilisticLinkageRisk(_LinkageRisk):
         patterns = pattern_columns(self.index, cells)
         return patterns, pattern_histogram(self.index, patterns)
 
-    def _compute(self, masked: CategoricalDataset) -> float:
-        return float(self._compute_many([masked])[0])
-
-    def _compute_many(self, batch: Sequence[CategoricalDataset]) -> np.ndarray:
-        """Batched PRL: one Fellegi–Sunter fit call over the whole batch.
+    def score_pairs(self, pairs: Sequence[CompressedPair]) -> np.ndarray:
+        """Batched PRL: one Fellegi–Sunter fit call over all the pairs.
 
         :func:`fit_fellegi_sunter_many` gives each certified candidate
         its closed-form fit and runs the remaining candidates' capped EM
         iterations through one set of batch-wide numpy calls.  Each row
         is computed from its own counts alone, so results are identical
-        to the scalar fit.
+        to the scalar fit.  The pairs are read twice, for their counts
+        and then for their grids, so at most one candidate's pattern grid
+        is held at a time.
         """
-        pairs = [CompressedPair(self.index, masked) for masked in batch]
-        gathered = [self.rows(pair) for pair in pairs]
-        counts = np.stack(
-            [pair.pattern_counts(histogram) for pair, (_, histogram) in zip(pairs, gathered)]
-        )
+        counts = np.stack([pair.pattern_counts(self.rows(pair)[1]) for pair in pairs])
         model = fit_fellegi_sunter_many(counts, len(self.attributes))
         # ``reidentified`` reads only each column's maximum and its ties,
         # so a candidate's dense weight rank (uint8 for up to 8
@@ -169,10 +179,11 @@ class ProbabilisticLinkageRisk(_LinkageRisk):
         return np.array(
             [
                 pair.reidentified(
-                    np.take(np.unique(row, return_inverse=True)[1].astype(rank_dtype), patterns),
+                    np.take(np.unique(row, return_inverse=True)[1].astype(rank_dtype),
+                            self.rows(pair)[0]),
                     best_is_max=True,
                 )
-                for pair, (patterns, _), row in zip(pairs, gathered, weights)
+                for pair, row in zip(pairs, weights)
             ],
             dtype=np.float64,
         )
@@ -200,7 +211,6 @@ class RankSwappingLinkageRisk(_LinkageRisk):
     def cell_rows(self, cells: np.ndarray) -> tuple[np.ndarray, ...]:
         return (rank_score_columns(self.index, self.positions, cells, self.window),)
 
-    def _compute(self, masked: CategoricalDataset) -> float:
-        pair = CompressedPair(self.index, masked)
-        (scores,) = self.rows(pair)
-        return pair.reidentified(scores, best_is_max=True)
+    def score_pairs(self, pairs: Sequence[CompressedPair]) -> np.ndarray:
+        return np.array([pair.reidentified(self.rows(pair)[0], best_is_max=True)
+                         for pair in pairs], dtype=np.float64)

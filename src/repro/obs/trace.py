@@ -297,13 +297,6 @@ def entered(scope: TraceScope | None):
         _context.scope = previous
 
 
-def current_scope() -> TraceScope | None:
-    """The active scope on this thread, or ``None`` (also when disabled)."""
-    if not _state.enabled:
-        return None
-    return getattr(_context, "scope", None)
-
-
 def span_active() -> bool:
     """True when a span recorded now would actually land somewhere."""
     return _state.enabled and getattr(_context, "scope", None) is not None

@@ -78,6 +78,18 @@ class TestPopulation:
         pop.replace(0, individual(adult, 99, 99))
         assert snap[0].score == 10
 
+    def test_score_vector_follows_replace(self, adult):
+        pop = Population([individual(adult, s, s) for s in (30, 10, 20)])
+        before = pop.scores()
+        pop.replace(0, individual(adult, 5, 5))
+        assert before.tolist() == [30.0, 10.0, 20.0]
+        assert pop.scores().tolist() == [ind.score for ind in pop] == [5.0, 10.0, 20.0]
+        assert pop.score_summary() == (20.0, 35.0 / 3, 5.0)
+        assert pop.leaders(3) == [0, 1, 2]
+        # The vector handed out is a copy: writing to it changes nothing.
+        pop.scores()[1] = -1.0
+        assert pop.best().score == 5.0
+
 
 class TestHistory:
     def test_series_accessors(self):
