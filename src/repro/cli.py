@@ -444,7 +444,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
         seed=args.seed,
         drop_best_fraction=args.drop_best,
         eval_workers=args.eval_workers,
-        eval_backend=args.eval_backend,
     )
     islands = max(1, args.islands)
     if islands > 1:
@@ -533,7 +532,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
         worker_id=unique_owner("submit"),
         heartbeat_every=_INLINE_HEARTBEAT_SECONDS,
         eval_workers=args.eval_workers,
-        eval_backend=args.eval_backend,
     )
     if group:
         # Island jobs park at exchange boundaries: drive_group round-robins
@@ -706,8 +704,6 @@ def cmd_resume(args: argparse.Namespace) -> int:
         return 0
     worker = Worker(
         store,
-        backend=args.backend,
-        max_workers=args.workers,
         use_cache=not args.no_cache,
         worker_id=unique_owner("resume"),
         heartbeat_every=_INLINE_HEARTBEAT_SECONDS,
@@ -779,7 +775,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
         capacity=args.capacity,
         heartbeat_every=args.heartbeat_every,
         eval_workers=args.eval_workers,
-        eval_backend=args.eval_backend,
     )
     if getattr(args, "log_json", False):
         from repro.obs import get_event_log
@@ -1163,8 +1158,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_service_options(sp: argparse.ArgumentParser) -> None:
         add_store_options(sp)
-        sp.add_argument("--backend", default="serial", choices=["serial", "thread", "process"])
-        sp.add_argument("--workers", type=int, default=None, help="pool size cap")
         sp.add_argument("--no-cache", action="store_true",
                         help="skip the persistent evaluation cache")
         sp.add_argument("--log-json", action="store_true",
@@ -1172,17 +1165,16 @@ def build_parser() -> argparse.ArgumentParser:
                              "one JSON object per line")
         add_logging_options(sp)
 
-    def add_eval_options(sp: argparse.ArgumentParser) -> None:
+    def add_execution_options(sp: argparse.ArgumentParser) -> None:
+        sp.add_argument("--backend", default="serial", choices=["serial", "process"],
+                        help="run a batch's jobs in-process one at a time, or "
+                             "on a process pool")
+        sp.add_argument("--workers", type=int, default=None, help="pool size cap")
         sp.add_argument("--eval-workers", type=int, default=0,
                         help="parallel fitness evaluation inside each run: fan "
-                             "evaluation batches out over this many workers "
+                             "evaluation batches out over this many threads "
                              "(0/1 = in-process; results are bit-identical "
                              "at any setting)")
-        sp.add_argument("--eval-backend", default="thread",
-                        choices=["thread", "process"],
-                        help="pool type for --eval-workers (thread: shared "
-                             "memory, numpy releases the GIL; process: full "
-                             "multi-core, pays pickling per batch)")
 
     p = sub.add_parser("submit", help="submit protection jobs to the service and run them")
     p.add_argument("--dataset", required=True, choices=sorted(PAPER_SPECS))
@@ -1209,7 +1201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detach", action="store_true",
                    help="queue the jobs and return; execute later with 'repro worker'")
     add_service_options(p)
-    add_eval_options(p)
+    add_execution_options(p)
     p.set_defaults(fn=cmd_submit)
 
     p = sub.add_parser("worker", help="claim and execute queued jobs (see submit --detach)")
@@ -1240,7 +1232,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "interval up to this many seconds, reset on the first "
                         "claim (default: no backoff)")
     add_service_options(p)
-    add_eval_options(p)
+    add_execution_options(p)
     p.set_defaults(fn=cmd_worker)
 
     p = sub.add_parser("serve", help="serve a job store to remote workers over HTTP")

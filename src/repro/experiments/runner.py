@@ -14,7 +14,8 @@ longer, closer-to-paper runs.
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -43,12 +44,11 @@ def default_generations(fallback: int = 300) -> int:
 class ExperimentConfig:
     """Full specification of one paper run.
 
-    ``eval_workers`` / ``eval_backend`` configure in-run parallel
-    fitness evaluation: with ``eval_workers >= 2`` the evaluator fans
-    fresh evaluation batches out over that many ``thread`` or
-    ``process`` workers.  Evaluation is pure, so these are throughput
-    knobs only — a run's results are bit-identical whatever their
-    values (and they are excluded from job fingerprints for the same
+    ``eval_workers`` configures in-run parallel fitness evaluation:
+    with ``eval_workers >= 2`` the evaluator fans fresh evaluation
+    batches out over that many threads.  Evaluation is pure, so it is a
+    throughput knob only — a run's results are bit-identical whatever
+    its value (and it is excluded from job fingerprints for the same
     reason).
     """
 
@@ -62,7 +62,6 @@ class ExperimentConfig:
     leader_fraction: float = 0.1
     selection_strategy: str = "proportional"
     eval_workers: int = 0
-    eval_backend: str = "thread"
 
     def __post_init__(self) -> None:
         if not 0 <= self.drop_best_fraction < 1:
@@ -72,10 +71,6 @@ class ExperimentConfig:
         if self.eval_workers < 0:
             raise ExperimentError(
                 f"eval_workers must be >= 0, got {self.eval_workers}"
-            )
-        if self.eval_backend not in ("thread", "process"):
-            raise ExperimentError(
-                f"eval_backend must be 'thread' or 'process', got {self.eval_backend!r}"
             )
 
 
@@ -142,18 +137,20 @@ def run_experiment(
     generation loop in the job executor,
     :func:`repro.service.runner.execute_group`.
     """
-    engine = build_engine(config, build_evaluator(config, evaluation_cache), seed)
+    evaluator = build_evaluator(config, evaluation_cache)
+    engine = build_engine(config, evaluator, seed)
     hooks = dict(
         stopping=config.generations,
         checkpoint_every=checkpoint_every,
         on_checkpoint=on_checkpoint,
     )
-    if resume_from is not None:
-        result = engine.resume(resume_from, **hooks)
-        return ExperimentResult(config=config, result=result, evaluator=engine.evaluator)
-    kept, dropped = score_initial_population(config, engine)
-    result = engine.run(kept, **hooks)
-    return ExperimentResult(config=config, result=result, evaluator=engine.evaluator,
+    with closing_pool(evaluator):
+        if resume_from is not None:
+            result, dropped = engine.resume(resume_from, **hooks), []
+        else:
+            kept, dropped = score_initial_population(config, engine)
+            result = engine.run(kept, **hooks)
+    return ExperimentResult(config=config, result=result, evaluator=evaluator,
                             dropped=dropped)
 
 
@@ -168,9 +165,9 @@ def build_evaluator(
     executor = None
     if config.eval_workers >= 2:
         # Imported lazily: the service layer sits above this module.
-        from repro.service.backends import create_backend
+        from repro.service.backends import ThreadBackend
 
-        executor = create_backend(config.eval_backend, max_workers=config.eval_workers)
+        executor = ThreadBackend(max_workers=config.eval_workers)
     return ProtectionEvaluator(
         original,
         protected_attributes(config.dataset),
@@ -178,6 +175,20 @@ def build_evaluator(
         persistent_cache=evaluation_cache,
         executor=executor,
     )
+
+
+@contextmanager
+def closing_pool(evaluator: ProtectionEvaluator) -> Iterator[ProtectionEvaluator]:
+    """Shut :func:`build_evaluator`'s scoring pool down when the run ends.
+
+    Closing is idempotent and the pool's next map re-creates it, so the
+    evaluator stays usable after the run.
+    """
+    try:
+        yield evaluator
+    finally:
+        if evaluator.executor is not None:
+            evaluator.executor.close()
 
 
 def build_engine(

@@ -2,8 +2,9 @@
 
 The service layer turns the library's single-run building blocks into an
 operable system: :class:`ProtectionJob` is the durable unit of work,
-:class:`JobRunner` fans jobs out over serial / thread / process
-backends, :class:`EvaluationCache` persists fitness evaluations across
+:class:`JobRunner` fans jobs out over a serial or a process
+backend (in-run scoring splits batches over a :class:`ThreadBackend`),
+:class:`EvaluationCache` persists fitness evaluations across
 runs and processes (optionally LRU-bounded via ``max_entries``),
 :class:`CheckpointManager` makes long GA runs interrupt-safe by saving
 them straight into the job store,

@@ -1,4 +1,4 @@
-"""Pluggable execution backends for the job runner.
+"""Execution backends: the job runner's fan-out and the in-run scoring pool.
 
 A backend turns "run this function over these items" into serial,
 thread-parallel or process-parallel execution with identical semantics:
@@ -7,11 +7,18 @@ the caller.  The GA itself is deterministic per seed, so the backend is
 purely a throughput choice — every backend produces byte-identical
 results for the same jobs.
 
-* ``serial`` — in-process loop; zero overhead, the reference semantics.
-* ``thread`` — :class:`~concurrent.futures.ThreadPoolExecutor`; best for
-  workloads dominated by numpy (which releases the GIL) or I/O.
-* ``process`` — :class:`~concurrent.futures.ProcessPoolExecutor`; true
-  multi-core fan-out, requires picklable functions and payloads.
+Each layer has its own pool type:
+
+* jobs fan out over :func:`create_backend`'s ``serial`` (in-process
+  loop; zero overhead, the reference semantics) or ``process``
+  (:class:`~concurrent.futures.ProcessPoolExecutor`; true multi-core
+  fan-out, requires picklable functions and payloads);
+* in-run scoring (``eval_workers >= 2``) splits a batch over a
+  :class:`ThreadBackend`: numpy releases the GIL, and the measures'
+  bound state is shared rather than pickled.
+
+A job-level thread pool and an in-run process pool won nowhere they
+were measured, so neither is offered.
 """
 
 from __future__ import annotations
@@ -99,7 +106,7 @@ class _PoolBackend(ExecutionBackend):
 
 
 class ThreadBackend(_PoolBackend):
-    """Thread-pool execution; shares memory, overlaps GIL-releasing work."""
+    """Thread-pool execution; the in-run scoring pool (not a job backend)."""
 
     name = "thread"
     _executor_factory = ThreadPoolExecutor
@@ -112,32 +119,19 @@ class ProcessBackend(_PoolBackend):
     _executor_factory = ProcessPoolExecutor
 
 
+#: The job-level backends, by name.
 BACKENDS: dict[str, type[ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
-    ThreadBackend.name: ThreadBackend,
     ProcessBackend.name: ProcessBackend,
 }
 
 
-def create_backend(
-    backend: str | ExecutionBackend, max_workers: int | None = None
-) -> ExecutionBackend:
-    """Resolve a backend name (or pass through an instance).
+def create_backend(backend: str, max_workers: int | None = None) -> ExecutionBackend:
+    """The job-level backend named ``backend``: ``serial`` or ``process``.
 
-    ``max_workers`` caps pool size for the pooled backends and is
-    rejected for ``serial``, where it could only mislead.  A pre-built
-    instance already fixed its pool size at construction, so combining
-    one with ``max_workers`` is also rejected rather than silently
-    ignoring the cap.
+    ``max_workers`` caps the process pool's size and is rejected for
+    ``serial``, where it could only mislead.
     """
-    if isinstance(backend, ExecutionBackend):
-        if max_workers is not None:
-            raise ServiceError(
-                f"max_workers={max_workers} cannot be applied to a pre-built "
-                f"{type(backend).__name__} instance; set the pool size when "
-                "constructing the backend"
-            )
-        return backend
     if backend not in BACKENDS:
         raise ServiceError(
             f"unknown backend {backend!r}; choose from {', '.join(sorted(BACKENDS))}"

@@ -42,7 +42,6 @@ class ProtectionJob:
     leader_fraction: float = 0.1
     selection_strategy: str = "proportional"
     eval_workers: int = 0
-    eval_backend: str = "thread"
     #: Island-model fields (see :mod:`repro.service.islands`): with
     #: ``islands >= 2`` this job is one member of a cooperating group —
     #: ``island_index`` in ``[0, islands)`` runs one population on its
@@ -60,7 +59,7 @@ class ProtectionJob:
     #: change a run's results and must not change its identity — the
     #: same job run with 1 or 8 evaluation workers is the same job (and
     #: old stores' fingerprints stay valid).
-    _EXECUTION_FIELDS = frozenset({"eval_workers", "eval_backend"})
+    _EXECUTION_FIELDS = frozenset({"eval_workers"})
 
     #: The island-model fields.  Excluded from the fingerprint while
     #: inactive (``islands <= 1``) so every pre-island job keeps its
@@ -137,8 +136,11 @@ class ProtectionJob:
     @classmethod
     def from_dict(cls, payload: dict) -> "ProtectionJob":
         """Rebuild a job from :meth:`to_dict` output."""
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(payload) - known
+        if "eval_backend" in payload:
+            # Older records name the in-run pool type, which is now
+            # always threads; it was never part of the fingerprint.
+            payload = {k: v for k, v in payload.items() if k != "eval_backend"}
+        unknown = set(payload) - set(cls.__dataclass_fields__)
         if unknown:
             raise ServiceError(f"unknown job fields: {sorted(unknown)}")
         return cls(**payload)

@@ -2,8 +2,8 @@
 
 :class:`JobRunner` is the execution heart of the service layer.  It takes
 :class:`~repro.service.job.ProtectionJob` values and runs them through a
-pluggable :mod:`execution backend <repro.service.backends>` — serially,
-on a thread pool, or on a process pool — while threading the shared
+pluggable :mod:`execution backend <repro.service.backends>` — serially
+or on a process pool — while threading the shared
 persistent evaluation cache and the job store (every job's checkpoints
 live there) through every worker.  Two fan-out shapes cover the
 workloads the experiments need:
@@ -39,10 +39,11 @@ from repro.experiments.runner import (
     ExperimentConfig,
     build_engine,
     build_evaluator,
+    closing_pool,
     score_initial_population,
 )
 from repro.obs import emit_event, trace
-from repro.service.backends import ExecutionBackend, create_backend
+from repro.service.backends import create_backend
 from repro.service.cache import EvaluationCache
 from repro.service.checkpoint import CheckpointManager, checkpoint_from_dict, is_resumable
 from repro.service.islands import (
@@ -100,11 +101,7 @@ def _run_config(job: ProtectionJob, payload: dict) -> ExperimentConfig:
     config = job.to_config()
     runner_eval_workers = int(payload.get("eval_workers") or 0)
     if config.eval_workers == 0 and runner_eval_workers:
-        config = replace(
-            config,
-            eval_workers=runner_eval_workers,
-            eval_backend=str(payload.get("eval_backend") or "thread"),
-        )
+        config = replace(config, eval_workers=runner_eval_workers)
     return config
 
 
@@ -318,15 +315,16 @@ def execute_group(payloads: list[dict], spans: list[list[dict]], store) -> list[
     every ``checkpoint_every`` generations and at the last one; both
     write to the job ``store`` (``None`` runs a plain job
     uncheckpointed).  ``spans[i]`` receives job ``i``'s trace spans,
-    also when the run fails or parks.
+    also when the run fails or parks.  The evaluator's scoring pool is
+    shut down when the jobs end.
     """
     jobs = [ProtectionJob.from_dict(payload["job"]) for payload in payloads]
     head = jobs[0]
     config = _run_config(head, payloads[0])
     resumed = payloads[0].get("checkpoint") is not None
     start = time.perf_counter()
-    with _evaluation_cache(payloads[0]) as cache:
-        evaluator = build_evaluator(config, cache)
+    with (_evaluation_cache(payloads[0]) as cache,
+          closing_pool(build_evaluator(config, cache)) as evaluator):
         runs = [_Run(job, payload, build_engine(
                     config, evaluator, member_rng(job) if job.islands >= 2 else None))
                 for job, payload in zip(jobs, payloads)]
@@ -475,10 +473,10 @@ class JobRunner:
     Parameters
     ----------
     backend:
-        Backend name (``serial`` / ``thread`` / ``process``) or a
-        pre-built :class:`~repro.service.backends.ExecutionBackend`.
+        Job-level backend name: ``serial`` or ``process`` (see
+        :func:`~repro.service.backends.create_backend`).
     max_workers:
-        Pool-size cap for the pooled backends.
+        Pool-size cap for the ``process`` backend.
     cache_path:
         Location of the shared persistent evaluation cache; ``None``
         disables persistent caching (the in-process memo cache of each
@@ -491,16 +489,16 @@ class JobRunner:
         Generations between checkpoint saves into ``store`` for jobs
         whose extras set no ``checkpoint_every`` of their own; 0 (or no
         store) disables.
-    eval_workers / eval_backend:
+    eval_workers:
         Default in-run parallel-evaluation setting applied to jobs that
-        did not pin their own ``eval_workers``: with ``eval_workers >=
-        2``, each run's evaluator fans fresh evaluation batches out
-        over that many ``thread`` or ``process`` workers.  Evaluation
-        is pure — these change throughput, never results.
+        did not pin their own: with ``eval_workers >= 2``, each run's
+        evaluator fans fresh evaluation batches out over that many
+        threads.  Evaluation is pure — it changes throughput, never
+        results.
     store:
         The job store every checkpoint is saved to and resumed from, and
-        the one island-group jobs exchange migrants through.  In-process
-        backends reach the exact live object (weak registry); the
+        the one island-group jobs exchange migrants through.  The serial
+        backend reaches the exact live object (weak registry); the
         process backend falls back to reopening from the store's spec.
         Without it jobs run uncheckpointed; island jobs fail with a
         clear error.
@@ -512,13 +510,12 @@ class JobRunner:
 
     def __init__(
         self,
-        backend: str | ExecutionBackend = "serial",
+        backend: str = "serial",
         max_workers: int | None = None,
         cache_path: str | None = None,
         cache_max_entries: int | None = None,
         checkpoint_every: int = 0,
         eval_workers: int = 0,
-        eval_backend: str = "thread",
         store: object | None = None,
         owner: str | None = None,
     ) -> None:
@@ -530,16 +527,11 @@ class JobRunner:
             )
         if eval_workers < 0:
             raise ServiceError(f"eval_workers must be >= 0, got {eval_workers}")
-        if eval_backend not in ("thread", "process"):
-            raise ServiceError(
-                f"eval_backend must be 'thread' or 'process', got {eval_backend!r}"
-            )
         self.backend = create_backend(backend, max_workers)
         self.cache_path = str(cache_path) if cache_path else ""
         self.cache_max_entries = cache_max_entries
         self.checkpoint_every = checkpoint_every
         self.eval_workers = int(eval_workers)
-        self.eval_backend = eval_backend
         self.store = store
         self.owner = owner
         self._store_ref = register_store(store) if store is not None else ""
@@ -565,12 +557,11 @@ class JobRunner:
             # resume``), so the job does not fetch it again.
             "checkpoint": checkpoint,
             "eval_workers": self.eval_workers,
-            "eval_backend": self.eval_backend,
             # Trace context crosses the (possibly process) backend
             # boundary inside the payload; None for untraced jobs.
             "trace": trace.trace_context_from_extras(extras),
             # The job store checkpoints and island exchanges go to: a
-            # live-object token for in-process backends plus a
+            # live-object token for the serial backend plus a
             # reopenable spec fallback, and the claim owner saves are
             # gated on.
             "store_ref": self._store_ref,

@@ -198,12 +198,11 @@ class Worker:
         :class:`~repro.service.netstore.RemoteJobStore`; multiple
         workers may point at one.
     backend / max_workers:
-        Execution backend of the one runner (:attr:`runner`) every
-        claimed batch goes through; a pooled backend keeps its pool for
-        the worker's lifetime.  With the default (``serial``)
+        Execution backend (``serial`` or ``process``) of the one runner
+        (:attr:`runner`) every claimed batch goes through; ``process``
+        keeps its pool for the worker's lifetime.  With the default (``serial``)
         parallelism comes from running more workers; with ``capacity``
-        above 1, pick ``thread`` or ``process`` so a batch actually runs
-        concurrently.
+        above 1, pick ``process`` so a batch actually runs concurrently.
     use_cache:
         Thread the store's persistent evaluation cache through each job
         (worker-local when the store is remote).
@@ -232,10 +231,10 @@ class Worker:
     heartbeat_every:
         Seconds between claim heartbeats; defaults to ``stale_after / 4``
         so a single missed beat never looks like a death.
-    eval_workers / eval_backend:
-        Default in-run parallel fitness evaluation for jobs that did
-        not pin their own ``eval_workers`` (pure throughput — results
-        are bit-identical whatever the worker count).
+    eval_workers:
+        Default in-run parallel fitness evaluation (threads) for jobs
+        that did not pin their own (pure throughput — results are
+        bit-identical whatever the worker count).
     """
 
     def __init__(
@@ -250,7 +249,6 @@ class Worker:
         capacity: int = 1,
         heartbeat_every: float | None = None,
         eval_workers: int = 0,
-        eval_backend: str = "thread",
     ) -> None:
         if stale_after <= 0:
             raise WorkerError(f"stale_after must be positive, got {stale_after}")
@@ -287,7 +285,6 @@ class Worker:
                 cache_path=str(store.cache_path) if use_cache else None,
                 cache_max_entries=cache_max_entries,
                 eval_workers=eval_workers,
-                eval_backend=eval_backend,
                 store=store,
                 owner=self.worker_id,
             )

@@ -3,19 +3,24 @@
 Evaluation is pure and the engine's RNG stream is untouched by how
 fitness batches are executed, so the same seeded run must produce a
 bit-identical history and final population with 1, 2 or 4 evaluation
-workers, on the thread and the process pool alike.  This is the
-guarantee that makes ``eval_workers`` a pure throughput knob (and keeps
-it out of job fingerprints).
+workers, on a thread pool or on any other executor handed to the
+evaluator (a process pool here).  This is the guarantee that makes
+``eval_workers`` a pure throughput knob (and keeps it out of job
+fingerprints).
 """
 
 from __future__ import annotations
+
+import threading
 
 import pytest
 
 from repro.core import EvolutionaryProtector
 from repro.metrics import ProtectionEvaluator
 from repro.metrics.evaluation import chunk_plan
-from repro.service.backends import create_backend
+from repro.experiments import ExperimentConfig, run_experiment
+from repro.experiments.runner import build_evaluator
+from repro.service.backends import ThreadBackend, create_backend
 from repro.service.job import ProtectionJob
 from repro.service.runner import JobRunner
 
@@ -70,9 +75,7 @@ class TestEvalWorkersDeterminism:
         adult, protections = population
         serial = run_signature(run_with_executor(adult, protections, None))
         for workers in (1, 2, 4):
-            executor = (
-                create_backend("thread", max_workers=workers) if workers > 1 else None
-            )
+            executor = ThreadBackend(max_workers=workers) if workers > 1 else None
             assert run_signature(run_with_executor(adult, protections, executor)) == serial
 
     def test_process_workers_bit_identical(self, population):
@@ -140,17 +143,31 @@ class TestTelemetryDeterminism:
 class TestJobLevelWiring:
     def test_job_fingerprint_ignores_eval_workers(self):
         base = ProtectionJob(dataset="flare", seed=1)
-        tuned = ProtectionJob(dataset="flare", seed=1, eval_workers=8,
-                              eval_backend="process")
+        tuned = ProtectionJob(dataset="flare", seed=1, eval_workers=8)
         assert base.fingerprint() == tuned.fingerprint()
         assert base.job_id == tuned.job_id
 
     def test_job_roundtrip_carries_eval_fields(self):
-        job = ProtectionJob(dataset="flare", eval_workers=3, eval_backend="process")
+        job = ProtectionJob(dataset="flare", eval_workers=3)
         assert ProtectionJob.from_dict(job.to_dict()) == job
-        config = job.to_config()
-        assert config.eval_workers == 3
-        assert config.eval_backend == "process"
+        assert job.to_config().eval_workers == 3
+
+    def test_a_record_naming_an_eval_backend_still_loads_and_runs(self):
+        """Records queued while ``eval_backend`` chose the in-run pool
+        type keep their identity and result: the key is dropped."""
+        legacy = ProtectionJob(dataset="flare", generations=3, seed=7,
+                               eval_workers=2).to_dict()
+        legacy["eval_backend"] = "process"
+        job = ProtectionJob.from_dict(legacy)
+        assert "eval_backend" not in job.to_dict()
+        # Computed by the code that still had the field.
+        assert job.job_id == "flare-s7-edd8227293"
+        assert job.checkpoint_fingerprint() == (
+            "bbbbf7ff6fa32ec4e46530d4fa4883ca9e60d9dd49c52a38a6a034274bb7903b")
+        (loaded,) = JobRunner().run([job])
+        (plain,) = JobRunner().run([ProtectionJob(dataset="flare", generations=3, seed=7)])
+        assert loaded.job_id == plain.job_id
+        assert loaded.final_scores == plain.final_scores
 
     def test_runner_results_identical_across_eval_workers(self):
         job = ProtectionJob(dataset="flare", generations=6, seed=5,
@@ -167,8 +184,46 @@ class TestJobLevelWiring:
 
         with pytest.raises(ServiceError):
             JobRunner(eval_workers=-1)
-        with pytest.raises(ServiceError):
-            JobRunner(eval_backend="serial")
+
+
+class TestEvalPoolLifetime:
+    """A run's scoring pool is shut down when the run ends, so a worker
+    draining many jobs does not leave one idle pool behind per job."""
+
+    def test_run_experiment_closes_its_pool(self):
+        before = threading.active_count()
+        run = run_experiment(ExperimentConfig(dataset="flare", generations=3,
+                                              eval_workers=2))
+        assert threading.active_count() == before
+        # The closed pool comes back on the evaluator's next batch.
+        from repro.methods import Pram
+
+        original = run.evaluator.original
+        candidates = [Pram(theta=0.2).protect(original, list(run.evaluator.attributes),
+                                              seed=1000 + i) for i in range(16)]
+        scores = run.evaluator.evaluate_many(candidates)
+        assert threading.active_count() == before + 2
+        run.evaluator.executor.close()
+        assert scores == build_evaluator(
+            ExperimentConfig(dataset="flare")).evaluate_many(candidates)
+
+    def test_a_service_job_closes_its_pool(self, monkeypatch):
+        from repro.service import runner
+
+        built = []
+
+        def recording(*args):
+            built.append(build_evaluator(*args))
+            return built[-1]
+
+        monkeypatch.setattr(runner, "build_evaluator", recording)
+        before = threading.active_count()
+        JobRunner(eval_workers=2).run(
+            [ProtectionJob(dataset="flare", generations=3, seed=seed) for seed in (1, 2)])
+        # Still referenced here, yet each job's pool is down.
+        assert len(built) == 2
+        assert all(evaluator.executor._pool is None for evaluator in built)
+        assert threading.active_count() == before
 
 
 class TestChunkPlan:

@@ -24,7 +24,7 @@ from repro.metrics.evaluation import (
     default_il_measures,
 )
 from repro.metrics.score import score_function_by_name
-from repro.service.backends import create_backend
+from repro.service.backends import ThreadBackend, create_backend
 from repro.service.cache import EvaluationCache
 
 ATTRS = ["EDUCATION", "MARITAL-STATUS", "OCCUPATION"]
@@ -381,12 +381,12 @@ class TestEvaluatorBatch:
 
 
 class TestExecutors:
-    @pytest.mark.parametrize("backend,workers", [("thread", 2), ("thread", 4)])
-    def test_thread_executor_identical(self, batch_data, backend, workers):
+    @pytest.mark.parametrize("workers", [2, 4], ids=["thread-2", "thread-4"])
+    def test_thread_executor_identical(self, batch_data, workers):
         original, maskings = batch_data
         reference = ProtectionEvaluator(original, ATTRS)
         parallel = ProtectionEvaluator(
-            original, ATTRS, executor=create_backend(backend, max_workers=workers)
+            original, ATTRS, executor=ThreadBackend(max_workers=workers)
         )
         assert parallel.evaluate_many(maskings) == [
             reference.evaluate(m) for m in maskings

@@ -24,9 +24,9 @@ Plain jobs (two flare seeds, 7 generations, a checkpoint every 3) pin
 the same surface per job plus the evaluator stats (every key but the
 timed ``fresh_seconds``), computed by the code that ran a plain job
 through ``run_experiment``.  They run through ``repro worker --once``
-(serial, ``--backend thread``, ``--backend process`` and
-``--eval-workers 2``), inline ``repro submit``, and ``repro resume``
-from the generation-3 checkpoint, whose stats have their own golden.
+(serial, ``--backend process`` and ``--eval-workers 2``), inline ``repro
+submit``, and ``repro resume`` from the generation-3 checkpoint, whose
+stats have their own golden.
 
 Regenerate the goldens (``python tests/test_island_lockstep.py``) only
 for a change that is meant to move results, such as a metric-kernel
@@ -261,8 +261,6 @@ def drive_plain_resume(state: Path) -> SqliteJobStore:
 PLAIN_DRIVES = {
     "worker-once": (drive_plain_worker, "straight"),
     "inline-submit": (drive_plain_inline, "straight"),
-    "thread-backend": (lambda state: drive_plain_worker(
-        state, "--backend", "thread", "--workers", "2", "--capacity", "2"), "straight"),
     "process-backend": (lambda state: drive_plain_worker(
         state, "--backend", "process", "--workers", "2", "--capacity", "2"), "straight"),
     "eval-workers": (lambda state: drive_plain_worker(state, "--eval-workers", "2"),
@@ -534,32 +532,23 @@ def test_a_failing_member_fails_alone_and_its_peers_degrade(
     assert jobs[2].job_id in records[-1].error
 
 
-def test_a_plain_job_runs_alongside_a_lockstep_group(tmp_path, monkeypatch):
-    """One backend map: on two threads the group does not hold up the job."""
-    import threading
-
-    from repro.service import runner
-
+def test_a_plain_job_runs_alongside_a_lockstep_group(tmp_path):
+    """One backend map: the job and the whole group are its two tasks."""
     store = SqliteJobStore(tmp_path / "jobs.sqlite")
     plain = ProtectionJob(dataset="flare", generations=2, seed=1)
     store.submit(plain)
     jobs = _submit(store, FLEET)
-    # The group's task and the job's each wait at the barrier until the
-    # other one has started.
-    barrier = threading.Barrier(2, timeout=20)
-    group = runner.execute_group
-    sizes: list[int] = []
+    worker = Worker(store, worker_id="pair-worker", capacity=2)
+    backend_map = worker.runner.backend.map
+    shapes: list[list[int]] = []
 
-    def group_at_barrier(payloads, spans, store):
-        sizes.append(len(payloads))
-        barrier.wait()
-        return group(payloads, spans, store)
+    def recording_map(fn, tasks):
+        shapes.append([len(task) for task in tasks])
+        return backend_map(fn, tasks)
 
-    monkeypatch.setattr(runner, "execute_group", group_at_barrier)
-    Worker(store, worker_id="pair-worker", backend="thread", max_workers=2,
-           capacity=2).run_once()
-    assert not barrier.broken
-    assert sorted(sizes) == [1, FLEET["islands"]]
+    worker.runner.backend.map = recording_map
+    worker.run_once()
+    assert shapes[0] == [1, FLEET["islands"]]
     assert store.get(plain.job_id).status == "completed"
     assert all(store.get(job.job_id).status == "completed" for job in jobs)
 

@@ -1,9 +1,14 @@
-"""Execution-backend semantics: order, parallelism, error propagation."""
+"""Execution-backend semantics: order, parallelism, error propagation.
+
+Jobs fan out over ``serial`` or ``process``; the thread pool is the
+in-run scoring pool only.
+"""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.cli import main
 from repro.exceptions import ServiceError
 from repro.service import (
     BACKENDS,
@@ -44,18 +49,9 @@ class TestBackendSemantics:
 
 class TestCreateBackend:
     def test_resolves_all_names(self):
+        assert sorted(BACKENDS) == ["process", "serial"]
         for name in BACKENDS:
             assert create_backend(name).name == name
-
-    def test_passthrough_instance(self):
-        backend = ThreadBackend(max_workers=3)
-        assert create_backend(backend) is backend
-
-    def test_instance_with_max_workers_rejected(self):
-        # Regression: max_workers used to be silently ignored here,
-        # misleading callers about the pool size they were getting.
-        with pytest.raises(ServiceError, match="pre-built"):
-            create_backend(ThreadBackend(max_workers=3), max_workers=8)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ServiceError, match="unknown backend"):
@@ -68,3 +64,33 @@ class TestCreateBackend:
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ServiceError):
             ThreadBackend(max_workers=0)
+
+
+#: Each retired choice, and the flag or name its error must point at.
+RETIRED = {
+    "create-backend-thread": (lambda state: create_backend("thread"), "process, serial"),
+    "worker-backend-thread": (lambda state: main(
+        ["worker", "--once", "--backend", "thread", "--state-dir", state]),
+        "invalid choice: 'thread'"),
+    "submit-eval-backend": (lambda state: main(
+        ["submit", "--dataset", "flare", "--eval-backend", "process", "--state-dir", state]),
+        "unrecognized arguments: --eval-backend process"),
+    "resume-backend": (lambda state: main(
+        ["resume", "--job", "x", "--backend", "process", "--state-dir", state]),
+        "unrecognized arguments: --backend process"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RETIRED))
+def test_retired_choices_fail_clearly(tmp_path, capsys, name):
+    """A job-level thread pool, an in-run process pool and ``resume``'s
+    fan-out are gone: asking for one fails before anything runs."""
+    call, message = RETIRED[name]
+    with pytest.raises((ServiceError, SystemExit)) as raised:
+        call(str(tmp_path))
+    if isinstance(raised.value, SystemExit):
+        assert raised.value.code == 2
+        assert message in capsys.readouterr().err
+    else:
+        assert message in str(raised.value)
+    assert list(tmp_path.iterdir()) == []

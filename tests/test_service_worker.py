@@ -87,7 +87,7 @@ class TestRunOnce:
             return backend
 
         monkeypatch.setattr(runner, "create_backend", counting_create)
-        worker = Worker(store, backend="thread", capacity=2)
+        worker = Worker(store, capacity=2)
         jobs = [store.submit(_job(seed), extras={"checkpoint_every": seed % 2})
                 for seed in range(1, 5)]
         drained = worker.run_once()
@@ -355,7 +355,7 @@ class TestCapacity:
 
     def test_capacity_worker_drains_whole_queue(self, store):
         jobs = [store.submit(_job(seed)) for seed in (1, 2, 3)]
-        worker = Worker(store, capacity=2, backend="thread", max_workers=2)
+        worker = Worker(store, capacity=2)
         outcomes = worker.run_once()
         assert sorted(out.job_id for out in outcomes) == sorted(r.job_id for r in jobs)
         assert all(out.ok for out in outcomes)
