@@ -538,7 +538,8 @@ def cmd_submit(args: argparse.Namespace) -> int:
         # the members plus the final merge, awaiting external workers.
         from repro.service.islands import drive_group
 
-        finals = drive_group(store, worker, [job.job_id for job in jobs])
+        with worker:
+            finals = drive_group(store, worker, [job.job_id for job in jobs])
         failures = [r for r in finals if r.status == "failed"]
         for record in failures:
             print(f"{record.job_id} failed: {record.error}", file=sys.stderr)
@@ -554,8 +555,9 @@ def cmd_submit(args: argparse.Namespace) -> int:
 
         # The claim re-reads each record: a job a worker finished between
         # our submit and our claim is not re-run or clobbered.
-        failures = [o for o in worker.process(pending, on_skipped=report_skip)
-                    if not o.ok]
+        with worker:
+            outcomes = worker.process(pending, on_skipped=report_skip)
+        failures = [o for o in outcomes if not o.ok]
         for outcome in failures:
             print(f"{outcome.job_id} failed: {outcome.error}", file=sys.stderr)
         print(_job_table([store.get(record.job_id) for record in records],
@@ -748,8 +750,9 @@ def cmd_resume(args: argparse.Namespace) -> int:
         # From here the worker owns the claim: it heartbeats, marks,
         # releases and flushes the trace, whatever the run does.
         held = []
-        (outcome,) = worker.run_claimed(
-            [record], resume=True, checkpoints={record.job_id: checkpoint}, claim=claim)
+        with worker:
+            (outcome,) = worker.run_claimed(
+                [record], resume=True, checkpoints={record.job_id: checkpoint}, claim=claim)
     finally:
         release_quietly(store, held, owner)
     if not outcome.ok:
@@ -780,18 +783,19 @@ def cmd_worker(args: argparse.Namespace) -> int:
         from repro.obs import get_event_log
 
         get_event_log().bind(worker=worker.worker_id)
-    if args.once:
-        outcomes = worker.run_once(max_jobs=args.max_jobs)
-        # A drain-and-exit worker still reports its telemetry before it
-        # goes (the polling loop pushes after every drain on its own).
-        worker._maybe_push_telemetry(force=True)
-    else:
-        outcomes = worker.run(
-            poll_seconds=args.poll_seconds,
-            max_jobs=args.max_jobs,
-            idle_exit=args.idle_exit,
-            poll_max=args.poll_max,
-        )
+    with worker:
+        if args.once:
+            outcomes = worker.run_once(max_jobs=args.max_jobs)
+            # A drain-and-exit worker still reports its telemetry before it
+            # goes (the polling loop pushes after every drain on its own).
+            worker._maybe_push_telemetry(force=True)
+        else:
+            outcomes = worker.run(
+                poll_seconds=args.poll_seconds,
+                max_jobs=args.max_jobs,
+                idle_exit=args.idle_exit,
+                poll_max=args.poll_max,
+            )
     # An island job can settle several times in one drain (parked at an
     # exchange, then finished) — report each job once, by its last word.
     last: dict[str, object] = {}

@@ -16,6 +16,7 @@ that need scratch space take an explicit writable copy via
 from __future__ import annotations
 
 import hashlib
+import struct
 from collections.abc import Sequence
 
 import numpy as np
@@ -241,8 +242,21 @@ class CategoricalDataset:
         return int(np.count_nonzero(self.codes != other.codes))
 
     def fingerprint(self) -> bytes:
-        """Cheap content hash of the code matrix (used by fitness caching)."""
+        """The raw ``int64`` code buffer (what persistent score keys hash)."""
         return self.codes.tobytes()
+
+    def memo_key(self) -> bytes:
+        """Exact, narrow content key: the shape, then the codes narrowed.
+
+        The codes are cast to the schema's
+        :attr:`~repro.data.schema.DatasetSchema.code_dtype`, which holds
+        its largest code; construction validated every code against the
+        schema, so the cast never wraps.  Two keys are equal exactly when
+        the shapes and the codes (at one width) are.  A flare key is
+        about 1/8 the size of :meth:`fingerprint`.
+        """
+        shape = struct.pack("<2q", *self.codes.shape)
+        return shape + self.codes.astype(self.schema.code_dtype).tobytes()
 
     def digest(self) -> str:
         """Short hex hash of the code matrix and its shape.

@@ -14,10 +14,15 @@ from repro.data.domain import CategoricalDomain
 from repro.exceptions import SchemaError
 
 
+def narrowest_dtype(top: int) -> str:
+    """The narrowest of ``uint8`` / ``uint16`` / ``int64`` that holds ``0..top``."""
+    return "uint8" if top < 1 << 8 else "uint16" if top < 1 << 16 else "int64"
+
+
 class DatasetSchema:
     """Ordered, named collection of :class:`CategoricalDomain` objects."""
 
-    __slots__ = ("domains", "_index_of")
+    __slots__ = ("domains", "_index_of", "code_dtype")
 
     def __init__(self, domains: Sequence[CategoricalDomain]) -> None:
         doms = tuple(domains)
@@ -28,6 +33,8 @@ class DatasetSchema:
             raise SchemaError(f"duplicate attribute names in schema: {names}")
         self.domains = doms
         self._index_of = {d.name: i for i, d in enumerate(doms)}
+        #: The :func:`narrowest_dtype` that holds every code of every domain.
+        self.code_dtype = narrowest_dtype(max(d.size for d in doms) - 1)
 
     @property
     def n_attributes(self) -> int:

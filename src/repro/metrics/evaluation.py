@@ -8,14 +8,17 @@ original file and attribute set:
 * score            = a :class:`~repro.metrics.score.ScoreFunction`
   over the pair (paper §2.3.3)
 
-and evaluates masked candidates against it.  Evaluations are memoized on
-the candidate's content fingerprint: the GA repeatedly re-scores
-surviving individuals, and the paper itself notes that fitness dominates
-the run time, so the cache is the single most important performance
-lever of the reproduction.
+and evaluates masked candidates against it.  The engine keeps each
+survivor's evaluation, so the evaluator only sees new children, and few
+of those repeat an earlier candidate (a 150-generation flare run makes
+3 memo hits in 331 lookups).  The memo is a cheap guard against those
+repeats; what it costs is memory, so it keys each candidate on
+:meth:`~repro.data.dataset.CategoricalDataset.memo_key`: the shape plus
+the codes at the schema's narrowest width (about 14 KB per flare
+candidate, against 110 KB for the raw ``int64`` buffer).
 
 The evaluator is *batch-first*: :meth:`ProtectionEvaluator.evaluate_many`
-dedupes a candidate batch by fingerprint, consults the in-memory memo
+dedupes a candidate batch by that key, consults the in-memory memo
 and the persistent cache in bulk, and pushes only the fresh remainder
 through the measures' vectorized batch kernels — optionally fanned out
 over a pluggable executor (any object with the
@@ -235,7 +238,9 @@ class ProtectionEvaluator:
     score_function:
         Aggregation of (IL, DR); defaults to the paper's Eq. 2 max score.
     cache_size:
-        Number of memoized evaluations (LRU); 0 disables caching.
+        Number of memoized evaluations (LRU, keyed by
+        :meth:`~repro.data.dataset.CategoricalDataset.memo_key`); 0
+        disables caching.
     persistent_cache:
         Optional :class:`ScoreCache` consulted on in-memory misses and
         fed every fresh evaluation, so repeated runs and restarted jobs
@@ -243,10 +248,11 @@ class ProtectionEvaluator:
     executor:
         Optional evaluation executor for :meth:`evaluate_many`'s fresh
         remainder — any object with the
-        :class:`repro.service.backends.ExecutionBackend` ``map`` surface
-        (``thread`` for numpy's GIL-releasing kernels, ``process`` for
-        full multi-core fan-out).  ``None`` evaluates in-process.
-        Evaluation is pure, so the executor never changes results.
+        :class:`repro.service.backends.ExecutionBackend` ``map`` surface;
+        runs build a :class:`~repro.service.backends.ThreadBackend`
+        (numpy's kernels release the GIL).  ``None`` evaluates
+        in-process.  Evaluation is pure, so the executor never changes
+        results.
     """
 
     def __init__(
@@ -348,7 +354,11 @@ class ProtectionEvaluator:
         return digest.hexdigest()
 
     def cache_key(self, masked: CategoricalDataset) -> str:
-        """Persistent-cache key of one candidate under this configuration."""
+        """Persistent-cache key of one candidate under this configuration.
+
+        Hashes the raw ``int64`` :meth:`~CategoricalDataset.fingerprint`,
+        so keys written by earlier versions stay valid.
+        """
         return self._persistent_key(masked.fingerprint())
 
     def evaluate(self, masked: CategoricalDataset) -> ProtectionScore:
@@ -362,12 +372,14 @@ class ProtectionEvaluator:
 
         The batch pipeline, in order:
 
-        1. fingerprint every candidate and deduplicate — each distinct
-           content is scored once per batch (``batch_dedup`` counts the
-           duplicates saved);
+        1. key every candidate by its
+           :meth:`~CategoricalDataset.memo_key` and deduplicate — each
+           distinct content is scored once per batch (``batch_dedup``
+           counts the duplicates saved);
         2. look the distinct candidates up in the in-memory memo;
         3. look the remainder up in the persistent cache *in bulk* (one
-           ``get_many`` round instead of N ``get`` calls);
+           ``get_many`` round instead of N ``get`` calls), hashing each
+           one's :meth:`cache_key` once for the lookup and the store;
         4. run the fresh remainder through the measures' vectorized
            batch kernels — in-process, or chunked over ``executor``;
         5. store fresh scores back (bulk ``put_many``) and fan results
@@ -396,7 +408,7 @@ class ProtectionEvaluator:
             registry.observe("repro_eval_batch_size", len(candidates))
         slots: dict[bytes, list[int]] = {}
         for position, masked in enumerate(candidates):
-            slots.setdefault(masked.fingerprint(), []).append(position)
+            slots.setdefault(masked.memo_key(), []).append(position)
         duplicates = len(candidates) - len(slots)
         self.batch_dedup += duplicates
         if registry.enabled and duplicates:
@@ -421,7 +433,9 @@ class ProtectionEvaluator:
             registry.inc("repro_eval_memo_hits_total", memo_hits)
 
         if self.persistent_cache is not None and missing:
-            persistent_keys = {key: self._persistent_key(key) for key in missing}
+            persistent_keys = {
+                key: self.cache_key(candidates[slots[key][0]]) for key in missing
+            }
             stored = _cache_get_many(
                 self.persistent_cache, [persistent_keys[key] for key in missing]
             )
@@ -454,10 +468,7 @@ class ProtectionEvaluator:
             if self.persistent_cache is not None:
                 _cache_put_many(
                     self.persistent_cache,
-                    [
-                        (self._persistent_key(key), score)
-                        for key, score in zip(missing, fresh_scores)
-                    ],
+                    [(persistent_keys[key], score) for key, score in zip(missing, fresh_scores)],
                 )
             for key, score in zip(missing, fresh_scores):
                 self._memoize(key, score)

@@ -12,7 +12,8 @@ Each layer has its own pool type:
 * jobs fan out over :func:`create_backend`'s ``serial`` (in-process
   loop; zero overhead, the reference semantics) or ``process``
   (:class:`~concurrent.futures.ProcessPoolExecutor`; true multi-core
-  fan-out, requires picklable functions and payloads);
+  fan-out, requires picklable functions and payloads; its workers start
+  from a ``forkserver``, never as forks of the caller);
 * in-run scoring (``eval_workers >= 2``) splits a batch over a
   :class:`ThreadBackend`: numpy releases the GIL, and the measures'
   bound state is shared rather than pickled.
@@ -23,10 +24,12 @@ were measured, so neither is offered.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from functools import partial
 from typing import TypeVar
 
 from repro.exceptions import ServiceError
@@ -43,6 +46,15 @@ class ExecutionBackend(ABC):
     @abstractmethod
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
         """Run ``fn`` over ``items``; results in order, exceptions raised."""
+
+    def close(self) -> None:
+        """Release the backend's pool, if it has one (idempotent)."""
+
+    def __enter__(self) -> "ExecutionBackend":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -62,8 +74,8 @@ class _PoolBackend(ExecutionBackend):
 
     The pool is created lazily on the first :meth:`map` and *reused*
     across calls: callers like the batch evaluator map one small batch
-    per GA generation, and paying a pool spawn (for processes, a fork
-    plus interpreter start) per batch would dwarf the work itself.
+    per GA generation, and paying a pool start (for processes, an
+    interpreter start) per batch would dwarf the work itself.
     Both executors start their workers on demand, so a large
     ``max_workers`` with small batches never over-spawns.  ``close()``
     tears the pool down; an unclosed pool is reaped when the backend is
@@ -95,12 +107,6 @@ class _PoolBackend(ExecutionBackend):
             self._pool.shutdown(wait=True)
             self._pool = None
 
-    def __enter__(self) -> "_PoolBackend":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(max_workers={self.max_workers})"
 
@@ -112,11 +118,28 @@ class ThreadBackend(_PoolBackend):
     _executor_factory = ThreadPoolExecutor
 
 
+#: How :class:`ProcessBackend` starts its workers.
+_START_METHOD = (
+    "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn"
+)
+
+
 class ProcessBackend(_PoolBackend):
-    """Process-pool execution; full parallelism, picklable payloads only."""
+    """Process-pool execution; full parallelism, picklable payloads only.
+
+    Workers start from a ``forkserver`` (``spawn`` where the platform
+    has none), never as forks of the caller.  A worker runs a claim
+    heartbeat thread, and a fork taken while that thread sat inside a
+    sqlite write inherited the write lock's per-process bookkeeping:
+    the child then failed every write to the job store with ``database
+    is locked``.  A worker keeps one pool for its life, so the slower
+    start is paid once.
+    """
 
     name = "process"
-    _executor_factory = ProcessPoolExecutor
+    _executor_factory = partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context(_START_METHOD)
+    )
 
 
 #: The job-level backends, by name.

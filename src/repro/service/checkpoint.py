@@ -57,6 +57,7 @@ from repro.core.engine import EngineCheckpoint
 from repro.core.history import GenerationRecord
 from repro.core.individual import Individual
 from repro.data.dataset import CategoricalDataset
+from repro.data.schema import narrowest_dtype
 from repro.exceptions import ServiceError, StoreUnavailableError, WorkerError
 from repro.obs import emit_event, get_registry, trace
 from repro.service.cache import score_from_dict, score_to_dict
@@ -95,11 +96,6 @@ def _encode_codes(codes: np.ndarray) -> dict:
     }
 
 
-def _narrowest(top: int) -> str:
-    """The narrowest table dtype that holds ``0..top``."""
-    return "uint8" if top < 1 << 8 else "uint16" if top < 1 << 16 else "int64"
-
-
 def _pack(values: np.ndarray, dtype: str) -> str:
     raw = np.ascontiguousarray(values, dtype=_WIRE_DTYPES[dtype]).tobytes()
     return base64.b64encode(zlib.compress(raw, _ZLIB_LEVEL)).decode("ascii")
@@ -131,8 +127,8 @@ def _encode_delta(codes: np.ndarray, original: np.ndarray) -> dict:
     positions = np.flatnonzero(flat != original.reshape(-1))
     gaps = np.diff(positions, prepend=0)
     values = flat[positions]
-    index_dtype = _narrowest(int(gaps.max(initial=0)))
-    dtype = _narrowest(int(values.max(initial=0)))
+    index_dtype = narrowest_dtype(int(gaps.max(initial=0)))
+    dtype = narrowest_dtype(int(values.max(initial=0)))
     return {
         "positions": _pack(gaps, index_dtype),
         "index_dtype": index_dtype,

@@ -200,7 +200,7 @@ class Worker:
     backend / max_workers:
         Execution backend (``serial`` or ``process``) of the one runner
         (:attr:`runner`) every claimed batch goes through; ``process``
-        keeps its pool for the worker's lifetime.  With the default (``serial``)
+        keeps its pool until :meth:`close`.  With the default (``serial``)
         parallelism comes from running more workers; with ``capacity``
         above 1, pick ``process`` so a batch actually runs concurrently.
     use_cache:
@@ -296,6 +296,21 @@ class Worker:
         self._last_claim = (0.0, 0.0)
         # True while :meth:`run` polls: its drains claim no siblings.
         self._polling = False
+
+    def close(self) -> None:
+        """Shut down the runner's job-level pool (idempotent).
+
+        A ``process`` pool otherwise outlives every drain until the
+        interpreter's exit hook reaps it; a later drain starts a new one.
+        A ``Worker`` is also a context manager that closes on exit.
+        """
+        self.runner.backend.close()
+
+    def __enter__(self) -> "Worker":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def _claim_batch(
         self, limit: int, candidates: list[JobRecord] | None = None,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data import CategoricalDataset
+from repro.data import CategoricalDataset, CategoricalDomain, DatasetSchema
 from repro.exceptions import SchemaError
 
 
@@ -139,3 +139,55 @@ class TestComparisons:
 
     def test_fingerprint_stable(self, tiny_dataset):
         assert tiny_dataset.fingerprint() == tiny_dataset.fingerprint()
+
+    def test_fingerprint_is_the_raw_int64_buffer(self, tiny_dataset):
+        # Persistent score keys hash these bytes: narrowing them would
+        # orphan every stored score and refuse every stamped checkpoint.
+        assert tiny_dataset.fingerprint() == tiny_dataset.codes.tobytes()
+        assert len(tiny_dataset.fingerprint()) == tiny_dataset.n_cells * 8
+
+
+def _one_column(size: int, codes: list[int]) -> CategoricalDataset:
+    """A one-attribute file over a domain of ``size`` categories."""
+    schema = DatasetSchema([CategoricalDomain("A", [f"c{i}" for i in range(size)])])
+    return CategoricalDataset(np.array(codes, dtype=np.int64).reshape(-1, 1), schema)
+
+
+class TestMemoKey:
+    def test_key_is_shape_then_narrow_codes(self, tiny_dataset):
+        key = tiny_dataset.memo_key()
+        assert tiny_dataset.schema.code_dtype == "uint8"
+        assert len(key) == 16 + tiny_dataset.n_cells
+        assert key[16:] == tiny_dataset.codes.astype(np.uint8).tobytes()
+
+    def test_renamed_twin_shares_the_key(self, tiny_dataset):
+        assert tiny_dataset.renamed("twin").memo_key() == tiny_dataset.memo_key()
+
+    def test_content_change_changes_the_key(self, tiny_dataset):
+        codes = tiny_dataset.codes_copy()
+        codes[0, 0] = (codes[0, 0] + 1) % 3
+        assert tiny_dataset.with_codes(codes).memo_key() != tiny_dataset.memo_key()
+
+    def test_equal_codes_of_another_shape_never_share_a_key(self):
+        wide_schema = DatasetSchema([CategoricalDomain(name, ["x", "y"]) for name in "AB"])
+        wide = CategoricalDataset(np.array([[0, 1], [1, 0]]), wide_schema)
+        tall = _one_column(2, [0, 1, 1, 0])
+        assert wide.fingerprint() == tall.fingerprint()
+        assert wide.memo_key() != tall.memo_key()
+
+    @pytest.mark.parametrize("size, dtype", [(256, "uint8"), (257, "uint16"),
+                                             (1 << 16, "uint16"), ((1 << 16) + 1, "int64")])
+    def test_width_is_the_narrowest_that_holds_the_largest_code(self, size, dtype):
+        dataset = _one_column(size, [0, size - 1])
+        assert dataset.schema.code_dtype == dtype
+        assert len(dataset.memo_key()) == 16 + 2 * np.dtype(dtype).itemsize
+        assert np.frombuffer(dataset.memo_key()[16:], dtype=dtype).tolist() == [0, size - 1]
+
+    def test_schemas_of_different_widths_never_share_a_key(self):
+        keys = {_one_column(size, [0, 1, 2]).memo_key() for size in (3, 300, 70000)}
+        assert len(keys) == 3
+
+    def test_wide_codes_never_wrap(self):
+        # Cast to uint8, 260 and 259 would wrap to 4 and 3.
+        assert _one_column(300, [3, 260]).memo_key() != _one_column(300, [259, 4]).memo_key()
+        assert _one_column(300, [256]).memo_key() != _one_column(300, [0]).memo_key()

@@ -305,7 +305,7 @@ class TestEvaluatorBatch:
         assert all(s == scores[0] for s in scores)
         assert evaluator.evaluations == 1
         assert evaluator.batch_dedup == 4
-        # A distinct-content copy dedupes too (fingerprint, not identity).
+        # A distinct-content copy dedupes too (content key, not identity).
         copy = original.with_codes(maskings[0].codes_copy(), name="copy")
         evaluator.evaluate_many([maskings[0], copy])
         assert evaluator.evaluations == 1  # memo hit, no fresh work
@@ -352,6 +352,24 @@ class TestEvaluatorBatch:
         assert evaluator.stats()["persistent_hits"] == 2 + 1  # 2 here, 1 earlier
         reference = ProtectionEvaluator(original, ATTRS)
         assert scores == [reference.evaluate(m) for m in maskings[:6]]
+        cache.close()
+
+    def test_persistent_key_hashed_once_per_missing_candidate(self, batch_data, tmp_path,
+                                                               monkeypatch):
+        original, maskings = batch_data
+        cache = EvaluationCache(tmp_path / "evals.sqlite")
+        evaluator = ProtectionEvaluator(original, ATTRS, persistent_cache=cache)
+        hashed = []
+        real = evaluator._persistent_key
+        monkeypatch.setattr(evaluator, "_persistent_key",
+                            lambda content: hashed.append(content) or real(content))
+        twin = maskings[0].renamed("twin")
+        evaluator.evaluate_many([maskings[0], maskings[1], twin])
+        assert len(hashed) == 2  # one lookup-and-store key per distinct candidate
+        assert len(cache) == 2
+        evaluator.evaluate_many([maskings[0], maskings[2]])  # a memo hit hashes nothing
+        assert len(hashed) == 3
+        assert hashed == [m.fingerprint() for m in maskings[:3]]
         cache.close()
 
     def test_plain_scorecache_without_bulk_surface(self, batch_data):

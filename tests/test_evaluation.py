@@ -126,3 +126,50 @@ class TestCaching:
     def test_negative_cache_size_rejected(self, small_adult):
         with pytest.raises(MetricError):
             ProtectionEvaluator(small_adult, ATTRS, cache_size=-1)
+
+    def test_renamed_twin_shares_one_memo_entry(self, small_adult):
+        evaluator = ProtectionEvaluator(small_adult, ATTRS)
+        masked = Pram(theta=0.3).protect(small_adult, ATTRS, seed=0)
+        first = evaluator.evaluate(masked)
+        assert evaluator.evaluate(masked.renamed("twin")) is first
+        assert evaluator.cache_info()["size"] == 1
+        assert evaluator.stats()["memo_hits"] == 1
+
+
+@pytest.fixture(scope="module")
+def lib_flare_run():
+    """The library run a perfbench ``lib-flare`` repetition makes (seed 7)."""
+    from repro.experiments.runner import ExperimentConfig, run_experiment
+
+    return run_experiment(ExperimentConfig(dataset="flare", score="max", seed=7,
+                                           generations=150))
+
+
+class TestMemoOnARun:
+    def test_evaluation_counts_are_pinned(self, lib_flare_run):
+        stats = lib_flare_run.evaluator.stats()
+        assert {key: stats[key] for key in ("evaluations", "memo_hits", "batch_dedup")} == {
+            "evaluations": 328, "memo_hits": 3, "batch_dedup": 3,
+        }
+
+    def test_each_memo_key_is_one_byte_per_cell(self, lib_flare_run):
+        evaluator = lib_flare_run.evaluator
+        cells = evaluator.original.n_records * evaluator.original.n_attributes
+        assert len(evaluator._cache) == 328
+        assert all(len(key) <= cells + 32 for key in evaluator._cache)
+
+
+class TestPersistentKeys:
+    """Persistent-cache keys hash the raw ``int64`` codes, as they always did,
+    so caches written by earlier versions stay warm (values computed before
+    the memo moved to narrow keys)."""
+
+    def test_flare_keys_are_unchanged(self, flare):
+        evaluator = ProtectionEvaluator(flare)
+        codes = flare.codes_copy()
+        codes[0, 0] = (codes[0, 0] + 1) % flare.schema.domain(0).size
+        masked = flare.with_codes(codes)
+        assert evaluator.config_fingerprint() == (
+            "112c96687e8d86b2a03e06e06bc330283942a0648e5394520001b2cd1def357f")
+        assert evaluator.cache_key(masked) == (
+            "1be4a6c497a86adaeaaa9d01807db9ff667dbb4330c7a4bcf5efc56df89b41e8")

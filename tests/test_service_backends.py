@@ -6,6 +6,10 @@ in-run scoring pool only.
 
 from __future__ import annotations
 
+import os
+import sqlite3
+import threading
+
 import pytest
 
 from repro.cli import main
@@ -28,6 +32,23 @@ def _boom(x: int) -> int:
     raise ValueError(f"boom on {x}")
 
 
+def _pid(_: object) -> int:
+    return os.getpid()
+
+
+def _insert(path: str) -> str:
+    """One write through a fresh connection: ``"ok"`` or sqlite's error."""
+    connection = sqlite3.connect(path, timeout=0.5)
+    try:
+        with connection:
+            connection.execute("INSERT INTO beats VALUES (1)")
+        return "ok"
+    except sqlite3.OperationalError as error:
+        return str(error)
+    finally:
+        connection.close()
+
+
 ALL_BACKENDS = [SerialBackend(), ThreadBackend(max_workers=2), ProcessBackend(max_workers=2)]
 
 
@@ -45,6 +66,41 @@ class TestBackendSemantics:
     def test_errors_propagate(self, backend):
         with pytest.raises(ValueError, match="boom"):
             backend.map(_boom, [1, 2])
+
+
+def test_a_pool_started_during_a_store_write_can_write(tmp_path):
+    """Regression: the pool's workers were forks of the caller.  A worker
+    forked while a claim-heartbeat thread sat inside a sqlite write
+    inherited that lock's per-process bookkeeping, and each write it made
+    then failed with ``database is locked``, even after the parent
+    committed."""
+    path = str(tmp_path / "jobs.sqlite")
+    setup = sqlite3.connect(path)
+    setup.execute("PRAGMA journal_mode=WAL")
+    setup.execute("CREATE TABLE beats (x)")
+    setup.close()
+    inside, leave = threading.Event(), threading.Event()
+
+    def beat() -> None:
+        connection = sqlite3.connect(path, isolation_level=None)
+        connection.execute("BEGIN IMMEDIATE")
+        connection.execute("INSERT INTO beats VALUES (0)")
+        inside.set()
+        leave.wait(30)
+        connection.execute("COMMIT")
+        connection.close()
+
+    heartbeat = threading.Thread(target=beat)
+    heartbeat.start()
+    assert inside.wait(30)
+    with ProcessBackend(max_workers=2) as backend:
+        try:
+            started = backend.map(_pid, [0, 1])  # workers start mid-write
+        finally:
+            leave.set()
+            heartbeat.join()
+        assert os.getpid() not in started
+        assert backend.map(_insert, [path, path]) == ["ok", "ok"]
 
 
 class TestCreateBackend:

@@ -117,6 +117,29 @@ class TestRunOnce:
         assert store.claimed_job_ids() == []
 
 
+class TestClose:
+    def test_close_shuts_the_process_pool_down(self, store):
+        for seed in (1, 2):
+            store.submit(_job(seed))
+        with Worker(store, backend="process", max_workers=2, capacity=2,
+                    use_cache=False) as worker:
+            outcomes = worker.run_once()
+            backend = worker.runner.backend
+            processes = list(backend._pool._processes.values())
+        assert len(outcomes) == 2 and all(out.ok for out in outcomes)
+        assert processes
+        assert backend._pool is None
+        assert not any(process.is_alive() for process in processes)
+        worker.close()  # idempotent
+
+    def test_serial_close_is_a_no_op(self, store):
+        store.submit(_job(1))
+        with Worker(store) as worker:
+            (outcome,) = worker.run_once()
+        assert outcome.ok
+        assert worker.run_once() == []  # still usable after close
+
+
 class TestRunLoop:
     def test_idle_exit_stops_polling(self, store):
         outcomes = Worker(store).run(poll_seconds=0.01, idle_exit=2)

@@ -142,6 +142,25 @@ class TestClaimGuards:
         assert "claimed by another worker" in capsys.readouterr().err
 
 
+class TestPoolShutdown:
+    def test_every_worker_command_closes_its_worker(self, tmp_path, monkeypatch):
+        from repro.service import Worker
+
+        closed = []
+        real = Worker.close
+        monkeypatch.setattr(Worker, "close",
+                            lambda worker: closed.append(worker.worker_id) or real(worker))
+        state = str(tmp_path / "state")
+        assert main(["submit", "--dataset", "adult", "--generations", "2", "--seed", "64",
+                     "--checkpoint-every", "1", "--state-dir", state]) == 0
+        assert main(["resume", "--job", ProtectionJob(dataset="adult", generations=2,
+                                                      seed=64).job_id,
+                     "--force", "--state-dir", state]) == 0
+        assert main(["worker", "--once", "--state-dir", state]) == 0
+        assert [owner.split("-")[0] for owner in closed[:2]] == ["submit", "resume"]
+        assert len(closed) == 3
+
+
 class TestWorkerFailures:
     def test_failed_job_sets_exit_code(self, tmp_path, capsys):
         state = str(tmp_path / "state")
