@@ -3,19 +3,22 @@
 The observability layer's standing claim: telemetry *on* (registry
 recording, events counting, instrumented hot paths) costs less than the
 run-to-run noise floor of the evaluation pipeline.  This bench runs the
-same fresh-population ``evaluate_many`` workload in alternating A/B
-legs — telemetry disabled, telemetry enabled — and asserts on medians:
+same fresh-population ``evaluate_many`` workload in rounds of three
+back-to-back legs — telemetry disabled, telemetry enabled, and *traced*
+(the same workload inside an active trace scope, so ``repro.eval.batch``
+spans actually record; a scope-less leg would measure the no-op fast
+path and prove nothing) — and asserts:
 
 * scores are byte-identical between the states (the determinism
   contract, cheap to re-check here);
-* the enabled median is within ``OVERHEAD_CEILING`` of the disabled
-  median — and so is the *traced* median, a third leg that runs the
-  same workload inside an active trace scope so ``repro.eval.batch``
-  spans actually record (a scope-less leg would measure the no-op
-  fast path and prove nothing).
+* the median over rounds of each round's enabled / disabled time ratio,
+  and of its traced / disabled ratio, is within ``OVERHEAD_CEILING``.
 
-Alternating legs (ABAB...) instead of two blocks keeps thermal drift
-and cache warmup from loading one side of the comparison.  Sizes follow
+Each ratio compares legs run seconds apart, so machine-wide drift
+(thermal state, a neighbour's load) cancels within the round instead
+of loading one side of a comparison of medians taken over the whole
+run; the order of the three legs rotates each round, so no state
+always runs first, after the warmup or after another state.  Sizes follow
 ``bench_evaluation.py``: ``REPRO_BENCH_EVAL_SIZES=120`` gives the CI
 smoke run, where only toy sizes run but the ceiling is still asserted.
 """
@@ -35,10 +38,14 @@ from repro.datasets import load_flare, protected_attributes
 from repro.experiments.population_builder import build_initial_population
 from repro.metrics import ProtectionEvaluator
 
-#: Enabled-telemetry median must stay within this factor of disabled.
+#: The median per-round enabled / disabled (and traced / disabled) time
+#: ratio must stay within this factor.
 OVERHEAD_CEILING = 1.03
-#: Alternating legs per state; medians are robust to one noisy leg.
-LEGS = 5
+#: Rounds of off / on / traced legs; the median ratio is robust to a few
+#: noisy rounds.
+LEGS = 31
+#: The states one round runs, as ``(enabled, traced)``.
+STATES = {"off": (False, False), "on": (True, False), "traced": (True, True)}
 
 
 def _sizes() -> list[int]:
@@ -87,26 +94,20 @@ def test_bench_telemetry_overhead_below_ceiling():
     try:
         for size in _sizes():
             original, population = _population(size)
-            _timed_leg(original, population, enabled=False)  # warmup, untimed
-            off, on, traced = [], [], []
-            baseline_scores = None
-            for _ in range(LEGS):
-                seconds, scores = _timed_leg(original, population, enabled=False)
-                off.append(seconds)
-                if baseline_scores is None:
-                    baseline_scores = scores
-                assert scores == baseline_scores
-                seconds, scores = _timed_leg(original, population, enabled=True)
-                on.append(seconds)
-                # Telemetry is a pure observer: identical scores either way.
-                assert scores == baseline_scores
-                seconds, scores = _timed_leg(
-                    original, population, enabled=True, traced=True
-                )
-                traced.append(seconds)
-                assert scores == baseline_scores
-            ratio = statistics.median(on) / statistics.median(off)
-            traced_ratio = statistics.median(traced) / statistics.median(off)
+            _, baseline_scores = _timed_leg(original, population, enabled=False)  # warmup
+            times = {state: [] for state in STATES}
+            names = list(STATES)
+            for round_ in range(LEGS):
+                shift = round_ % len(names)
+                for state in names[shift:] + names[:shift]:
+                    enabled, traced = STATES[state]
+                    seconds, scores = _timed_leg(original, population, enabled, traced)
+                    times[state].append(seconds)
+                    # Telemetry is a pure observer: identical scores either way.
+                    assert scores == baseline_scores
+            off, on, traced = times["off"], times["on"], times["traced"]
+            ratio = statistics.median(a / b for a, b in zip(on, off))
+            traced_ratio = statistics.median(a / b for a, b in zip(traced, off))
             record_result("telemetry", f"off-n{size}", statistics.median(off))
             record_result("telemetry", f"on-n{size}", statistics.median(on),
                           ratio=ratio)

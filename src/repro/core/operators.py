@@ -47,7 +47,7 @@ def mutate(
     row = int(rng.integers(dataset.n_records))
     domain = dataset.schema.domain(column)
 
-    current = int(dataset.codes[row, column])
+    current = int(dataset.narrow_codes[row, column])
     # Uniform draw over the *other* categories: shift draws >= current up by one.
     draw = int(rng.integers(domain.size - 1))
     new_value = draw + 1 if draw >= current else draw

@@ -11,6 +11,18 @@ Datasets are *logically immutable*: the code matrix is flagged
 read-only and all transformations return new objects.  Genetic operators
 that need scratch space take an explicit writable copy via
 :meth:`CategoricalDataset.codes_copy`.
+
+The matrix is stored once, at the schema's
+:attr:`~repro.data.schema.DatasetSchema.code_dtype` (``uint8`` on every
+paper dataset, an eighth of ``int64``), as
+:attr:`CategoricalDataset.narrow_codes`.  The accessors that kernels do
+arithmetic on, :attr:`~CategoricalDataset.codes`,
+:meth:`~CategoricalDataset.column` and
+:meth:`~CategoricalDataset.codes_copy`, return ``int64`` copies widened
+on each call: a narrow array times a Python int wraps or raises, so the
+narrow matrix is only compared, indexed, copied, counted, hashed or
+assigned into an ``int64`` buffer.  No widened copy is kept on the
+object.
 """
 
 from __future__ import annotations
@@ -24,6 +36,11 @@ import numpy as np
 from repro.data.domain import CategoricalDomain
 from repro.data.schema import DatasetSchema
 from repro.exceptions import SchemaError
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 class CategoricalDataset:
@@ -40,7 +57,7 @@ class CategoricalDataset:
         Human-readable name carried through reports.
     """
 
-    __slots__ = ("codes", "schema", "name", "_digest", "checkpoint_entry")
+    __slots__ = ("narrow_codes", "schema", "name", "_digest", "checkpoint_entry")
 
     def __init__(self, codes: np.ndarray, schema: DatasetSchema, name: str = "dataset") -> None:
         arr = np.asarray(codes, dtype=np.int64)
@@ -58,9 +75,10 @@ class CategoricalDataset:
         if (arr.view(np.uint64) >= sizes).any():
             for col, domain in enumerate(schema):
                 domain.validate_codes(arr[:, col])
-        arr = arr.copy()
-        arr.setflags(write=False)
-        self.codes = arr
+        #: The read-only code matrix at ``schema.code_dtype``, which holds
+        #: every code validated above, so the cast never wraps.
+        self.narrow_codes = arr.astype(schema.code_dtype, order="C")
+        self.narrow_codes.setflags(write=False)
         self.schema = schema
         self.name = name
         self._digest: str | None = None
@@ -71,11 +89,13 @@ class CategoricalDataset:
 
     def __getstate__(self) -> tuple[None, dict]:
         # The per-object caches stay behind: a copy recomputes them.
-        return None, {"codes": self.codes, "schema": self.schema, "name": self.name}
+        return None, {"narrow_codes": self.narrow_codes, "schema": self.schema,
+                      "name": self.name}
 
     def __setstate__(self, state: tuple[None, dict]) -> None:
         for slot, value in state[1].items():
             setattr(self, slot, value)
+        self.narrow_codes.setflags(write=False)
         self._digest = None
         self.checkpoint_entry = None
 
@@ -133,17 +153,17 @@ class CategoricalDataset:
     @property
     def n_records(self) -> int:
         """Number of records (rows)."""
-        return self.codes.shape[0]
+        return self.narrow_codes.shape[0]
 
     @property
     def n_attributes(self) -> int:
         """Number of attributes (columns)."""
-        return self.codes.shape[1]
+        return self.narrow_codes.shape[1]
 
     @property
     def n_cells(self) -> int:
         """Total number of cells (records x attributes)."""
-        return self.codes.size
+        return self.narrow_codes.size
 
     @property
     def attribute_names(self) -> tuple[str, ...]:
@@ -156,27 +176,33 @@ class CategoricalDataset:
 
     # -- data accessors -----------------------------------------------
 
+    @property
+    def codes(self) -> np.ndarray:
+        """Read-only ``int64`` copy of the code matrix, widened on each read."""
+        return _read_only(self.narrow_codes.astype(np.int64))
+
     def column(self, key: int | str) -> np.ndarray:
-        """Read-only code vector of one attribute."""
+        """Read-only ``int64`` code vector of one attribute."""
         index = self.schema.index_of(key) if isinstance(key, str) else key
-        return self.codes[:, index]
+        return _read_only(self.narrow_codes[:, index].astype(np.int64))
 
     def column_labels(self, key: int | str) -> list[str]:
         """Label list of one attribute."""
         index = self.schema.index_of(key) if isinstance(key, str) else key
-        return self.schema.domain(index).decode(self.codes[:, index])
+        return self.schema.domain(index).decode(self.narrow_codes[:, index])
 
     def record_labels(self, row: int) -> list[str]:
         """Labels of one record across all attributes."""
-        return [self.schema.domain(a).label(self.codes[row, a]) for a in range(self.n_attributes)]
+        return [self.schema.domain(a).label(int(code))
+                for a, code in enumerate(self.narrow_codes[row])]
 
     def to_labels(self) -> list[list[str]]:
         """All records as rows of labels (CSV-ready)."""
         return [self.record_labels(r) for r in range(self.n_records)]
 
     def codes_copy(self) -> np.ndarray:
-        """Writable copy of the code matrix (for genetic operators)."""
-        return self.codes.copy()
+        """Writable ``int64`` copy of the code matrix (for genetic operators)."""
+        return self.narrow_codes.astype(np.int64)
 
     def value_counts(self, key: int | str) -> np.ndarray:
         """Frequency of every domain category of one attribute.
@@ -185,7 +211,7 @@ class CategoricalDataset:
         zero-count categories, so its length equals the domain size.
         """
         index = self.schema.index_of(key) if isinstance(key, str) else key
-        return np.bincount(self.codes[:, index], minlength=self.schema.domain(index).size)
+        return np.bincount(self.narrow_codes[:, index], minlength=self.schema.domain(index).size)
 
     # -- transformations ----------------------------------------------
 
@@ -204,14 +230,14 @@ class CategoricalDataset:
         """New dataset restricted to the given attributes, in order."""
         indices = [self.schema.index_of(n) for n in names]
         return CategoricalDataset(
-            self.codes[:, indices],
+            self.narrow_codes[:, indices],
             self.schema.subset(names),
             name=name if name is not None else self.name,
         )
 
     def renamed(self, name: str) -> "CategoricalDataset":
         """Same data under a different dataset name."""
-        return CategoricalDataset(self.codes, self.schema, name=name)
+        return CategoricalDataset(self.narrow_codes, self.schema, name=name)
 
     # -- comparisons ---------------------------------------------------
 
@@ -232,31 +258,29 @@ class CategoricalDataset:
         """Value equality: same schema and identical code matrix."""
         return (
             self.schema == other.schema
-            and self.codes.shape == other.codes.shape
-            and bool(np.array_equal(self.codes, other.codes))
+            and self.narrow_codes.shape == other.narrow_codes.shape
+            and bool(np.array_equal(self.narrow_codes, other.narrow_codes))
         )
 
     def cells_changed(self, other: "CategoricalDataset") -> int:
         """Number of cells whose code differs between the two files."""
         self.require_compatible(other)
-        return int(np.count_nonzero(self.codes != other.codes))
+        return int(np.count_nonzero(self.narrow_codes != other.narrow_codes))
 
     def fingerprint(self) -> bytes:
         """The raw ``int64`` code buffer (what persistent score keys hash)."""
         return self.codes.tobytes()
 
     def memo_key(self) -> bytes:
-        """Exact, narrow content key: the shape, then the codes narrowed.
+        """Exact, narrow content key: the shape, then the stored codes.
 
-        The codes are cast to the schema's
-        :attr:`~repro.data.schema.DatasetSchema.code_dtype`, which holds
-        its largest code; construction validated every code against the
-        schema, so the cast never wraps.  Two keys are equal exactly when
-        the shapes and the codes (at one width) are.  A flare key is
-        about 1/8 the size of :meth:`fingerprint`.
+        The stored matrix is at the schema's
+        :attr:`~repro.data.schema.DatasetSchema.code_dtype`, so two keys
+        are equal exactly when the shapes and the codes (at one width)
+        are.  A flare key is about 1/8 the size of :meth:`fingerprint`.
         """
-        shape = struct.pack("<2q", *self.codes.shape)
-        return shape + self.codes.astype(self.schema.code_dtype).tobytes()
+        shape = struct.pack("<2q", *self.narrow_codes.shape)
+        return shape + self.narrow_codes.tobytes()
 
     def digest(self) -> str:
         """Short hex hash of the code matrix and its shape.
@@ -265,8 +289,9 @@ class CategoricalDataset:
         save can stamp its original without rehashing it.
         """
         if self._digest is None:
-            digest = hashlib.blake2b(self.codes, digest_size=16)
-            digest.update(repr(self.codes.shape).encode("ascii"))
+            codes = self.codes
+            digest = hashlib.blake2b(codes, digest_size=16)
+            digest.update(repr(codes.shape).encode("ascii"))
             self._digest = digest.hexdigest()
         return self._digest
 

@@ -60,7 +60,9 @@ def encode_cells(columns: Sequence[np.ndarray], sizes: Sequence[int]) -> np.ndar
     """Mixed-radix cell numbers of per-attribute code arrays, as int64.
 
     ``columns[slot]`` holds attribute ``slot``'s codes, any shape (one
-    file's ``(n,)`` or a batch's ``(B, n)``); the result has that shape.
+    file's ``(n,)`` or a batch's ``(B, n)``) and any integer width (a
+    dataset's narrow matrix is summed into the ``int64`` result); the
+    result has that shape.
     """
     n_cells = 1
     for size in sizes:
@@ -103,7 +105,7 @@ class OriginalIndex:
         self.columns = tuple(columns)
         self.domains = [original.schema.domain(c) for c in columns]
         self.sizes = [d.size for d in self.domains]
-        keys_original = encode_cells(original.codes[:, columns].T, self.sizes)
+        keys_original = encode_cells(original.narrow_codes[:, columns].T, self.sizes)
         self.n_cells = int(np.prod(self.sizes, dtype=np.int64))
         unique_keys_o, self.inverse_original = np.unique(keys_original, return_inverse=True)
         self.unique_original = self.cell_tuples(unique_keys_o)
@@ -134,7 +136,8 @@ class CompressedPair:
 
     def __init__(self, index: OriginalIndex, masked: CategoricalDataset) -> None:
         require_masked_pair(index.original, masked)
-        self._occupy(index, encode_cells(masked.codes[:, list(index.columns)].T, index.sizes))
+        self._occupy(index, encode_cells(masked.narrow_codes[:, list(index.columns)].T,
+                                         index.sizes))
 
     @classmethod
     def of_cells(cls, index: OriginalIndex, cells: np.ndarray) -> "CompressedPair":

@@ -133,7 +133,7 @@ class MdavMicroaggregation(ProtectionMethod):
         as_generator(seed)  # accepted for interface symmetry; MDAV is deterministic
         sizes = np.array([original.schema.domain(c).size for c in columns])
         ordinal = np.array([original.schema.domain(c).ordinal for c in columns])
-        sub_codes = original.codes[:, columns]
+        sub_codes = original.narrow_codes[:, columns].astype(np.int64)
 
         partition = self._partition(sub_codes, sizes, ordinal)
         labels = np.empty(original.n_records, dtype=np.int64)

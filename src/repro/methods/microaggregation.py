@@ -106,16 +106,17 @@ class Microaggregation(ProtectionMethod):
                 counts = dataset.value_counts(column)
                 key = counts[values] * (domain.size + 1) + values
             return np.argsort(key, kind="stable")
-        # Joint: one shared ordering by the tuple of sort attributes.
-        fingerprint = dataset.fingerprint()
-        if self._joint_order_cache is not None and self._joint_order_cache[0] == fingerprint:
+        # Joint: one shared ordering by the tuple of sort attributes,
+        # cached on the file's exact narrow key.
+        memo_key = dataset.memo_key()
+        if self._joint_order_cache is not None and self._joint_order_cache[0] == memo_key:
             return self._joint_order_cache[1]
         attrs = self.sort_attributes
         if attrs is None:
             raise ProtectionError("joint microaggregation needs sort_attributes")
         key_columns = [dataset.column(name) for name in reversed(attrs)]
         order = np.lexsort(tuple(key_columns))
-        self._joint_order_cache = (fingerprint, order)
+        self._joint_order_cache = (memo_key, order)
         return order
 
     def protect_column(self, dataset: CategoricalDataset, column: int, rng: np.random.Generator) -> np.ndarray:

@@ -37,7 +37,7 @@ def _equivalence_classes(dataset: CategoricalDataset, attributes: Sequence[str])
     if not columns:
         raise MetricError("equivalence classes need at least one attribute")
     __, inverse, counts = np.unique(
-        dataset.codes[:, columns], axis=0, return_inverse=True, return_counts=True
+        dataset.narrow_codes[:, columns], axis=0, return_inverse=True, return_counts=True
     )
     return inverse, counts
 
@@ -76,7 +76,7 @@ def l_diversity_level(
     """
     inverse, counts = _equivalence_classes(dataset, quasi_identifiers)
     (sensitive_column,) = require_attributes(dataset, [sensitive])
-    sensitive_values = dataset.codes[:, sensitive_column]
+    sensitive_values = dataset.column(sensitive_column)
     n_classes = counts.shape[0]
     size = dataset.schema.domain(sensitive_column).size
     seen = np.zeros((n_classes, size), dtype=bool)
@@ -128,7 +128,7 @@ class AttributeDisclosureRisk(DisclosureRiskMeasure):
 
     def _compute(self, masked: CategoricalDataset) -> float:
         inverse, counts = _equivalence_classes(masked, self.attributes)
-        sensitive_values = self.original.codes[:, self._sensitive_column]
+        sensitive_values = self.original.column(self._sensitive_column)
         size = self.original.schema.domain(self._sensitive_column).size
         n_classes = counts.shape[0]
         # Joint counts: per masked class, distribution of original

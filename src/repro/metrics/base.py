@@ -92,7 +92,7 @@ class CandidateBatch(Sequence[CategoricalDataset]):
             tensor = np.empty((len(key), len(self.candidates), self.candidates[0].n_records),
                               dtype=np.int64)
             for position, masked in enumerate(self.candidates):
-                tensor[:, position] = masked.codes[:, key].T
+                tensor[:, position] = masked.narrow_codes[:, key].T
             self._codes[key] = tensor
         return tensor
 

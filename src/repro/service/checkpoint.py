@@ -138,7 +138,7 @@ def _encode_delta(codes: np.ndarray, original: np.ndarray) -> dict:
 
 
 def _decode_delta(entry: dict, original: np.ndarray) -> np.ndarray:
-    """The ``int64`` matrix a v3 entry encodes against ``original``."""
+    """The ``int64`` matrix a v3 entry encodes against ``original`` (any width)."""
     gaps = _unpack(entry["positions"], entry["index_dtype"])
     values = _unpack(entry["values"], entry["dtype"])
     positions = np.cumsum(gaps)
@@ -146,17 +146,20 @@ def _decode_delta(entry: dict, original: np.ndarray) -> np.ndarray:
             or (positions[-1:] >= original.size).any()):
         raise ServiceError("malformed checkpoint entry: its positions and values "
                            "are not distinct cells of the original")
-    codes = original.copy()
+    codes = original.astype(np.int64)
     codes.reshape(-1)[positions] = values
     return codes
 
 
 def _entry(dataset: CategoricalDataset, original: np.ndarray, digest: str) -> dict:
-    """``dataset``'s v3 entry against the original of ``digest``, encoded once."""
+    """``dataset``'s v3 entry against the original of ``digest``, encoded once.
+
+    ``original`` is that original's stored (narrow) matrix.
+    """
     cached = dataset.checkpoint_entry
     if cached is not None and cached[0] == digest:
         return cached[1]
-    entry = _encode_delta(dataset.codes, original)
+    entry = _encode_delta(dataset.narrow_codes, original)
     dataset.checkpoint_entry = (digest, entry)
     return entry
 
@@ -168,7 +171,7 @@ def _individual_to_dict(individual: Individual, codes: int | None = None) -> dic
         "name": individual.dataset.name,
         "origin": individual.origin,
         "birth_generation": individual.birth_generation,
-        "codes": _encode_codes(individual.dataset.codes) if codes is None else codes,
+        "codes": _encode_codes(individual.dataset.narrow_codes) if codes is None else codes,
         "evaluation": score_to_dict(individual.evaluation),
     }
 
@@ -207,7 +210,7 @@ def checkpoint_to_dict(checkpoint: EngineCheckpoint, fingerprint: str = "") -> d
     def encode(individuals: list[Individual]) -> list[dict]:
         items = []
         for individual in individuals:
-            entry = _entry(individual.dataset, original.codes, digest)
+            entry = _entry(individual.dataset, original.narrow_codes, digest)
             key = (entry["index_dtype"], entry["positions"], entry["dtype"], entry["values"])
             index = index_of.setdefault(key, len(table))
             if index == len(table):
@@ -260,7 +263,7 @@ def checkpoint_from_dict(
                 "checkpoint was written against a different original dataset; "
                 "refusing to decode it"
             )
-        matrices = [_decode_delta(entry, reference.codes) for entry in entries]
+        matrices = [_decode_delta(entry, reference.narrow_codes) for entry in entries]
     else:
         matrices = [_decode_codes(entry) for entry in entries]
     # Individuals that shared a matrix (and name) when saved share one

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.data import CategoricalDataset, CategoricalDomain, DatasetSchema
 from repro.exceptions import SchemaError
+from repro.experiments.population_builder import build_initial_population
 
 
 class TestConstruction:
@@ -191,3 +194,61 @@ class TestMemoKey:
         # Cast to uint8, 260 and 259 would wrap to 4 and 3.
         assert _one_column(300, [3, 260]).memo_key() != _one_column(300, [259, 4]).memo_key()
         assert _one_column(300, [256]).memo_key() != _one_column(300, [0]).memo_key()
+
+
+class TestNarrowStore:
+    """The matrix is stored at the schema's width; arithmetic accessors widen."""
+
+    WIDTHS = [(3, "uint8"), (300, "uint16"), (70_000, "int64")]
+
+    @pytest.mark.parametrize("size, dtype", WIDTHS)
+    def test_stored_at_the_schema_width_and_round_trips(self, size, dtype):
+        codes = [0, size - 1, size // 2, 1]
+        dataset = _one_column(size, codes)
+        assert dataset.narrow_codes.dtype == dtype
+        assert dataset.narrow_codes.nbytes == len(codes) * np.dtype(dtype).itemsize
+        assert dataset.codes[:, 0].tolist() == codes
+        assert dataset.with_codes(dataset.codes_copy()).equals(dataset)
+
+    @pytest.mark.parametrize("size, dtype", WIDTHS)
+    def test_arithmetic_accessors_are_int64(self, size, dtype):
+        dataset = _one_column(size, [0, size - 1])
+        assert dataset.codes.dtype == np.int64
+        assert dataset.column(0).dtype == np.int64
+        assert dataset.codes_copy().dtype == np.int64
+        # Widened before arithmetic: the top code times the domain size
+        # would wrap at the stored width.
+        assert (dataset.column(0) * size).tolist() == [0, (size - 1) * size]
+
+    @pytest.mark.parametrize("size, dtype", WIDTHS)
+    def test_stored_and_widened_matrices_are_read_only(self, size, dtype):
+        dataset = _one_column(size, [0, size - 1])
+        for array in (dataset.narrow_codes, dataset.codes, dataset.column(0)):
+            with pytest.raises(ValueError):
+                array[0] = 1
+        copy = dataset.codes_copy()
+        copy[0, 0] = 1
+        assert dataset.codes[0, 0] == 0
+
+    def test_an_int64_width_input_is_copied_not_frozen(self):
+        schema = DatasetSchema([CategoricalDomain("A", [f"c{i}" for i in range(70_000)])])
+        codes = np.array([[0], [69_999]], dtype=np.int64)
+        dataset = CategoricalDataset(codes, schema)
+        codes[0, 0] = 5
+        assert dataset.codes[0, 0] == 0
+
+    @pytest.mark.parametrize("size, dtype", WIDTHS)
+    def test_pickle_keeps_the_width(self, size, dtype):
+        dataset = _one_column(size, [0, size - 1, 1])
+        copy = pickle.loads(pickle.dumps(dataset))
+        assert copy.narrow_codes.dtype == dtype
+        assert not copy.narrow_codes.flags.writeable
+        assert copy.equals(dataset)
+        assert copy.fingerprint() == dataset.fingerprint()
+
+    def test_pickle_carries_the_narrow_matrix_only(self, flare):
+        assert len(pickle.dumps(flare)) < flare.n_cells * 2
+
+    def test_flare_population_stores_a_byte_per_cell(self, flare):
+        population = build_initial_population(flare, dataset_name="flare", seed=0)
+        assert all(dataset.narrow_codes.nbytes <= flare.n_cells for dataset in population)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.core.operators import mutate
+from repro.data import CategoricalDataset, CategoricalDomain, DatasetSchema
 from repro.exceptions import MetricError
 from repro.metrics import (
     MaxScore,
@@ -173,3 +176,62 @@ class TestPersistentKeys:
             "112c96687e8d86b2a03e06e06bc330283942a0648e5394520001b2cd1def357f")
         assert evaluator.cache_key(masked) == (
             "1be4a6c497a86adaeaaa9d01807db9ff667dbb4330c7a4bcf5efc56df89b41e8")
+
+
+def _uint16_dataset() -> CategoricalDataset:
+    """60 records whose first attribute has 300 categories (stored as uint16)."""
+    schema = DatasetSchema([
+        CategoricalDomain("WIDE", [f"w{i:03d}" for i in range(300)], ordinal=True),
+        CategoricalDomain("SIZE", ["xs", "s", "m", "l", "xl"], ordinal=True),
+        CategoricalDomain("COLOUR", ["red", "green", "blue", "grey"]),
+    ])
+    rng = np.random.default_rng(11)
+    codes = np.column_stack([rng.integers(0, 300, size=60), rng.integers(0, 5, size=60),
+                             rng.integers(0, 4, size=60)])
+    codes[0, 0] = 299
+    return CategoricalDataset(codes, schema, name="wide")
+
+
+#: The seven measure values of :func:`_uint16_dataset`'s candidates,
+#: computed while datasets stored their codes as ``int64``.
+UINT16_GOLDENS = [
+    {"ctbil": 26.666666666666668, "dbil": 19.055183946488295, "ebil": 39.3648882219176,
+     "interval_disclosure": 75.0, "dbrl": 45.0, "prl": 71.00396825396825,
+     "rsrl": 40.3994708994709},
+    {"ctbil": 0.8333333333333334, "dbil": 0.1388888888888889, "ebil": 1.2169403375437848,
+     "interval_disclosure": 99.44444444444444, "dbrl": 98.33333333333333,
+     "prl": 98.33333333333333, "rsrl": 78.61111111111111},
+    {"ctbil": 40.27777777777778, "dbil": 35.8440170940171, "ebil": 59.70971713188649,
+     "interval_disclosure": 45.55555555555555, "dbrl": 10.0, "prl": 35.79040404040404,
+     "rsrl": 8.427808302808302},
+]
+
+
+class TestUint16Goldens:
+    """A narrow stored matrix must never reach integer arithmetic: at
+    ``uint16`` a 300-category code times a domain size wraps, and every
+    measure value would move."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        dataset = _uint16_dataset()
+        assert dataset.schema.code_dtype == "uint16"
+        attrs = list(dataset.attribute_names)
+        candidates = [Pram(theta=0.3).protect(dataset, attrs, seed=0),
+                      mutate(dataset, attrs, seed=1),
+                      Pram(theta=0.6).protect(dataset, attrs, seed=2)]
+        return dataset, attrs, candidates
+
+    @staticmethod
+    def _values(score):
+        return {**score.il_components, **score.dr_components}
+
+    def test_batch_values_are_unchanged(self, wide):
+        dataset, attrs, candidates = wide
+        scores = ProtectionEvaluator(dataset, attrs).evaluate_many(candidates)
+        assert [self._values(score) for score in scores] == UINT16_GOLDENS
+
+    def test_single_values_are_unchanged(self, wide):
+        dataset, attrs, candidates = wide
+        for candidate, golden in zip(candidates, UINT16_GOLDENS, strict=True):
+            assert self._values(ProtectionEvaluator(dataset, attrs).evaluate(candidate)) == golden

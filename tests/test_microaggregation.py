@@ -215,6 +215,22 @@ class TestMicroaggregation:
         assert masked.n_records == adult.n_records
         assert adult.cells_changed(masked) > 0
 
+    def test_joint_order_cache_holds_the_narrow_key(self, adult):
+        attrs = ("EDUCATION", "MARITAL-STATUS")
+        method = Microaggregation(k=3, strategy="joint", sort_attributes=attrs)
+        column = adult.schema.index_of("EDUCATION")
+        order = method._sort_order(adult, column)
+        key = method._joint_order_cache[0]
+        assert len(key) <= adult.n_cells + 16
+        # Same original (even another object with its codes): a hit.
+        assert method._sort_order(adult.renamed("twin"), column) is order
+        # Another original: a miss, and the cache moves to its key.
+        codes = adult.codes_copy()
+        codes[[0, -1]] = codes[[-1, 0]]
+        other = adult.with_codes(codes)
+        assert not np.array_equal(method._sort_order(other, column), order)
+        assert method._joint_order_cache[0] == other.memo_key() != key
+
     def test_joint_and_univariate_differ(self, adult):
         attrs = ("EDUCATION", "MARITAL-STATUS", "OCCUPATION")
         univariate = Microaggregation(k=5).protect(adult, attrs)

@@ -27,7 +27,7 @@ from repro.data import CategoricalDataset, CategoricalDomain, DatasetSchema
 from repro.datasets import load_dataset
 from repro.exceptions import EvolutionError, ServiceError
 from repro.experiments.population_builder import build_initial_population
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.metrics import ProtectionEvaluator, ProtectionScore
 from repro.service import (
     CheckpointManager,
@@ -547,6 +547,31 @@ class TestFormatV3:
         assert copy.checkpoint_entry is None
         assert np.array_equal(copy.codes, dataset.codes) and copy.name == dataset.name
         assert copy.digest() == dataset.digest()
+
+
+class TestParentBytes:
+    """Hashes and payload bytes computed while datasets stored their codes
+    as ``int64``: storing them narrow must not move any of them."""
+
+    def test_flare_fingerprint_and_digest(self):
+        flare = load_dataset("flare")
+        assert hashlib.sha256(flare.fingerprint()).hexdigest() == (
+            "647ca4bcf8f9eebc33368df91051ba9d20ab546167d32e3084f18d8286e9c20e")
+        assert flare.digest() == "625c6b751ea0c64efbaed1ec7d9c8e31"
+        assert hashlib.sha256(flare.memo_key()).hexdigest() == (
+            "b2b7348bf755400a1e150df051d912c05ba3c1334059ba61aaef73b8426654f7")
+
+    def test_seed7_flare_generation25_payload(self):
+        checkpoints: list[EngineCheckpoint] = []
+        run_experiment(ExperimentConfig(dataset="flare", score="max", seed=7, generations=25),
+                       checkpoint_every=25, on_checkpoint=checkpoints.append)
+        payload = checkpoint_to_dict(checkpoints[-1])
+        assert payload["generation"] == 25
+        for record in payload["records"]:  # wall-clock fields
+            del record["fitness_seconds"], record["other_seconds"]
+        encoded = json.dumps(payload, sort_keys=True).encode()
+        assert hashlib.sha256(encoded).hexdigest() == (
+            "6d00955bd6e9dee43f811a11bf378a5328be67383a500d155b86d9719eb0c716")
 
 
 class TestResumability:
