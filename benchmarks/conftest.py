@@ -1,10 +1,12 @@
 """Shared benchmark plumbing.
 
 Every bench regenerates one paper artifact (figure series or in-text
-table) and prints the rows the paper plots, so the bench log doubles as
-the reproduction record in EXPERIMENTS.md.  Generation budgets default
-to laptop scale; set ``REPRO_FULL=1`` for 5x longer, closer-to-paper
-runs, or ``REPRO_BENCH_GENERATIONS=<n>`` to pin them exactly.
+table) and prints the rows the paper plots.  The bench log is the only
+record of those rows today: nothing in the repository keeps them, and a
+committed reproduction record waits for the paper-claims ledger across
+seeds (ROADMAP direction 2).  Generation budgets default to laptop
+scale; set ``REPRO_FULL=1`` for 5x longer, closer-to-paper runs, or
+``REPRO_BENCH_GENERATIONS=<n>`` to pin them exactly.
 """
 
 from __future__ import annotations

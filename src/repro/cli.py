@@ -191,6 +191,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments.figures import dispersion_data
     from repro.experiments.reporting import render_dispersion, render_evolution, render_improvements
 
+    if args.id != "e3" and args.drop_best is not None:
+        raise ReproError(f"--drop-best applies only to --id e3, not --id {args.id}")
+    if args.id == "e3" and args.dataset != "flare":
+        raise ReproError(f"--id e3 runs on flare only; got --dataset {args.dataset}")
     if args.id == "e1":
         outcome = run_experiment1(args.dataset, generations=args.generations, seed=args.seed)
         label = f"E1 {args.dataset} (Eq. 1 mean score)"
@@ -198,7 +202,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         outcome = run_experiment2(args.dataset, generations=args.generations, seed=args.seed)
         label = f"E2 {args.dataset} (Eq. 2 max score)"
     else:
-        fraction = args.drop_best if args.drop_best else min(EXPERIMENT3_FRACTIONS)
+        fraction = args.drop_best or min(EXPERIMENT3_FRACTIONS)
         outcome = run_experiment3(fraction, generations=args.generations, seed=args.seed)
         label = f"E3 flare without best {fraction:.0%}"
     print(render_dispersion(dispersion_data(outcome.result), f"{label}: dispersion"))
@@ -1329,7 +1333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", default="flare", choices=sorted(PAPER_SPECS))
     p.add_argument("--generations", type=int, default=None)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--drop-best", type=float, default=0.0)
+    p.add_argument("--drop-best", type=float, default=None, help="fraction E3 drops (e3 only)")
     p.set_defaults(fn=cmd_experiment)
 
     return parser

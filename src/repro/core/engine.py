@@ -259,7 +259,8 @@ class EvolutionaryProtector:
     # -- the generation step, in parts ------------------------------------
     #
     # :func:`run_lockstep` steps engines through these parts: ``run`` /
-    # ``resume`` as a list of one, and the service's job executor
+    # ``resume`` (the Pareto GA's too, whose engine replaces ``propose``
+    # and ``survive``) as a list of one, and the service's job executor
     # (:func:`repro.service.runner.execute_group`) a plain job or lone
     # island member as a list of one, a whole island group as a list of
     # ``P`` whose offspring are pooled into one evaluation batch.
@@ -337,11 +338,9 @@ class EvolutionaryProtector:
         evaluations: Sequence[ProtectionScore],
         fitness_seconds: float,
     ) -> GenerationRecord:
-        """Apply the survivor rule to scored offspring; the generation's record.
+        """Apply :meth:`survive` to scored offspring; the generation's record.
 
-        Mutation keeps the better of parent and child (elitism);
-        crossover lets each child compete with its parent (deterministic
-        crowding).  Draws nothing from the RNG.
+        Draws nothing from the RNG.
         """
         start = time.perf_counter()
         generation = proposal.generation
@@ -350,16 +349,7 @@ class EvolutionaryProtector:
                        birth_generation=generation)
             for dataset, evaluation in zip(proposal.offspring, evaluations)
         )
-        parents = tuple(population[slot] for slot in proposal.slots)
-        if proposal.operator == "mutation":
-            survivors = (elitist_survivor(parents[0], children[0]),)
-        else:
-            survivors = deterministic_crowding(parents, children, self.crowding_pairing)
-        accepted = False
-        for slot, survivor, child in zip(proposal.slots, survivors, children):
-            if survivor is child:
-                population.replace(slot, child)
-                accepted = True
+        accepted = self.survive(population, proposal, children)
         max_score, mean_score, min_score = population.score_summary()
         return GenerationRecord(
             generation=generation,
@@ -372,6 +362,26 @@ class EvolutionaryProtector:
             other_seconds=proposal.seconds + time.perf_counter() - start,
             accepted=accepted,
         )
+
+    def survive(self, population: Population, proposal: Proposal,
+                children: Sequence[Individual]) -> bool:
+        """The survivor rule; whether any child entered the population.
+
+        Mutation keeps the better of parent and child (elitism);
+        crossover lets each child compete with its parent (deterministic
+        crowding).
+        """
+        parents = tuple(population[slot] for slot in proposal.slots)
+        if proposal.operator == "mutation":
+            survivors = (elitist_survivor(parents[0], children[0]),)
+        else:
+            survivors = deterministic_crowding(parents, children, self.crowding_pairing)
+        accepted = False
+        for slot, survivor, child in zip(proposal.slots, survivors, children):
+            if survivor is child:
+                population.replace(slot, child)
+                accepted = True
+        return accepted
 
     # -- internals ----------------------------------------------------------
 
@@ -441,9 +451,9 @@ def run_lockstep(
 ) -> None:
     """The generation loop: step every ``(engine, state)`` together until ``stopping`` fires.
 
-    A solo run (:meth:`EvolutionaryProtector.run` / ``resume``), a
-    service job or an island member running alone is a list of one; an
-    island group run whole in one process is a list of ``P``.
+    A solo run (:meth:`EvolutionaryProtector.run` / ``resume``, the
+    Pareto GA's too), a service job or an island member running alone is
+    a list of one; an island group run whole in one process is a list of ``P``.
     Each generation every engine proposes its offspring, ``evaluate``
     scores all the proposals as one batch (one score per offspring, in
     proposal order), and every engine commits its share; a record's

@@ -12,7 +12,10 @@ and crowding distance (the NSGA-II components) — plus
 the paper's operators and selection flavour but replaces elitist
 replacement with dominance-based acceptance: an offspring enters the
 population by replacing the most crowded individual of the worst front
-whenever it is not dominated by its parent.
+whenever it is not dominated by its parent.  It is the paper engine
+with its own draws and survivor rule, so it runs on the one generation
+loop (:func:`~repro.core.engine.run_lockstep`) and its generations emit
+the standard records, spans and ``generation`` events.
 
 The result of a run is the full Pareto front of protections, from which
 an agency can pick its preferred IL/DR trade-off after the fact.
@@ -20,19 +23,20 @@ an agency can pick its preferred IL/DR trade-off after the fact.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import time
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.engine import EvolutionaryProtector, Proposal
 from repro.core.individual import Individual
 from repro.core.operators import crossover, mutate
+from repro.core.population import Population
 from repro.data.dataset import CategoricalDataset
-from repro.data.validation import require_population
 from repro.exceptions import EvolutionError
 from repro.metrics.evaluation import ProtectionEvaluator
 from repro.obs import emit_event, get_registry
-from repro.utils.rng import as_generator
 
 
 def dominates(a: tuple[float, float], b: tuple[float, float]) -> bool:
@@ -55,17 +59,14 @@ def non_dominated_sort(objectives: np.ndarray) -> list[np.ndarray]:
     no_worse = (points[:, None, :] <= points[None, :, :]).all(axis=2)
     strictly_better = (points[:, None, :] < points[None, :, :]).any(axis=2)
     domination = no_worse & strictly_better
-    dominated_count = domination.sum(axis=0)
 
     fronts: list[np.ndarray] = []
     remaining = np.ones(n, dtype=bool)
-    counts = dominated_count.astype(np.int64).copy()
+    counts = domination.sum(axis=0)
     while remaining.any():
+        # Dominance is a strict partial order (NaN points dominate and
+        # are dominated by nothing), so some remaining point is minimal.
         current = np.where(remaining & (counts == 0))[0]
-        if current.size == 0:
-            # Numerically impossible unless there is a cycle (there cannot
-            # be); guard against infinite loops regardless.
-            current = np.where(remaining)[0]
         fronts.append(current)
         remaining[current] = False
         counts -= domination[current].sum(axis=0)
@@ -110,17 +111,20 @@ class ParetoResult:
 
     def front_objectives(self) -> list[tuple[float, float]]:
         """(IL, DR) pairs of the Pareto front, sorted by IL."""
-        pairs = [(ind.information_loss, ind.disclosure_risk) for ind in self.front]
-        return sorted(pairs)
+        return sorted(_pair(ind) for ind in self.front)
 
 
-class ParetoEvolutionaryProtector:
+class ParetoEvolutionaryProtector(EvolutionaryProtector):
     """Steady-state Pareto GA over protections, reusing the paper's operators.
 
     Each generation mutates or crosses (probability ``mutation_probability``)
     parents drawn randomly, preferring the first front; offspring are
     accepted if they are not dominated by their parent, replacing the
-    most crowded member of the last front.
+    most crowded member of the last front.  Only the draws
+    (:meth:`propose`) and the survivor rule (:meth:`survive`) differ
+    from the paper engine: a run steps the one generation loop,
+    :func:`~repro.core.engine.run_lockstep`, so every generation commits
+    a standard record and opens a ``repro.engine.generation`` span.
     """
 
     def __init__(
@@ -129,19 +133,69 @@ class ParetoEvolutionaryProtector:
         mutation_probability: float = 0.5,
         seed: int | np.random.Generator | None = None,
     ) -> None:
-        if not 0 <= mutation_probability <= 1:
-            raise EvolutionError(
-                f"mutation_probability must be in [0, 1], got {mutation_probability}"
-            )
-        self.evaluator = evaluator
-        self.mutation_probability = float(mutation_probability)
-        self._rng = as_generator(seed)
+        super().__init__(evaluator, mutation_probability=mutation_probability, seed=seed)
+        self._front_sizes: list[int] = []
 
-    def _objectives(self, population: Sequence[Individual]) -> np.ndarray:
-        return np.array(
-            [(ind.information_loss, ind.disclosure_risk) for ind in population],
-            dtype=np.float64,
+    def run(  # type: ignore[override]
+        self,
+        initial: Sequence[CategoricalDataset],
+        generations: int = 200,
+    ) -> ParetoResult:
+        """Evolve ``initial`` for ``generations`` steady-state steps."""
+        self._front_sizes = []
+        population = super().run(initial, generations).population.snapshot()
+        front = non_dominated_sort(_objectives(population))[0]
+        return ParetoResult(
+            population=population,
+            front=[population[int(i)] for i in front],
+            generations=generations,
+            front_sizes=self._front_sizes,
         )
+
+    def propose(self, population: Population, generation: int) -> Proposal:
+        """Draw one generation's offspring from front-preferring parents."""
+        start = time.perf_counter()
+        fronts = non_dominated_sort(_objectives(population))
+        front_size = int(fronts[0].size)
+        self._front_sizes.append(front_size)
+        registry = get_registry()
+        if registry.enabled:
+            registry.set_gauge("repro_pareto_front_size", front_size)
+            emit_event("pareto_generation", generation=generation, front_size=front_size)
+
+        parent_index = self._select_parent_index(fronts)
+        parent = population[parent_index].dataset
+        attributes = self.evaluator.attributes
+        if self._rng.random() < self.mutation_probability:
+            operator = "mutation"
+            slots: tuple[int, ...] = (parent_index,)
+            offspring: tuple[CategoricalDataset, ...] = (mutate(
+                parent, attributes, seed=self._rng, name=f"pareto:gen{generation}:mut"),)
+        else:
+            operator = "crossover"
+            mate_index = self._select_parent_index(fronts)
+            slots = (parent_index, mate_index)
+            offspring = crossover(
+                parent, population[mate_index].dataset, attributes, seed=self._rng,
+                names=(f"pareto:gen{generation}:xA", f"pareto:gen{generation}:xB"),
+            )
+        return Proposal(generation, operator, slots, tuple(offspring),
+                        time.perf_counter() - start)
+
+    def survive(self, population: Population, proposal: Proposal,
+                children: Sequence[Individual]) -> bool:
+        """Dominance acceptance; whether any child entered the population.
+
+        A child its parent dominates dies; every other child replaces
+        the most crowded member of the then-worst front.
+        """
+        parent = population[proposal.slots[0]]
+        accepted = False
+        for child in children:
+            if not dominates(_pair(parent), _pair(child)):
+                population.replace(_replacement_index(population), child)
+                accepted = True
+        return accepted
 
     def _select_parent_index(self, fronts: list[np.ndarray]) -> int:
         # Prefer the first front with probability 1/2, else uniform overall.
@@ -151,90 +205,18 @@ class ParetoEvolutionaryProtector:
         total = sum(front.size for front in fronts)
         return int(self._rng.integers(total))
 
-    def _replacement_index(self, population: Sequence[Individual]) -> int:
-        objectives = self._objectives(population)
-        fronts = non_dominated_sort(objectives)
-        last = fronts[-1]
-        distances = crowding_distance(objectives[last])
-        return int(last[int(np.argmin(distances))])
 
-    def run(
-        self,
-        initial: Sequence[CategoricalDataset],
-        generations: int = 200,
-    ) -> ParetoResult:
-        """Evolve ``initial`` for ``generations`` steady-state steps."""
-        if generations < 1:
-            raise EvolutionError(f"generations must be >= 1, got {generations}")
-        require_population(self.evaluator.original, initial)
-        if len(initial) < 2:
-            raise EvolutionError("the Pareto GA needs at least 2 protections")
-        # One evaluation batch for the whole initial population: dedup,
-        # bulk cache rounds, and the evaluator's executor fan-out all
-        # apply (batch[i] == scalar bit-for-bit by the compute_many
-        # contract, so results are unchanged).
-        initial_evaluations = self.evaluator.evaluate_many(list(initial))
-        population = [
-            Individual(dataset=d, evaluation=evaluation, origin="initial")
-            for d, evaluation in zip(initial, initial_evaluations)
-        ]
-        front_sizes: list[int] = []
-        registry = get_registry()
+def _pair(individual: Individual) -> tuple[float, float]:
+    return individual.information_loss, individual.disclosure_risk
 
-        for generation in range(1, generations + 1):
-            objectives = self._objectives(population)
-            fronts = non_dominated_sort(objectives)
-            front_sizes.append(int(fronts[0].size))
-            if registry.enabled:
-                registry.set_gauge("repro_pareto_front_size", front_sizes[-1])
-                emit_event("pareto_generation", generation=generation,
-                           front_size=front_sizes[-1])
 
-            parent_index = self._select_parent_index(fronts)
-            parent = population[parent_index]
-            attributes = self.evaluator.attributes
+def _objectives(population: Iterable[Individual]) -> np.ndarray:
+    return np.array([_pair(ind) for ind in population], dtype=np.float64)
 
-            # Offspring are evaluated as one batch per generation (a
-            # singleton for mutation, the sibling pair for crossover):
-            # shared intermediates are computed once, caches are
-            # consulted in bulk, and the evaluator's executor applies.
-            # Evaluation is pure, so the RNG stream — and therefore the
-            # run — is bit-identical to the old scalar calls.
-            if self._rng.random() < self.mutation_probability:
-                child_data = mutate(parent.dataset, attributes, seed=self._rng,
-                                    name=f"pareto:gen{generation}:mut")
-                (child_eval,) = self.evaluator.evaluate_many([child_data])
-                children = [
-                    Individual(child_data, child_eval,
-                               origin="mutation", birth_generation=generation)
-                ]
-            else:
-                mate_index = self._select_parent_index(fronts)
-                mate = population[mate_index]
-                data_a, data_b = crossover(
-                    parent.dataset, mate.dataset, attributes, seed=self._rng,
-                    names=(f"pareto:gen{generation}:xA", f"pareto:gen{generation}:xB"),
-                )
-                eval_a, eval_b = self.evaluator.evaluate_many([data_a, data_b])
-                children = [
-                    Individual(data, evaluation,
-                               origin="crossover", birth_generation=generation)
-                    for data, evaluation in zip((data_a, data_b), (eval_a, eval_b))
-                ]
 
-            for child in children:
-                parent_objs = (parent.information_loss, parent.disclosure_risk)
-                child_objs = (child.information_loss, child.disclosure_risk)
-                if dominates(parent_objs, child_objs):
-                    continue  # strictly worse offspring die
-                population[self._replacement_index(population)] = child
-
-        final_objectives = self._objectives(population)
-        final_fronts = non_dominated_sort(final_objectives)
-        front = [population[int(i)] for i in final_fronts[0]]
-        return ParetoResult(
-            population=list(population),
-            front=front,
-            generations=generations,
-            front_sizes=front_sizes,
-        )
+def _replacement_index(population: Population) -> int:
+    """The most crowded member of the worst front."""
+    objectives = _objectives(population)
+    last = non_dominated_sort(objectives)[-1]
+    distances = crowding_distance(objectives[last])
+    return int(last[int(np.argmin(distances))])

@@ -144,3 +144,14 @@ class TestExperiment:
         assert code == 0
         out = capsys.readouterr().out
         assert "E3 flare without best 5%" in out
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--id", "e3", "--dataset", "adult"], "--dataset adult"),
+        (["--id", "e1", "--drop-best", "0.5"], "--drop-best"),
+        (["--id", "e2", "--drop-best", "0.5"], "--drop-best"),
+    ])
+    def test_ignored_flags_are_rejected(self, capsys, argv, flag):
+        assert main(["experiment", *argv, "--generations", "5"]) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""

@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import io
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.pareto import (
     ParetoEvolutionaryProtector,
     crowding_distance,
     dominates,
     non_dominated_sort,
 )
+from repro.datasets import load_flare, protected_attributes
 from repro.exceptions import EvolutionError
+from repro.experiments.population_builder import build_initial_population
 from repro.metrics import ProtectionEvaluator
 from repro.methods import Microaggregation, Pram, RankSwapping
 
@@ -166,3 +173,68 @@ class TestParetoEngine:
         result = ParetoEvolutionaryProtector(evaluator, seed=4).run(protections, generations=20)
         assert len(result.front_sizes) == 20
         assert all(size >= 1 for size in result.front_sizes)
+
+    def test_generations_publish_with_telemetry_on(self, setup):
+        __, protections, evaluator = setup
+        registry = obs.enable()
+        registry.reset()
+        stream = io.StringIO()
+        obs.configure_events(stream)
+        try:
+            result = ParetoEvolutionaryProtector(evaluator, seed=5).run(
+                protections, generations=12)
+            gauges = {entry["name"]: entry["value"]
+                      for entry in registry.snapshot()["gauges"]}
+        finally:
+            obs.disable()
+            registry.reset()
+            obs.configure_events(None)
+        events = [json.loads(line) for line in stream.getvalue().splitlines()]
+        pareto = [e for e in events if e["event"] == "pareto_generation"]
+        generation = [e for e in events if e["event"] == "generation"]
+        assert [e["generation"] for e in pareto] == list(range(1, 13))
+        assert [e["front_size"] for e in pareto] == result.front_sizes
+        assert [e["generation"] for e in generation] == list(range(1, 13))
+        assert gauges["repro_pareto_front_size"] == result.front_sizes[-1]
+
+
+# -- goldens ------------------------------------------------------------------
+#
+# ``tests/data/pareto_goldens.json`` was computed by the Pareto GA's own
+# steady-state loop, before it ran on :func:`repro.core.engine.run_lockstep`,
+# so it pins the one-loop engine == that loop, bit for bit.  Regenerate it
+# (``python tests/test_pareto.py``) only for a change that is meant to move
+# results, such as a metric-kernel bump.
+
+GOLDENS = Path(__file__).parent / "data" / "pareto_goldens.json"
+
+#: ``repro pareto --dataset flare --generations 100 --seed S``, per seed.
+GOLDEN_SEEDS = (7, 11)
+GOLDEN_GENERATIONS = 100
+
+
+def pareto_surface(seed: int) -> dict:
+    """Front, front sizes and final members of one seeded flare run."""
+    original = load_flare()
+    evaluator = ProtectionEvaluator(original, protected_attributes("flare"))
+    protections = build_initial_population(original, dataset_name="flare", seed=0)
+    result = ParetoEvolutionaryProtector(evaluator, seed=seed).run(
+        protections, generations=GOLDEN_GENERATIONS)
+    return {
+        "front": [list(pair) for pair in result.front_objectives()],
+        "front_sizes": list(result.front_sizes),
+        "population": [[ind.dataset.digest(), ind.information_loss, ind.disclosure_risk,
+                        ind.origin, ind.birth_generation] for ind in result.population],
+    }
+
+
+@pytest.mark.parametrize("seed", GOLDEN_SEEDS)
+def test_flare_run_matches_the_golden(seed):
+    golden = json.loads(GOLDENS.read_text(encoding="utf-8"))[f"seed-{seed}"]
+    assert pareto_surface(seed) == golden
+
+
+if __name__ == "__main__":
+    payload = {f"seed-{seed}": pareto_surface(seed) for seed in GOLDEN_SEEDS}
+    GOLDENS.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDENS}")
