@@ -20,64 +20,14 @@ Quickstart::
     engine = EvolutionaryProtector(evaluator, seed=7)
     result = engine.run(protections, stopping=100)
     print(result.best)
+
+The public names resolve on first access (PEP 562), so ``import repro``
+loads no numpy: the control-plane commands (``repro submit --detach``,
+``repro status``) start without the science stack, which loads with the
+first name that needs it.
 """
 
-from repro.core import (
-    AnyOf,
-    EvolutionaryProtector,
-    EvolutionHistory,
-    EvolutionResult,
-    GenerationRecord,
-    Individual,
-    MaxGenerations,
-    Population,
-    Stagnation,
-    StoppingRule,
-    TargetScore,
-    crossover,
-    mutate,
-)
-from repro.data import CategoricalDataset, CategoricalDomain, DatasetSchema, read_csv, write_csv
-from repro.datasets import (
-    dataset_names,
-    load_adult,
-    load_dataset,
-    load_flare,
-    load_german,
-    load_housing,
-    protected_attributes,
-)
-from repro.exceptions import ReproError
-from repro.hierarchy import ValueHierarchy, fanout_hierarchy, frequency_hierarchy
-from repro.methods import (
-    BottomCoding,
-    GlobalRecoding,
-    InvariantPram,
-    LocalSuppression,
-    MdavMicroaggregation,
-    Microaggregation,
-    Pram,
-    ProtectionMethod,
-    ProtectionPipeline,
-    RankSwapping,
-    TopCoding,
-)
-from repro.metrics import (
-    ContingencyTableLoss,
-    DistanceBasedLoss,
-    DistanceLinkageRisk,
-    EntropyBasedLoss,
-    IntervalDisclosure,
-    MaxScore,
-    MeanScore,
-    PowerMeanScore,
-    ProbabilisticLinkageRisk,
-    ProtectionEvaluator,
-    ProtectionScore,
-    RankSwappingLinkageRisk,
-    ScoreFunction,
-    WeightedScore,
-)
+from repro.utils.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -158,31 +108,38 @@ __all__ = [
     "store_from_spec",
 ]
 
-_SERVICE_NAMES = {
-    "ProtectionJob",
-    "JobResult",
-    "JobRunner",
-    "EvaluationCache",
-    "CheckpointManager",
-    "SqliteJobStore",
-    "RemoteJobStore",
-    "JobStoreServer",
-    "Worker",
-    "store_from_spec",
+#: Which module defines each public name, imported on first access.
+_EXPORTS = {
+    "repro.exceptions": ("ReproError",),
+    "repro.data": (
+        "CategoricalDataset", "CategoricalDomain", "DatasetSchema", "read_csv", "write_csv",
+    ),
+    "repro.hierarchy": ("ValueHierarchy", "fanout_hierarchy", "frequency_hierarchy"),
+    "repro.datasets": (
+        "load_adult", "load_flare", "load_german", "load_housing", "load_dataset",
+        "dataset_names", "protected_attributes",
+    ),
+    "repro.methods": (
+        "ProtectionMethod", "Microaggregation", "MdavMicroaggregation", "RankSwapping",
+        "Pram", "InvariantPram", "TopCoding", "BottomCoding", "GlobalRecoding",
+        "LocalSuppression", "ProtectionPipeline",
+    ),
+    "repro.metrics": (
+        "ContingencyTableLoss", "DistanceBasedLoss", "EntropyBasedLoss",
+        "IntervalDisclosure", "DistanceLinkageRisk", "ProbabilisticLinkageRisk",
+        "RankSwappingLinkageRisk", "ScoreFunction", "MeanScore", "MaxScore",
+        "WeightedScore", "PowerMeanScore", "ProtectionEvaluator", "ProtectionScore",
+    ),
+    "repro.core": (
+        "EvolutionaryProtector", "EvolutionResult", "EvolutionHistory", "GenerationRecord",
+        "Individual", "Population", "mutate", "crossover", "StoppingRule",
+        "MaxGenerations", "Stagnation", "TargetScore", "AnyOf",
+    ),
+    "repro.experiments.population_builder": ("build_initial_population",),
+    "repro.service": (
+        "ProtectionJob", "JobResult", "JobRunner", "EvaluationCache", "CheckpointManager",
+        "SqliteJobStore", "RemoteJobStore", "JobStoreServer", "Worker", "store_from_spec",
+    ),
 }
 
-
-def __getattr__(name: str):
-    # build_initial_population and the service layer live above
-    # repro.experiments, which imports repro.methods; importing them
-    # lazily avoids a package import cycle while keeping them available
-    # at the top level (as the docstring shows).
-    if name == "build_initial_population":
-        from repro.experiments.population_builder import build_initial_population
-
-        return build_initial_population
-    if name in _SERVICE_NAMES:
-        import repro.service as service
-
-        return getattr(service, name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

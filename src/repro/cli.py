@@ -25,10 +25,13 @@ import sys
 import time
 from collections.abc import Sequence
 
-from repro.data.io import read_csv, write_csv
-from repro.datasets.registry import PAPER_SPECS, load_dataset, protected_attributes
 from repro.exceptions import ReproError
 from repro.utils.tables import format_table
+
+#: The paper datasets' names, for ``--dataset`` choices: a static tuple,
+#: so building the parser loads no dataset module (the service commands
+#: start without numpy).
+DATASET_NAMES = ("adult", "flare", "german", "housing")
 
 
 def _parse_params(pairs: Sequence[str]) -> dict[str, object]:
@@ -51,6 +54,8 @@ def _parse_params(pairs: Sequence[str]) -> dict[str, object]:
 
 
 def _resolve_attributes(args: argparse.Namespace) -> tuple[str, ...]:
+    from repro.datasets.registry import protected_attributes
+
     if args.attributes:
         return tuple(a.strip() for a in args.attributes.split(",") if a.strip())
     return protected_attributes(args.dataset)
@@ -60,6 +65,8 @@ def _resolve_attributes(args: argparse.Namespace) -> tuple[str, ...]:
 
 
 def cmd_datasets(args: argparse.Namespace) -> int:
+    from repro.datasets.registry import PAPER_SPECS
+
     rows = []
     for name, spec in PAPER_SPECS.items():
         rows.append(
@@ -76,6 +83,9 @@ def cmd_datasets(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from repro.data.io import write_csv
+    from repro.datasets.registry import load_dataset
+
     dataset = load_dataset(args.dataset)
     write_csv(dataset, args.output)
     print(f"wrote {dataset.n_records} x {dataset.n_attributes} file: {args.output}")
@@ -83,6 +93,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_protect(args: argparse.Namespace) -> int:
+    from repro.data.io import write_csv
+    from repro.datasets.registry import load_dataset
     from repro.methods.base import registry
 
     original = load_dataset(args.dataset)
@@ -97,6 +109,8 @@ def cmd_protect(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from repro.data.io import read_csv
+    from repro.datasets.registry import load_dataset
     from repro.metrics.evaluation import ProtectionEvaluator
     from repro.metrics.score import score_function_by_name
 
@@ -119,6 +133,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
+    from repro.data.io import write_csv
     from repro.experiments.figures import dispersion_data
     from repro.experiments.reporting import render_dispersion, render_improvements, render_timing
     from repro.experiments.runner import ExperimentConfig, run_experiment
@@ -146,6 +161,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 def cmd_pareto(args: argparse.Namespace) -> int:
     from repro.core.pareto import ParetoEvolutionaryProtector
+    from repro.datasets.registry import load_dataset
     from repro.experiments.population_builder import build_initial_population
     from repro.metrics.evaluation import ProtectionEvaluator
 
@@ -371,7 +387,7 @@ def _record_payload(record, claims: dict[str, dict]) -> dict:
         # Logs, metrics and traces join on this one key.
         payload["trace_id"] = str(trace_info["id"])
     if record.job.islands >= 2:
-        from repro.service.islands import island_group_id
+        from repro.service.island_plan import island_group_id
 
         payload["island"] = {
             "group": island_group_id(record.job),
@@ -457,7 +473,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
                 "seed replicates are a different axis — submit each seed "
                 "as its own island group"
             )
-        from repro.service.islands import island_group_id, plan_island_jobs
+        from repro.service.island_plan import island_group_id, plan_island_jobs
 
         jobs = plan_island_jobs(
             base,
@@ -596,7 +612,7 @@ def cmd_status(args: argparse.Namespace) -> int:
     label = _store_label(store)
     claims = store.claims()
     if args.group:
-        from repro.service.islands import island_group_id
+        from repro.service.island_plan import island_group_id
 
         records = [r for r in store.records()
                    if r.job.islands >= 2 and island_group_id(r.job) == args.group]
@@ -628,7 +644,7 @@ def cmd_status(args: argparse.Namespace) -> int:
             return 0
         print(_job_table([record], record.job_id, claims=claims))
         if record.job.islands >= 2:
-            from repro.service.islands import island_group_id
+            from repro.service.island_plan import island_group_id
 
             role = _island_cell(record.job)
             print(f"island: {role} of group {island_group_id(record.job)} "
@@ -674,14 +690,13 @@ def _print_history(record) -> None:
     The same evolution and timing tables ``repro experiment`` and
     ``repro evolve`` print, rebuilt from the records the job stored.
     """
+    stored = _stored_history(record)
+    if not stored:
+        return
     from repro.core.history import EvolutionHistory, GenerationRecord
     from repro.experiments.reporting import render_evolution, render_timing
 
-    history = EvolutionHistory(
-        [GenerationRecord.from_dict(r) for r in _stored_history(record)]
-    )
-    if not history.records:
-        return
+    history = EvolutionHistory([GenerationRecord.from_dict(r) for r in stored])
     seconds = sum(r.fitness_seconds + r.other_seconds for r in history.records)
     evaluations = sum(r.evaluations for r in history.records)
     print(f"\nrun history: {len(history)} generation(s), {evaluations} "
@@ -1088,12 +1103,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("datasets", help="list the paper's datasets").set_defaults(fn=cmd_datasets)
 
     p = sub.add_parser("generate", help="write a synthetic paper dataset to CSV")
-    p.add_argument("--dataset", required=True, choices=sorted(PAPER_SPECS))
+    p.add_argument("--dataset", required=True, choices=DATASET_NAMES)
     p.add_argument("--output", required=True)
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("protect", help="apply one protection method")
-    p.add_argument("--dataset", required=True, choices=sorted(PAPER_SPECS))
+    p.add_argument("--dataset", required=True, choices=DATASET_NAMES)
     p.add_argument("--method", required=True)
     p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
     p.add_argument("--attributes", default="", help="comma-separated; default: paper's")
@@ -1102,14 +1117,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_protect)
 
     p = sub.add_parser("evaluate", help="score a masked CSV against a paper dataset")
-    p.add_argument("--dataset", required=True, choices=sorted(PAPER_SPECS))
+    p.add_argument("--dataset", required=True, choices=DATASET_NAMES)
     p.add_argument("--masked", required=True)
     p.add_argument("--attributes", default="")
     p.add_argument("--score", default="max", choices=["mean", "max", "weighted", "power_mean"])
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("evolve", help="build the paper population and run the GA")
-    p.add_argument("--dataset", required=True, choices=sorted(PAPER_SPECS))
+    p.add_argument("--dataset", required=True, choices=DATASET_NAMES)
     p.add_argument("--score", default="max", choices=["mean", "max", "weighted", "power_mean"])
     p.add_argument("--generations", type=int, default=300)
     p.add_argument("--seed", type=int, default=42)
@@ -1118,14 +1133,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_evolve)
 
     p = sub.add_parser("pareto", help="evolve the Pareto IL/DR front (extension)")
-    p.add_argument("--dataset", required=True, choices=sorted(PAPER_SPECS))
+    p.add_argument("--dataset", required=True, choices=DATASET_NAMES)
     p.add_argument("--attributes", default="")
     p.add_argument("--generations", type=int, default=200)
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(fn=cmd_pareto)
 
     p = sub.add_parser("export", help="run the GA and export figure data as CSV")
-    p.add_argument("--dataset", required=True, choices=sorted(PAPER_SPECS))
+    p.add_argument("--dataset", required=True, choices=DATASET_NAMES)
     p.add_argument("--score", default="max", choices=["mean", "max", "weighted", "power_mean"])
     p.add_argument("--generations", type=int, default=300)
     p.add_argument("--seed", type=int, default=42)
@@ -1185,7 +1200,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "at any setting)")
 
     p = sub.add_parser("submit", help="submit protection jobs to the service and run them")
-    p.add_argument("--dataset", required=True, choices=sorted(PAPER_SPECS))
+    p.add_argument("--dataset", required=True, choices=DATASET_NAMES)
     p.add_argument("--score", default="max", choices=["mean", "max", "weighted", "power_mean"])
     p.add_argument("--generations", type=int, default=300)
     p.add_argument("--seed", type=int, default=42)
@@ -1330,7 +1345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a paper experiment end to end")
     p.add_argument("--id", required=True, choices=["e1", "e2", "e3"])
-    p.add_argument("--dataset", default="flare", choices=sorted(PAPER_SPECS))
+    p.add_argument("--dataset", default="flare", choices=DATASET_NAMES)
     p.add_argument("--generations", type=int, default=None)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--drop-best", type=float, default=None, help="fraction E3 drops (e3 only)")

@@ -215,6 +215,7 @@ class EvolutionaryProtector:
         it must not draw from the run RNG, so seeded runs stay
         bit-identical with or without it.
         """
+        stopping = _checked_budget(stopping, checkpoint_every, migration_every)
         return self._loop(
             self.start(self._coerce_initial(initial)),
             stopping=stopping,
@@ -246,6 +247,7 @@ class EvolutionaryProtector:
         behave exactly as in :meth:`run`; a hook boundary the checkpoint
         already passed does not re-fire.
         """
+        stopping = _checked_budget(stopping, checkpoint_every, migration_every)
         return self._loop(
             self.restore(checkpoint),
             stopping=stopping,
@@ -388,19 +390,13 @@ class EvolutionaryProtector:
     def _loop(
         self,
         state: RunState,
-        stopping: StoppingRule | int,
+        stopping: StoppingRule,
         on_generation: Callable[[GenerationRecord], None] | None,
         checkpoint_every: int,
         on_checkpoint: Callable[[EngineCheckpoint], None] | None,
         migration_every: int = 0,
         on_migration: Callable[[Population, int, Callable[[], EngineCheckpoint]], None] | None = None,
     ) -> EvolutionResult:
-        if isinstance(stopping, int):
-            stopping = MaxGenerations(stopping)
-        if checkpoint_every < 0:
-            raise EvolutionError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
-        if migration_every < 0:
-            raise EvolutionError(f"migration_every must be >= 0, got {migration_every}")
         emit = on_checkpoint if checkpoint_every else None
         migrate = on_migration if migration_every else None
         first = state.generation
@@ -440,6 +436,23 @@ class EvolutionaryProtector:
 
     def _leader_count(self, population: Population) -> int:
         return max(1, int(round(self.leader_fraction * len(population))))
+
+
+def _checked_budget(
+    stopping: StoppingRule | int, checkpoint_every: int, migration_every: int
+) -> StoppingRule:
+    """The run's stopping rule, once the budget and both cadences are valid.
+
+    :meth:`EvolutionaryProtector.run` and :meth:`~EvolutionaryProtector.resume`
+    call it before any scoring, so a bad argument costs no evaluation.
+    """
+    if isinstance(stopping, int):
+        stopping = MaxGenerations(stopping)
+    if checkpoint_every < 0:
+        raise EvolutionError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
+    if migration_every < 0:
+        raise EvolutionError(f"migration_every must be >= 0, got {migration_every}")
+    return stopping
 
 
 def run_lockstep(

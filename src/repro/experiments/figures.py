@@ -1,7 +1,9 @@
 """Figure-ready data series extracted from experiment results.
 
 Each helper returns plain rows/series matching what one paper figure
-plots; the benchmarks print them and EXPERIMENTS.md records them.
+plots; the benchmarks print them.  The bench log is the only record of
+those rows today: a committed reproduction record waits for the
+paper-claims ledger across seeds (ROADMAP direction 2).
 """
 
 from __future__ import annotations

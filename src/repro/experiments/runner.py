@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.config import ExperimentConfig
 from repro.core.engine import EngineCheckpoint, EvolutionaryProtector, EvolutionResult
 from repro.core.individual import Individual
 from repro.datasets.registry import load_dataset, protected_attributes
@@ -38,40 +39,6 @@ def default_generations(fallback: int = 300) -> int:
     if os.environ.get("REPRO_FULL", "") == "1":
         return fallback * 5
     return fallback
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Full specification of one paper run.
-
-    ``eval_workers`` configures in-run parallel fitness evaluation:
-    with ``eval_workers >= 2`` the evaluator fans fresh evaluation
-    batches out over that many threads.  Evaluation is pure, so it is a
-    throughput knob only — a run's results are bit-identical whatever
-    its value (and it is excluded from job fingerprints for the same
-    reason).
-    """
-
-    dataset: str
-    score: str = "max"
-    generations: int = 300
-    seed: int = 42
-    population_seed: int = 0
-    drop_best_fraction: float = 0.0
-    mutation_probability: float = 0.5
-    leader_fraction: float = 0.1
-    selection_strategy: str = "proportional"
-    eval_workers: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.drop_best_fraction < 1:
-            raise ExperimentError(
-                f"drop_best_fraction must be in [0, 1), got {self.drop_best_fraction}"
-            )
-        if self.eval_workers < 0:
-            raise ExperimentError(
-                f"eval_workers must be >= 0, got {self.eval_workers}"
-            )
 
 
 @dataclass(frozen=True)

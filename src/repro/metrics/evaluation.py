@@ -38,6 +38,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
+from repro.config import METRIC_KERNEL_VERSION
 from repro.data.dataset import CategoricalDataset
 from repro.exceptions import MetricError
 from repro.metrics.base import CandidateBatch, DisclosureRiskMeasure, InformationLossMeasure
@@ -57,15 +58,6 @@ from repro.obs.trace import record_span, span_active
 # Batch sizes are size-shaped, not latency-shaped; pin the bucket bounds
 # before the first observation picks the seconds default.
 get_registry().declare_histogram("repro_eval_batch_size", DEFAULT_SIZE_BUCKETS)
-
-#: Version of the metric kernels' *numerical trajectory*, salted into
-#: every persistent-cache key.  Bump it whenever a kernel change can
-#: move a result by even one ulp (e.g. the EM moving from BLAS matmul
-#: to einsum): a stale cache entry differing in the last bit from a
-#: fresh computation would otherwise break the bit-identity guarantees
-#: (cached vs fresh, resume-across-kill).  Bumping only costs warm
-#: caches a recompute.
-METRIC_KERNEL_VERSION = 4
 
 
 @dataclass(frozen=True)

@@ -24,46 +24,13 @@ group — member jobs exchanging elite migrants through the store on a
 fixed cadence plus a merge job consolidating the Pareto front
 (``repro submit --islands P``) — that any fleet of the above drives
 deterministically.
+
+Every name here resolves on first access (PEP 562): queuing a job
+(``repro submit --detach``) loads the job model, the store and the
+island planner (:mod:`repro.service.island_plan`) without numpy.
 """
 
-from repro.service.backends import (
-    BACKENDS,
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    create_backend,
-)
-from repro.service.cache import EvaluationCache, score_from_dict, score_to_dict
-from repro.service.checkpoint import (
-    CheckpointManager,
-    checkpoint_from_dict,
-    checkpoint_to_dict,
-)
-from repro.service.islands import (
-    MIGRANTS_BLOB_SUFFIX,
-    TOPOLOGIES,
-    IslandParked,
-    drive_group,
-    front_dominates_or_matches,
-    island_group_id,
-    island_topology,
-    member_job_ids,
-    migrants_blob_id,
-    plan_island_jobs,
-)
-from repro.service.job import JobResult, ProtectionJob
-from repro.service.netstore import PROTOCOL_VERSION, JobStoreServer, RemoteJobStore
-from repro.service.runner import JobOutcome, JobRunner
-from repro.service.sqlstore import SqliteJobStore
-from repro.service.store import (
-    STORE_PROTOCOL,
-    JobRecord,
-    default_state_dir,
-    migrate_store,
-    store_from_spec,
-)
-from repro.service.worker import ClaimHeartbeat, Worker
+from repro.utils.lazy import lazy_exports
 
 __all__ = [
     "ProtectionJob",
@@ -104,3 +71,31 @@ __all__ = [
     "BACKENDS",
     "create_backend",
 ]
+
+#: Which module defines each public name, imported on first access.
+_EXPORTS = {
+    "repro.service.backends": (
+        "BACKENDS", "ExecutionBackend", "ProcessBackend", "SerialBackend",
+        "ThreadBackend", "create_backend",
+    ),
+    "repro.service.cache": ("EvaluationCache", "score_from_dict", "score_to_dict"),
+    "repro.service.checkpoint": (
+        "CheckpointManager", "checkpoint_from_dict", "checkpoint_to_dict",
+    ),
+    "repro.service.island_plan": (
+        "MIGRANTS_BLOB_SUFFIX", "TOPOLOGIES", "island_group_id", "island_topology",
+        "member_job_ids", "migrants_blob_id", "plan_island_jobs",
+    ),
+    "repro.service.islands": ("IslandParked", "drive_group", "front_dominates_or_matches"),
+    "repro.service.job": ("JobResult", "ProtectionJob"),
+    "repro.service.netstore": ("PROTOCOL_VERSION", "JobStoreServer", "RemoteJobStore"),
+    "repro.service.runner": ("JobOutcome", "JobRunner"),
+    "repro.service.sqlstore": ("SqliteJobStore",),
+    "repro.service.store": (
+        "STORE_PROTOCOL", "JobRecord", "default_state_dir", "migrate_store",
+        "store_from_spec",
+    ),
+    "repro.service.worker": ("ClaimHeartbeat", "Worker"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

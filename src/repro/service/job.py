@@ -18,16 +18,15 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
 
+from repro.config import METRIC_KERNEL_VERSION, ExperimentConfig
 from repro.exceptions import ServiceError
-from repro.experiments.runner import ExperimentConfig
-from repro.metrics.evaluation import METRIC_KERNEL_VERSION
 
 
 @dataclass(frozen=True)
 class ProtectionJob:
     """One fully-specified protection run, identified by its content.
 
-    The fields mirror :class:`repro.experiments.runner.ExperimentConfig`
+    The fields mirror :class:`repro.config.ExperimentConfig`
     so a job converts losslessly to the experiment harness; the service
     adds identity (:meth:`fingerprint`, :attr:`job_id`) on top.
     """

@@ -325,7 +325,7 @@ def migrate_store(source, target, *, chunk_size: int = 100) -> dict[str, int]:
     """
     from repro.obs import emit_event
     from repro.obs.trace import trace_blob_id
-    from repro.service.islands import migrants_blob_id
+    from repro.service.island_plan import migrants_blob_id
 
     if chunk_size < 1:
         raise ServiceError(f"chunk_size must be >= 1, got {chunk_size}")

@@ -172,3 +172,42 @@ class TestRun:
         result = engine.run(protections, stopping=30)
         __, __, percent = result.history.improvement("mean")
         assert percent >= 0
+
+
+BAD_BUDGETS = [
+    pytest.param({"stopping": 0}, id="zero-generations"),
+    pytest.param({"stopping": 5, "checkpoint_every": -1}, id="negative-checkpoint-every"),
+    pytest.param({"stopping": 5, "migration_every": -1}, id="negative-migration-every"),
+]
+
+
+class TestBudgetValidation:
+    """A bad budget or cadence raises before any candidate is scored."""
+
+    @pytest.mark.parametrize("kwargs", BAD_BUDGETS)
+    def test_run_rejects_before_scoring(self, small_population, kwargs):
+        adult, protections = small_population
+        engine = make_engine(adult, seed=0)
+        with pytest.raises(EvolutionError):
+            engine.run(protections, **kwargs)
+        assert engine.evaluator.stats()["evaluations"] == 0
+
+    @pytest.mark.parametrize("kwargs", BAD_BUDGETS)
+    def test_resume_rejects_before_scoring(self, small_population, kwargs):
+        adult, protections = small_population
+        saved = []
+        make_engine(adult, seed=0).run(protections, stopping=2, checkpoint_every=1,
+                                       on_checkpoint=saved.append)
+        engine = make_engine(adult, seed=0)
+        with pytest.raises(EvolutionError):
+            engine.resume(saved[-1], **kwargs)
+        assert engine.evaluator.stats()["evaluations"] == 0
+
+    def test_pareto_run_rejects_before_scoring(self, small_population):
+        from repro.core.pareto import ParetoEvolutionaryProtector
+
+        adult, protections = small_population
+        engine = ParetoEvolutionaryProtector(ProtectionEvaluator(adult, ATTRS), seed=0)
+        with pytest.raises(EvolutionError):
+            engine.run(protections, generations=0)
+        assert engine.evaluator.stats()["evaluations"] == 0
