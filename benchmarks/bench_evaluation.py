@@ -29,6 +29,10 @@ serve the scalar path as well.  The process row is informational: on a
 single-core box the pickling tax usually wins, which is exactly the
 thread-vs-process guidance the README documents.
 
+An untimed pass per size also records the batch path's tracemalloc
+peak (``peak_bytes`` on the ``batch`` leg of the ``--json`` artifact),
+so scoring memory is tracked next to its time; no bound is asserted.
+
 Sizes default to (300, 600, 1066) Flare records; set
 ``REPRO_BENCH_EVAL_SIZES=120`` (comma-separated) for the CI smoke run —
 at toy sizes only the exactness assertions are enforced, not the
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import os
 import time
+import tracemalloc
 
 from conftest import emit, record_result
 
@@ -95,6 +100,18 @@ def _observed_scores_and_routes(original: CategoricalDataset,
     return scores, routes
 
 
+def _batch_peak_bytes(original: CategoricalDataset,
+                      population: list[CategoricalDataset]) -> int:
+    """tracemalloc peak of one fresh batch pass (untimed: tracing slows it)."""
+    evaluator = _fresh_evaluator(original)
+    tracemalloc.start()
+    try:
+        evaluator.evaluate_many(population)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_bench_batch_evaluation_beats_serial():
     attrs_rows = []
     largest_speedup = 0.0
@@ -129,9 +146,12 @@ def test_bench_batch_evaluation_beats_serial():
             "must cover both the interior and the boundary closed form"
         )
 
+        peak_bytes = _batch_peak_bytes(original, population)
+
         speedup = serial_s / batch_s if batch_s else float("inf")
         record_result("evaluation", f"serial-n{size}", serial_s)
-        record_result("evaluation", f"batch-n{size}", batch_s, ratio=speedup)
+        record_result("evaluation", f"batch-n{size}", batch_s, ratio=speedup,
+                      peak_bytes=peak_bytes)
         record_result("evaluation", f"process-n{size}", process_s)
         if size >= largest_size:
             largest_size, largest_speedup = size, speedup
@@ -140,6 +160,7 @@ def test_bench_batch_evaluation_beats_serial():
             f"n={size:5d}  pop={len(population):4d}  "
             f"serial={serial_s:6.2f}s  batch={batch_s:6.2f}s  "
             f"process={process_s:6.2f}s  batch-speedup={speedup:4.1f}x  "
+            f"batch-peak={peak_bytes / 1e6:5.1f}MB  "
             f"({rate:5.0f} cand/s batched)  "
             f"prl closed-form/boundary/em={routes['closed_form']:.0f}/"
             f"{routes['boundary']:.0f}/{routes.get('em', 0):.0f}"

@@ -25,15 +25,18 @@ _RESULTS: list[dict] = []
 
 def record_result(bench: str, leg: str, median_seconds: float,
                   ratio: float | None = None,
-                  rate: float | None = None) -> None:
+                  rate: float | None = None,
+                  peak_bytes: int | None = None) -> None:
     """Record one bench leg for the ``--json`` artifact.
 
     Schema (one object per leg): ``{"bench": ..., "leg": ...,
-    "median_seconds": ..., "ratio": ..., "rate": ...}`` — ``ratio`` is
-    the leg's headline comparison (speedup or overhead multiple),
-    ``rate`` its throughput in operations per second, and each is
-    omitted for legs without one.  CI uploads the array so perf runs
-    are diffable across commits without scraping the bench log.
+    "median_seconds": ..., "ratio": ..., "rate": ..., "peak_bytes":
+    ...}`` — ``ratio`` is the leg's headline comparison (speedup or
+    overhead multiple), ``rate`` its throughput in operations per
+    second, ``peak_bytes`` its tracemalloc peak (from an untimed pass),
+    and each is omitted for legs without one.  CI uploads the array so
+    perf runs are diffable across commits without scraping the bench
+    log.
     """
     entry: dict[str, object] = {
         "bench": bench,
@@ -44,6 +47,8 @@ def record_result(bench: str, leg: str, median_seconds: float,
         entry["ratio"] = float(ratio)
     if rate is not None:
         entry["rate"] = float(rate)
+    if peak_bytes is not None:
+        entry["peak_bytes"] = int(peak_bytes)
     _RESULTS.append(entry)
 
 

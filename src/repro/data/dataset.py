@@ -43,6 +43,16 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def differing_cells(codes: np.ndarray, original: np.ndarray) -> np.ndarray:
+    """Flat positions, ascending, of the cells where ``codes`` differs from ``original``.
+
+    The one diff rule of the library: the evaluator's memo keys
+    (:meth:`CategoricalDataset.delta_key`) and checkpoint entries
+    (:mod:`repro.service.checkpoint`) both store a matrix as these cells.
+    """
+    return np.flatnonzero(codes.reshape(-1) != original.reshape(-1))
+
+
 class CategoricalDataset:
     """An integer-coded categorical microdata file.
 
@@ -281,6 +291,22 @@ class CategoricalDataset:
         """
         shape = struct.pack("<2q", *self.narrow_codes.shape)
         return shape + self.narrow_codes.tobytes()
+
+    def delta_key(self, original: "CategoricalDataset") -> bytes:
+        """Exact content key relative to ``original``, which this file pairs with.
+
+        The :func:`differing_cells` positions at the narrowest unsigned
+        width for ``original``'s cell count, then the codes there at the
+        schema's :attr:`~repro.data.schema.DatasetSchema.code_dtype`.
+        Both widths are fixed by ``original``, so the length implies the
+        split, and two keys against one original are equal exactly when
+        the matrices are.  A GA candidate differs from its original in a
+        few hundred cells, so its key is a fraction of :meth:`memo_key`.
+        """
+        positions = differing_cells(self.narrow_codes, original.narrow_codes)
+        width = np.min_scalar_type(original.n_cells - 1)  # unsigned: uint8 .. uint64
+        return (positions.astype(width).tobytes()
+                + self.narrow_codes.reshape(-1)[positions].tobytes())
 
     def digest(self) -> str:
         """Short hex hash of the code matrix and its shape.

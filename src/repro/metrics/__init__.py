@@ -1,38 +1,11 @@
-"""Information loss, disclosure risk and score aggregation."""
+"""Information loss, disclosure risk and score aggregation.
 
-from repro.metrics.anonymity import (
-    AttributeDisclosureRisk,
-    UniquenessRisk,
-    equivalence_class_sizes,
-    k_anonymity_level,
-    l_diversity_level,
-    sample_uniques_share,
-)
-from repro.metrics.base import BoundMeasure, DisclosureRiskMeasure, InformationLossMeasure
-from repro.metrics.contingency import ContingencyTableLoss, contingency_counts
-from repro.metrics.distance_il import DistanceBasedLoss
-from repro.metrics.entropy_il import EntropyBasedLoss, conditional_entropy_bits
-from repro.metrics.evaluation import (
-    ProtectionEvaluator,
-    ProtectionScore,
-    ScoreCache,
-    default_dr_measures,
-    default_il_measures,
-)
-from repro.metrics.interval_disclosure import IntervalDisclosure
-from repro.metrics.linkage_risk import (
-    DistanceLinkageRisk,
-    ProbabilisticLinkageRisk,
-    RankSwappingLinkageRisk,
-)
-from repro.metrics.score import (
-    MaxScore,
-    MeanScore,
-    PowerMeanScore,
-    ScoreFunction,
-    WeightedScore,
-    score_function_by_name,
-)
+Names resolve on first access (PEP 562): the persistent cache reads a
+:class:`ProtectionScore` (:mod:`repro.metrics.score`) without loading
+the numpy the measures need.
+"""
+
+from repro.utils.lazy import lazy_exports
 
 __all__ = [
     "BoundMeasure",
@@ -65,3 +38,39 @@ __all__ = [
     "sample_uniques_share",
     "equivalence_class_sizes",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.metrics.anonymity": (
+        "AttributeDisclosureRisk",
+        "UniquenessRisk",
+        "equivalence_class_sizes",
+        "k_anonymity_level",
+        "l_diversity_level",
+        "sample_uniques_share",
+    ),
+    "repro.metrics.base": ("BoundMeasure", "DisclosureRiskMeasure", "InformationLossMeasure"),
+    "repro.metrics.contingency": ("ContingencyTableLoss", "contingency_counts"),
+    "repro.metrics.distance_il": ("DistanceBasedLoss",),
+    "repro.metrics.entropy_il": ("EntropyBasedLoss", "conditional_entropy_bits"),
+    "repro.metrics.evaluation": (
+        "ProtectionEvaluator",
+        "ScoreCache",
+        "default_dr_measures",
+        "default_il_measures",
+    ),
+    "repro.metrics.interval_disclosure": ("IntervalDisclosure",),
+    "repro.metrics.linkage_risk": (
+        "DistanceLinkageRisk",
+        "ProbabilisticLinkageRisk",
+        "RankSwappingLinkageRisk",
+    ),
+    "repro.metrics.score": (
+        "MaxScore",
+        "MeanScore",
+        "PowerMeanScore",
+        "ProtectionScore",
+        "ScoreFunction",
+        "WeightedScore",
+        "score_function_by_name",
+    ),
+})

@@ -13,9 +13,11 @@ survivor's evaluation, so the evaluator only sees new children, and few
 of those repeat an earlier candidate (a 150-generation flare run makes
 3 memo hits in 331 lookups).  The memo is a cheap guard against those
 repeats; what it costs is memory, so it keys each candidate on
-:meth:`~repro.data.dataset.CategoricalDataset.memo_key`: the shape plus
-the codes at the schema's narrowest width (about 14 KB per flare
-candidate, against 110 KB for the raw ``int64`` buffer).
+:meth:`~repro.data.dataset.CategoricalDataset.delta_key`: the cells
+where it differs from the original and its codes there.  The GA's
+operators keep a protection close to its original, so a flare key is
+about 1.6 KB (its median candidate differs in 545 of 13,858 cells),
+against 14 KB for the whole matrix at the schema's width.
 
 The evaluator is *batch-first*: :meth:`ProtectionEvaluator.evaluate_many`
 dedupes a candidate batch by that key, consults the in-memory memo
@@ -23,9 +25,13 @@ and the persistent cache in bulk, and pushes only the fresh remainder
 through the measures' vectorized batch kernels — optionally fanned out
 over a pluggable executor (any object with the
 :class:`repro.service.backends.ExecutionBackend` ``map`` surface).
-Evaluation is pure, so ``evaluate_many`` returns exactly what mapping
+The kernels walk the fresh candidates :data:`SCORE_CHUNK` at a time, so
+a scoring pass's code tensors, linkage pairs and scratch arrays are
+bounded by that chunk rather than by the batch: the initial population
+no longer sets the process's peak memory.  Evaluation is pure, so
+``evaluate_many`` returns exactly what mapping
 :meth:`ProtectionEvaluator.evaluate` would, whatever the batch
-composition or worker count.
+composition, chunk size or worker count.
 """
 
 from __future__ import annotations
@@ -35,11 +41,11 @@ import json
 import time
 from collections import OrderedDict
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
 from repro.config import METRIC_KERNEL_VERSION
 from repro.data.dataset import CategoricalDataset
+from repro.data.validation import require_masked_pair
 from repro.exceptions import MetricError
 from repro.metrics.base import CandidateBatch, DisclosureRiskMeasure, InformationLossMeasure
 from repro.metrics.contingency import ContingencyTableLoss
@@ -51,38 +57,13 @@ from repro.metrics.linkage_risk import (
     ProbabilisticLinkageRisk,
     RankSwappingLinkageRisk,
 )
-from repro.metrics.score import MaxScore, ScoreFunction
+from repro.metrics.score import MaxScore, ProtectionScore, ScoreFunction
 from repro.obs.registry import DEFAULT_SIZE_BUCKETS, get_registry
 from repro.obs.trace import record_span, span_active
 
 # Batch sizes are size-shaped, not latency-shaped; pin the bucket bounds
 # before the first observation picks the seconds default.
 get_registry().declare_histogram("repro_eval_batch_size", DEFAULT_SIZE_BUCKETS)
-
-
-@dataclass(frozen=True)
-class ProtectionScore:
-    """Full evaluation of one masked candidate."""
-
-    information_loss: float
-    disclosure_risk: float
-    score: float
-    il_components: dict[str, float] = field(default_factory=dict)
-    dr_components: dict[str, float] = field(default_factory=dict)
-
-    def is_better_than(self, other: "ProtectionScore") -> bool:
-        """Strictly better (lower) aggregated score than ``other``."""
-        return self.score < other.score
-
-    def imbalance(self) -> float:
-        """Absolute gap between IL and DR — the balance the paper optimizes."""
-        return abs(self.information_loss - self.disclosure_risk)
-
-    def __str__(self) -> str:
-        return (
-            f"score={self.score:.2f} (IL={self.information_loss:.2f}, "
-            f"DR={self.disclosure_risk:.2f})"
-        )
 
 
 @runtime_checkable
@@ -144,27 +125,32 @@ def _score_candidates(
     Module-level (and taking the measures explicitly) so the process
     executor can pickle it.  Every score the evaluator computes fresh
     goes through here, so scalar and batch scoring agree bit for bit.
-    All the measures read one :class:`~repro.metrics.base.CandidateBatch`,
-    so each candidate is validated, stacked and encoded once.
+    The candidates are scored :data:`SCORE_CHUNK` at a time; all the
+    measures read one chunk's :class:`~repro.metrics.base.CandidateBatch`,
+    so each candidate is validated, stacked and encoded once, and the
+    chunk's intermediates are freed before the next one is built.
+    Every batch kernel is candidate-independent, so chunking never
+    changes a value.
     """
-    shared = CandidateBatch(batch)
-    il_values = [(m.measure_name, m.compute_many(shared).tolist()) for m in il_measures]
-    dr_values = [(m.measure_name, m.compute_many(shared).tolist()) for m in dr_measures]
     results = []
-    for index in range(len(shared)):
-        il_components = {name: values[index] for name, values in il_values}
-        dr_components = {name: values[index] for name, values in dr_values}
-        information_loss = sum(il_components.values()) / len(il_components)
-        disclosure_risk = sum(dr_components.values()) / len(dr_components)
-        results.append(
-            ProtectionScore(
-                information_loss=information_loss,
-                disclosure_risk=disclosure_risk,
-                score=score_function(information_loss, disclosure_risk),
-                il_components=il_components,
-                dr_components=dr_components,
+    for start in range(0, len(batch), SCORE_CHUNK):
+        shared = CandidateBatch(batch[start:start + SCORE_CHUNK])
+        il_values = [(m.measure_name, m.compute_many(shared).tolist()) for m in il_measures]
+        dr_values = [(m.measure_name, m.compute_many(shared).tolist()) for m in dr_measures]
+        for index in range(len(shared)):
+            il_components = {name: values[index] for name, values in il_values}
+            dr_components = {name: values[index] for name, values in dr_values}
+            information_loss = sum(il_components.values()) / len(il_components)
+            disclosure_risk = sum(dr_components.values()) / len(dr_components)
+            results.append(
+                ProtectionScore(
+                    information_loss=information_loss,
+                    disclosure_risk=disclosure_risk,
+                    score=score_function(information_loss, disclosure_risk),
+                    il_components=il_components,
+                    dr_components=dr_components,
+                )
             )
-        )
     return results
 
 
@@ -180,12 +166,22 @@ def _score_candidates_payload(payload: tuple) -> "list[ProtectionScore]":
 #: so splitting a small batch costs more kernel time than it saves.
 MIN_CHUNK = 8
 
+#: Most candidates one :class:`~repro.metrics.base.CandidateBatch`
+#: holds.  Its code tensor, cells, linkage pairs and each measure's
+#: scratch arrays grow with it: scoring flare's 104-candidate initial
+#: population whole peaks at +7.3 MB of tracemalloc, in chunks of 32 /
+#: 16 / 8 at +2.7 / +1.8 / +1.4 MB.  A library flare run's peak RSS
+#: reads 45.2 / 44.0 / 43.8 MB (2-core x86): 8 saves little more and
+#: costs kernel time (see :data:`MIN_CHUNK`).
+SCORE_CHUNK = 2 * MIN_CHUNK
+
 
 def chunk_plan(size: int, workers: int) -> list[tuple[int, int]]:
     """``(start, stop)`` of each executor chunk of a ``size``-candidate batch.
 
     ``max(1, min(workers, size // MIN_CHUNK))`` chunks of near-equal
-    length, in batch order.
+    length, in batch order.  Each worker walks its chunk
+    :data:`SCORE_CHUNK` candidates at a time.
     """
     chunks = max(1, min(workers, size // MIN_CHUNK))
     step = max(1, -(-size // chunks))
@@ -230,9 +226,12 @@ class ProtectionEvaluator:
     score_function:
         Aggregation of (IL, DR); defaults to the paper's Eq. 2 max score.
     cache_size:
-        Number of memoized evaluations (LRU, keyed by
-        :meth:`~repro.data.dataset.CategoricalDataset.memo_key`); 0
-        disables caching.
+        Number of memoized evaluations (LRU, keyed by each candidate's
+        :meth:`~repro.data.dataset.CategoricalDataset.delta_key` from
+        ``original``, so an entry's key costs the cells the candidate
+        changed, not the whole matrix); 0 disables caching.  Fresh
+        candidates are scored :data:`SCORE_CHUNK` at a time whatever
+        the batch size, so scoring memory does not grow with it.
     persistent_cache:
         Optional :class:`ScoreCache` consulted on in-memory misses and
         fed every fresh evaluation, so repeated runs and restarted jobs
@@ -364,8 +363,9 @@ class ProtectionEvaluator:
 
         The batch pipeline, in order:
 
-        1. key every candidate by its
-           :meth:`~CategoricalDataset.memo_key` and deduplicate — each
+        1. check every candidate pairs with ``original`` (a memo hit
+           must not skip that check), key it by its
+           :meth:`~CategoricalDataset.delta_key` and deduplicate — each
            distinct content is scored once per batch (``batch_dedup``
            counts the duplicates saved);
         2. look the distinct candidates up in the in-memory memo;
@@ -373,7 +373,8 @@ class ProtectionEvaluator:
            ``get_many`` round instead of N ``get`` calls), hashing each
            one's :meth:`cache_key` once for the lookup and the store;
         4. run the fresh remainder through the measures' vectorized
-           batch kernels — in-process, or chunked over ``executor``;
+           batch kernels, :data:`SCORE_CHUNK` candidates at a time —
+           in-process, or split over ``executor`` first;
         5. store fresh scores back (bulk ``put_many``) and fan results
            out to the original batch positions.
 
@@ -398,9 +399,11 @@ class ProtectionEvaluator:
             self.max_batch_size = len(candidates)
         if registry.enabled:
             registry.observe("repro_eval_batch_size", len(candidates))
+        original = self.original
         slots: dict[bytes, list[int]] = {}
         for position, masked in enumerate(candidates):
-            slots.setdefault(masked.memo_key(), []).append(position)
+            require_masked_pair(original, masked)
+            slots.setdefault(masked.delta_key(original), []).append(position)
         duplicates = len(candidates) - len(slots)
         self.batch_dedup += duplicates
         if registry.enabled and duplicates:

@@ -14,13 +14,45 @@ needs one scalar.  The paper studies two aggregations:
 :class:`PowerMeanScore` interpolates continuously between the mean
 (``exponent=1``) and the max (``exponent -> inf``).
 Lower scores are always better.
+
+:class:`ProtectionScore` is what the evaluator returns for one
+candidate.  It lives here, re-exported by :mod:`repro.metrics.evaluation`,
+because this module imports no numpy: the persistent cache
+(:mod:`repro.service.cache`) and ``repro cache`` read and write scores
+without the measure stack.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from dataclasses import dataclass, field
 
 from repro.exceptions import MetricError
+
+
+@dataclass(frozen=True)
+class ProtectionScore:
+    """Full evaluation of one masked candidate."""
+
+    information_loss: float
+    disclosure_risk: float
+    score: float
+    il_components: dict[str, float] = field(default_factory=dict)
+    dr_components: dict[str, float] = field(default_factory=dict)
+
+    def is_better_than(self, other: "ProtectionScore") -> bool:
+        """Strictly better (lower) aggregated score than ``other``."""
+        return self.score < other.score
+
+    def imbalance(self) -> float:
+        """Absolute gap between IL and DR — the balance the paper optimizes."""
+        return abs(self.information_loss - self.disclosure_risk)
+
+    def __str__(self) -> str:
+        return (
+            f"score={self.score:.2f} (IL={self.information_loss:.2f}, "
+            f"DR={self.disclosure_risk:.2f})"
+        )
 
 
 class ScoreFunction(ABC):

@@ -44,7 +44,7 @@ import time
 from pathlib import Path
 
 from repro.exceptions import ServiceError
-from repro.metrics.evaluation import ProtectionScore
+from repro.metrics.score import ProtectionScore
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS evaluations (

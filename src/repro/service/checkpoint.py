@@ -56,7 +56,7 @@ import numpy as np
 from repro.core.engine import EngineCheckpoint
 from repro.core.history import GenerationRecord
 from repro.core.individual import Individual
-from repro.data.dataset import CategoricalDataset
+from repro.data.dataset import CategoricalDataset, differing_cells
 from repro.data.schema import narrowest_dtype
 from repro.exceptions import ServiceError, StoreUnavailableError, WorkerError
 from repro.obs import emit_event, get_registry, trace
@@ -123,10 +123,9 @@ def _encode_delta(codes: np.ndarray, original: np.ndarray) -> dict:
         raise ServiceError(
             f"cannot checkpoint a {codes.shape} matrix against a {original.shape} original"
         )
-    flat = codes.reshape(-1)
-    positions = np.flatnonzero(flat != original.reshape(-1))
+    positions = differing_cells(codes, original)
     gaps = np.diff(positions, prepend=0)
-    values = flat[positions]
+    values = codes.reshape(-1)[positions]
     index_dtype = narrowest_dtype(int(gaps.max(initial=0)))
     dtype = narrowest_dtype(int(values.max(initial=0)))
     return {

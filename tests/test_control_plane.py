@@ -86,7 +86,7 @@ class TestIdentity:
         # the paper's order.
         assert DATASET_NAMES == tuple(sorted(PAPER_SPECS)) == tuple(sorted(dataset_names()))
 
-    @pytest.mark.parametrize("package", ["repro", "repro.service", "repro.utils"])
+    @pytest.mark.parametrize("package", ["repro", "repro.metrics", "repro.service", "repro.utils"])
     def test_lazy_tables_cover_all(self, package):
         module = importlib.import_module(package)
         names = set(module.__all__) - {"__version__"}
@@ -121,3 +121,12 @@ class TestNoNumpy:
             assert f"{job_id} " in done.stdout
         _assert_numpy_free(_repro("status", "--group", ISLAND_GROUP, "--state-dir", state))
         _assert_numpy_free(_repro("status", "--json", "--state-dir", state))
+
+    def test_cache(self, tmp_path):
+        state = str(tmp_path / "state")
+        plain = _repro("cache", "--state-dir", state)
+        _assert_numpy_free(plain)
+        assert "entries: 0" in plain.stdout
+        as_json = _repro("cache", "--json", "--state-dir", state)
+        _assert_numpy_free(as_json)
+        assert '"entries": 0' in as_json.stdout

@@ -196,6 +196,64 @@ class TestMemoKey:
         assert _one_column(300, [256]).memo_key() != _one_column(300, [0]).memo_key()
 
 
+class TestDeltaKey:
+    """Memo keys against an original: the cells that differ, then their codes."""
+
+    def test_equal_exactly_when_the_codes_are(self, flare):
+        rng = np.random.default_rng(5)
+        candidates = [flare]
+        for _ in range(6):
+            codes = flare.codes_copy()
+            cells = rng.integers(0, flare.n_cells, size=int(rng.integers(1, 40)))
+            for cell in cells.tolist():
+                row, col = divmod(cell, flare.n_attributes)
+                codes[row, col] = rng.integers(0, flare.schema.domain(col).size)
+            candidates.append(flare.with_codes(codes))
+        candidates += [candidates[3].renamed("copy"), flare.with_codes(flare.codes_copy())]
+        for first in candidates:
+            for second in candidates:
+                assert ((first.delta_key(flare) == second.delta_key(flare))
+                        == bool(np.array_equal(first.narrow_codes, second.narrow_codes)))
+
+    def test_renamed_twin_shares_the_key(self, flare):
+        codes = flare.codes_copy()
+        codes[3, 1] = (codes[3, 1] + 1) % flare.schema.domain(1).size
+        masked = flare.with_codes(codes)
+        assert masked.renamed("twin").delta_key(flare) == masked.delta_key(flare)
+
+    def test_identity_differs_from_every_one_cell_mutant(self, tiny_dataset):
+        identity = tiny_dataset.delta_key(tiny_dataset)
+        keys = set()
+        for cell in range(tiny_dataset.n_cells):
+            row, col = divmod(cell, tiny_dataset.n_attributes)
+            for code in range(tiny_dataset.schema.domain(col).size):
+                if code == tiny_dataset.narrow_codes[row, col]:
+                    continue
+                codes = tiny_dataset.codes_copy()
+                codes[row, col] = code
+                keys.add(tiny_dataset.with_codes(codes).delta_key(tiny_dataset))
+        assert identity == b""
+        assert identity not in keys
+        assert len(keys) == sum((tiny_dataset.schema.domain(col).size - 1) * tiny_dataset.n_records
+                                for col in range(tiny_dataset.n_attributes))
+
+    @pytest.mark.parametrize("cells, dtype", [(256, "uint8"), (257, "uint16"),
+                                              (1 << 16, "uint16"), ((1 << 16) + 1, "uint32")])
+    def test_position_width_follows_the_cell_count(self, cells, dtype):
+        original = _one_column(2, [0] * cells)
+        masked = _one_column(2, [0] * (cells - 1) + [1])
+        key = masked.delta_key(original)
+        assert len(key) == np.dtype(dtype).itemsize + 1
+        assert np.frombuffer(key[:-1], dtype=dtype).tolist() == [cells - 1]
+
+    def test_wide_codes_never_wrap(self):
+        original = _one_column(300, [0, 3])
+        wrapped = _one_column(300, [260, 3]).delta_key(original)
+        assert wrapped != _one_column(300, [4, 3]).delta_key(original)
+        assert np.frombuffer(wrapped[1:], dtype="uint16").tolist() == [260]
+        assert _one_column(300, [256, 3]).delta_key(original) != original.delta_key(original)
+
+
 class TestNarrowStore:
     """The matrix is stored at the schema's width; arithmetic accessors widen."""
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.operators import mutate
 from repro.data import CategoricalDataset, CategoricalDomain, DatasetSchema
-from repro.exceptions import MetricError
+from repro.exceptions import MetricError, SchemaError
 from repro.metrics import (
     MaxScore,
     MeanScore,
@@ -16,7 +16,12 @@ from repro.metrics import (
     default_dr_measures,
     default_il_measures,
 )
+from repro.datasets.registry import protected_attributes
+from repro.experiments.population_builder import build_initial_population
 from repro.methods import Pram
+from repro.metrics.evaluation import SCORE_CHUNK
+from repro.service.backends import ThreadBackend
+from repro.service.cache import EvaluationCache
 
 ATTRS = ["EDUCATION", "MARITAL-STATUS", "OCCUPATION"]
 
@@ -160,6 +165,80 @@ class TestMemoOnARun:
         cells = evaluator.original.n_records * evaluator.original.n_attributes
         assert len(evaluator._cache) == 328
         assert all(len(key) <= cells + 32 for key in evaluator._cache)
+
+    def test_memo_keys_total_under_a_megabyte(self, lib_flare_run):
+        # Whole narrow matrices came to 4.5 MB here; deltas from the
+        # original come to about 0.5 MB.
+        assert sum(len(key) for key in lib_flare_run.evaluator._cache) <= 1 << 20
+
+
+def _ordinal_twin(dataset: CategoricalDataset) -> CategoricalDataset:
+    """``dataset``'s codes under a schema whose first domain's ordinal flag is flipped."""
+    first, *rest = dataset.schema
+    flipped = CategoricalDomain(first.name, first.categories, ordinal=not first.ordinal)
+    return CategoricalDataset(dataset.codes, DatasetSchema([flipped, *rest]), name="twin")
+
+
+def _flare_evaluator(flare: CategoricalDataset, **options) -> ProtectionEvaluator:
+    return ProtectionEvaluator(flare, protected_attributes("flare"), **options)
+
+
+class TestPairingBeforeLookup:
+    """A candidate that does not pair with the original is refused, even
+    when its content is already in the memo, the batch or the store."""
+
+    def test_fresh(self, flare):
+        with pytest.raises(SchemaError):
+            _flare_evaluator(flare).evaluate(_ordinal_twin(flare))
+
+    def test_memo_hit(self, flare):
+        evaluator = _flare_evaluator(flare)
+        evaluator.evaluate(flare)
+        with pytest.raises(SchemaError):
+            evaluator.evaluate(_ordinal_twin(flare))
+
+    def test_within_batch_duplicate(self, flare):
+        with pytest.raises(SchemaError):
+            _flare_evaluator(flare).evaluate_many([flare, _ordinal_twin(flare)])
+
+    def test_persistent_hit(self, flare, tmp_path):
+        with EvaluationCache(tmp_path / "cache.sqlite") as store:
+            _flare_evaluator(flare, persistent_cache=store).evaluate(flare)
+            with pytest.raises(SchemaError):
+                _flare_evaluator(flare, persistent_cache=store).evaluate(_ordinal_twin(flare))
+
+
+class TestChunkedScoring:
+    """Fresh candidates are scored :data:`SCORE_CHUNK` at a time."""
+
+    @pytest.mark.parametrize("name", ["flare", "adult"])
+    @pytest.mark.parametrize("workers", [0, 2], ids=["in-process", "thread-2"])
+    def test_chunk_boundaries_never_change_a_score(self, request, name, workers):
+        original = request.getfixturevalue(name)
+        candidates = build_initial_population(original, name, seed=0)[:2 * SCORE_CHUNK + 1]
+        attributes = protected_attributes(name)
+        executor = ThreadBackend(max_workers=workers) if workers else None
+        evaluator = ProtectionEvaluator(original, attributes, executor=executor)
+        batch = evaluator.evaluate_many(candidates)
+        assert evaluator.stats()["evaluations"] == len(candidates)
+        assert batch == [ProtectionEvaluator(original, attributes).evaluate(c)
+                         for c in candidates]
+
+    def test_initial_scoring_memory_is_bounded(self, flare):
+        # tracemalloc peak of this pass (2-core x86): 8.5 MB with the
+        # whole population in one batch and whole-matrix memo keys,
+        # 1.8 MB in chunks with delta keys.
+        import tracemalloc
+
+        population = build_initial_population(flare, "flare", seed=0)
+        evaluator = _flare_evaluator(flare)
+        tracemalloc.start()
+        try:
+            evaluator.evaluate_many(population)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4_000_000
 
 
 class TestPersistentKeys:
