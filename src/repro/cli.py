@@ -448,15 +448,13 @@ def cmd_submit(args: argparse.Namespace) -> int:
     from repro.service.job import ProtectionJob
 
     # A queued record is read by every worker: refuse what no worker can
-    # run before anything is written.
+    # run before anything is written, so every job is built first.
     if args.generations < 1:
         raise ReproError(f"--generations must be >= 1, got {args.generations}")
     if args.checkpoint_every < 0:
         raise ReproError(
             f"--checkpoint-every must be >= 0, got {args.checkpoint_every}"
         )
-    _enable_telemetry(args, "submit")
-    store = _job_store(args)
     base = ProtectionJob(
         dataset=args.dataset,
         score=args.score,
@@ -465,6 +463,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
         drop_best_fraction=args.drop_best,
         eval_workers=args.eval_workers,
     )
+    base.to_config()  # the run configuration's own checks
     islands = max(1, args.islands)
     if islands > 1:
         if args.seeds:
@@ -486,6 +485,8 @@ def cmd_submit(args: argparse.Namespace) -> int:
     else:
         jobs = [base.with_seed(seed) for seed in _parse_seeds(args)]
         group = ""
+    _enable_telemetry(args, "submit")
+    store = _job_store(args)
     from repro.obs import trace
 
     # The cadence — and, under --trace-sample, the trace identity —

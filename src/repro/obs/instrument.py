@@ -81,8 +81,17 @@ class InstrumentedStore:
         object.__setattr__(self, name, timed)
         return timed
 
+    def __reduce__(self):
+        # Pickles as the wrapped store: the timing proxy stays behind.
+        return (_unwrapped, (self._obs_store,))
+
     def __repr__(self) -> str:
         return f"InstrumentedStore({self._obs_store!r}, backend={self._obs_backend!r})"
+
+
+def _unwrapped(store: object) -> object:
+    """An unpickled :class:`InstrumentedStore`: the store it wrapped."""
+    return store
 
 
 def instrument_store(store: object, backend: str | None = None) -> InstrumentedStore:

@@ -83,7 +83,6 @@ from __future__ import annotations
 import math
 import os
 import time
-import weakref
 from collections.abc import Callable
 from contextlib import ExitStack
 from dataclasses import replace
@@ -117,7 +116,6 @@ from repro.service.store import (
     FAILED,
     QUEUED,
     JobRecord,
-    store_from_spec,
 )
 
 #: Seconds an island waits (across park/resume cycles) for a silent
@@ -174,63 +172,6 @@ class IslandParked(ServiceError):
             "generation": self.generation,
             "waiting_on": list(self.waiting_on),
         }
-
-
-# -- live-store registry ------------------------------------------------------
-
-# Every job's payload names the *job store* (records, checkpoint and
-# migrant blobs).  In-process backends resolve the exact live store
-# object through this weak registry — critical for programmatically-built
-# stores whose spec may not be independently reopenable.  Process
-# backends and any registry miss fall back to reopening from the spec.
-# A token names the process that registered it: a forked pool worker
-# must not use the parent's store, whose lock a parent thread (the claim
-# heartbeat) may hold at the fork and the child then waits on forever.
-_LIVE_STORES: "weakref.WeakValueDictionary[str, object]" = (
-    weakref.WeakValueDictionary()
-)
-_STORE_SEQ = iter(range(1, 1 << 62))
-
-
-def register_store(store: object) -> str:
-    """Register a live store; returns the token for ``resolve_store``."""
-    token = f"st-{os.getpid()}-{next(_STORE_SEQ)}-{id(store):x}"
-    _LIVE_STORES[token] = store
-    return token
-
-
-def store_spec_of(store: object) -> tuple[str, str]:
-    """Best-effort ``(spec, token)`` that reopens ``store`` elsewhere."""
-    spec = getattr(store, "spec", "")
-    if spec:
-        return str(spec), ""
-    base = getattr(store, "base_url", "")
-    if base:
-        return str(base), str(getattr(store, "token", "") or "")
-    return "", ""
-
-
-def resolve_store(payload: dict):
-    """The job store a runner payload points at.
-
-    Prefers the live object (``store_ref``) when this process registered
-    it, falls back to reopening from ``store_spec``.  Raising here rather
-    than returning ``None`` turns a mis-wired submission into a clear
-    failed job.
-    """
-    ref = str(payload.get("store_ref") or "")
-    if ref.startswith(f"st-{os.getpid()}-"):
-        store = _LIVE_STORES.get(ref)
-        if store is not None:
-            return store
-    spec = str(payload.get("store_spec") or "")
-    if spec:
-        return store_from_spec(spec, token=str(payload.get("store_token") or ""))
-    raise ServiceError(
-        "island job payload carries no usable job-store reference "
-        "(store_ref dead and store_spec empty) — island jobs must run "
-        "through a store-connected worker or runner"
-    )
 
 
 # -- migrant buffers ----------------------------------------------------------
@@ -645,7 +586,8 @@ def front_dominates_or_matches(
 
 
 def _execute_merge_job(job: ProtectionJob, payload: dict) -> JobResult:
-    store = resolve_store(payload)
+    """The merge job ``job``: its members' fronts merged, read from the payload's store."""
+    store = payload["store"]
     start = time.perf_counter()
     member_ids = member_job_ids(job)
     records: list[JobRecord] = []
@@ -747,7 +689,7 @@ def execute_island_job(payload: dict) -> JobResult:
     member as a group of one, the merge over its members' results.  It
     raises :class:`IslandParked` for the yield path.
     """
-    job = ProtectionJob.from_dict(payload["job"])
+    job = payload["job"]
     if job.islands < 2:
         raise ServiceError(
             f"execute_island_job needs islands >= 2, got {job.islands}"

@@ -27,6 +27,7 @@ the same job list.
 
 from __future__ import annotations
 
+import pickle
 import time
 from collections.abc import Iterator, Sequence
 from contextlib import ExitStack, contextmanager
@@ -53,9 +54,6 @@ from repro.service.islands import (
     exchange_hook,
     lockstep_groups,
     member_rng,
-    register_store,
-    resolve_store,
-    store_spec_of,
 )
 from repro.service.job import JobResult, ProtectionJob
 
@@ -89,20 +87,6 @@ def _job_result(
             "history": [r.to_dict() for r in run.history.records],
         },
     )
-
-
-def _run_config(job: ProtectionJob, payload: dict) -> ExperimentConfig:
-    """``job``'s run configuration under the payload's ``eval_workers``.
-
-    A runner-level ``eval_workers`` is the worker's default for jobs
-    that did not pin their own — evaluation is pure, so the override
-    can never change the job's results (or its identity).
-    """
-    config = job.to_config()
-    runner_eval_workers = int(payload.get("eval_workers") or 0)
-    if config.eval_workers == 0 and runner_eval_workers:
-        config = replace(config, eval_workers=runner_eval_workers)
-    return config
 
 
 @contextmanager
@@ -179,7 +163,11 @@ def _execute(payloads: list[dict], spans: list[list[dict]]) -> list[JobResult]:
     """
     for payload in payloads:
         _cadence(payload)
-    job = ProtectionJob.from_dict(payloads[0]["job"])
+    job, store = payloads[0]["job"], payloads[0].get("store")
+    if job.islands >= 2 and store is None:
+        raise ServiceError(
+            f"island job {job.job_id} needs a job store to exchange through; "
+            "run it through a store-connected worker or runner")
     if job.islands >= 2 and job.island_index == job.islands:
         scope = _trace_scope(payloads[0])
         try:
@@ -188,35 +176,33 @@ def _execute(payloads: list[dict], spans: list[list[dict]]) -> list[JobResult]:
         finally:
             if scope is not None:
                 spans[0].extend(scope.drain())
-    # The task's one store handle; an island job without one fails here.
-    has_store = payloads[0].get("store_ref") or payloads[0].get("store_spec")
-    store = resolve_store(payloads[0]) if has_store or job.islands >= 2 else None
     if len(payloads) == 1:
         payloads = [{**payloads[0], "checkpoint": _resume_blob(job, payloads[0], store)}]
-    return execute_group(payloads, spans, store)
+    return execute_group(payloads, spans)
 
 
 def _execute_job(payload: dict) -> JobResult:
     """Run one job end to end on its own; raises when it fails or parks.
 
-    ``payload`` is a plain dict: the job's own dict plus cache /
-    checkpoint / resume directives.
+    ``payload`` is one :meth:`JobRunner._payload`: the
+    :class:`~repro.service.job.ProtectionJob` (``"job"``), the job store
+    (``"store"``, or ``None``) and the cache / checkpoint / resume
+    directives.
     """
     (result,) = _execute([payload], [[]])
     return result
 
 
-def _execute_settled(payloads: list[dict]) -> list[dict]:
+def _execute_settled(payloads: list[dict]) -> list[JobOutcome]:
     """One backend task, each job's outcome captured instead of raised.
 
-    Returns one plain dict per job (``result`` xor ``error``) so one bad
-    job cannot poison a whole fan-out: siblings keep their results and
-    the caller records each job's true outcome.  Trace spans ride back
-    as their own key — present in the failure case too, so the spans of
-    a dying run still reach the durable trace (failed jobs always
-    flush).  A parked island job is a third outcome: the ``parked`` key
-    carries the yield details so the worker requeues the record instead
-    of marking it failed.
+    Returns one :class:`JobOutcome` per job, so one bad job cannot
+    poison a whole fan-out: siblings keep their results and the caller
+    records each job's true outcome.  Trace spans ride back on the
+    outcome, in the failure case too, so the spans of a dying run still
+    reach the durable trace (failed jobs always flush).  A parked island
+    job is a third outcome: ``parked`` carries the yield details so the
+    worker requeues the record instead of marking it failed.
 
     If a whole island group raises, every member runs again on its own,
     through :func:`_execute_job_settled`, from its last durable exchange
@@ -231,24 +217,23 @@ def _execute_settled(payloads: list[dict]) -> list[dict]:
         if len(payloads) > 1:
             emit_event("island_lockstep_fallback", members=len(payloads),
                        error=f"{type(exc).__name__}: {exc}")
-            settled = [_execute_job_settled({**payload, "checkpoint": None})
-                       for payload in payloads]
-            for out, collected in zip(settled, spans):
-                out["trace_spans"] = collected + out["trace_spans"]
-            return settled
+            reruns = [_execute_job_settled({**payload, "checkpoint": None})
+                      for payload in payloads]
+            return [replace(outcome, trace_spans=(*collected, *outcome.trace_spans))
+                    for outcome, collected in zip(reruns, spans)]
+        job_id = payloads[0]["job"].job_id
         if isinstance(exc, IslandParked):
-            return [{"result": None, "error": "", "parked": exc.to_dict(),
-                     "trace_spans": spans[0]}]
-        return [{"result": None, "error": f"{type(exc).__name__}: {exc}",
-                 "trace_spans": spans[0]}]
-    return [{"result": result.to_dict(), "error": "", "trace_spans": collected}
+            return [JobOutcome(job_id, parked=exc.to_dict(), trace_spans=tuple(spans[0]))]
+        return [JobOutcome(job_id, error=f"{type(exc).__name__}: {exc}",
+                           trace_spans=tuple(spans[0]))]
+    return [JobOutcome(result.job_id, result=result, trace_spans=tuple(collected))
             for result, collected in zip(results, spans)]
 
 
-def _execute_job_settled(payload: dict) -> dict:
+def _execute_job_settled(payload: dict) -> JobOutcome:
     """:func:`_execute_settled` of one job on its own."""
-    (out,) = _execute_settled([payload])
-    return out
+    (outcome,) = _execute_settled([payload])
+    return outcome
 
 
 # -- the one executor ---------------------------------------------------------
@@ -300,7 +285,7 @@ class _Run:
                                "parent_id": ids.get(item["parent_id"], parent)})
 
 
-def execute_group(payloads: list[dict], spans: list[list[dict]], store) -> list[JobResult]:
+def execute_group(payloads: list[dict], spans: list[list[dict]]) -> list[JobResult]:
     """Step the jobs of ``payloads`` together; results in payload order.
 
     The one job executor: ``payloads`` are one job, or every member of
@@ -313,14 +298,14 @@ def execute_group(payloads: list[dict], spans: list[list[dict]], store) -> list[
     (:func:`~repro.service.islands.exchange_hook`, which also settles a
     round a resumed member parked on), or a plain job's checkpoint save
     every ``checkpoint_every`` generations and at the last one; both
-    write to the job ``store`` (``None`` runs a plain job
+    write to the payload's job ``store`` (``None`` runs a plain job
     uncheckpointed).  ``spans[i]`` receives job ``i``'s trace spans,
     also when the run fails or parks.  The evaluator's scoring pool is
     shut down when the jobs end.
     """
-    jobs = [ProtectionJob.from_dict(payload["job"]) for payload in payloads]
-    head = jobs[0]
-    config = _run_config(head, payloads[0])
+    jobs = [payload["job"] for payload in payloads]
+    head, store = jobs[0], payloads[0].get("store")
+    config = head.to_config()
     resumed = payloads[0].get("checkpoint") is not None
     start = time.perf_counter()
     with (_evaluation_cache(payloads[0]) as cache,
@@ -497,11 +482,12 @@ class JobRunner:
         results.
     store:
         The job store every checkpoint is saved to and resumed from, and
-        the one island-group jobs exchange migrants through.  The serial
-        backend reaches the exact live object (weak registry); the
-        process backend falls back to reopening from the store's spec.
-        Without it jobs run uncheckpointed; island jobs fail with a
-        clear error.
+        the one island-group jobs exchange migrants through.  It rides
+        in every task: the serial backend hands the jobs this very
+        object, and the ``process`` backend pickles it, so each pool
+        worker opens its own connection (a store that cannot be
+        pickled is refused here).  Without it jobs run uncheckpointed;
+        island jobs fail with a clear error.
     owner:
         The claim owner the caller holds the jobs under.  The store
         refuses (and the runner drops) checkpoint saves once a job's
@@ -532,12 +518,17 @@ class JobRunner:
         self.cache_max_entries = cache_max_entries
         self.checkpoint_every = checkpoint_every
         self.eval_workers = int(eval_workers)
+        if store is not None and self.backend.name == "process":
+            # A pool worker gets the store by pickle: refuse one it
+            # cannot ship now, before any job is claimed.
+            try:
+                pickle.dumps(store)
+            except Exception as exc:  # noqa: BLE001 - any pickling failure
+                raise ServiceError(
+                    f"the process backend cannot ship job store {store!r} to its "
+                    f"workers: {type(exc).__name__}: {exc}") from exc
         self.store = store
         self.owner = owner
-        self._store_ref = register_store(store) if store is not None else ""
-        self._store_spec, self._store_token = (
-            store_spec_of(store) if store is not None else ("", "")
-        )
 
     # -- payload plumbing ---------------------------------------------------
 
@@ -545,8 +536,12 @@ class JobRunner:
         self, job: ProtectionJob, resume: bool | None, extras: dict,
         checkpoint: dict | None,
     ) -> dict:
+        if self.eval_workers and not job.eval_workers:
+            # The runner's default for a job that pinned none: a
+            # throughput knob outside the fingerprint, so no id moves.
+            job = replace(job, eval_workers=self.eval_workers)
         return {
-            "job": job.to_dict(),
+            "job": job,
             "cache_path": self.cache_path,
             "cache_max_entries": self.cache_max_entries,
             # The job's own cadence, checked by its task; the runner's
@@ -556,17 +551,12 @@ class JobRunner:
             # A checkpoint blob the caller already read (``repro
             # resume``), so the job does not fetch it again.
             "checkpoint": checkpoint,
-            "eval_workers": self.eval_workers,
             # Trace context crosses the (possibly process) backend
             # boundary inside the payload; None for untraced jobs.
             "trace": trace.trace_context_from_extras(extras),
-            # The job store checkpoints and island exchanges go to: a
-            # live-object token for the serial backend plus a
-            # reopenable spec fallback, and the claim owner saves are
-            # gated on.
-            "store_ref": self._store_ref,
-            "store_spec": self._store_spec,
-            "store_token": self._store_token,
+            # The job store checkpoints and island exchanges go to, and
+            # the claim owner saves are gated on.
+            "store": self.store,
             "owner": self.owner,
         }
 
@@ -634,20 +624,11 @@ class JobRunner:
         units = [grouped.get(i, [i]) for i in range(len(jobs))
                  if i == min(grouped.get(i, [i]))]
         tasks = [[payloads[i] for i in unit] for unit in units]
-        settled: list[dict] = [{}] * len(jobs)
-        for unit, outs in zip(units, self.backend.map(_execute_settled, tasks)):
-            for i, out in zip(unit, outs):
-                settled[i] = out
-        return [
-            JobOutcome(
-                job_id=job.job_id,
-                result=JobResult.from_dict(out["result"]) if out["result"] else None,
-                error=out["error"],
-                trace_spans=tuple(out.get("trace_spans") or ()),
-                parked=out.get("parked"),
-            )
-            for job, out in zip(jobs, settled)
-        ]
+        settled: list[JobOutcome] = [None] * len(jobs)  # type: ignore[list-item]
+        for unit, outcomes in zip(units, self.backend.map(_execute_settled, tasks)):
+            for i, outcome in zip(unit, outcomes):
+                settled[i] = outcome
+        return settled
 
     def run_replicates(self, job: ProtectionJob, seeds: Sequence[int]) -> list[JobResult]:
         """Fan one job out across run seeds (experiment replicates)."""

@@ -125,6 +125,11 @@ class SqliteJobStore:
                 ("schema_version", str(SCHEMA_VERSION)),
             )
 
+    def __reduce__(self):
+        # A pickled store is its path: the receiving process (a pool
+        # worker) opens its own connection.
+        return (SqliteJobStore, (self.path,))
+
     # -- locations -----------------------------------------------------------
 
     @property

@@ -516,8 +516,8 @@ class Worker:
 
         One claim pass over the given records (see :func:`claim_queued`;
         ``on_skipped(record, reason)`` hears about each one passed over),
-        then one :meth:`run_claimed` call, so a ``thread``/``process``
-        backend fans the batch out.  Returns the settled outcomes of the
+        then one :meth:`run_claimed` call, so a ``process`` backend fans
+        the batch out.  Returns the settled outcomes of the
         records this worker won, in order.  Given a single
         :class:`JobRecord` instead of a list, returns its outcome, or
         ``None`` when another worker holds the job or it stopped being

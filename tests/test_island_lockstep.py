@@ -440,10 +440,10 @@ def lockstep_runs(monkeypatch) -> list[int]:
     runs: list[int] = []
     group = runner.execute_group
 
-    def counted(payloads, spans, store):
-        if ProtectionJob.from_dict(payloads[0]["job"]).islands >= 2:
+    def counted(payloads, spans):
+        if payloads[0]["job"].islands >= 2:
             runs.append(len(payloads))
-        return group(payloads, spans, store)
+        return group(payloads, spans)
 
     monkeypatch.setattr(runner, "execute_group", counted)
     return runs

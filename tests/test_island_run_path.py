@@ -19,7 +19,7 @@ import pytest
 from repro import obs
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.service import ProtectionJob, SqliteJobStore
-from repro.service.islands import execute_island_job, register_store
+from repro.service.islands import execute_island_job
 from repro.service.runner import _job_result
 
 # Timing fields differ between any two runs; everything else must not.
@@ -48,8 +48,7 @@ def test_member_without_exchange_equals_plain_run_on_its_stream(
     job = replace(base, islands=3, island_index=island_index,
                   migrate_every=4, migrants=2, topology="ring")
     store = SqliteJobStore(tmp_path / "jobs.sqlite")
-    member = execute_island_job({"job": job.to_dict(),
-                                 "store_ref": register_store(store)})
+    member = execute_island_job({"job": job, "store": store})
 
     stream = np.random.SeedSequence(job.seed).spawn(job.islands)[island_index]
     plain = run_experiment(job.to_config(), seed=np.random.default_rng(stream))

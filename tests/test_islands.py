@@ -10,7 +10,7 @@ migration hook contract.
 from __future__ import annotations
 
 import base64
-import os
+import pickle
 import zlib
 from dataclasses import replace
 
@@ -22,6 +22,7 @@ from repro.data import CategoricalDataset
 from repro.datasets import load_adult
 from repro.exceptions import EvolutionError, ServiceError
 from repro.metrics import ProtectionEvaluator
+from repro.obs.instrument import instrument_store
 from repro.methods import Microaggregation, Pram, RankSwapping
 from repro.service import (
     TOPOLOGIES,
@@ -41,10 +42,7 @@ from repro.service.islands import (
     plan_injection,
     publish_migrants,
     read_round_migrants,
-    register_store,
-    resolve_store,
     select_migrants,
-    store_spec_of,
 )
 
 ATTRS = ["EDUCATION", "MARITAL-STATUS", "OCCUPATION"]
@@ -345,22 +343,19 @@ class TestParkedSignal:
         assert parked_signature(payload) == (3, 75)
 
 
-class TestStoreRegistry:
-    def test_a_forked_process_reopens_the_store_from_its_spec(self, tmp_path,
-                                                              monkeypatch):
+class TestStorePickling:
+    """A pool worker gets the job store by pickle and opens its own connection."""
+
+    @pytest.mark.parametrize("wrap", [False, True], ids=["bare", "instrumented"])
+    def test_a_store_pickles_as_its_path(self, tmp_path, wrap):
         store = SqliteJobStore(tmp_path / "jobs.sqlite")
-        spec, token = store_spec_of(store)
-        payload = {"store_ref": register_store(store), "store_spec": spec,
-                   "store_token": token}
-        assert resolve_store(payload) is store
-        # A forked pool worker inherits the registry under another pid;
-        # the parent's store object (and the lock a parent thread may
-        # hold) is not its to use.
-        pid = os.getpid()
-        monkeypatch.setattr(os, "getpid", lambda: pid + 1)
-        reopened = resolve_store(payload)
-        assert reopened is not store
+        record = store.submit(ProtectionJob(dataset="flare", generations=2))
+        shipped = instrument_store(store) if wrap else store
+        reopened = pickle.loads(pickle.dumps(shipped))
+        assert type(reopened) is SqliteJobStore
+        assert reopened is not store and reopened._conn is not store._conn
         assert reopened.path == store.path
+        assert reopened.get(record.job_id).job == record.job
 
 
 class TestTimingEnv:

@@ -12,6 +12,7 @@ byte-identical to a serial run.
 from __future__ import annotations
 
 import json
+import pickle
 import socket
 import threading
 import time
@@ -21,6 +22,7 @@ import urllib.request
 import pytest
 
 from repro.exceptions import ServiceError, StoreUnavailableError, WorkerError
+from repro.obs.instrument import instrument_store
 from repro.service import (
     JobRecord,
     JobRunner,
@@ -139,6 +141,18 @@ class TestTransport:
         assert "HTTP 502" in str(mapped)
 
 
+class TestPickling:
+    @pytest.mark.parametrize("wrap", [False, True], ids=["bare", "instrumented"])
+    def test_a_pickled_client_keeps_its_url_token_and_spool(self, server, tmp_path,
+                                                            wrap):
+        client = _client(server, tmp_path, retries=2)
+        shipped = pickle.loads(pickle.dumps(instrument_store(client) if wrap else client))
+        assert type(shipped) is RemoteJobStore
+        assert (shipped.base_url, shipped.token, shipped.root, shipped.retries) == (
+            server.url, TOKEN, tmp_path / "spool", 2)
+        assert shipped.ping() == client.ping()
+
+
 class TestCheckpointSpool:
     """Checkpoints bypass the client's spool: each save and load is one
     RPC against the server's copy, and nothing else moves them."""
@@ -247,6 +261,24 @@ class TestRemoteWorkers:
         (outcome,) = Worker(client, worker_id="remote", use_cache=False).run_once()
         assert outcome.ok
         assert backing.get(job.job_id).status == "completed"
+        assert backing.claimed_job_ids() == []
+
+    def test_a_process_pool_drains_through_the_shipped_client(self, server, backing,
+                                                                tmp_path):
+        # Each pool worker unpickles the client and talks to the server
+        # itself: the checkpoints of both jobs land there.
+        client = _client(server, tmp_path)
+        jobs = [ProtectionJob(dataset="flare", generations=3, seed=s) for s in (1, 2)]
+        for job in jobs:
+            client.submit(job, extras={"checkpoint_every": 1})
+        with Worker(client, backend="process", capacity=2, worker_id="pool",
+                    use_cache=False) as worker:
+            outcomes = worker.run_once()
+        assert sorted(out.job_id for out in outcomes if out.ok) == sorted(
+            job.job_id for job in jobs)
+        for job in jobs:
+            assert backing.get(job.job_id).status == "completed"
+            assert backing.get_checkpoint(job.job_id)["generation"] == 3
         assert backing.claimed_job_ids() == []
 
     def test_two_http_workers_partition_queue_byte_identical_to_serial(

@@ -152,3 +152,35 @@ class TestSettledExecution:
 
     def test_settled_empty(self):
         assert JobRunner().run_settled([]) == []
+
+
+class SpeclessStore(SqliteJobStore):
+    """A store with no spec to reopen it from; it counts its checkpoint saves."""
+
+    spec = ""
+
+    def __init__(self, path) -> None:
+        super().__init__(path)
+        self.saved: list[str] = []
+
+    def put_checkpoint(self, job_id, payload, owner=None):
+        self.saved.append(job_id)
+        return super().put_checkpoint(job_id, payload, owner)
+
+
+class TestStoreInTheTask:
+    def test_the_serial_backend_saves_into_the_store_object_itself(self, tmp_path):
+        store = SpeclessStore(tmp_path / "jobs.sqlite")
+        job = ProtectionJob(dataset="flare", generations=2, seed=3)
+        (result,) = JobRunner(checkpoint_every=1, store=store).run([job])
+        assert store.saved == [job.job_id, job.job_id]
+        assert store.get_checkpoint(job.job_id)["generation"] == result.generations == 2
+
+    def test_the_runner_default_eval_workers_moves_no_id(self, tmp_path):
+        store = SqliteJobStore(tmp_path / "jobs.sqlite")
+        job = ProtectionJob(dataset="flare", generations=2, seed=3)
+        runner = JobRunner(eval_workers=2, checkpoint_every=1, store=store)
+        (result,) = runner.run([job])
+        assert result.job_id == job.job_id
+        blob = store.get_checkpoint(job.job_id)
+        assert blob["fingerprint"] == job.checkpoint_fingerprint()

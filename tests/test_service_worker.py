@@ -73,7 +73,7 @@ class TestRunOnce:
         assert store.claimed_job_ids() == []
 
     def test_one_runner_and_backend_for_the_worker_lifetime(self, store, monkeypatch):
-        from repro.service import backends, islands, runner
+        from repro.service import backends, runner
 
         built, maps = [], []
         create = backends.create_backend
@@ -99,8 +99,6 @@ class TestRunOnce:
         assert len(built) == 1
         # Each claimed batch (2 + 2 + 1 jobs) reaches the backend once.
         assert maps == [2, 2, 1]
-        live = [ref for ref, held in islands._LIVE_STORES.items() if held is store]
-        assert len(live) == 1
 
     def test_skips_jobs_claimed_elsewhere(self, store):
         record = store.submit(_job(1))
@@ -115,6 +113,25 @@ class TestRunOnce:
         assert Worker(store).process(stale_view) is None
         assert store.get(record.job_id).status == "running"
         assert store.claimed_job_ids() == []
+
+
+class TestUnshippableStore:
+    def test_the_process_backend_refuses_it_before_any_claim(self, store):
+        class Proxy:
+            """A store built in code: a local class, so it cannot be pickled."""
+
+            def __getattr__(self, name):
+                return getattr(store, name)
+
+        record = store.submit(_job(1))
+        before = store.get(record.job_id).to_dict()
+        with pytest.raises(WorkerError, match="cannot ship job store"):
+            Worker(Proxy(), backend="process", capacity=2)
+        assert store.get(record.job_id).to_dict() == before
+        assert store.claimed_job_ids() == []
+        # The serial backend never pickles its store.
+        (outcome,) = Worker(Proxy()).run_once()
+        assert outcome.ok
 
 
 class TestClose:

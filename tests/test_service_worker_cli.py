@@ -188,3 +188,24 @@ class TestSubmitValidation:
         assert main(args) == 2
         assert message in capsys.readouterr().err
         assert SqliteJobStore(Path(state) / "jobs.sqlite").records() == []
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--drop-best", "1.5"], "drop_best_fraction must be in [0, 1), got 1.5"),
+        (["--eval-workers", "-3"], "eval_workers must be >= 0, got -3"),
+        (["--islands", "4", "--migrate-every", "0"], "migrate_every must be >= 1, got 0"),
+        (["--islands", "4", "--migrants", "0"], "migrants must be >= 1, got 0"),
+        (["--islands", "4", "--seeds", "1,2"], "seed replicates are a different axis"),
+        (["--seeds", "1,x"], "bad --seeds '1,x'"),
+    ], ids=["drop-best", "eval-workers", "migrate-every", "migrants",
+            "islands-with-seeds", "bad-seeds"])
+    def test_every_job_is_built_before_the_store_opens(self, tmp_path, capsys,
+                                                       extra, message):
+        # Regression: the first two were queued and failed on the worker;
+        # the others were refused only after the store and its cache
+        # directory had been created.
+        state = tmp_path / "state"
+        args = ["submit", "--dataset", "adult", "--generations", "1",
+                "--detach", "--state-dir", str(state), *extra]
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
+        assert not state.exists()
